@@ -1,8 +1,9 @@
 // End-to-end engine comparison on an MRC-histogram workload: every
 // sequential ReuseAnalyzer head-to-head (LruChain vs Olken-splay/AVL/treap
-// vs Bennett-Kruskal's Fenwick engine vs the interval engine) plus the
-// parallel Parda driver at np=1..4, each measured through both the batched
-// process_block path and the per-reference loop.
+// vs Bennett-Kruskal's Fenwick engine vs the interval engine), each
+// measured through both the batched process_block path and the
+// per-reference loop, plus the parallel Parda driver at np=1..4 (which
+// always runs the batched path: its points carry block=1).
 //
 // Writes a parda.bench.v1 artifact (default BENCH_engines.json, override
 // with PARDA_BENCH_JSON); a point's identity is (name, np, block) — trace
@@ -13,7 +14,7 @@
 //
 // Environment: PARDA_BENCH_ENGINE_REFS (default 1M references),
 // PARDA_BENCH_ENGINE_REPS (default 3; block/loop reps interleave and the
-// best rep of each path is reported),
+// best rep of each path is reported; parda reports its best rep),
 // PARDA_BENCH_SCALE (SPEC footprint divisor), PARDA_BENCH_JSON.
 //
 // The google-benchmark registrations below the suite remain for ad-hoc
@@ -109,22 +110,16 @@ void measure_seq(const char* name, const std::vector<Addr>& trace, int reps,
 
 void measure_parda(int np, const std::vector<Addr>& trace, int reps,
                    std::vector<bench::BenchPoint>& points) {
-  std::vector<double> block_secs, loop_secs;
+  std::vector<double> secs;
+  PardaOptions options;
+  options.num_procs = np;
   for (int i = 0; i < reps; ++i) {
-    for (int j = 0; j < 2; ++j) {
-      const bool block = (i + j) % 2 == 0;
-      PardaOptions options;
-      options.num_procs = np;
-      options.block_dispatch = block;
-      WallTimer timer;
-      benchmark::DoNotOptimize(parda_analyze(trace, options).hist.total());
-      (block ? block_secs : loop_secs).push_back(timer.seconds());
-    }
+    WallTimer timer;
+    benchmark::DoNotOptimize(parda_analyze(trace, options).hist.total());
+    secs.push_back(timer.seconds());
   }
   points.push_back(make_point("parda_splay", static_cast<std::uint64_t>(np),
-                              true, best(block_secs), trace.size()));
-  points.push_back(make_point("parda_splay", static_cast<std::uint64_t>(np),
-                              false, best(loop_secs), trace.size()));
+                              true, best(secs), trace.size()));
 }
 
 void run_engines_suite() {

@@ -44,7 +44,8 @@ double measure_parda_crit(const std::vector<Addr>& trace, int np,
   options.bound = bound;
   options.chunk_words =
       std::max<std::size_t>(1024, pipe_words / static_cast<std::size_t>(np));
-  const PardaResult result = parda_analyze_stream(pipe, options);
+  PipeTraceSource source(pipe);
+  const PardaResult result = parda_analyze(source, options);
   producer.join();
   return result.stats.max_busy();
 }

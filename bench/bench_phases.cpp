@@ -30,7 +30,8 @@ PardaResult run_streamed(const std::vector<Addr>& trace,
     }
     pipe.close();
   });
-  PardaResult result = parda_analyze_stream(pipe, options);
+  PipeTraceSource source(pipe);
+  PardaResult result = parda_analyze(source, options);
   producer.join();
   return result;
 }

@@ -154,8 +154,9 @@ Row run_benchmark(const SpecProfile& profile, std::uint64_t scale,
     options.bound = scaled_bound(2ULL << 20);  // "2Mw cache bound"
     options.chunk_words = std::max<std::size_t>(
         1024, pipe_words / static_cast<std::size_t>(np));
+    PipeTraceSource source(pipe);
     WallTimer t;
-    const PardaResult result = parda_analyze_stream(pipe, options);
+    const PardaResult result = parda_analyze(source, options);
     row.parda_wall = t.seconds();
     producer.join();
     // Critical path = trace production (sequential, unavoidable per the

@@ -99,7 +99,8 @@ int main(int argc, char** argv) {
   }
   PardaResult result;
   try {
-    result = parda_analyze_stream(pipe, options);
+    PipeTraceSource source(pipe);
+    result = parda_analyze(source, options);
   } catch (const std::exception& e) {
     pipe.close_with_error(std::current_exception());
     producer.join();

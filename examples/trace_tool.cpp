@@ -2,7 +2,7 @@
 // line — the offline companion to the streaming pipeline.
 //
 //   ./trace_tool gen --workload=lbm --refs=100000 --out=lbm.trc
-//   ./trace_tool analyze lbm.trc --procs=4 --bound=2048
+//   ./trace_tool analyze lbm.trc --procs=4 --bound=2048  # mmap'd, offline
 //   ./trace_tool analyze lbm.trc --engine=lru        # raw-speed log2 MRC
 //   ./trace_tool analyze lbm.trc --stream --pipe=65536 --watchdog-ms=1000
 //   ./trace_tool analyze lbm.trc --stream --metrics-out=m.json
@@ -11,8 +11,8 @@
 //   ./trace_tool analyze lbm.trc --transport=shm          # real wire, 1 proc
 //   ./trace_tool analyze lbm.trc --transport=tcp --rank=0
 //                --peers=host0:7000,host1:7000            # distributed
-//   ./trace_tool analyze lbm.trc --ingest=mmap       # zero-copy offline
-//   ./trace_tool analyze lbm.trz --ingest=trz --procs=8
+//   ./trace_tool analyze lbm.trz --procs=8           # parallel .trz decode
+//   ./trace_tool analyze lbm.trc --ingest=pipe       # = --stream
 //   ./trace_tool checkmetrics scrape.prom
 //   ./trace_tool convert lbm.trc lbm.txt
 //   ./trace_tool convert lbm.trc lbm.trz --chunk-refs=65536
@@ -21,6 +21,10 @@
 // The transport, ingest path, and log level all resolve through the
 // layered config rule: the CLI flag beats the environment variable
 // ($PARDA_TRANSPORT / $PARDA_INGEST / $PARDA_LOG_LEVEL) beats the default.
+// The default ingest path comes from the trace container: .trz archives
+// are decoded per rank (trz), anything else is mapped (mmap), and --stream
+// is the pipe. The parallel engine therefore needs a .trc/.bin file or a
+// chunked v2 .trz; convert .txt traces and v1 archives first.
 //
 // Exit codes: 0 success, 1 runtime failure (missing/corrupt trace, aborted
 // analysis, invalid exposition format), 2 usage error (bad flag or
@@ -40,9 +44,7 @@
 #include "core/runtime.hpp"
 #include "seq/bennett_kruskal.hpp"
 #include "seq/bounded.hpp"
-#include "seq/interval_analyzer.hpp"
 #include "seq/lru_chain.hpp"
-#include "seq/naive.hpp"
 #include "seq/olken.hpp"
 #include "tree/avl_tree.hpp"
 #include "tree/treap.hpp"
@@ -119,12 +121,11 @@ void check_trz_flags(const parda::CliParser& cli, const char* command,
 }
 
 constexpr const char* kEngineNames =
-    "parda|lru|olken|splay|avl|treap|fenwick|interval|naive";
+    "parda|lru|olken|splay|avl|treap|fenwick";
 
 bool is_known_engine(const std::string& e) {
   return e == "parda" || e == "lru" || e == "olken" || e == "splay" ||
-         e == "avl" || e == "treap" || e == "fenwick" || e == "interval" ||
-         e == "naive";
+         e == "avl" || e == "treap" || e == "fenwick";
 }
 
 /// Runs a whole trace through a sequential engine and publishes its
@@ -160,9 +161,7 @@ parda::Histogram run_seq_engine(const std::string& engine,
     usage_error("analyze: --engine=%s does not support --bound",
                 engine.c_str());
   }
-  if (engine == "fenwick") return run_seq(BennettKruskalAnalyzer(), trace);
-  if (engine == "interval") return run_seq(IntervalAnalyzer(), trace);
-  return run_seq(NaiveStackAnalyzer(), trace);  // "naive"
+  return run_seq(BennettKruskalAnalyzer(), trace);  // "fenwick"
 }
 
 /// Resolves the transport configuration: the --transport spec string
@@ -298,15 +297,18 @@ int run_tool(int argc, char** argv) {
   cli.add_flag("bound", &bound, "analyze: cache bound (0 = unbounded)");
   cli.add_flag("engine", &engine,
                "analyze: parda (parallel, default) or a sequential engine: "
-               "lru|olken|splay|avl|treap|fenwick|interval|naive");
+               "lru|olken|splay|avl|treap|fenwick");
   cli.add_flag("stream", &stream,
                "analyze: stream the file through a bounded pipe");
   cli.add_flag("ingest", &ingest_text,
                "analyze: file ingest path: pipe (stream through a bounded "
                "pipe) | mmap (zero-copy map of a .trc) | trz (parallel "
-               "chunked decode of a v2 .trz); also $PARDA_INGEST");
-  cli.add_flag("chunk", &chunk, "analyze --stream: per-rank chunk size C");
-  cli.add_flag("pipe", &pipe_words, "analyze --stream: pipe capacity in words");
+               "chunked decode of a v2 .trz); also $PARDA_INGEST; default "
+               "trz for .trz, else mmap");
+  cli.add_flag("chunk", &chunk,
+               "analyze, pipe ingest: per-rank chunk size C");
+  cli.add_flag("pipe", &pipe_words,
+               "analyze, pipe ingest: pipe capacity in words");
   cli.add_flag("trz-version", &trz_version,
                "gen/convert: .trz archive version: 2 (chunked, default) | 1 "
                "(whole-file stream)");
@@ -353,6 +355,11 @@ int run_tool(int argc, char** argv) {
                "process's rank; also $PARDA_FLIGHT_RECORDER)");
   cli.parse(argc - 1, argv + 1);
 
+  if (engine == "interval" || engine == "naive") {
+    usage_error("--engine=%s is no longer a trace_tool engine; it remains "
+                "as a test/bench oracle (tests, bench_engines)",
+                engine.c_str());
+  }
   if (!is_known_engine(engine)) {
     usage_error("bad --engine '%s' (expected %s)", engine.c_str(),
                 kEngineNames);
@@ -398,32 +405,31 @@ int run_tool(int argc, char** argv) {
   }
 
   // The file-ingest path, through the same layered rule as the transport:
-  // --ingest beats $PARDA_INGEST beats the legacy default (load the whole
-  // trace in memory; with --stream, the pipe). nullopt = legacy default.
-  std::optional<IngestMode> ingest;
+  // --ingest beats $PARDA_INGEST beats the trace container's own path.
+  IngestMode ingest =
+      !cli.positionals().empty() && ends_with(cli.positionals()[0], ".trz")
+          ? IngestMode::kTrz
+          : IngestMode::kMmap;
   const config::Resolved ingest_resolved =
-      config::resolve_flag(cli, "ingest", ingest_text, "PARDA_INGEST", "");
-  if (!ingest_resolved.value.empty()) {
-    const std::optional<IngestMode> parsed =
-        parse_ingest_mode(ingest_resolved.value);
-    if (parsed.has_value()) {
-      ingest = *parsed;
-    } else if (ingest_resolved.from_cli()) {
-      usage_error("bad --ingest '%s' (expected pipe|mmap|trz)",
-                  ingest_resolved.value.c_str());
-    } else {
-      std::fprintf(stderr, "trace_tool: ignoring bad $PARDA_INGEST '%s'\n",
-                   ingest_resolved.value.c_str());
-    }
+      config::resolve_flag(cli, "ingest", ingest_text, "PARDA_INGEST",
+                           ingest_mode_name(ingest));
+  if (const std::optional<IngestMode> parsed =
+          parse_ingest_mode(ingest_resolved.value)) {
+    ingest = *parsed;
+  } else if (ingest_resolved.from_cli()) {
+    usage_error("bad --ingest '%s' (expected pipe|mmap|trz)",
+                ingest_resolved.value.c_str());
+  } else {
+    std::fprintf(stderr, "trace_tool: ignoring bad $PARDA_INGEST '%s'\n",
+                 ingest_resolved.value.c_str());
   }
   if (stream) {
     // --stream IS pipe ingest. A contradictory CLI --ingest is a usage
     // error; a contradictory environment is tolerated, like --transport.
-    if (ingest.has_value() && *ingest != IngestMode::kPipe &&
-        ingest_resolved.from_cli()) {
+    if (ingest != IngestMode::kPipe && ingest_resolved.from_cli()) {
       usage_error("analyze: --stream streams through the pipe; drop it or "
                   "use --ingest=%s without --stream",
-                  ingest_mode_name(*ingest));
+                  ingest_mode_name(ingest));
     }
     ingest = IngestMode::kPipe;
   }
@@ -469,9 +475,9 @@ int run_tool(int argc, char** argv) {
   if (command == "analyze") {
     if (cli.positionals().empty()) usage_error("analyze: missing trace path");
     if (procs == 0) usage_error("analyze: --procs must be positive");
-    if (stream && chunk == 0) usage_error("analyze: --chunk must be positive");
-    if (stream && pipe_words == 0) {
-      usage_error("analyze: --pipe must be positive");
+    if (engine == "parda" && ingest == IngestMode::kPipe) {
+      if (chunk == 0) usage_error("analyze: --chunk must be positive");
+      if (pipe_words == 0) usage_error("analyze: --pipe must be positive");
     }
 
     if (repeat == 0) usage_error("analyze: --repeat must be positive");
@@ -548,13 +554,8 @@ int run_tool(int argc, char** argv) {
         std::fflush(stdout);
       }
       auto session = runtime.session(options);
-      std::vector<Addr> trace;
-      if (!ingest.has_value()) trace = load(cli.positionals()[0]);
       for (std::uint64_t i = 0; i < repeat; ++i) {
-        result = ingest.has_value()
-                     ? session.analyze_file(cli.positionals()[0], pipe_words,
-                                            *ingest)
-                     : session.analyze(trace);
+        result = session.analyze_file(cli.positionals()[0], pipe_words, ingest);
         if (repeat > 1) {
           std::printf("iteration %llu: %.3f ms wall\n",
                       static_cast<unsigned long long>(i + 1),

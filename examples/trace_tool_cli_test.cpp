@@ -58,6 +58,12 @@ TEST_F(TraceToolCliTest, BoundOnUnboundedOnlyEngineIsUsageError) {
   EXPECT_EQ(run("analyze trace_cli_test.trc --engine=naive --bound=64"), 2);
 }
 
+TEST_F(TraceToolCliTest, OracleEnginesAreNotToolEngines) {
+  // The naive and interval engines remain test/bench oracles only.
+  EXPECT_EQ(run("analyze trace_cli_test.trc --engine=naive"), 2);
+  EXPECT_EQ(run("analyze trace_cli_test.trc --engine=interval"), 2);
+}
+
 TEST_F(TraceToolCliTest, MissingTraceIsRuntimeError) {
   EXPECT_EQ(run("analyze no_such_file.trc --engine=lru"), 1);
 }
@@ -188,6 +194,21 @@ TEST_F(TraceToolCliTest, BadIngestModeIsUsageError) {
   EXPECT_EQ(run("analyze trace_cli_test.trc --ingest=carrier-pigeon"), 2);
 }
 
+TEST_F(TraceToolCliTest, PipeIngestNeedsPositiveChunkAndPipe) {
+  // Keyed on the resolved ingest, not on --stream: every way of choosing
+  // the pipe rejects a degenerate phase or pipe size up front.
+  EXPECT_EQ(run("analyze trace_cli_test.trc --stream --chunk=0"), 2);
+  EXPECT_EQ(run("analyze trace_cli_test.trc --stream --pipe=0"), 2);
+  EXPECT_EQ(run("analyze trace_cli_test.trc --ingest=pipe --chunk=0"), 2);
+  EXPECT_EQ(run("analyze trace_cli_test.trc --ingest=pipe --pipe=0"), 2);
+  EXPECT_EQ(run_env("PARDA_INGEST=pipe",
+                    "analyze trace_cli_test.trc --chunk=0"),
+            2);
+  EXPECT_EQ(run_env("PARDA_INGEST=pipe",
+                    "analyze trace_cli_test.trc --pipe=0"),
+            2);
+}
+
 TEST_F(TraceToolCliTest, StreamContradictsOfflineIngest) {
   // --stream IS pipe ingest: saying both is fine, an offline mode is not.
   EXPECT_EQ(run("analyze trace_cli_test.trc --stream --ingest=pipe"), 0);
@@ -216,11 +237,20 @@ TEST_F(TraceToolCliTest, IngestResolvesCliOverEnvOverDefault) {
   EXPECT_EQ(run_env("PARDA_INGEST=trz",
                     "analyze trace_cli_test.trc --procs=2 --ingest=mmap"),
             0);
-  // ...and a malformed env value falls back to the default with a warning
-  // (the legacy in-memory path still works, unlike a bad --ingest).
+  // ...and a malformed env value falls back to the container's default
+  // with a warning (unlike a bad --ingest).
   EXPECT_EQ(run_env("PARDA_INGEST=carrier-pigeon",
                     "analyze trace_cli_test.trc --procs=2"),
             0);
+}
+
+TEST_F(TraceToolCliTest, DefaultIngestFollowsTheContainer) {
+  ASSERT_EQ(run("convert trace_cli_test.trc trace_cli_test.trz"), 0);
+  EXPECT_EQ(run("analyze trace_cli_test.trz --procs=2"), 0);
+  // A text trace has no parallel ingest path: convert it first.
+  ASSERT_EQ(run("convert trace_cli_test.trc trace_cli_test.txt"), 0);
+  EXPECT_EQ(run("analyze trace_cli_test.txt --procs=2"), 1);
+  EXPECT_EQ(run("analyze trace_cli_test.txt --engine=lru"), 0);
 }
 
 TEST_F(TraceToolCliTest, WrongContainerForIngestIsRuntimeError) {
@@ -244,8 +274,9 @@ TEST_F(TraceToolCliTest, V1ArchivesStillReadableButNotChunkIngestable) {
   ASSERT_EQ(run("convert trace_cli_test.trc trace_cli_v1.trz "
                 "--trz-version=1"),
             0);
-  // Legacy in-memory load decodes v1 fine; chunked ingest demands v2.
-  EXPECT_EQ(run("analyze trace_cli_v1.trz --procs=2"), 0);
+  // Chunked ingest, the default for .trz, demands v2; the error names the
+  // convert command below.
+  EXPECT_EQ(run("analyze trace_cli_v1.trz --procs=2"), 1);
   EXPECT_EQ(run("analyze trace_cli_v1.trz --procs=2 --ingest=trz"), 1);
   // The upgrade path named in that error actually works.
   ASSERT_EQ(run("convert trace_cli_v1.trz trace_cli_v2.trz "

@@ -72,7 +72,8 @@ int main(int argc, char** argv) {
   options.num_procs = static_cast<int>(procs);
   options.bound = bound;
   options.chunk_words = 4096;
-  const PardaResult result = parda_analyze_stream(pipe, options);
+  PipeTraceSource source(pipe);
+  const PardaResult result = parda_analyze(source, options);
   producer.join();
 
   std::printf("program %s: %s instructions, %s memory accesses, %s distinct"

@@ -1,5 +1,7 @@
 #include "core/file_analysis.hpp"
 
+#include <memory>
+#include <optional>
 #include <thread>
 
 #include "comm/fault.hpp"
@@ -9,12 +11,17 @@
 
 namespace parda {
 
-namespace detail {
+PardaResult parda_analyze_file_on(comm::WorkerPool& pool,
+                                  const std::string& path,
+                                  const PardaOptions& options,
+                                  std::size_t pipe_words,
+                                  IngestMode ingest) {
+  if (ingest != IngestMode::kPipe) {
+    const std::unique_ptr<TraceSource> source =
+        open_offline_source(path, ingest);
+    return parda_analyze_source_on(pool, *source, options);
+  }
 
-PardaResult run_with_file_producer(
-    const std::string& path, const PardaOptions& options,
-    std::size_t pipe_words,
-    const std::function<PardaResult(TracePipe&)>& consume) {
   BinaryTraceReader reader(path);
   TracePipe pipe(pipe_words);
 
@@ -62,9 +69,10 @@ PardaResult run_with_file_producer(
     }
   });
 
+  PipeTraceSource source(pipe);
   PardaResult result;
   try {
-    result = consume(pipe);
+    result = parda_analyze_source_on(pool, source, options);
   } catch (...) {
     // Wake a producer blocked on a full pipe before joining it; its next
     // write throws and the thread exits.
@@ -78,30 +86,6 @@ PardaResult run_with_file_producer(
   producer.join();
   if (producer_error) std::rethrow_exception(producer_error);
   return result;
-}
-
-}  // namespace detail
-
-PardaResult parda_analyze_file_on(comm::WorkerPool& pool,
-                                  const std::string& path,
-                                  const PardaOptions& options,
-                                  std::size_t pipe_words,
-                                  IngestMode ingest) {
-  if (ingest != IngestMode::kPipe) {
-    std::unique_ptr<TraceSource> source = open_offline_source(path, ingest);
-    return parda_analyze_source_on(pool, *source, options);
-  }
-  return detail::run_with_file_producer(
-      path, options, pipe_words, [&](TracePipe& pipe) {
-        return parda_analyze_stream_on(pool, pipe, options);
-      });
-}
-
-PardaResult parda_analyze_file(const std::string& path,
-                               const PardaOptions& options,
-                               std::size_t pipe_words, IngestMode ingest) {
-  comm::WorkerPool pool(options.num_procs);
-  return parda_analyze_file_on(pool, path, options, pipe_words, ingest);
 }
 
 }  // namespace parda

@@ -10,7 +10,6 @@
 //           decoded per rank, in parallel, then analyzed offline.
 #pragma once
 
-#include <functional>
 #include <string>
 
 #include "core/parda.hpp"
@@ -18,37 +17,17 @@
 
 namespace parda {
 
-namespace detail {
-
-/// The producer scaffolding shared by the file entry points: spawns a
-/// producer thread that streams `path` into a bounded pipe (honoring the
-/// FaultPlan's producer_fail_after injection), runs `consume(pipe)` on the
-/// calling thread, and tears both down with the root-cause rethrow policy
-/// (a producer error reaches the consumer by pipe poisoning, so the
-/// producer's own exception wins).
-PardaResult run_with_file_producer(
-    const std::string& path, const PardaOptions& options,
-    std::size_t pipe_words,
-    const std::function<PardaResult(TracePipe&)>& consume);
-
-}  // namespace detail
-
 /// Analyzes a trace file on a caller-owned WorkerPool through the chosen
-/// ingest path. kPipe streams the file through a bounded pipe into the
-/// streaming algorithm (pipe_words is the paper's pipe-size knob; it is
-/// ignored by the offline modes). kMmap expects a binary .trc/.bin file;
-/// kTrz expects a chunked v2 .trz archive.
+/// ingest path. kPipe spawns a producer thread that streams the file into
+/// a bounded pipe (pipe_words is the paper's pipe-size knob; it is ignored
+/// by the offline modes) and analyzes it as a PipeTraceSource; a producer
+/// error (including the FaultPlan's producer_fail_after injection) poisons
+/// the pipe and is rethrown as the root cause. kMmap expects a binary
+/// .trc/.bin file; kTrz expects a chunked v2 .trz archive.
 PardaResult parda_analyze_file_on(comm::WorkerPool& pool,
                                   const std::string& path,
                                   const PardaOptions& options,
                                   std::size_t pipe_words = 1 << 20,
                                   IngestMode ingest = IngestMode::kPipe);
-
-/// One-shot file analysis on a transient runtime (the historical entry
-/// point); see parda_analyze_file_on.
-PardaResult parda_analyze_file(const std::string& path,
-                               const PardaOptions& options,
-                               std::size_t pipe_words = 1 << 20,
-                               IngestMode ingest = IngestMode::kPipe);
 
 }  // namespace parda

@@ -1,18 +1,20 @@
 // Parda: parallel reuse distance analysis (paper Algorithms 3-7).
 //
-// Two entry points:
-//  - parda_analyze:        offline analysis of an in-memory trace divided
-//                          into np contiguous chunks (Algorithm 3, with the
-//                          space-optimized merge of Algorithm 4 and the
-//                          cache bound of Algorithm 7).
-//  - parda_analyze_stream: online multi-phase analysis of a TracePipe fed
-//                          by a concurrent producer (Algorithms 5-6 with
-//                          the rank-reversal optimization), reproducing the
-//                          Figure 3 framework: producer -> pipe -> rank 0
-//                          -> scatter -> ranks -> merge -> reduce.
+// One driver: parda_analyze_source_on runs an analysis of any TraceSource
+// (trace/source.hpp) on a WorkerPool. The source picks the algorithm:
+//  - offline sources (in-memory span, mmap, chunked .trz) hand each rank a
+//    contiguous chunk up front: Algorithm 3, with the space-optimized merge
+//    of Algorithm 4 and the cache bound of Algorithm 7;
+//  - the pipe source is drained in phases by rank 0 and scattered: the
+//    online Algorithms 5-6 with the rank-reversal optimization, reproducing
+//    the Figure 3 framework: producer -> pipe -> rank 0 -> scatter -> ranks
+//    -> merge -> reduce.
+// parda_analyze wraps the driver in a transient pool; parda_analyze_file_on
+// (core/file_analysis.hpp) and core::AnalysisSession build the source for
+// on-disk traces and persistent runtimes.
 //
-// Both run on the thread-backed comm runtime and return the histogram plus
-// per-rank work statistics (used for critical-path scaling reports).
+// Every run returns the histogram plus per-rank work statistics (used for
+// critical-path scaling reports).
 #pragma once
 
 #include <span>
@@ -44,11 +46,6 @@ struct PardaOptions {
   /// Streaming only: per-rank chunk size C; each phase consumes np*C
   /// references (Algorithm 5).
   std::size_t chunk_words = 1 << 16;
-  /// Feed each rank's chunk through the batched process_own_block path
-  /// (software-prefetched hash probes) instead of the per-reference loop.
-  /// Results are identical either way; the toggle exists so bench_engines
-  /// can measure the two paths head-to-head.
-  bool block_dispatch = true;
   /// Fault-tolerance knobs forwarded to comm::run: per-op deadlines, the
   /// stall watchdog, and deterministic fault injection. The default is the
   /// historical wait-forever behavior.
@@ -146,45 +143,28 @@ inline std::vector<RankProfile> gather_profiles(comm::Comm& comm,
   return out;
 }
 
-/// The equal ceil-division split of Algorithm 3 over an in-memory trace:
-/// rank p owns global positions [p*ceil(N/np), ...).
-inline RankView equal_rank_view(std::span<const Addr> trace, int rank,
-                                int np) {
-  const std::size_t n = trace.size();
-  const std::size_t chunk = (n + static_cast<std::size_t>(np) - 1) /
-                            static_cast<std::size_t>(np);
-  const std::size_t begin =
-      std::min(static_cast<std::size_t>(rank) * chunk, n);
-  const std::size_t end = std::min(begin + chunk, n);
-  return RankView{trace.subspan(begin, end - begin),
-                  static_cast<Timestamp>(begin)};
-}
-
-/// The per-rank body of the offline algorithm (one call per rank inside a
-/// comm job), over the rank's own disjoint view of the trace. The views
-/// must tile the trace contiguously in rank order with cumulative bases
-/// (equal_rank_view for in-memory traces; a TraceSource's rank_view for
-/// zero-copy ingest, where boundaries may be chunk-aligned rather than
-/// equal). Shared by parda_analyze, parda_analyze_source_on, and the
-/// session layer so the chunk/merge/reduce scaffolding exists exactly
-/// once.
+/// The per-rank body of the offline algorithm (Algorithm 3), one call per
+/// rank inside a comm job: the rank pulls its own disjoint view from the
+/// partitioned source (for ChunkedTrzSource that call IS the per-rank
+/// parallel decode, recorded under an "ingest" span), analyzes it, and
+/// joins the merge and reduce. The views must tile the trace contiguously
+/// in rank order with cumulative bases.
 template <OrderStatTree Tree>
-void offline_rank_body(comm::Comm& comm, const RankView& view,
+void offline_rank_body(comm::Comm& comm, TraceSource& source,
                        const PardaOptions& options, Histogram& result,
                        std::vector<RankProfile>& profiles) {
+  RankView view;
+  {
+    obs::SpanScope span("ingest");
+    view = source.rank_view(comm.rank());
+  }
   RankState<Tree> state(options.bound, options.space_optimized);
   RankProfile profile;
 
   {
     obs::SpanScope span("analyze");
     state.begin_merge_stage();
-    if (options.block_dispatch) {
-      state.process_own_block(view.refs, view.base);
-    } else {
-      for (std::size_t i = 0; i < view.refs.size(); ++i) {
-        state.process_own(view.refs[i], view.base + i);
-      }
-    }
+    state.process_own_block(view.refs, view.base);
   }
   profile.chunk_refs = view.refs.size();
 
@@ -212,50 +192,12 @@ void offline_rank_body(comm::Comm& comm, const RankView& view,
   }
 }
 
-}  // namespace detail
-
-/// Offline Parda (Algorithm 3) on a caller-owned WorkerPool: splits the
-/// trace into np contiguous chunks (chunk p owns global positions
-/// [p*ceil(N/np), ...)), analyzes them in parallel, and resolves
-/// cross-chunk reuses through the local-infinity pipeline. The result
-/// equals the sequential analysis exactly (unbounded), or the bounded
-/// sequential analysis when options.bound is set.
-template <OrderStatTree Tree = SplayTree>
-PardaResult parda_analyze_on(comm::WorkerPool& pool,
-                             std::span<const Addr> trace,
-                             const PardaOptions& options) {
-  const int np = options.num_procs;
-  PARDA_CHECK(np >= 1);
-  Histogram result;
-  std::vector<RankProfile> profiles;
-  comm::RunStats stats = pool.run_job(
-      np,
-      [&](comm::Comm& comm) {
-        detail::offline_rank_body<Tree>(
-            comm, detail::equal_rank_view(trace, comm.rank(), np), options,
-            result, profiles);
-      },
-      options.run_options);
-  return PardaResult{std::move(result), std::move(stats),
-                     std::move(profiles)};
-}
-
-/// One-shot offline analysis on a transient runtime (the historical entry
-/// point). Long-lived callers should hold a core::PardaRuntime (or a raw
-/// WorkerPool) and use parda_analyze_on to amortize thread spawning.
-template <OrderStatTree Tree = SplayTree>
-PardaResult parda_analyze(std::span<const Addr> trace,
-                          const PardaOptions& options) {
-  comm::WorkerPool pool(options.num_procs);
-  return parda_analyze_on<Tree>(pool, trace, options);
-}
-
-namespace detail {
-
 /// The per-rank body of the streaming algorithm (Algorithms 5-6): phase
 /// intake + scatter, chunk processing, merge rounds on the virtual
-/// topology, state reduction with rank reversal. Shared by
-/// parda_analyze_stream and the session layer.
+/// topology, state reduction with rank reversal. Rank 0 drains the pipe in
+/// phases of np*C references; after each phase all resident state is
+/// reduced onto the virtual rank np-1, which becomes virtual rank 0 of the
+/// next phase, so the global state never travels.
 template <OrderStatTree Tree>
 void stream_rank_body(comm::Comm& comm, TracePipe& pipe,
                       const PardaOptions& options, Histogram& result,
@@ -321,13 +263,7 @@ void stream_rank_body(comm::Comm& comm, TracePipe& pipe,
     {
       obs::SpanScope span("analyze", phase_no);
       state.begin_merge_stage();
-      if (options.block_dispatch) {
-        state.process_own_block(mine.span(), my_base);
-      } else {
-        for (std::size_t i = 0; i < mine.size(); ++i) {
-          state.process_own(mine[i], my_base + i);
-        }
-      }
+      state.process_own_block(mine.span(), my_base);
     }
     profile.chunk_refs += mine.size();
     ++profile.phases;
@@ -385,75 +321,63 @@ void stream_rank_body(comm::Comm& comm, TracePipe& pipe,
 
 }  // namespace detail
 
-/// Online multi-phase Parda (Algorithms 5-6) on a caller-owned WorkerPool.
-/// Rank 0 drains the pipe in phases of np*C references and scatters
-/// per-virtual-rank chunks; after each phase all resident state is reduced
-/// onto the virtual rank np-1, which becomes virtual rank 0 of the next
-/// phase (rank reversal), so the global state never travels. Requires
-/// space optimization (the reduce step relies on the disjoint-residency
-/// property of Algorithm 4).
-template <OrderStatTree Tree = SplayTree>
-PardaResult parda_analyze_stream_on(comm::WorkerPool& pool, TracePipe& pipe,
-                                    const PardaOptions& options) {
-  const int np = options.num_procs;
-  PARDA_CHECK(np >= 1);
-  PARDA_CHECK(options.chunk_words >= 1);
-  PARDA_CHECK(options.space_optimized);
-  Histogram result;
-  std::vector<RankProfile> profiles;
-  comm::RunStats stats = pool.run_job(
-      np,
-      [&](comm::Comm& comm) {
-        detail::stream_rank_body<Tree>(comm, pipe, options, result, profiles);
-      },
-      options.run_options);
-  return PardaResult{std::move(result), std::move(stats),
-                     std::move(profiles)};
-}
-
-/// One-shot streaming analysis on a transient runtime (the historical
-/// entry point); see parda_analyze_stream_on.
-template <OrderStatTree Tree = SplayTree>
-PardaResult parda_analyze_stream(TracePipe& pipe, const PardaOptions& options) {
-  comm::WorkerPool pool(options.num_procs);
-  return parda_analyze_stream_on<Tree>(pool, pipe, options);
-}
-
-/// Analysis through a TraceSource (DESIGN.md "Ingest"): offline sources
-/// (mmap, chunked trz) are partitioned once and each rank pulls its own
-/// disjoint RankView from its own thread — for ChunkedTrzSource that call
-/// IS the per-rank parallel decode, recorded under an "ingest" span;
-/// for MmapTraceSource it is a zero-copy window into the mapping.
-/// Streaming sources run the multi-phase pipe algorithm unchanged. The
-/// source must stay alive for the duration of the call (rank views alias
-/// its storage) and may be reused across calls — ChunkedTrzSource keeps
-/// its per-rank decode arenas warm.
+/// The analysis driver, on a caller-owned WorkerPool: the only place an
+/// analysis job is submitted. Offline sources are partitioned once, on
+/// this thread, and run Algorithm 3 over their rank views; streaming
+/// sources run the multi-phase pipe algorithm (Algorithms 5-6, which need
+/// the space optimization: the state reduction relies on the
+/// disjoint-residency property of Algorithm 4). The result equals the
+/// sequential analysis exactly (unbounded), or the bounded sequential
+/// analysis when options.bound is set. The source must stay alive for the
+/// call (rank views alias its storage) and may be reused across calls —
+/// ChunkedTrzSource keeps its per-rank decode arenas warm.
 template <OrderStatTree Tree = SplayTree>
 PardaResult parda_analyze_source_on(comm::WorkerPool& pool,
                                     TraceSource& source,
                                     const PardaOptions& options) {
-  if (!source.offline()) {
-    return parda_analyze_stream_on<Tree>(pool, source.pipe(), options);
-  }
   const int np = options.num_procs;
   PARDA_CHECK(np >= 1);
-  source.partition(np);
+  const bool offline = source.offline();
+  if (offline) {
+    source.partition(np);
+  } else {
+    PARDA_CHECK(options.chunk_words >= 1);
+    PARDA_CHECK(options.space_optimized);
+  }
   Histogram result;
   std::vector<RankProfile> profiles;
   comm::RunStats stats = pool.run_job(
       np,
       [&](comm::Comm& comm) {
-        RankView view;
-        {
-          obs::SpanScope span("ingest");
-          view = source.rank_view(comm.rank());
+        if (offline) {
+          detail::offline_rank_body<Tree>(comm, source, options, result,
+                                          profiles);
+        } else {
+          detail::stream_rank_body<Tree>(comm, source.pipe(), options, result,
+                                         profiles);
         }
-        detail::offline_rank_body<Tree>(comm, view, options, result,
-                                        profiles);
       },
       options.run_options);
   return PardaResult{std::move(result), std::move(stats),
                      std::move(profiles)};
+}
+
+/// One-shot analysis of a source on a transient runtime. Long-lived
+/// callers should hold a core::PardaRuntime (or a raw WorkerPool) to
+/// amortize thread spawning.
+template <OrderStatTree Tree = SplayTree>
+PardaResult parda_analyze(TraceSource& source, const PardaOptions& options) {
+  comm::WorkerPool pool(options.num_procs);
+  return parda_analyze_source_on<Tree>(pool, source, options);
+}
+
+/// One-shot offline analysis of an in-memory trace (Algorithm 3): chunk p
+/// owns global positions [p*ceil(N/np), ...) — see SpanTraceSource.
+template <OrderStatTree Tree = SplayTree>
+PardaResult parda_analyze(std::span<const Addr> trace,
+                          const PardaOptions& options) {
+  SpanTraceSource source(trace);
+  return parda_analyze<Tree>(source, options);
 }
 
 /// Convenience: sequential Olken analysis through the same result type,

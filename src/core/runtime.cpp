@@ -56,19 +56,14 @@ PardaRuntime::~PardaRuntime() {
   server_.reset();
 }
 
-PardaResult AnalysisSession::analyze(std::span<const Addr> trace) {
-  PendingJobGuard pending(runtime_->pending_jobs_, runtime_->pending_gauge_);
-  return parda_analyze_on(runtime_->pool(), trace, options_);
-}
-
-PardaResult AnalysisSession::analyze_stream(TracePipe& pipe) {
-  PendingJobGuard pending(runtime_->pending_jobs_, runtime_->pending_gauge_);
-  return parda_analyze_stream_on(runtime_->pool(), pipe, options_);
-}
-
-PardaResult AnalysisSession::analyze_source(TraceSource& source) {
+PardaResult AnalysisSession::analyze(TraceSource& source) {
   PendingJobGuard pending(runtime_->pending_jobs_, runtime_->pending_gauge_);
   return parda_analyze_source_on(runtime_->pool(), source, options_);
+}
+
+PardaResult AnalysisSession::analyze(std::span<const Addr> trace) {
+  SpanTraceSource source(trace);
+  return analyze(source);
 }
 
 PardaResult AnalysisSession::analyze_file(const std::string& path,

@@ -5,13 +5,18 @@
 // worker threads and cached Worlds instead of spawning and joining np OS
 // threads per call.
 //
+// Every session call ends in the one analysis driver,
+// parda_analyze_source_on (core/parda.hpp): analyze() takes a TraceSource
+// or wraps an in-memory trace in a SpanTraceSource, and analyze_file()
+// builds the source for an on-disk trace.
+//
 // Concurrency model: sessions are cheap value handles; any number of them
-// (on any threads) may call analyze()/analyze_stream()/analyze_file()
-// concurrently. Jobs multiplex the runtime's single pool through its FIFO
-// admission queue — one job runs at a time, in arrival order, and the
-// results are exactly what the transient parda_analyze entry points
-// produce. A failed job (rank exception, injected fault, watchdog abort)
-// throws from that call only; the runtime stays healthy for the next one.
+// (on any threads) may call analyze()/analyze_file() concurrently. Jobs
+// multiplex the runtime's single pool through its FIFO admission queue —
+// one job runs at a time, in arrival order, and the results are exactly
+// what the transient parda_analyze entry points produce. A failed job
+// (rank exception, injected fault, watchdog abort) throws from that call
+// only; the runtime stays healthy for the next one.
 //
 // The runtime must outlive every session created from it.
 #pragma once
@@ -35,14 +40,12 @@ class PardaRuntime;
 /// to the runtime's shared pool; tune options() freely between calls.
 class AnalysisSession {
  public:
+  /// Analysis through a caller-owned TraceSource (trace/source.hpp):
+  /// offline sources run Algorithm 3 over their rank views; a
+  /// PipeTraceSource runs the multi-phase Algorithms 5-6.
+  PardaResult analyze(TraceSource& source);
   /// Offline analysis of an in-memory trace (Algorithm 3).
   PardaResult analyze(std::span<const Addr> trace);
-  /// Online multi-phase analysis of a TracePipe (Algorithms 5-6).
-  PardaResult analyze_stream(TracePipe& pipe);
-  /// Analysis through a caller-owned TraceSource (trace/source.hpp):
-  /// offline sources run Algorithm 3 over their rank views; streaming
-  /// sources run the multi-phase pipe algorithm.
-  PardaResult analyze_source(TraceSource& source);
   /// Analysis of an on-disk trace through the chosen ingest path
   /// (pipe producer, mmap view, or chunked .trz decode — see
   /// core/file_analysis.hpp). pipe_words only applies to kPipe.

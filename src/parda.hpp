@@ -14,13 +14,13 @@
 #include "core/parda.hpp"         // IWYU pragma: export
 #include "core/rank_state.hpp"    // IWYU pragma: export
 
-// Sequential engines and the unified ReuseAnalyzer API.
+// Sequential engines and the unified ReuseAnalyzer API. The oracle engines
+// (seq/naive.hpp, seq/interval_analyzer.hpp) are test/bench references and
+// are not exported here.
 #include "seq/analyzer.hpp"          // IWYU pragma: export
 #include "seq/approx.hpp"            // IWYU pragma: export
 #include "seq/bennett_kruskal.hpp"   // IWYU pragma: export
 #include "seq/bounded.hpp"           // IWYU pragma: export
-#include "seq/interval_analyzer.hpp" // IWYU pragma: export
-#include "seq/naive.hpp"             // IWYU pragma: export
 #include "seq/olken.hpp"             // IWYU pragma: export
 
 // Histograms, miss-ratio curves, CSV reports.

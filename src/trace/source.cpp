@@ -58,35 +58,56 @@ TracePipe& TraceSource::pipe() {
   PARDA_CHECK_MSG(false, "TraceSource: not a streaming source");
 }
 
+// --- SpanTraceSource --------------------------------------------------------
+
+void SpanTraceSource::partition(int np) {
+  PARDA_CHECK(np >= 1);
+  np_ = np;
+}
+
+RankView SpanTraceSource::rank_view(int rank) {
+  PARDA_CHECK_MSG(np_ >= 1, "SpanTraceSource: partition() before rank_view()");
+  PARDA_CHECK(rank >= 0 && rank < np_);
+  // The classic ceil-division split of Algorithm 3: rank p owns global
+  // positions [p*ceil(N/np), ...).
+  const std::size_t n = refs_.size();
+  const auto np = static_cast<std::size_t>(np_);
+  const std::size_t chunk = (n + np - 1) / np;
+  const std::size_t begin = std::min(static_cast<std::size_t>(rank) * chunk, n);
+  const std::size_t end = std::min(begin + chunk, n);
+  return RankView{refs_.subspan(begin, end - begin),
+                  static_cast<Timestamp>(begin)};
+}
+
 // --- MmapTraceSource --------------------------------------------------------
 
-MmapTraceSource::MmapTraceSource(const std::string& path)
-    : path_(path), map_(path) {
+MmapTraceSource::MmapTraceSource(const std::string& path) : map_(path) {
   // Same validation ladder (and byte-offset diagnostics) as
   // BinaryTraceReader, against the mapping instead of a FILE.
   if (map_.size() < sizeof(kTraceMagic)) {
-    format_fail(path_, 0, "trace shorter than the 8-byte magic");
+    format_fail(path, 0, "trace shorter than the 8-byte magic");
   }
   if (std::memcmp(map_.data(), kTraceMagic, sizeof(kTraceMagic)) != 0) {
-    format_fail(path_, 0, "bad trace magic");
+    format_fail(path, 0, "bad trace magic");
   }
   if (map_.size() < kTraceHeaderBytes) {
-    format_fail(path_, map_.size(), "trace shorter than the 24-byte header");
+    format_fail(path, map_.size(), "trace shorter than the 24-byte header");
   }
   std::uint64_t version = 0;
   std::memcpy(&version, map_.data() + 8, sizeof(version));
   if (version != kTraceVersion) {
-    format_fail(path_, 8,
+    format_fail(path, 8,
                 "unsupported trace version " + std::to_string(version) +
                     " (expected " + std::to_string(kTraceVersion) + ")");
   }
-  std::memcpy(&total_, map_.data() + 16, sizeof(total_));
+  std::uint64_t total = 0;
+  std::memcpy(&total, map_.data() + 16, sizeof(total));
   const std::uint64_t body_bytes = map_.size() - kTraceHeaderBytes;
   const std::uint64_t actual_words = body_bytes / sizeof(Addr);
-  if (body_bytes % sizeof(Addr) != 0 || actual_words != total_) {
-    format_fail(path_, kTraceHeaderBytes,
+  if (body_bytes % sizeof(Addr) != 0 || actual_words != total) {
+    format_fail(path, kTraceHeaderBytes,
                 "trace body size mismatch: header declares " +
-                    std::to_string(total_) + " references but the file "
+                    std::to_string(total) + " references but the file "
                     "holds " +
                     std::to_string(body_bytes) + " body bytes (" +
                     std::to_string(actual_words) + " whole references)");
@@ -94,33 +115,13 @@ MmapTraceSource::MmapTraceSource(const std::string& path)
   // The 24-byte header keeps the body 8-aligned, so the view is a plain
   // reinterpretation of the mapping — this is the zero-copy property.
   static_assert(kTraceHeaderBytes % sizeof(Addr) == 0);
-  refs_ = reinterpret_cast<const Addr*>(map_.data() + kTraceHeaderBytes);
+  refs_ = std::span<const Addr>(
+      reinterpret_cast<const Addr*>(map_.data() + kTraceHeaderBytes),
+      static_cast<std::size_t>(total));
   map_.advise_sequential();
   if (obs::enabled()) {
     obs::registry().counter("ingest.bytes_mapped").add(map_.size());
   }
-}
-
-void MmapTraceSource::partition(int np) {
-  PARDA_CHECK(np >= 1);
-  np_ = np;
-}
-
-RankView MmapTraceSource::rank_view(int rank) {
-  PARDA_CHECK_MSG(np_ >= 1, "MmapTraceSource: partition() before rank_view()");
-  PARDA_CHECK(rank >= 0 && rank < np_);
-  // The classic ceil-division split of Algorithm 3: rank p owns global
-  // positions [p*ceil(N/np), ...).
-  const std::uint64_t n = total_;
-  const std::uint64_t np = static_cast<std::uint64_t>(np_);
-  const std::uint64_t chunk = (n + np - 1) / np;
-  const std::uint64_t begin =
-      std::min(static_cast<std::uint64_t>(rank) * chunk, n);
-  const std::uint64_t end = std::min(begin + chunk, n);
-  return RankView{
-      std::span<const Addr>(refs_ + begin,
-                            static_cast<std::size_t>(end - begin)),
-      static_cast<Timestamp>(begin)};
 }
 
 // --- ChunkedTrzSource -------------------------------------------------------

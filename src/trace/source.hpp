@@ -1,24 +1,26 @@
 // TraceSource: how references reach the ranks.
 //
-// The paper streams 100-billion-reference traces through a Linux pipe into
-// rank 0; this repo's offline path historically did the same (a producer
-// thread copying every block through a TracePipe) even when the trace was
-// a seekable file. TraceSource abstracts the ingest so the driver can pick
-// the cheapest path per input:
+// The paper's offline Algorithm 3 and streamed Algorithms 5-6 differ only
+// in how references reach a rank: contiguous chunks up front, or pipe
+// blocks scattered per phase. TraceSource is that one choice, and the one
+// analysis driver (parda_analyze_source_on, core/parda.hpp) dispatches on
+// it; every other entry point wraps its input in a source first:
 //
-//   - PipeTraceSource   — the streaming/online source: a TracePipe fed by
-//                         an external producer (the Figure 3 shape). The
-//                         only choice when the trace is unbounded or
-//                         arrives live; runs the multi-phase Algorithm 5.
-//   - MmapTraceSource   — zero-copy offline .bin ingest: the file is
-//                         mmap'd once, madvise(SEQUENTIAL), and each rank
-//                         analyzes a disjoint view of the mapping. No
-//                         pipe, no producer thread, no copy.
+//   - SpanTraceSource   — offline, non-owning: a caller's in-memory trace.
+//                         Holds the one copy of Algorithm 3's ceil-division
+//                         split; each rank analyzes a subspan.
+//   - MmapTraceSource   — zero-copy offline .bin ingest: a SpanTraceSource
+//                         over the file's validated mapping, madvise'd
+//                         SEQUENTIAL. No pipe, no producer thread, no copy.
 //   - ChunkedTrzSource  — chunked-compressed offline ingest: a v2 .trz
 //                         archive's chunks are assigned to ranks in
 //                         contiguous runs and each rank decodes its own
 //                         chunks, in parallel, into a per-rank arena that
 //                         is reused across analyses.
+//   - PipeTraceSource   — the streaming/online source: a TracePipe fed by
+//                         an external producer (the Figure 3 shape). The
+//                         only choice when the trace is unbounded or
+//                         arrives live; runs the multi-phase Algorithm 5.
 //
 // Offline sources partition the trace once per job (partition(np), driver
 // thread), then every rank asks for its RankView from its own thread
@@ -52,8 +54,8 @@
 
 namespace parda {
 
-/// The file-ingest path the parallel driver should use; resolves through
-/// the layered config rule (--ingest > $PARDA_INGEST > pipe).
+/// The on-disk ingest path of parda_analyze_file_on (trace_tool resolves
+/// it as --ingest > $PARDA_INGEST > the trace container's own path).
 enum class IngestMode { kPipe, kMmap, kTrz };
 
 const char* ingest_mode_name(IngestMode mode) noexcept;
@@ -99,7 +101,7 @@ class TraceSource {
 
 /// The streaming/online source: wraps an externally produced TracePipe
 /// behind the TraceSource interface (the producer lifecycle stays with the
-/// caller — see detail::run_with_file_producer for the file-backed shape).
+/// caller — see parda_analyze_file_on for the file-backed shape).
 class PipeTraceSource final : public TraceSource {
  public:
   explicit PipeTraceSource(TracePipe& pipe) : pipe_(&pipe) {}
@@ -112,33 +114,48 @@ class PipeTraceSource final : public TraceSource {
   TracePipe* pipe_;
 };
 
+/// Offline source over a caller-owned in-memory trace, split with the
+/// ceil-division of Algorithm 3: rank p owns global positions
+/// [p*ceil(N/np), ...). Non-owning — the trace must outlive the source.
+class SpanTraceSource : public TraceSource {
+ public:
+  explicit SpanTraceSource(std::span<const Addr> refs) : refs_(refs) {}
+
+  const char* name() const noexcept override { return "span"; }
+  bool offline() const noexcept override { return true; }
+  std::uint64_t total_references() const override { return refs_.size(); }
+  void partition(int np) override;
+  RankView rank_view(int rank) override;
+
+ protected:
+  /// For subclasses that own the storage: they set refs_ once it is
+  /// validated.
+  SpanTraceSource() = default;
+
+  std::span<const Addr> refs_;
+
+ private:
+  int np_ = 0;
+};
+
 /// Zero-copy offline source over a binary (.trc/.bin) trace: maps the file
-/// once and hands each rank a disjoint view straight into the mapping.
-class MmapTraceSource final : public TraceSource {
+/// once and, as a SpanTraceSource over the mapping, hands each rank a
+/// disjoint view straight into it.
+class MmapTraceSource final : public SpanTraceSource {
  public:
   /// Maps and validates the trace header (same checks and byte-offset
   /// TraceFormatErrors as BinaryTraceReader).
   explicit MmapTraceSource(const std::string& path);
 
   const char* name() const noexcept override { return "mmap"; }
-  bool offline() const noexcept override { return true; }
-  std::uint64_t total_references() const override { return total_; }
-  void partition(int np) override;
-  RankView rank_view(int rank) override;
 
-  /// The whole trace as one view (tests; sequential tools).
-  std::span<const Addr> view() const noexcept { return {refs_, total_}; }
   /// The mapped byte range, exposed so tests can prove rank views alias
   /// the mapping (zero copies) instead of pointing at private buffers.
   const void* map_base() const noexcept { return map_.data(); }
   std::size_t map_bytes() const noexcept { return map_.size(); }
 
  private:
-  std::string path_;
   MappedFile map_;
-  const Addr* refs_ = nullptr;
-  std::uint64_t total_ = 0;
-  int np_ = 0;
 };
 
 /// Chunked-compressed offline source over a v2 .trz archive: contiguous

@@ -19,7 +19,8 @@ struct StreamResult {
 
 /// Executes the program, writing its address trace into the pipe in blocks
 /// of block_words, and closes the pipe at halt. Call from a producer
-/// thread while a consumer (e.g. parda_analyze_stream) drains the pipe.
+/// thread while a consumer (e.g. parda_analyze of a PipeTraceSource)
+/// drains the pipe.
 inline StreamResult stream_program(const Program& program, TracePipe& pipe,
                                    std::size_t block_words = 1024) {
   Machine machine(program);

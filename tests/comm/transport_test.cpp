@@ -391,7 +391,8 @@ TEST(CrossTransportEqualityTest, StreamedHistogramsAreBitIdentical) {
     options.num_procs = np;
     options.chunk_words = 320;
     options.run_options = on_wire(wire);
-    const PardaResult result = parda_analyze_stream(pipe, options);
+    PipeTraceSource source(pipe);
+    const PardaResult result = parda_analyze(source, options);
     producer.join();
     return result;
   };

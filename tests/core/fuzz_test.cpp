@@ -142,7 +142,8 @@ TEST_P(FuzzEquivalenceTest, StreamedMatchesOffline) {
     }
     pipe.close();
   });
-  const PardaResult result = parda_analyze_stream(pipe, options);
+  PipeTraceSource source(pipe);
+  const PardaResult result = parda_analyze(source, options);
   producer.join();
   EXPECT_TRUE(result.hist == expected)
       << "np=" << options.num_procs << " C=" << options.chunk_words
@@ -169,7 +170,8 @@ TEST_P(FuzzEquivalenceTest, BoundedStreamedMatchesBoundedSequential) {
     }
     pipe.close();
   });
-  const PardaResult result = parda_analyze_stream(pipe, options);
+  PipeTraceSource source(pipe);
+  const PardaResult result = parda_analyze(source, options);
   producer.join();
   EXPECT_TRUE(result.hist == expected)
       << "np=" << options.num_procs << " C=" << options.chunk_words

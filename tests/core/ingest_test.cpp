@@ -1,11 +1,12 @@
-// The ingest contract (DESIGN.md "Ingest"): every ingest path — pipe
-// producer, zero-copy mmap views, chunked parallel .trz decode — must
-// produce the bit-identical parda.histogram.v1 for the same trace, at
-// every rank count and cache bound. Plus the structural guarantees the
-// paths advertise: mmap rank views alias the mapping (zero copies, proven
-// by ingest.bytes_copied staying 0), trz chunk runs tile the archive, and
-// views stay in-bounds for their source's lifetime (ASan patrols the
-// mmap edges when this suite runs under the asan preset).
+// The ingest contract (DESIGN.md "Ingest"): every TraceSource — in-memory
+// span, pipe producer, zero-copy mmap views, chunked parallel .trz decode
+// — must produce the bit-identical parda.histogram.v1 for the same trace,
+// at every rank count and cache bound. Plus the structural guarantees the
+// sources advertise: span and mmap rank views alias their storage (zero
+// copies, proven for mmap by ingest.bytes_copied staying 0), trz chunk
+// runs tile the archive, and views stay in-bounds for their source's
+// lifetime (ASan patrols the mmap edges when this suite runs under the
+// asan preset).
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -63,13 +64,53 @@ class IngestTest : public ::testing::Test {
     delete trz_path_;
   }
 
-  static PardaResult analyze(IngestMode mode, int np, std::uint64_t bound) {
+  static PardaOptions options_for(int np, std::uint64_t bound) {
     PardaOptions options;
     options.num_procs = np;
     options.bound = bound;
+    return options;
+  }
+
+  static PardaResult analyze(IngestMode mode, int np, std::uint64_t bound) {
     const std::string& path =
         mode == IngestMode::kTrz ? *trz_path_ : *trc_path_;
-    return parda_analyze_file(path, options, 1 << 12, mode);
+    comm::WorkerPool pool(np);
+    return parda_analyze_file_on(pool, path, options_for(np, bound), 1 << 12,
+                                 mode);
+  }
+
+  /// Partitions `source` at several rank counts and checks that the rank
+  /// views tile the trace contiguously with cumulative bases, and that
+  /// every view points into [lo, hi) — the source's own storage.
+  static void expect_views_tile_trace(TraceSource& source, const void* lo,
+                                      const void* hi) {
+    EXPECT_EQ(source.total_references(), trace_->size());
+    const auto* base = static_cast<const std::uint8_t*>(lo);
+    const auto* end = static_cast<const std::uint8_t*>(hi);
+    for (const int np : {1, 2, 3, 4, 7}) {
+      source.partition(np);
+      std::uint64_t covered = 0;
+      for (int r = 0; r < np; ++r) {
+        const RankView view = source.rank_view(r);
+        // Cumulative clock: the view starts at its global position.
+        EXPECT_EQ(view.base, covered) << "np=" << np << " rank=" << r;
+        covered += view.refs.size();
+        if (view.refs.empty()) continue;
+        // Zero-copy: the span points into the storage, not a buffer.
+        const auto* first = reinterpret_cast<const std::uint8_t*>(
+            view.refs.data());
+        const auto* last = reinterpret_cast<const std::uint8_t*>(
+            view.refs.data() + view.refs.size());
+        EXPECT_GE(first, base);
+        EXPECT_LE(last, end);
+        // Contiguous tiling: rank r's refs are exactly trace[base..).
+        EXPECT_EQ(view.refs.front(),
+                  (*trace_)[static_cast<std::size_t>(view.base)]);
+        EXPECT_EQ(view.refs.back(),
+                  (*trace_)[static_cast<std::size_t>(covered) - 1]);
+      }
+      EXPECT_EQ(covered, trace_->size()) << "np=" << np;
+    }
   }
 
   static std::vector<Addr>* trace_;
@@ -87,12 +128,15 @@ class IngestEquivalenceTest
 
 TEST_P(IngestEquivalenceTest, AllSourcesBitIdentical) {
   const auto [np, bound] = GetParam();
+  SpanTraceSource in_memory(*trace_);
+  const PardaResult span = parda_analyze(in_memory, options_for(np, bound));
   const PardaResult pipe = analyze(IngestMode::kPipe, np, bound);
   const PardaResult mmap = analyze(IngestMode::kMmap, np, bound);
   const PardaResult trz = analyze(IngestMode::kTrz, np, bound);
 
   const Histogram expected = bound == 0 ? olken_analysis(*trace_)
                                         : bounded_analysis(*trace_, bound);
+  EXPECT_TRUE(span.hist == expected) << "span np=" << np << " B=" << bound;
   EXPECT_TRUE(pipe.hist == expected) << "pipe np=" << np << " B=" << bound;
   EXPECT_TRUE(mmap.hist == expected) << "mmap np=" << np << " B=" << bound;
   EXPECT_TRUE(trz.hist == expected) << "trz np=" << np << " B=" << bound;
@@ -106,33 +150,14 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST_F(IngestTest, MmapViewsAliasTheMappingAndTileTheTrace) {
   MmapTraceSource source(*trc_path_);
-  EXPECT_EQ(source.total_references(), trace_->size());
-  const auto* base = static_cast<const std::uint8_t*>(source.map_base());
-  const auto* end = base + source.map_bytes();
-  for (const int np : {1, 2, 3, 4, 7}) {
-    source.partition(np);
-    std::uint64_t covered = 0;
-    for (int r = 0; r < np; ++r) {
-      const RankView view = source.rank_view(r);
-      // Cumulative clock: the view starts at its global position.
-      EXPECT_EQ(view.base, covered) << "np=" << np << " rank=" << r;
-      covered += view.refs.size();
-      if (view.refs.empty()) continue;
-      // Zero-copy: the span points into the file mapping, not a buffer.
-      const auto* lo = reinterpret_cast<const std::uint8_t*>(
-          view.refs.data());
-      const auto* hi = reinterpret_cast<const std::uint8_t*>(
-          view.refs.data() + view.refs.size());
-      EXPECT_GE(lo, base);
-      EXPECT_LE(hi, end);
-      // Contiguous tiling: rank r's refs are exactly trace[base..).
-      EXPECT_EQ(view.refs.front(),
-                (*trace_)[static_cast<std::size_t>(view.base)]);
-      EXPECT_EQ(view.refs.back(),
-                (*trace_)[static_cast<std::size_t>(covered) - 1]);
-    }
-    EXPECT_EQ(covered, trace_->size()) << "np=" << np;
-  }
+  const auto* map = static_cast<const std::uint8_t*>(source.map_base());
+  expect_views_tile_trace(source, map, map + source.map_bytes());
+}
+
+TEST_F(IngestTest, SpanViewsAliasTheTraceAndTileIt) {
+  SpanTraceSource source(*trace_);
+  expect_views_tile_trace(source, trace_->data(),
+                          trace_->data() + trace_->size());
 }
 
 TEST_F(IngestTest, MmapViewReadableForSourceLifetime) {
@@ -208,19 +233,20 @@ TEST_F(IngestTest, PipeSourceRunsTheStreamingAlgorithm) {
   EXPECT_TRUE(result.hist == olken_analysis(*trace_));
 }
 
-TEST_F(IngestTest, SessionAnalyzeSourceAndFileAgree) {
+TEST_F(IngestTest, SessionAnalyzeAndAnalyzeFileAgree) {
   core::PardaRuntime runtime;
   PardaOptions options;
   options.num_procs = 4;
   auto session = runtime.session(options);
   MmapTraceSource source(*trc_path_);
-  const PardaResult via_source = session.analyze_source(source);
+  const PardaResult via_source = session.analyze(source);
   const PardaResult via_file =
       session.analyze_file(*trc_path_, 1 << 12, IngestMode::kMmap);
   const PardaResult via_trz =
       session.analyze_file(*trz_path_, 1 << 12, IngestMode::kTrz);
   EXPECT_TRUE(via_source.hist == via_file.hist);
   EXPECT_TRUE(via_source.hist == via_trz.hist);
+  EXPECT_TRUE(via_source.hist == session.analyze(*trace_).hist);
 }
 
 TEST_F(IngestTest, ZeroCopyProofInMetrics) {
@@ -256,6 +282,9 @@ TEST_F(IngestTest, OfflineSourceRejectsStreamingInterface) {
   EXPECT_THROW(streaming.partition(2), CheckError);
   EXPECT_THROW(streaming.rank_view(0), CheckError);
   EXPECT_THROW(streaming.total_references(), CheckError);
+  SpanTraceSource in_memory(*trace_);
+  EXPECT_THROW(in_memory.pipe(), CheckError);
+  EXPECT_THROW(in_memory.rank_view(0), CheckError);  // before partition()
 }
 
 TEST_F(IngestTest, MmapRejectsMalformedTraces) {

@@ -175,7 +175,8 @@ TEST(PardaRuntimeTest, AnalyzeStreamViaSession) {
   TracePipe pipe(trace.size() + 1);
   pipe.write(std::vector<Addr>(trace));
   pipe.close();
-  EXPECT_TRUE(session.analyze_stream(pipe).hist == reference);
+  PipeTraceSource source(pipe);
+  EXPECT_TRUE(session.analyze(source).hist == reference);
 }
 
 TEST(PardaRuntimeTest, AnalyzeFileViaSession) {

@@ -44,7 +44,8 @@ PardaResult run_streamed(const std::vector<Addr>& trace,
     }
     pipe.close();
   });
-  PardaResult result = parda_analyze_stream(pipe, options);
+  PipeTraceSource source(pipe);
+  PardaResult result = parda_analyze(source, options);
   producer.join();
   return result;
 }
@@ -109,7 +110,8 @@ TEST(StreamTest, EmptyStream) {
   pipe.close();
   PardaOptions options;
   options.num_procs = 4;
-  const PardaResult result = parda_analyze_stream(pipe, options);
+  PipeTraceSource source(pipe);
+  const PardaResult result = parda_analyze(source, options);
   EXPECT_EQ(result.hist.total(), 0u);
 }
 
@@ -158,8 +160,9 @@ TEST(FileAnalysisTest, StreamsTraceFileCorrectly) {
   PardaOptions options;
   options.num_procs = 3;
   options.chunk_words = 500;
+  comm::WorkerPool pool(options.num_procs);
   const PardaResult result =
-      parda_analyze_file(path, options, /*pipe_words=*/2048);
+      parda_analyze_file_on(pool, path, options, /*pipe_words=*/2048);
   EXPECT_TRUE(result.hist == olken_analysis(trace));
   std::remove(path.c_str());
 }
@@ -167,7 +170,8 @@ TEST(FileAnalysisTest, StreamsTraceFileCorrectly) {
 TEST(FileAnalysisTest, MissingFileThrows) {
   PardaOptions options;
   options.num_procs = 2;
-  EXPECT_THROW(parda_analyze_file("/does/not/exist.trc", options),
+  comm::WorkerPool pool(options.num_procs);
+  EXPECT_THROW(parda_analyze_file_on(pool, "/does/not/exist.trc", options),
                std::runtime_error);
 }
 
@@ -180,7 +184,8 @@ TEST(FileAnalysisTest, BoundedFileAnalysis) {
   options.num_procs = 4;
   options.bound = 64;
   options.chunk_words = 256;
-  const PardaResult result = parda_analyze_file(path, options, 1024);
+  comm::WorkerPool pool(options.num_procs);
+  const PardaResult result = parda_analyze_file_on(pool, path, options, 1024);
   EXPECT_TRUE(result.hist == bounded_analysis(trace, 64));
   std::remove(path.c_str());
 }

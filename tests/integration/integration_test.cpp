@@ -55,7 +55,8 @@ TEST(Figure3Pipeline, VmProgramThroughPipeToParallelAnalysis) {
   PardaOptions options;
   options.num_procs = 4;
   options.chunk_words = 500;
-  const PardaResult result = parda_analyze_stream(pipe, options);
+  PipeTraceSource source(pipe);
+  const PardaResult result = parda_analyze(source, options);
   producer.join();
 
   EXPECT_TRUE(result.hist == expected);
@@ -85,7 +86,8 @@ TEST(Figure3Pipeline, BoundedOnlineAnalysisOfListChase) {
   options.num_procs = 3;
   options.chunk_words = 200;
   options.bound = 256;  // below the 600-node footprint: everything misses
-  const PardaResult result = parda_analyze_stream(pipe, options);
+  PipeTraceSource source(pipe);
+  const PardaResult result = parda_analyze(source, options);
   producer.join();
 
   // Every round-to-round reuse spans 599 distinct elements >= bound 256.
@@ -184,7 +186,8 @@ TEST(Observability, StreamingRunEmitsPerPhaseSpansAndAgreeingMetrics) {
   PardaOptions options;
   options.num_procs = kRanks;
   options.chunk_words = kChunk;
-  const PardaResult result = parda_analyze_stream(pipe, options);
+  PipeTraceSource source(pipe);
+  const PardaResult result = parda_analyze(source, options);
   producer.join();
   obs::set_enabled(false);
 

@@ -482,7 +482,8 @@ TEST(TelemetryServer, ScrapesConcurrentWithStreamingAnalysis) {
     TracePipe pipe(trace.size() + 1);
     pipe.write(std::vector<Addr>(trace));
     pipe.close();
-    EXPECT_TRUE(session.analyze_stream(pipe).hist == reference);
+    PipeTraceSource source(pipe);
+    EXPECT_TRUE(session.analyze(source).hist == reference);
   }
   done.store(true, std::memory_order_relaxed);
   scraper.join();
@@ -788,7 +789,8 @@ TEST(SpanReportIntegration, InjectedDelayNamesTheDelayedRank) {
   TracePipe pipe(trace.size() + 1);
   pipe.write(std::vector<Addr>(trace));
   pipe.close();
-  session.analyze_stream(pipe);
+  PipeTraceSource source(pipe);
+  session.analyze(source);
 
   const SpanReport report = SpanReport::from_tracer(tracer());
   ASSERT_FALSE(report.phases().empty());

@@ -1,7 +1,7 @@
 // Failure-path tests for trace I/O and the streaming pipeline: corrupt
 // trace fixtures (truncated, bad magic, bad version, count mismatch),
 // TracePipe poisoning from both sides, and deterministic producer faults
-// through parda_analyze_file. These run under TSAN in CI.
+// through parda_analyze_file_on. These run under TSAN in CI.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -256,8 +256,9 @@ TEST(AnalyzeFileFaultTest, ProducerFaultPlanStopsTheRunCleanly) {
   PardaOptions options = streaming_options(2);
   options.run_options.fault_plan = &plan;
 
+  comm::WorkerPool pool(options.num_procs);
   try {
-    parda_analyze_file(path, options, /*pipe_words=*/1 << 14);
+    parda_analyze_file_on(pool, path, options, /*pipe_words=*/1 << 14);
     FAIL() << "expected the injected producer fault to surface";
   } catch (const comm::FaultInjectedError& e) {
     EXPECT_NE(std::string(e.what()).find("after 100000 words"),
@@ -269,7 +270,8 @@ TEST(AnalyzeFileFaultTest, ProducerFaultPlanStopsTheRunCleanly) {
 TEST(AnalyzeFileFaultTest, CorruptTraceSurfacesAsTraceFormatError) {
   const std::string path = write_fixture("analyze-trunc.trc", kTraceMagic,
                                          kTraceVersion, 100, {1, 2, 3});
-  EXPECT_THROW(parda_analyze_file(path, streaming_options(2)),
+  comm::WorkerPool pool(2);
+  EXPECT_THROW(parda_analyze_file_on(pool, path, streaming_options(2)),
                TraceFormatError);
 }
 
@@ -279,8 +281,9 @@ TEST(AnalyzeFileFaultTest, CleanRunMatchesInMemoryAnalysis) {
   const std::string path = temp_path("clean.trc");
   write_trace_binary(path, trace);
 
-  const PardaResult streamed =
-      parda_analyze_file(path, streaming_options(4), /*pipe_words=*/1 << 14);
+  comm::WorkerPool pool(4);
+  const PardaResult streamed = parda_analyze_file_on(
+      pool, path, streaming_options(4), /*pipe_words=*/1 << 14);
   const PardaResult in_memory = parda_analyze(trace, streaming_options(4));
   EXPECT_EQ(streamed.hist.total(), in_memory.hist.total());
   EXPECT_EQ(streamed.hist.infinities(), in_memory.hist.infinities());
