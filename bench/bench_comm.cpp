@@ -180,7 +180,7 @@ void BM_TelemetryIngest(benchmark::State& state) {
   const std::string frame = fx.frame(1);
   obs::TelemetryHub hub;  // private hub: the global one serves /metrics
   for (auto _ : state) {
-    hub.ingest_frame(frame);
+    hub.ingest_frame(frame, 1);
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(frame.size()));
@@ -202,7 +202,7 @@ std::vector<bench::BenchPoint> telemetry_overhead_points() {
 
   obs::TelemetryHub hub;
   WallTimer ingest_timer;
-  for (int i = 0; i < kFrames; ++i) hub.ingest_frame(frame);
+  for (int i = 0; i < kFrames; ++i) hub.ingest_frame(frame, 1);
   const double ingest_seconds = ingest_timer.seconds();
 
   const auto point = [&](const char* name, double wall) {

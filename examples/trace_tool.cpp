@@ -572,38 +572,27 @@ int run_tool(int argc, char** argv) {
     } else {
       print_result(result);
     }
-    // When this process is the hub of a distributed run, every telemetry
-    // output covers the whole fleet: remote frames are merged in (span
-    // timestamps already rebased onto this process's clock at ingest).
-    // The hub is empty everywhere else, and these fall back byte-for-byte
-    // to the historical single-process outputs.
-    const bool fleet = !obs::hub().empty();
+    // Every telemetry output renders through the hub. On the hub of a
+    // distributed run it covers the whole fleet (remote span timestamps
+    // already rebased onto this process's clock at ingest); everywhere
+    // else the hub holds no remote process and it covers this one.
+    const obs::TelemetryHub& hub = obs::hub();
     if (!metrics_out.empty()) {
-      const std::string snapshot =
-          fleet ? obs::hub().merged_metrics_json(obs::registry())
-                : obs::registry().to_json();
-      write_text_file(metrics_out, snapshot + "\n");
+      write_text_file(metrics_out,
+                      hub.merged_metrics_json(obs::registry()) + "\n");
       std::printf("wrote metrics snapshot to %s\n", metrics_out.c_str());
     }
     if (!trace_spans.empty()) {
-      const std::string spans_json =
-          fleet ? obs::hub().merged_chrome_json(obs::tracer())
-                : obs::tracer().to_chrome_json();
-      write_text_file(trace_spans, spans_json + "\n");
+      write_text_file(trace_spans,
+                      hub.merged_chrome_json(obs::tracer()) + "\n");
       std::printf("wrote %zu trace spans to %s\n",
-                  fleet ? obs::hub().merged_events(obs::tracer()).size()
-                        : obs::tracer().events().size(),
+                  hub.merged_events(obs::tracer()).size(),
                   trace_spans.c_str());
     }
     if (report || !report_json.empty()) {
-      obs::SpanReport span_report =
-          fleet ? obs::SpanReport::from_events(
-                      obs::hub().merged_events(obs::tracer()),
-                      obs::hub().merged_dropped(obs::tracer()))
-                : obs::SpanReport::from_tracer(obs::tracer());
-      if (fleet) {
-        span_report.set_clock_uncertainty_ns(obs::hub().max_uncertainty_ns());
-      }
+      obs::SpanReport span_report = obs::SpanReport::from_events(
+          hub.merged_events(obs::tracer()), hub.merged_dropped(obs::tracer()));
+      span_report.set_clock_uncertainty_ns(hub.max_uncertainty_ns());
       if (report) {
         std::printf("\n%s", span_report.to_table().c_str());
       }

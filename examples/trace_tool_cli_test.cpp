@@ -166,9 +166,11 @@ int run_distributed(const std::string& common, int np) {
 }
 
 TEST_F(TraceToolCliTest, DistributedTcpAnalyzeAcrossProcesses) {
+  // Fixed ports below the kernel's ephemeral range (32768-60999), so no
+  // concurrent outgoing connection can already hold them.
   EXPECT_EQ(run_distributed(
                 "analyze trace_cli_test.trc --procs=2 --transport=tcp "
-                "--peers=127.0.0.1:46917,127.0.0.1:46918",
+                "--peers=127.0.0.1:24917,127.0.0.1:24918",
                 2),
             0);
 }

@@ -35,9 +35,11 @@ using parda::json::Value;
 std::string tool() { return PARDA_TRACE_TOOL_PATH; }
 
 /// Deterministic per-run port block: four consecutive ports derived from
-/// the pid so parallel ctest invocations don't collide.
+/// the pid so parallel ctest invocations don't collide. The block
+/// (20000-23991) sits below Linux's default ephemeral range (32768-60999),
+/// where no concurrent outgoing connection can be handed one of them.
 int base_port() {
-  static const int base = 45600 + static_cast<int>(::getpid() % 997) * 4;
+  static const int base = 20000 + static_cast<int>(::getpid() % 997) * 4;
   return base;
 }
 

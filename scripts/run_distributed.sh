@@ -32,7 +32,7 @@ TOOL=${PARDA_TRACE_TOOL:-./build/examples/trace_tool}
 trace=""
 np=2
 wire=tcp
-base_port=47100
+base_port=27100  # below the kernel's ephemeral range (32768-60999)
 segment=/parda-dist
 serve=""
 extra=()

@@ -30,7 +30,9 @@ export PARDA_TRACE_TOOL="$TOOL"
 
 WORK="$(mktemp -d)"
 trap 'rm -rf "$WORK"' EXIT
-BASE_PORT=$((46000 + ($$ % 500) * 4))
+# Per-run port block below the kernel's ephemeral range (32768-60999), so
+# no concurrent outgoing connection can already hold one of its ports.
+BASE_PORT=$((25000 + ($$ % 500) * 4))
 SEGMENT="/parda-telsmoke-$$"
 
 "$TOOL" gen --workload=zipf:m=800,a=0.9 --refs=120000 --seed=3 \

@@ -213,7 +213,7 @@ void TelemetryChannel::ingest(const Message& msg) {
                                b.size());
   obs::TelemetryHub::Ingest result;
   try {
-    result = obs::hub().ingest_frame(frame);
+    result = obs::hub().ingest_frame(frame, msg.src);
   } catch (const std::exception& e) {
     obs::log(obs::LogLevel::kWarn, "telemetry.bad_frame")
         .field("src", msg.src)

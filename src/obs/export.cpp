@@ -8,6 +8,7 @@
 #include <limits>
 #include <map>
 #include <optional>
+#include <set>
 #include <utility>
 
 #include "obs/telemetry.hpp"
@@ -75,15 +76,15 @@ void sample_u64(std::string& out, const std::string& fam,
 }
 
 /// Emits one family of per-rank u64 samples: shard 0 always (so the family
-/// is never empty), other shards only when active per `active`.
+/// is never empty), other shards only where `activity` is nonzero.
 /// `extra` is a pre-rendered label list ('k="v",k2="v2"') merged before the
 /// rank label.
-template <typename Shards, typename Active>
+template <typename Shards, typename Activity>
 void per_rank_samples(std::string& out, const std::string& fam,
                       const std::string& extra, const Shards& values,
-                      const Active& active) {
+                      const Activity& activity) {
   for (std::size_t i = 0; i < values.size(); ++i) {
-    if (i != 0 && !active[i]) continue;
+    if (i != 0 && activity[i] == 0) continue;
     std::string labels = "{";
     if (!extra.empty()) {
       labels += extra;
@@ -149,97 +150,121 @@ LabeledName split_name(std::string_view name) {
   return out;
 }
 
+/// The local registry as the hub stores a remote process: a single-process
+/// render is the fleet render over this one entry.
+ProcessTelemetry local_telemetry(const Registry& reg) {
+  auto vec = [](const std::array<std::uint64_t, kShards>& a) {
+    return std::vector<std::uint64_t>(a.begin(), a.end());
+  };
+  ProcessTelemetry pt;
+  pt.process = 0;
+  for (const Counter* c : reg.counters()) {
+    pt.counters.push_back({c->name(), vec(c->shards())});
+  }
+  for (const Gauge* g : reg.gauges()) {
+    pt.gauges.push_back({g->name(), vec(g->shards()), vec(g->values())});
+  }
+  for (const TimerHistogram* t : reg.timers()) {
+    const TimerHistogram::Aggregate agg = t->aggregate();
+    pt.timers.push_back(
+        {t->name(), agg.count, agg.sum_ns,
+         std::vector<std::uint64_t>(agg.buckets.begin(), agg.buckets.end())});
+  }
+  return pt;
+}
+
+/// One exposition family: the registry base name (for HELP) and every
+/// process's members, each with its rendered label list.
+template <typename Member>
+struct Family {
+  std::string base;
+  std::vector<std::pair<std::string, const Member*>> members;
+};
+
+/// Groups one metric kind across processes by family name — the exposition
+/// format allows exactly one HELP/TYPE per family, so every label set and
+/// every process shares the block. Members carry process="N" only in a
+/// fleet render.
+template <typename Member>
+std::map<std::string, Family<Member>> group_families(
+    const std::vector<ProcessTelemetry>& processes,
+    std::vector<Member> ProcessTelemetry::*kind, std::string_view suffix) {
+  const bool fleet = processes.size() > 1;
+  std::map<std::string, Family<Member>> fams;
+  for (const ProcessTelemetry& pt : processes) {
+    for (const Member& m : pt.*kind) {
+      LabeledName ln = split_name(m.name);
+      Family<Member>& fam = fams[prom_name(ln.base) + std::string(suffix)];
+      if (fam.members.empty()) fam.base = ln.base;
+      std::string labels = std::move(ln.labels);
+      if (fleet) {
+        labels = "process=\"" + std::to_string(pt.process) + "\"" +
+                 (labels.empty() ? "" : "," + labels);
+      }
+      fam.members.emplace_back(std::move(labels), &m);
+    }
+  }
+  return fams;
+}
+
 }  // namespace
 
-std::string to_prometheus(const Registry& reg, const SpanTracer& tracer) {
+std::string to_prometheus(const Registry& reg, const SpanTracer& tracer,
+                          const TelemetryHub& hub) {
+  // Process 0 is this one; the hub contributes every remote process. With
+  // none, the render is the single-process exposition: no process label
+  // and no parda_telemetry_* freshness families.
+  std::vector<ProcessTelemetry> processes = hub.snapshot();
+  processes.insert(processes.begin(), local_telemetry(reg));
+  const bool fleet = processes.size() > 1;
+
   std::string out;
   out.reserve(1 << 14);
 
-  // Metrics whose names carry a label block share a Prometheus family with
-  // every other label set of the same base name, and the exposition format
-  // allows exactly one HELP/TYPE per family — so each kind groups by
-  // family first and emits the header once.
-  std::map<std::string,
-           std::vector<std::pair<const Counter*, LabeledName>>>
-      counter_fams;
-  for (const Counter* c : reg.counters()) {
-    LabeledName ln = split_name(c->name());
-    counter_fams[prom_name(ln.base) + "_total"].emplace_back(c,
-                                                             std::move(ln));
-  }
-  for (const auto& [fam, members] : counter_fams) {
+  for (const auto& [fam, f] : group_families(
+           processes, &ProcessTelemetry::counters, "_total")) {
     header(out, fam,
-           "Parda counter " + members.front().second.base +
+           "Parda counter " + f.base +
                " (rank=\"driver\" is the unattributed shard)",
            "counter");
-    for (const auto& [c, ln] : members) {
-      const auto shards = c->shards();
-      std::array<bool, kShards> active{};
-      for (std::size_t i = 0; i < shards.size(); ++i) {
-        active[i] = shards[i] != 0;
-      }
-      per_rank_samples(out, fam, ln.labels, shards, active);
+    for (const auto& [labels, c] : f.members) {
+      per_rank_samples(out, fam, labels, c->shards, c->shards);
     }
   }
 
-  std::map<std::string, std::vector<std::pair<const Gauge*, LabeledName>>>
-      gauge_fams;
-  for (const Gauge* g : reg.gauges()) {
-    LabeledName ln = split_name(g->name());
-    gauge_fams[prom_name(ln.base)].emplace_back(g, std::move(ln));
-  }
-  for (const auto& [fam, members] : gauge_fams) {
+  for (const auto& [fam, f] :
+       group_families(processes, &ProcessTelemetry::gauges, "")) {
     header(out, fam,
-           "Parda gauge " + members.front().second.base +
-               " (last value published per rank)",
+           "Parda gauge " + f.base + " (last value published per rank)",
            "gauge");
-    for (const auto& [g, ln] : members) {
-      const auto maxes = g->shards();
-      const auto values = g->values();
-      std::array<bool, kShards> active{};
-      for (std::size_t i = 0; i < maxes.size(); ++i) {
-        active[i] = maxes[i] != 0;
-      }
-      per_rank_samples(out, fam, ln.labels, values, active);
+    for (const auto& [labels, g] : f.members) {
+      per_rank_samples(out, fam, labels, g->values, g->maxes);
     }
     const std::string fam_max = fam + "_max";
     header(out, fam_max,
-           "Parda gauge " + members.front().second.base +
-               " lifetime high-water mark per rank",
+           "Parda gauge " + f.base + " lifetime high-water mark per rank",
            "gauge");
-    for (const auto& [g, ln] : members) {
-      const auto maxes = g->shards();
-      std::array<bool, kShards> active{};
-      for (std::size_t i = 0; i < maxes.size(); ++i) {
-        active[i] = maxes[i] != 0;
-      }
-      per_rank_samples(out, fam_max, ln.labels, maxes, active);
+    for (const auto& [labels, g] : f.members) {
+      per_rank_samples(out, fam_max, labels, g->maxes, g->maxes);
     }
   }
 
-  std::map<std::string,
-           std::vector<std::pair<const TimerHistogram*, LabeledName>>>
-      timer_fams;
-  for (const TimerHistogram* t : reg.timers()) {
-    LabeledName ln = split_name(t->name());
-    timer_fams[prom_name(ln.base) + "_ns"].emplace_back(t, std::move(ln));
-  }
-  for (const auto& [fam, members] : timer_fams) {
+  for (const auto& [fam, f] :
+       group_families(processes, &ProcessTelemetry::timers, "_ns")) {
     header(out, fam,
-           "Parda timer " + members.front().second.base +
+           "Parda timer " + f.base +
                " in nanoseconds (log2 buckets, aggregated across ranks)",
            "histogram");
-    for (const auto& [t, ln] : members) {
-      const std::string extra =
-          ln.labels.empty() ? std::string() : ln.labels + ',';
-      const TimerHistogram::Aggregate agg = t->aggregate();
+    for (const auto& [labels, t] : f.members) {
+      const std::string extra = labels.empty() ? "" : labels + ',';
+      const std::string braced = labels.empty() ? "" : "{" + labels + "}";
       std::size_t last = 0;
-      for (std::size_t b = 0; b < agg.buckets.size(); ++b) {
-        if (agg.buckets[b] != 0) last = b + 1;
+      for (std::size_t b = 0; b < t->buckets.size(); ++b) {
+        if (t->buckets[b] != 0) last = b + 1;
       }
       std::uint64_t cum = 0;
       for (std::size_t b = 0; b < last; ++b) {
-        cum += agg.buckets[b];
+        cum += t->buckets[b];
         // Bucket b holds [2^b, 2^(b+1)) ns; integer durations make
         // le=2^(b+1)-1 the exact inclusive upper bound.
         const std::uint64_t le = (std::uint64_t{1} << (b + 1)) - 1;
@@ -247,279 +272,80 @@ std::string to_prometheus(const Registry& reg, const SpanTracer& tracer) {
                    "{" + extra + "le=\"" + std::to_string(le) + "\"}", cum);
       }
       sample_u64(out, fam + "_bucket", "{" + extra + "le=\"+Inf\"}",
-                 agg.count);
-      sample_u64(out, fam + "_sum",
-                 ln.labels.empty() ? "" : "{" + ln.labels + "}", agg.sum_ns);
-      sample_u64(out, fam + "_count",
-                 ln.labels.empty() ? "" : "{" + ln.labels + "}", agg.count);
+                 t->count);
+      sample_u64(out, fam + "_sum", braced, t->sum_ns);
+      sample_u64(out, fam + "_count", braced, t->count);
     }
   }
 
-  {
-    const std::string fam = "parda_obs_spans_dropped_total";
-    header(out, fam,
-           "Span ring overwrites per rank shard (nonzero means the oldest "
-           "spans were lost to wrap-around)",
-           "counter");
-    const auto dropped = tracer.dropped_per_shard();
-    std::array<bool, kShards> active{};
-    for (std::size_t i = 0; i < dropped.size(); ++i) {
-      active[i] = dropped[i] != 0;
-    }
-    per_rank_samples(out, fam, "", dropped, active);
-  }
-
-  return out;
-}
-
-std::string to_prometheus(const Registry& reg, const SpanTracer& tracer,
-                          const TelemetryHub& hub) {
-  if (hub.empty()) return to_prometheus(reg, tracer);
-  const std::vector<ProcessTelemetry> remotes = hub.snapshot();
-
-  std::string out;
-  out.reserve(1 << 15);
-
-  auto with_process = [](const std::string& labels, int process) {
-    std::string extra = "process=\"" + std::to_string(process) + "\"";
-    if (!labels.empty()) {
-      extra += ',';
-      extra += labels;
-    }
-    return extra;
-  };
-  auto active_mask = [](const std::vector<std::uint64_t>& shards) {
-    std::vector<bool> active(shards.size());
-    for (std::size_t i = 0; i < shards.size(); ++i) {
-      active[i] = shards[i] != 0;
-    }
-    return active;
-  };
-
-  // Counters: local (process="0") and every remote process share one
-  // family block per base name — the exposition format allows exactly one
-  // HELP/TYPE per family.
-  struct CounterMember {
-    std::string labels;
-    std::vector<std::uint64_t> shards;
-  };
-  std::map<std::string, std::pair<std::string, std::vector<CounterMember>>>
-      counter_fams;
-  auto add_counter = [&](std::string_view name, int process,
-                         std::vector<std::uint64_t> shards) {
-    LabeledName ln = split_name(name);
-    auto& fam = counter_fams[prom_name(ln.base) + "_total"];
-    if (fam.second.empty()) fam.first = ln.base;
-    fam.second.push_back(
-        {with_process(ln.labels, process), std::move(shards)});
-  };
-  for (const Counter* c : reg.counters()) {
-    const auto shards = c->shards();
-    add_counter(c->name(), 0,
-                std::vector<std::uint64_t>(shards.begin(), shards.end()));
-  }
-  for (const ProcessTelemetry& pt : remotes) {
-    for (const auto& rc : pt.counters) {
-      add_counter(rc.name, pt.process, rc.shards);
-    }
-  }
-  for (const auto& [fam, entry] : counter_fams) {
-    header(out, fam,
-           "Parda counter " + entry.first +
-               " (rank=\"driver\" is the unattributed shard)",
-           "counter");
-    for (const CounterMember& m : entry.second) {
-      per_rank_samples(out, fam, m.labels, m.shards, active_mask(m.shards));
-    }
-  }
-
-  struct GaugeMember {
-    std::string labels;
-    std::vector<std::uint64_t> maxes;
-    std::vector<std::uint64_t> values;
-  };
-  std::map<std::string, std::pair<std::string, std::vector<GaugeMember>>>
-      gauge_fams;
-  auto add_gauge = [&](std::string_view name, int process,
-                       std::vector<std::uint64_t> maxes,
-                       std::vector<std::uint64_t> values) {
-    LabeledName ln = split_name(name);
-    auto& fam = gauge_fams[prom_name(ln.base)];
-    if (fam.second.empty()) fam.first = ln.base;
-    fam.second.push_back({with_process(ln.labels, process),
-                          std::move(maxes), std::move(values)});
-  };
-  for (const Gauge* g : reg.gauges()) {
-    const auto maxes = g->shards();
-    const auto values = g->values();
-    add_gauge(g->name(), 0,
-              std::vector<std::uint64_t>(maxes.begin(), maxes.end()),
-              std::vector<std::uint64_t>(values.begin(), values.end()));
-  }
-  for (const ProcessTelemetry& pt : remotes) {
-    for (const auto& rg : pt.gauges) {
-      add_gauge(rg.name, pt.process, rg.maxes, rg.values);
-    }
-  }
-  for (const auto& [fam, entry] : gauge_fams) {
-    header(out, fam,
-           "Parda gauge " + entry.first + " (last value published per rank)",
-           "gauge");
-    for (const GaugeMember& m : entry.second) {
-      per_rank_samples(out, fam, m.labels, m.values, active_mask(m.maxes));
-    }
-    const std::string fam_max = fam + "_max";
-    header(out, fam_max,
-           "Parda gauge " + entry.first +
-               " lifetime high-water mark per rank",
-           "gauge");
-    for (const GaugeMember& m : entry.second) {
-      per_rank_samples(out, fam_max, m.labels, m.maxes,
-                       active_mask(m.maxes));
-    }
-  }
-
-  struct TimerMember {
-    std::string labels;
-    std::uint64_t count = 0;
-    std::uint64_t sum_ns = 0;
-    std::vector<std::uint64_t> buckets;
-  };
-  std::map<std::string, std::pair<std::string, std::vector<TimerMember>>>
-      timer_fams;
-  auto add_timer = [&](std::string_view name, int process,
-                       std::uint64_t count, std::uint64_t sum_ns,
-                       std::vector<std::uint64_t> buckets) {
-    LabeledName ln = split_name(name);
-    auto& fam = timer_fams[prom_name(ln.base) + "_ns"];
-    if (fam.second.empty()) fam.first = ln.base;
-    fam.second.push_back({with_process(ln.labels, process), count, sum_ns,
-                          std::move(buckets)});
-  };
-  for (const TimerHistogram* t : reg.timers()) {
-    const TimerHistogram::Aggregate agg = t->aggregate();
-    add_timer(t->name(), 0, agg.count, agg.sum_ns,
-              std::vector<std::uint64_t>(agg.buckets.begin(),
-                                         agg.buckets.end()));
-  }
-  for (const ProcessTelemetry& pt : remotes) {
-    for (const auto& rt : pt.timers) {
-      add_timer(rt.name, pt.process, rt.count, rt.sum_ns, rt.buckets);
-    }
-  }
-  for (const auto& [fam, entry] : timer_fams) {
-    header(out, fam,
-           "Parda timer " + entry.first +
-               " in nanoseconds (log2 buckets, aggregated across ranks)",
-           "histogram");
-    for (const TimerMember& m : entry.second) {
-      const std::string extra = m.labels + ',';
-      std::size_t last = 0;
-      for (std::size_t b = 0; b < m.buckets.size(); ++b) {
-        if (m.buckets[b] != 0) last = b + 1;
-      }
-      std::uint64_t cum = 0;
-      for (std::size_t b = 0; b < last; ++b) {
-        cum += m.buckets[b];
-        const std::uint64_t le = (std::uint64_t{1} << (b + 1)) - 1;
-        sample_u64(out, fam + "_bucket",
-                   "{" + extra + "le=\"" + std::to_string(le) + "\"}", cum);
-      }
-      sample_u64(out, fam + "_bucket", "{" + extra + "le=\"+Inf\"}",
-                 m.count);
-      sample_u64(out, fam + "_sum", "{" + m.labels + "}", m.sum_ns);
-      sample_u64(out, fam + "_count", "{" + m.labels + "}", m.count);
-    }
-  }
-
-  {
-    const std::string fam = "parda_obs_spans_dropped_total";
-    header(out, fam,
-           "Span ring overwrites per rank shard (nonzero means the oldest "
-           "spans were lost to wrap-around)",
-           "counter");
-    const auto dropped = tracer.dropped_per_shard();
-    per_rank_samples(
-        out, fam, "process=\"0\"",
-        std::vector<std::uint64_t>(dropped.begin(), dropped.end()),
-        active_mask(
-            std::vector<std::uint64_t>(dropped.begin(), dropped.end())));
-    for (const ProcessTelemetry& pt : remotes) {
-      // Remote drops arrive as one total per process (the frame does not
-      // break them out per shard).
-      sample_u64(out, fam,
-                 "{process=\"" + std::to_string(pt.process) + "\"}",
-                 pt.spans_dropped);
-    }
-  }
-
-  // Per-process freshness: is every process still reporting, how stale is
-  // its snapshot, and how trustworthy is its clock alignment.
   auto process_labels = [](int process) {
     return "{process=\"" + std::to_string(process) + "\"}";
   };
   {
-    const std::string fam = "parda_telemetry_frames_total";
-    header(out, fam, "Telemetry frames ingested per remote process",
+    const std::string fam = "parda_obs_spans_dropped_total";
+    header(out, fam,
+           "Span ring overwrites per rank shard (nonzero means the oldest "
+           "spans were lost to wrap-around)",
            "counter");
-    for (const ProcessTelemetry& pt : remotes) {
-      sample_u64(out, fam, process_labels(pt.process), pt.frames);
+    const auto dropped = tracer.dropped_per_shard();
+    per_rank_samples(out, fam, fleet ? "process=\"0\"" : "", dropped, dropped);
+    for (std::size_t i = 1; i < processes.size(); ++i) {
+      // Remote drops arrive as one total per process (the frame does not
+      // break them out per shard).
+      sample_u64(out, fam, process_labels(processes[i].process),
+                 processes[i].spans_dropped);
     }
   }
-  {
-    const std::string fam = "parda_telemetry_last_seq";
-    header(out, fam, "Sequence number of the newest frame per process",
-           "gauge");
-    for (const ProcessTelemetry& pt : remotes) {
-      sample_u64(out, fam, process_labels(pt.process), pt.seq);
-    }
-  }
-  {
-    const std::string fam = "parda_telemetry_final";
-    header(out, fam,
-           "1 once the process sent its end-of-job flush frame", "gauge");
-    for (const ProcessTelemetry& pt : remotes) {
-      sample_u64(out, fam, process_labels(pt.process),
-                 pt.final_received ? 1 : 0);
-    }
-  }
-  {
-    const std::string fam = "parda_telemetry_age_ns";
-    header(out, fam, "Nanoseconds since the newest frame per process",
-           "gauge");
-    const std::int64_t now = tracer.now_ns();
-    for (const ProcessTelemetry& pt : remotes) {
-      sample_u64(out, fam, process_labels(pt.process),
-                 static_cast<std::uint64_t>(
-                     std::max<std::int64_t>(0, now - pt.last_ingest_ns)));
-    }
-  }
-  {
-    const std::string fam = "parda_telemetry_clock_uncertainty_ns";
-    header(out, fam,
-           "Half the min round-trip of the clock handshake per process "
-           "(0 with clock_valid=0 means no estimate)",
-           "gauge");
-    for (const ProcessTelemetry& pt : remotes) {
-      sample_u64(out, fam, process_labels(pt.process),
-                 pt.clock.valid
-                     ? static_cast<std::uint64_t>(
-                           std::max<std::int64_t>(0,
-                                                  pt.clock.uncertainty_ns))
-                     : 0);
-    }
-  }
-  {
-    const std::string fam = "parda_telemetry_clock_valid";
-    header(out, fam,
-           "1 when the process's clock-offset handshake converged",
-           "gauge");
-    for (const ProcessTelemetry& pt : remotes) {
-      sample_u64(out, fam, process_labels(pt.process),
-                 pt.clock.valid ? 1 : 0);
-    }
-  }
+  if (!fleet) return out;
 
+  // Per-process freshness: is every process still reporting, how stale is
+  // its snapshot, and how trustworthy is its clock alignment.
+  struct Freshness {
+    const char* fam;
+    const char* help;
+    const char* type;
+    std::uint64_t (*value)(const ProcessTelemetry&, std::int64_t now);
+  };
+  static constexpr Freshness kFreshness[] = {
+      {"parda_telemetry_frames_total",
+       "Telemetry frames ingested per remote process", "counter",
+       [](const ProcessTelemetry& pt, std::int64_t) { return pt.frames; }},
+      {"parda_telemetry_last_seq",
+       "Sequence number of the newest frame per process", "gauge",
+       [](const ProcessTelemetry& pt, std::int64_t) { return pt.seq; }},
+      {"parda_telemetry_final",
+       "1 once the process sent its end-of-job flush frame", "gauge",
+       [](const ProcessTelemetry& pt, std::int64_t) -> std::uint64_t {
+         return pt.final_received ? 1 : 0;
+       }},
+      {"parda_telemetry_age_ns",
+       "Nanoseconds since the newest frame per process", "gauge",
+       [](const ProcessTelemetry& pt, std::int64_t now) {
+         return static_cast<std::uint64_t>(
+             std::max<std::int64_t>(0, now - pt.last_ingest_ns));
+       }},
+      {"parda_telemetry_clock_uncertainty_ns",
+       "Half the min round-trip of the clock handshake per process "
+       "(0 with clock_valid=0 means no estimate)",
+       "gauge",
+       [](const ProcessTelemetry& pt, std::int64_t) -> std::uint64_t {
+         if (!pt.clock.valid || pt.clock.uncertainty_ns < 0) return 0;
+         return static_cast<std::uint64_t>(pt.clock.uncertainty_ns);
+       }},
+      {"parda_telemetry_clock_valid",
+       "1 when the process's clock-offset handshake converged", "gauge",
+       [](const ProcessTelemetry& pt, std::int64_t) -> std::uint64_t {
+         return pt.clock.valid ? 1 : 0;
+       }},
+  };
+  const std::int64_t now = tracer.now_ns();
+  for (const Freshness& f : kFreshness) {
+    header(out, f.fam, f.help, f.type);
+    for (std::size_t i = 1; i < processes.size(); ++i) {
+      sample_u64(out, f.fam, process_labels(processes[i].process),
+                 f.value(processes[i], now));
+    }
+  }
   return out;
 }
 
@@ -604,6 +430,7 @@ std::vector<std::string> validate_prometheus(std::string_view text) {
 
   std::map<std::string, std::string> types;   // family -> TYPE
   std::map<std::string, std::size_t> helps;   // family -> HELP line
+  std::set<std::string> series;               // name + sorted labels + le
   std::vector<Sample> samples;
 
   std::size_t line_no = 0;
@@ -742,6 +569,17 @@ std::vector<std::string> validate_prometheus(std::string_view text) {
                   ? std::numeric_limits<double>::infinity()
                   : std::strtod(value_text.c_str(), nullptr);
     std::sort(s.labels.begin(), s.labels.end());
+    // Prometheus rejects an exposition that repeats a series. Values are
+    // length-prefixed so no label value can forge another label set's key.
+    std::string key = s.name;
+    auto add_label = [&key](const std::string& k, const std::string& v) {
+      key += "|" + k + "=" + std::to_string(v.size()) + ":" + v;
+    };
+    for (const auto& [k, v] : s.labels) add_label(k, v);
+    if (s.le.has_value()) add_label("le", *s.le);
+    if (!series.insert(key).second) {
+      fail(line_no, "duplicate series for '" + s.name + "'");
+    }
     samples.push_back(std::move(s));
   }
 

@@ -1,6 +1,7 @@
-// Prometheus text exposition (format 0.0.4) for the metrics registry and
-// the span tracer, plus the hand-rolled format validator the tests and the
-// CI telemetry smoke run scrape output through.
+// Prometheus text exposition (format 0.0.4) for the metrics registry, the
+// span tracer and the telemetry hub's remote processes, plus the
+// hand-rolled format validator the tests and the CI telemetry smoke run
+// scrape output through.
 //
 // Mapping ("." becomes "_", everything prefixed "parda_"):
 //   Counter  comm.bytes_sent  -> parda_comm_bytes_sent_total{rank="0"} ...
@@ -28,17 +29,15 @@ namespace parda::obs {
 
 class TelemetryHub;
 
-/// Renders the registry (and the tracer's drop counters) as Prometheus
-/// text exposition format. Deterministic order: counters, gauges, timers,
-/// then the tracer synthetics.
-std::string to_prometheus(const Registry& reg, const SpanTracer& tracer);
-
-/// Fleet-wide render: when the hub has ingested remote telemetry, local
-/// samples carry process="0" and every remote process's samples join the
-/// SAME family blocks (one HELP/TYPE per family) with process="N", plus
-/// per-process parda_telemetry_* freshness series. While the hub is empty
-/// this is byte-identical to the two-argument form — single-process
-/// scrapes never change shape.
+/// The one renderer: the local registry (and the tracer's drop counters)
+/// plus every remote process the hub holds, as Prometheus text exposition.
+/// Deterministic order: counters, gauges, timers, the tracer synthetics,
+/// then the freshness families. All processes share one family block per
+/// name (one HELP/TYPE per family). With remote processes present, local
+/// samples carry process="0", remote ones process="N", and per-process
+/// parda_telemetry_* freshness series follow. With none — every
+/// single-process run — this is the fleet of one: no process label, no
+/// freshness families, per-rank span drops only.
 std::string to_prometheus(const Registry& reg, const SpanTracer& tracer,
                           const TelemetryHub& hub);
 
@@ -48,8 +47,9 @@ std::string to_prometheus();
 
 /// Hand-rolled exposition-format validator: HELP/TYPE presence and order,
 /// metric/label name charsets, label escaping, numeric sample values,
-/// counter naming, histogram bucket monotonicity and _sum/_count
-/// consistency. Returns one message per violation; empty = valid.
+/// counter naming, duplicate series (same name and label set, `le`
+/// included), histogram bucket monotonicity and _sum/_count consistency.
+/// Returns one message per violation; empty = valid.
 std::vector<std::string> validate_prometheus(std::string_view text);
 
 }  // namespace parda::obs

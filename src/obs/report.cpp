@@ -44,10 +44,6 @@ std::string phase_name(std::uint32_t phase) {
 
 }  // namespace
 
-SpanReport SpanReport::from_tracer(const SpanTracer& t) {
-  return from_events(t.events(), t.dropped());
-}
-
 SpanReport SpanReport::from_events(const std::vector<SpanEvent>& events,
                                    std::uint64_t spans_dropped) {
   SpanReport r;

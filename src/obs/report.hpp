@@ -60,11 +60,10 @@ struct RankUtilization {
 
 class SpanReport {
  public:
-  /// Builds the report from an explicit event list (tests) or the global
-  /// tracer (drivers). Call after the analysis has joined its ranks.
+  /// Builds the report from an event list — a tracer's events() or the
+  /// hub's merged_events(). Call after the analysis has joined its ranks.
   static SpanReport from_events(const std::vector<SpanEvent>& events,
                                 std::uint64_t spans_dropped = 0);
-  static SpanReport from_tracer(const SpanTracer& t);
 
   /// Phases in execution order; the kNoPhase pseudo-phase (offline spans,
   /// final-reduce) sorts last.

@@ -321,10 +321,7 @@ TelemetryServer::Response TelemetryServer::handle(
             hub().merged_metrics_json(registry())};
   }
   if (path == "/spans") {
-    if (!hub().empty()) {
-      return {200, "application/json", hub().merged_chrome_json(tracer())};
-    }
-    return {200, "application/json", tracer().to_chrome_json()};
+    return {200, "application/json", hub().merged_chrome_json(tracer())};
   }
   if (path == "/healthz") {
     Health h;

@@ -5,8 +5,12 @@
 //
 // Built-in endpoints (GET, Connection: close):
 //   /metrics       Prometheus text exposition 0.0.4 (obs/export.hpp)
-//   /metrics.json  the "parda.metrics.v1" snapshot (Registry::to_json)
-//   /spans         chrome://tracing JSON (SpanTracer::to_chrome_json)
+//   /metrics.json  the "parda.metrics.v1" snapshot
+//                  (TelemetryHub::merged_metrics_json)
+//   /spans         chrome://tracing JSON (TelemetryHub::merged_chrome_json)
+// Each renders through the hub: on rank 0 of a distributed run it covers
+// every process, everywhere else the hub holds no remote process and the
+// output describes this process alone.
 //   /healthz       pool + watchdog status from the runtime's callback
 //
 // An owner may additionally install ONE route handler (set_handler) that

@@ -67,11 +67,7 @@ std::vector<SpanEvent> SpanTracer::events() const {
       out.push_back(e);
     }
   }
-  std::stable_sort(out.begin(), out.end(),
-                   [](const SpanEvent& a, const SpanEvent& b) {
-                     if (a.rank != b.rank) return a.rank < b.rank;
-                     return a.t_start_ns < b.t_start_ns;
-                   });
+  std::stable_sort(out.begin(), out.end(), span_order);
   return out;
 }
 
@@ -106,50 +102,64 @@ void SpanTracer::clear() noexcept {
 }
 
 std::string SpanTracer::to_chrome_json() const {
-  const std::vector<SpanEvent> all = events();
+  return chrome_json({{0, events()}}, dropped());
+}
+
+std::string chrome_json(const std::vector<ProcessSpans>& processes,
+                        std::uint64_t spans_dropped) {
+  const bool name_processes = processes.size() > 1;
   json::Writer w;
   w.begin_object();
   w.key("traceEvents").begin_array();
-  // Thread-name metadata so chrome://tracing labels rows "rank N".
-  std::int32_t last_named = -2;
-  for (const SpanEvent& e : all) {
-    if (e.rank != last_named) {
-      last_named = e.rank;
-      w.begin_object();
-      w.key("name").value("thread_name");
-      w.key("ph").value("M");
-      w.key("pid").value(0);
-      w.key("tid").value(e.rank >= 0 ? e.rank : kMaxRanks);
-      w.key("args").begin_object();
-      w.key("name").value(e.rank >= 0
-                              ? ("rank " + std::to_string(e.rank))
-                              : std::string("driver"));
-      w.end_object();
-      w.end_object();
-    }
+  auto metadata = [&w](const char* kind, int pid, std::int32_t tid,
+                       const std::string& name) {
     w.begin_object();
-    w.key("name").value(e.op);
-    w.key("cat").value("parda");
-    w.key("ph").value("X");
-    w.key("pid").value(0);
-    w.key("tid").value(e.rank >= 0 ? e.rank : kMaxRanks);
-    w.key("ts").value(static_cast<double>(e.t_start_ns) / 1000.0);
-    w.key("dur").value(
-        static_cast<double>(e.t_end_ns - e.t_start_ns) / 1000.0);
+    w.key("name").value(kind);
+    w.key("ph").value("M");
+    w.key("pid").value(pid);
+    w.key("tid").value(tid);
     w.key("args").begin_object();
-    w.key("rank").value(static_cast<std::int64_t>(e.rank));
-    if (e.phase != kNoPhase) {
-      w.key("phase").value(static_cast<std::uint64_t>(e.phase));
+    w.key("name").value(name);
+    w.end_object();
+    w.end_object();
+  };
+  for (const ProcessSpans& p : processes) {
+    if (name_processes && !p.events.empty()) {
+      metadata("process_name", p.pid, 0, "process " + std::to_string(p.pid));
     }
-    w.end_object();
-    w.end_object();
+    // Thread-name metadata so chrome://tracing labels rows "rank N".
+    std::int32_t last_named = -2;
+    for (const SpanEvent& e : p.events) {
+      const std::int32_t tid = e.rank >= 0 ? e.rank : kMaxRanks;
+      if (e.rank != last_named) {
+        last_named = e.rank;
+        metadata("thread_name", p.pid, tid,
+                 e.rank >= 0 ? "rank " + std::to_string(e.rank) : "driver");
+      }
+      w.begin_object();
+      w.key("name").value(e.op);
+      w.key("cat").value("parda");
+      w.key("ph").value("X");
+      w.key("pid").value(p.pid);
+      w.key("tid").value(tid);
+      w.key("ts").value(static_cast<double>(e.t_start_ns) / 1000.0);
+      w.key("dur").value(
+          static_cast<double>(e.t_end_ns - e.t_start_ns) / 1000.0);
+      w.key("args").begin_object();
+      w.key("rank").value(static_cast<std::int64_t>(e.rank));
+      if (e.phase != kNoPhase) {
+        w.key("phase").value(static_cast<std::uint64_t>(e.phase));
+      }
+      w.end_object();
+      w.end_object();
+    }
   }
   w.end_array();
   w.key("displayTimeUnit").value("ms");
   // Ring-wrap visibility: a nonzero count here means the oldest spans were
   // overwritten and the trace above is the tail, not the whole run.
   w.key("otherData").begin_object();
-  w.key("spansDropped").value(dropped());
+  w.key("spansDropped").value(spans_dropped);
   w.end_object();
   w.end_object();
   return w.take();

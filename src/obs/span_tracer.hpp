@@ -34,6 +34,28 @@ struct SpanEvent {
   std::int32_t rank = -1;  // -1 = unattributed
 };
 
+/// The order every span export uses: by rank, then by start time.
+inline bool span_order(const SpanEvent& a, const SpanEvent& b) noexcept {
+  if (a.rank != b.rank) return a.rank < b.rank;
+  return a.t_start_ns < b.t_start_ns;
+}
+
+/// One process's span events in span_order; pid 0 is this process.
+struct ProcessSpans {
+  int pid = 0;
+  std::vector<SpanEvent> events;
+};
+
+/// The one chrome://tracing renderer behind SpanTracer::to_chrome_json and
+/// TelemetryHub::merged_chrome_json: {"traceEvents":[...]} with "X"
+/// (complete) events, ts/dur in microseconds, pid == process, tid == rank
+/// (unattributed spans use tid kMaxRanks), and args {rank, phase}.
+/// `processes` is ordered by pid. process_name rows appear only when a
+/// remote process is present, so a single-process trace stays pid 0 with
+/// thread rows alone.
+std::string chrome_json(const std::vector<ProcessSpans>& processes,
+                        std::uint64_t spans_dropped);
+
 class SpanTracer {
  public:
   /// capacity_per_rank events are kept per shard; older events are
@@ -70,9 +92,7 @@ class SpanTracer {
 
   void clear() noexcept;
 
-  /// chrome://tracing JSON: {"traceEvents":[...]} with "X" (complete)
-  /// events, ts/dur in microseconds, pid 0, tid == rank (unattributed
-  /// spans use tid kMaxRanks), and args {rank, phase}.
+  /// chrome_json over this tracer alone (pid 0).
   std::string to_chrome_json() const;
 
  private:

@@ -96,11 +96,7 @@ std::string make_telemetry_frame(int process, std::uint64_t seq,
                      });
     spans.erase(spans.begin(),
                 spans.end() - static_cast<std::ptrdiff_t>(max_spans));
-    std::stable_sort(spans.begin(), spans.end(),
-                     [](const SpanEvent& a, const SpanEvent& b) {
-                       if (a.rank != b.rank) return a.rank < b.rank;
-                       return a.t_start_ns < b.t_start_ns;
-                     });
+    std::stable_sort(spans.begin(), spans.end(), span_order);
   }
 
   json::Writer w;
@@ -139,7 +135,8 @@ const char* TelemetryHub::intern(std::string_view op) {
   return stable;
 }
 
-TelemetryHub::Ingest TelemetryHub::ingest_frame(std::string_view frame_json) {
+TelemetryHub::Ingest TelemetryHub::ingest_frame(std::string_view frame_json,
+                                                int sender) {
   const json::Value frame = json::parse(frame_json);
   const json::Value* schema = frame.find("schema");
   if (schema == nullptr || !schema->is_string() ||
@@ -149,8 +146,13 @@ TelemetryHub::Ingest TelemetryHub::ingest_frame(std::string_view frame_json) {
 
   ProcessTelemetry pt;
   pt.process = static_cast<int>(frame.at("process").as_i64());
-  if (pt.process < 0) {
-    throw std::runtime_error("telemetry frame: negative process id");
+  // A frame speaks only for the rank that sent it, and process 0 is this
+  // hub's own: a frame claiming it would duplicate every local series and
+  // could satisfy drain()'s wait for a real peer's final frame.
+  if (pt.process != sender || pt.process == 0) {
+    throw std::runtime_error("telemetry frame: process " +
+                             std::to_string(pt.process) + " sent by rank " +
+                             std::to_string(sender));
   }
   pt.seq = frame.at("seq").as_u64();
   pt.final_received = frame.at("final").kind == json::Value::Kind::kBool &&
@@ -170,6 +172,10 @@ TelemetryHub::Ingest TelemetryHub::ingest_frame(std::string_view frame_json) {
     g.name = name;
     g.maxes = parse_shards(m, "unattributed", "per_rank");
     g.values = parse_shards(m, "last_unattributed", "last");
+    if (g.values.size() != g.maxes.size()) {
+      throw std::runtime_error("telemetry frame: gauge '" + name +
+                               "' has ragged shard arrays");
+    }
     pt.gauges.push_back(std::move(g));
   }
   for (const auto& [name, m] : metrics.at("timers").object) {
@@ -178,6 +184,12 @@ TelemetryHub::Ingest TelemetryHub::ingest_frame(std::string_view frame_json) {
     t.count = m.at("count").as_u64();
     t.sum_ns = m.at("sum_ns").as_u64();
     t.buckets = parse_u64_array(m.at("log2_ns"));
+    // The renderer's bucket bound is 2^(b+1)-1: more buckets than a
+    // TimerHistogram has would shift past 64 bits.
+    if (t.buckets.size() > TimerHistogram::kBuckets) {
+      throw std::runtime_error("telemetry frame: timer '" + name +
+                               "' has too many buckets");
+    }
     pt.timers.push_back(std::move(t));
   }
   {
@@ -202,6 +214,7 @@ TelemetryHub::Ingest TelemetryHub::ingest_frame(std::string_view frame_json) {
     e.rank = static_cast<std::int32_t>(s.at("rank").as_i64());
     pt.spans.push_back(e);
   }
+  std::stable_sort(pt.spans.begin(), pt.spans.end(), span_order);
 
   ProcessTelemetry& slot = processes_[pt.process];
   pt.frames = slot.frames + 1;
@@ -233,11 +246,7 @@ std::vector<SpanEvent> TelemetryHub::merged_events(
       out.insert(out.end(), pt.spans.begin(), pt.spans.end());
     }
   }
-  std::stable_sort(out.begin(), out.end(),
-                   [](const SpanEvent& a, const SpanEvent& b) {
-                     if (a.rank != b.rank) return a.rank < b.rank;
-                     return a.t_start_ns < b.t_start_ns;
-                   });
+  std::stable_sort(out.begin(), out.end(), span_order);
   return out;
 }
 
@@ -249,82 +258,14 @@ std::uint64_t TelemetryHub::merged_dropped(const SpanTracer& local) const {
 }
 
 std::string TelemetryHub::merged_chrome_json(const SpanTracer& local) const {
-  struct PidEvent {
-    int pid;
-    SpanEvent e;
-  };
-  std::vector<PidEvent> all;
-  for (const SpanEvent& e : local.events()) all.push_back({0, e});
+  std::vector<ProcessSpans> processes{{0, local.events()}};
   {
     std::lock_guard lock(mu_);
     for (const auto& [process, pt] : processes_) {
-      for (const SpanEvent& e : pt.spans) all.push_back({process, e});
+      processes.push_back({process, pt.spans});
     }
   }
-  std::stable_sort(all.begin(), all.end(),
-                   [](const PidEvent& a, const PidEvent& b) {
-                     if (a.pid != b.pid) return a.pid < b.pid;
-                     if (a.e.rank != b.e.rank) return a.e.rank < b.e.rank;
-                     return a.e.t_start_ns < b.e.t_start_ns;
-                   });
-
-  json::Writer w;
-  w.begin_object();
-  w.key("traceEvents").begin_array();
-  int last_pid = -1;
-  std::int32_t last_named = -2;
-  for (const PidEvent& pe : all) {
-    if (pe.pid != last_pid) {
-      last_pid = pe.pid;
-      last_named = -2;
-      w.begin_object();
-      w.key("name").value("process_name");
-      w.key("ph").value("M");
-      w.key("pid").value(pe.pid);
-      w.key("tid").value(0);
-      w.key("args").begin_object();
-      w.key("name").value("process " + std::to_string(pe.pid));
-      w.end_object();
-      w.end_object();
-    }
-    if (pe.e.rank != last_named) {
-      last_named = pe.e.rank;
-      w.begin_object();
-      w.key("name").value("thread_name");
-      w.key("ph").value("M");
-      w.key("pid").value(pe.pid);
-      w.key("tid").value(pe.e.rank >= 0 ? pe.e.rank : kMaxRanks);
-      w.key("args").begin_object();
-      w.key("name").value(pe.e.rank >= 0
-                              ? ("rank " + std::to_string(pe.e.rank))
-                              : std::string("driver"));
-      w.end_object();
-      w.end_object();
-    }
-    w.begin_object();
-    w.key("name").value(pe.e.op);
-    w.key("cat").value("parda");
-    w.key("ph").value("X");
-    w.key("pid").value(pe.pid);
-    w.key("tid").value(pe.e.rank >= 0 ? pe.e.rank : kMaxRanks);
-    w.key("ts").value(static_cast<double>(pe.e.t_start_ns) / 1000.0);
-    w.key("dur").value(
-        static_cast<double>(pe.e.t_end_ns - pe.e.t_start_ns) / 1000.0);
-    w.key("args").begin_object();
-    w.key("rank").value(static_cast<std::int64_t>(pe.e.rank));
-    if (pe.e.phase != kNoPhase) {
-      w.key("phase").value(static_cast<std::uint64_t>(pe.e.phase));
-    }
-    w.end_object();
-    w.end_object();
-  }
-  w.end_array();
-  w.key("displayTimeUnit").value("ms");
-  w.key("otherData").begin_object();
-  w.key("spansDropped").value(merged_dropped(local));
-  w.end_object();
-  w.end_object();
-  return w.take();
+  return chrome_json(processes, merged_dropped(local));
 }
 
 std::string TelemetryHub::merged_metrics_json(const Registry& local) const {

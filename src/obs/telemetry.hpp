@@ -20,8 +20,10 @@
 // gauges.
 //
 // The hub never links against comm: frames arrive as opaque JSON strings.
-// While the hub is empty (every single-process run), the exporters render
-// exactly what they always rendered — byte-identical output.
+// Every export renders through the hub (obs/export.hpp to_prometheus,
+// merged_chrome_json, merged_metrics_json, merged_events): a process with
+// no remote telemetry is the fleet of one, and its output carries no
+// process labels, freshness families or process_name rows.
 #pragma once
 
 #include <cstdint>
@@ -87,7 +89,7 @@ struct ProcessTelemetry {
   std::vector<RemoteCounter> counters;
   std::vector<RemoteGauge> gauges;
   std::vector<RemoteTimer> timers;
-  std::vector<SpanEvent> spans;  // timestamps rebased onto rank 0's epoch
+  std::vector<SpanEvent> spans;  // span_order, rebased onto rank 0's epoch
   std::string metrics_json;      // the embedded parda.metrics.v1 document
 };
 
@@ -103,13 +105,14 @@ class TelemetryHub {
     bool final_frame = false;
   };
 
-  /// Parses and stores one parda.telemetry.v1 frame, replacing the
-  /// sender's previous snapshot (frames are cumulative, not deltas).
-  /// Throws json::JsonError / std::runtime_error on a malformed frame.
-  Ingest ingest_frame(std::string_view frame_json);
+  /// Parses and stores one parda.telemetry.v1 frame from rank `sender`,
+  /// replacing that process's previous snapshot (frames are cumulative,
+  /// not deltas). Throws json::JsonError / std::runtime_error, storing
+  /// nothing, on a malformed frame or one whose process is not `sender` or
+  /// is 0 (this hub's own process).
+  Ingest ingest_frame(std::string_view frame_json, int sender);
 
-  /// True when no remote process has ever reported — the exporters then
-  /// render their historical single-process output, byte for byte.
+  /// True when no remote process has ever reported.
   bool empty() const;
 
   /// Copies of every remote process's latest telemetry, ordered by
@@ -122,8 +125,9 @@ class TelemetryHub {
   /// Span drops across the local tracer and every remote process.
   std::uint64_t merged_dropped(const SpanTracer& local) const;
 
-  /// chrome://tracing JSON across the fleet: local events keep pid 0,
-  /// remote processes render as pid == process id.
+  /// chrome_json across the fleet: local events keep pid 0, remote
+  /// processes render as pid == process id. With no remote process this is
+  /// local.to_chrome_json().
   std::string merged_chrome_json(const SpanTracer& local) const;
 
   /// The local parda.metrics.v1 snapshot extended with a "processes" array

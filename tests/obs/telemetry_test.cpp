@@ -193,7 +193,7 @@ TEST(PrometheusExport, RendersAndValidates) {
   reg.timer("test.wait").record_ns(1500);
   spans.record(0, 10, "analyze", 0);
 
-  const std::string text = to_prometheus(reg, spans);
+  const std::string text = to_prometheus(reg, spans, TelemetryHub{});
   EXPECT_NE(text.find("# TYPE parda_test_bytes_sent_total counter"),
             std::string::npos);
   EXPECT_NE(text.find("parda_test_bytes_sent_total{rank=\"1\"} 250"),
@@ -206,6 +206,118 @@ TEST(PrometheusExport, RendersAndValidates) {
   const std::vector<std::string> problems = validate_prometheus(text);
   EXPECT_TRUE(problems.empty())
       << "validator rejected our own exposition: " << problems[0];
+}
+
+/// A fixed registry and span ring for the single-process golden test:
+/// counters with and without a {tenant=...} name block, a gauge whose last
+/// value trails its max, an unlabeled timer, and spans on the driver and
+/// ranks 0 and 1 (rank 1's 16-slot ring wraps and drops 2).
+void fill_golden(Registry& reg, SpanTracer& spans) {
+  reg.counter("golden.chunks").add_for_rank(-1, 5);
+  reg.counter("golden.chunks").add_for_rank(0, 10);
+  reg.counter("golden.chunks").add_for_rank(1, 20);
+  reg.counter("golden.refs{tenant=alice}").add_for_rank(0, 7);
+  reg.counter("golden.refs{tenant=bob}").add_for_rank(-1, 3);
+  reg.gauge("golden.depth").set_for_rank(0, 9);
+  reg.gauge("golden.depth").set_for_rank(1, 4);
+  reg.gauge("golden.depth").set_for_rank(1, 2);
+  TimerHistogram& wait = reg.timer("golden.wait");
+  wait.record_ns(0);
+  wait.record_ns(1500);
+  wait.record_ns(3000);
+
+  spans.record(0, 2500, "scatter");
+  {
+    ScopedThreadRank rank(0);
+    spans.record(1000, 4000, "analyze", 0);
+    spans.record(4000, 4500, "final-reduce");
+  }
+  {
+    ScopedThreadRank rank(1);
+    for (std::int64_t i = 0; i < 18; ++i) {
+      spans.record(1000 * i, 1000 * i + 750, "infinity-pipeline",
+                   static_cast<std::uint32_t>(i % 2));
+    }
+  }
+}
+
+// The literal single-process exposition and chrome trace of fill_golden:
+// a process with no remote telemetry must keep rendering exactly this.
+const char* const kGoldenPrometheus = R"prom(# HELP parda_golden_chunks_total Parda counter golden.chunks (rank="driver" is the unattributed shard)
+# TYPE parda_golden_chunks_total counter
+parda_golden_chunks_total{rank="driver"} 5
+parda_golden_chunks_total{rank="0"} 10
+parda_golden_chunks_total{rank="1"} 20
+# HELP parda_golden_refs_total Parda counter golden.refs (rank="driver" is the unattributed shard)
+# TYPE parda_golden_refs_total counter
+parda_golden_refs_total{tenant="alice",rank="driver"} 0
+parda_golden_refs_total{tenant="alice",rank="0"} 7
+parda_golden_refs_total{tenant="bob",rank="driver"} 3
+# HELP parda_golden_depth Parda gauge golden.depth (last value published per rank)
+# TYPE parda_golden_depth gauge
+parda_golden_depth{rank="driver"} 0
+parda_golden_depth{rank="0"} 9
+parda_golden_depth{rank="1"} 2
+# HELP parda_golden_depth_max Parda gauge golden.depth lifetime high-water mark per rank
+# TYPE parda_golden_depth_max gauge
+parda_golden_depth_max{rank="driver"} 0
+parda_golden_depth_max{rank="0"} 9
+parda_golden_depth_max{rank="1"} 4
+# HELP parda_golden_wait_ns Parda timer golden.wait in nanoseconds (log2 buckets, aggregated across ranks)
+# TYPE parda_golden_wait_ns histogram
+parda_golden_wait_ns_bucket{le="1"} 1
+parda_golden_wait_ns_bucket{le="3"} 1
+parda_golden_wait_ns_bucket{le="7"} 1
+parda_golden_wait_ns_bucket{le="15"} 1
+parda_golden_wait_ns_bucket{le="31"} 1
+parda_golden_wait_ns_bucket{le="63"} 1
+parda_golden_wait_ns_bucket{le="127"} 1
+parda_golden_wait_ns_bucket{le="255"} 1
+parda_golden_wait_ns_bucket{le="511"} 1
+parda_golden_wait_ns_bucket{le="1023"} 1
+parda_golden_wait_ns_bucket{le="2047"} 2
+parda_golden_wait_ns_bucket{le="4095"} 3
+parda_golden_wait_ns_bucket{le="+Inf"} 3
+parda_golden_wait_ns_sum 4500
+parda_golden_wait_ns_count 3
+# HELP parda_obs_spans_dropped_total Span ring overwrites per rank shard (nonzero means the oldest spans were lost to wrap-around)
+# TYPE parda_obs_spans_dropped_total counter
+parda_obs_spans_dropped_total{rank="driver"} 0
+parda_obs_spans_dropped_total{rank="1"} 2
+)prom";
+const char* const kGoldenChrome =
+    R"json({"traceEvents":[{"name":"thread_name","ph":"M","pid":0,"tid":64,"args":{"name":"driver"}},)json"
+    R"json({"name":"scatter","cat":"parda","ph":"X","pid":0,"tid":64,"ts":0,"dur":2.5,"args":{"rank":-1}},)json"
+    R"json({"name":"thread_name","ph":"M","pid":0,"tid":0,"args":{"name":"rank 0"}},)json"
+    R"json({"name":"analyze","cat":"parda","ph":"X","pid":0,"tid":0,"ts":1,"dur":3,"args":{"rank":0,"phase":0}},)json"
+    R"json({"name":"final-reduce","cat":"parda","ph":"X","pid":0,"tid":0,"ts":4,"dur":0.5,"args":{"rank":0}},)json"
+    R"json({"name":"thread_name","ph":"M","pid":0,"tid":1,"args":{"name":"rank 1"}},)json"
+    R"json({"name":"infinity-pipeline","cat":"parda","ph":"X","pid":0,"tid":1,"ts":2,"dur":0.75,"args":{"rank":1,"phase":0}},)json"
+    R"json({"name":"infinity-pipeline","cat":"parda","ph":"X","pid":0,"tid":1,"ts":3,"dur":0.75,"args":{"rank":1,"phase":1}},)json"
+    R"json({"name":"infinity-pipeline","cat":"parda","ph":"X","pid":0,"tid":1,"ts":4,"dur":0.75,"args":{"rank":1,"phase":0}},)json"
+    R"json({"name":"infinity-pipeline","cat":"parda","ph":"X","pid":0,"tid":1,"ts":5,"dur":0.75,"args":{"rank":1,"phase":1}},)json"
+    R"json({"name":"infinity-pipeline","cat":"parda","ph":"X","pid":0,"tid":1,"ts":6,"dur":0.75,"args":{"rank":1,"phase":0}},)json"
+    R"json({"name":"infinity-pipeline","cat":"parda","ph":"X","pid":0,"tid":1,"ts":7,"dur":0.75,"args":{"rank":1,"phase":1}},)json"
+    R"json({"name":"infinity-pipeline","cat":"parda","ph":"X","pid":0,"tid":1,"ts":8,"dur":0.75,"args":{"rank":1,"phase":0}},)json"
+    R"json({"name":"infinity-pipeline","cat":"parda","ph":"X","pid":0,"tid":1,"ts":9,"dur":0.75,"args":{"rank":1,"phase":1}},)json"
+    R"json({"name":"infinity-pipeline","cat":"parda","ph":"X","pid":0,"tid":1,"ts":10,"dur":0.75,"args":{"rank":1,"phase":0}},)json"
+    R"json({"name":"infinity-pipeline","cat":"parda","ph":"X","pid":0,"tid":1,"ts":11,"dur":0.75,"args":{"rank":1,"phase":1}},)json"
+    R"json({"name":"infinity-pipeline","cat":"parda","ph":"X","pid":0,"tid":1,"ts":12,"dur":0.75,"args":{"rank":1,"phase":0}},)json"
+    R"json({"name":"infinity-pipeline","cat":"parda","ph":"X","pid":0,"tid":1,"ts":13,"dur":0.75,"args":{"rank":1,"phase":1}},)json"
+    R"json({"name":"infinity-pipeline","cat":"parda","ph":"X","pid":0,"tid":1,"ts":14,"dur":0.75,"args":{"rank":1,"phase":0}},)json"
+    R"json({"name":"infinity-pipeline","cat":"parda","ph":"X","pid":0,"tid":1,"ts":15,"dur":0.75,"args":{"rank":1,"phase":1}},)json"
+    R"json({"name":"infinity-pipeline","cat":"parda","ph":"X","pid":0,"tid":1,"ts":16,"dur":0.75,"args":{"rank":1,"phase":0}},)json"
+    R"json({"name":"infinity-pipeline","cat":"parda","ph":"X","pid":0,"tid":1,"ts":17,"dur":0.75,"args":{"rank":1,"phase":1}}],"displayTimeUnit":"ms","otherData":{"spansDropped":2}})json";
+
+TEST(PrometheusExport, SingleProcessGoldenText) {
+  ScopedEnable on;
+  Registry reg;
+  SpanTracer spans(16);
+  fill_golden(reg, spans);
+  const TelemetryHub no_remotes;
+  EXPECT_EQ(to_prometheus(reg, spans, no_remotes), kGoldenPrometheus);
+  EXPECT_EQ(no_remotes.merged_chrome_json(spans), kGoldenChrome);
+  EXPECT_EQ(spans.to_chrome_json(), kGoldenChrome);
 }
 
 TEST(PrometheusValidator, FlagsBrokenDocuments) {
@@ -523,7 +635,7 @@ TEST(TelemetryFrame, RoundTripsThroughTheHub) {
 
   TelemetryHub local_hub;
   EXPECT_TRUE(local_hub.empty());
-  const TelemetryHub::Ingest first = local_hub.ingest_frame(frame);
+  const TelemetryHub::Ingest first = local_hub.ingest_frame(frame, 2);
   EXPECT_EQ(first.process, 2);
   EXPECT_FALSE(first.final_frame);
   EXPECT_FALSE(local_hub.empty());
@@ -555,7 +667,7 @@ TEST(TelemetryFrame, RoundTripsThroughTheHub) {
   // and the final flag is surfaced to the caller.
   spans.record(300, 400, "reduce", 3);
   const TelemetryHub::Ingest last = local_hub.ingest_frame(
-      make_telemetry_frame(2, 10, true, clock, reg, spans));
+      make_telemetry_frame(2, 10, true, clock, reg, spans), 2);
   EXPECT_EQ(last.process, 2);
   EXPECT_TRUE(last.final_frame);
   const auto updated = local_hub.snapshot();
@@ -579,11 +691,70 @@ TEST(TelemetryFrame, RoundTripsThroughTheHub) {
   EXPECT_TRUE(local_hub.empty());
 }
 
+/// A hand-written parda.telemetry.v1 frame from process 1 around the
+/// counters/gauges/timers members of its metrics object.
+std::string raw_frame(const std::string& metrics) {
+  return R"({"schema":"parda.telemetry.v1","process":1,"seq":1,)"
+         R"("final":false,"clock":{"offset_ns":0,"uncertainty_ns":0,)"
+         R"("valid":false,"samples":0},"metrics":{"schema":)"
+         R"("parda.metrics.v1",)" +
+         metrics + R"(},"spans":[],"spans_dropped":0})";
+}
+
 TEST(TelemetryFrame, HubRejectsMalformedFrames) {
   TelemetryHub local_hub;
-  EXPECT_ANY_THROW(local_hub.ingest_frame("{"));
-  EXPECT_ANY_THROW(local_hub.ingest_frame("{\"schema\":\"nope\"}"));
+  EXPECT_ANY_THROW(local_hub.ingest_frame("{", 1));
+  EXPECT_ANY_THROW(local_hub.ingest_frame("{\"schema\":\"nope\"}", 1));
+  // A gauge whose last-value array is longer than its max array, and a
+  // timer with more log2 buckets than a TimerHistogram has (its bound
+  // 2^(b+1)-1 would shift past 64 bits).
+  EXPECT_ANY_THROW(local_hub.ingest_frame(
+      raw_frame(R"("counters":{},"timers":{},"gauges":{"g":{)"
+                R"("unattributed":0,"per_rank":[1],)"
+                R"("last_unattributed":0,"last":[1,2,3]}})"),
+      1));
+  std::string buckets = "0";
+  for (int b = 1; b < 64; ++b) buckets += ",1";
+  EXPECT_ANY_THROW(local_hub.ingest_frame(
+      raw_frame(R"("counters":{},"gauges":{},"timers":{"t":{"count":63,)"
+                R"("sum_ns":1,"log2_ns":[)" +
+                buckets + "]}}"),
+      1));
   EXPECT_TRUE(local_hub.empty());  // nothing was stored
+
+  // The same shapes, well-formed, are accepted.
+  local_hub.ingest_frame(
+      raw_frame(R"("counters":{},"timers":{"t":{"count":1,"sum_ns":1,)"
+                R"("log2_ns":[1]}},"gauges":{"g":{"unattributed":0,)"
+                R"("per_rank":[1],"last_unattributed":0,"last":[1]}})"),
+      1);
+  EXPECT_FALSE(local_hub.empty());
+}
+
+TEST(TelemetryFrame, HubRejectsFramesNotFromTheirProcess) {
+  ScopedEnable on;
+  Registry reg;
+  SpanTracer spans(16);
+  reg.counter("dist.bytes").add_for_rank(0, 1);
+  TelemetryHub local_hub;
+  // A frame claiming process 0 — the hub's own — would duplicate every
+  // local series in /metrics; as a final it would also count as a peer's
+  // end-of-job flush. It is refused whoever sends it.
+  EXPECT_ANY_THROW(local_hub.ingest_frame(
+      make_telemetry_frame(0, 1, true, ClockSync{}, reg, spans), 1));
+  EXPECT_ANY_THROW(local_hub.ingest_frame(
+      make_telemetry_frame(0, 1, true, ClockSync{}, reg, spans), 0));
+  // A frame speaks only for its sender: rank 1 cannot report as process 2.
+  EXPECT_ANY_THROW(local_hub.ingest_frame(
+      make_telemetry_frame(2, 1, true, ClockSync{}, reg, spans), 1));
+  EXPECT_TRUE(local_hub.empty());  // nothing was stored
+  EXPECT_EQ(local_hub.frames_total(), 0u);
+
+  const TelemetryHub::Ingest ok = local_hub.ingest_frame(
+      make_telemetry_frame(1, 1, true, ClockSync{}, reg, spans), 1);
+  EXPECT_EQ(ok.process, 1);
+  EXPECT_TRUE(ok.final_frame);
+  EXPECT_EQ(local_hub.snapshot().size(), 1u);
 }
 
 TEST(TelemetryFrame, FleetPrometheusSharesFamilyBlocksAcrossProcesses) {
@@ -601,7 +772,8 @@ TEST(TelemetryFrame, FleetPrometheusSharesFamilyBlocksAcrossProcesses) {
   TelemetryHub local_hub;
   local_hub.ingest_frame(
       make_telemetry_frame(1, 1, true, ClockSync{0, 900, true, 8}, remote,
-                           remote_spans));
+                           remote_spans),
+      1);
 
   const std::string text = to_prometheus(local, local_spans, local_hub);
   const std::vector<std::string> problems = validate_prometheus(text);
@@ -651,6 +823,46 @@ TEST(PrometheusValidator, LabelValueEscapesAndProcessRankCombos) {
                                    "# TYPE a_total counter\n"
                                    "a_total{process=\"1\"} 2\n")
                    .empty());
+
+  // Series are distinct by name and full label set, `le` included...
+  EXPECT_TRUE(validate_prometheus("# HELP a_total ok\n"
+                                  "# TYPE a_total counter\n"
+                                  "a_total 1\n"
+                                  "a_total{process=\"0\",rank=\"0\"} 2\n"
+                                  "a_total{process=\"1\",rank=\"0\"} 3\n"
+                                  "# HELP h ok\n"
+                                  "# TYPE h histogram\n"
+                                  "h_bucket{le=\"1\"} 1\n"
+                                  "h_bucket{le=\"+Inf\"} 1\n"
+                                  "h_sum 1\n"
+                                  "h_count 1\n")
+                  .empty());
+  // ...so a repeated series is rejected, as Prometheus does — whether it
+  // repeats verbatim, with its labels reordered, or as a repeated bucket.
+  EXPECT_FALSE(validate_prometheus("# HELP a_total ok\n"
+                                   "# TYPE a_total counter\n"
+                                   "a_total{process=\"0\",rank=\"0\"} 1\n"
+                                   "a_total{process=\"0\",rank=\"0\"} 1\n")
+                   .empty());
+  EXPECT_FALSE(validate_prometheus("# HELP a_total ok\n"
+                                   "# TYPE a_total counter\n"
+                                   "a_total{process=\"0\",rank=\"0\"} 1\n"
+                                   "a_total{rank=\"0\",process=\"0\"} 2\n")
+                   .empty());
+  EXPECT_FALSE(validate_prometheus("# HELP h ok\n"
+                                   "# TYPE h histogram\n"
+                                   "h_bucket{le=\"1\"} 1\n"
+                                   "h_bucket{le=\"1\"} 1\n"
+                                   "h_bucket{le=\"+Inf\"} 1\n"
+                                   "h_sum 1\n"
+                                   "h_count 1\n")
+                   .empty());
+  // A label value cannot forge a different label set's series key.
+  EXPECT_TRUE(validate_prometheus("# HELP a_total ok\n"
+                                  "# TYPE a_total counter\n"
+                                  "a_total{a=\"x|b=y\"} 1\n"
+                                  "a_total{a=\"x\",b=\"y\"} 2\n")
+                  .empty());
 }
 
 TEST(FleetMetrics, CountersStayMonotoneAcrossWorldReset) {
@@ -673,12 +885,12 @@ TEST(FleetMetrics, CountersStayMonotoneAcrossWorldReset) {
   EXPECT_THROW(session.analyze(trace), comm::FaultInjectedError);
   const std::uint64_t sends_after_abort =
       registry().counter_total("comm.sends");
-  EXPECT_TRUE(validate_prometheus(to_prometheus(registry(), tracer())).empty());
+  EXPECT_TRUE(validate_prometheus(to_prometheus()).empty());
 
   session.options().run_options.fault_plan = nullptr;
   EXPECT_TRUE(session.analyze(trace).hist == reference);
   EXPECT_GE(registry().counter_total("comm.sends"), sends_after_abort);
-  EXPECT_TRUE(validate_prometheus(to_prometheus(registry(), tracer())).empty());
+  EXPECT_TRUE(validate_prometheus(to_prometheus()).empty());
 }
 
 // ---------------------------------------------------------------------------
@@ -792,7 +1004,8 @@ TEST(SpanReportIntegration, InjectedDelayNamesTheDelayedRank) {
   PipeTraceSource source(pipe);
   session.analyze(source);
 
-  const SpanReport report = SpanReport::from_tracer(tracer());
+  const SpanReport report =
+      SpanReport::from_events(tracer().events(), tracer().dropped());
   ASSERT_FALSE(report.phases().empty());
   // The injected sleep happens on rank 2's own thread (before it blocks),
   // so it shows up as SELF time there and as WAIT time on its peers.
