@@ -8,7 +8,7 @@
 #include "bench_common.hpp"
 #include "core/parda.hpp"
 #include "hist/mrc.hpp"
-#include "seq/approx.hpp"
+#include "seq/fixed_size_sampler.hpp"
 #include "seq/olken.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"

@@ -43,7 +43,6 @@
 #include "core/parda.hpp"
 #include "core/runtime.hpp"
 #include "seq/bennett_kruskal.hpp"
-#include "seq/bounded.hpp"
 #include "seq/lru_chain.hpp"
 #include "seq/olken.hpp"
 #include "tree/avl_tree.hpp"
@@ -146,17 +145,10 @@ parda::Histogram run_seq_engine(const std::string& engine,
   using namespace parda;
   if (engine == "lru") return run_seq(LruChainAnalyzer(bound), trace);
   if (engine == "olken" || engine == "splay") {
-    return bound != 0 ? run_seq(BoundedAnalyzer<SplayTree>(bound), trace)
-                      : run_seq(OlkenAnalyzer<SplayTree>(), trace);
+    return run_seq(OlkenAnalyzer<SplayTree>(bound), trace);
   }
-  if (engine == "avl") {
-    return bound != 0 ? run_seq(BoundedAnalyzer<AvlTree>(bound), trace)
-                      : run_seq(OlkenAnalyzer<AvlTree>(), trace);
-  }
-  if (engine == "treap") {
-    return bound != 0 ? run_seq(BoundedAnalyzer<Treap>(bound), trace)
-                      : run_seq(OlkenAnalyzer<Treap>(), trace);
-  }
+  if (engine == "avl") return run_seq(OlkenAnalyzer<AvlTree>(bound), trace);
+  if (engine == "treap") return run_seq(OlkenAnalyzer<Treap>(bound), trace);
   if (bound != 0) {
     usage_error("analyze: --engine=%s does not support --bound",
                 engine.c_str());

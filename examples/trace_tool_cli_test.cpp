@@ -46,6 +46,8 @@ TEST_F(TraceToolCliTest, SequentialEngineRuns) {
   EXPECT_EQ(run("analyze trace_cli_test.trc --engine=lru"), 0);
   EXPECT_EQ(run("analyze trace_cli_test.trc --engine=lru --bound=256"), 0);
   EXPECT_EQ(run("analyze trace_cli_test.trc --engine=olken"), 0);
+  EXPECT_EQ(run("analyze trace_cli_test.trc --engine=avl --bound=256"), 0);
+  EXPECT_EQ(run("analyze trace_cli_test.trc --engine=treap --bound=256"), 0);
   EXPECT_EQ(run("analyze trace_cli_test.trc --engine=fenwick"), 0);
 }
 

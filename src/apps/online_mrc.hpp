@@ -4,7 +4,7 @@
 // references as they happen and reads off a fresh, recency-weighted MRC
 // at any moment.
 //
-// The monitor runs a bounded analyzer (Algorithm 7's structure, so state
+// The monitor runs a bounded Olken engine (Algorithm 7's structure, so state
 // stays O(bound)) and folds each completed window's histogram into a
 // decayed aggregate: aggregate = decay * aggregate + window. decay = 1
 // remembers everything; smaller values track phase changes faster.
@@ -16,7 +16,7 @@
 
 #include "core/runtime.hpp"
 #include "hist/histogram.hpp"
-#include "seq/bounded.hpp"
+#include "seq/olken.hpp"
 #include "tree/splay_tree.hpp"
 #include "util/types.hpp"
 
@@ -55,7 +55,7 @@ class OnlineMrcMonitor {
  private:
   void roll_window();
 
-  BoundedAnalyzer<SplayTree> analyzer_;
+  OlkenAnalyzer<SplayTree> analyzer_;
   std::uint64_t window_;
   double decay_;
   Histogram current_;    // in-progress window

@@ -1,7 +1,6 @@
 #include "core/parda.hpp"
 
 #include "seq/bounded.hpp"
-#include "seq/olken.hpp"
 
 namespace parda {
 
@@ -32,7 +31,6 @@ Histogram reduce_histogram(comm::Comm& comm, const Histogram& mine,
 
 Histogram sequential_reference(std::span<const Addr> trace,
                                std::uint64_t bound) {
-  if (bound == kUnbounded) return olken_analysis<SplayTree>(trace);
   return bounded_analysis<SplayTree>(trace, bound);
 }
 

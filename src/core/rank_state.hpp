@@ -27,8 +27,6 @@
 
 namespace parda {
 
-inline constexpr std::uint64_t kUnbounded = 0;
-
 template <OrderStatTree Tree = SplayTree>
 class RankState {
  public:

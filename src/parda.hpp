@@ -17,11 +17,11 @@
 // Sequential engines and the unified ReuseAnalyzer API. The oracle engines
 // (seq/naive.hpp, seq/interval_analyzer.hpp) are test/bench references and
 // are not exported here.
-#include "seq/analyzer.hpp"          // IWYU pragma: export
-#include "seq/approx.hpp"            // IWYU pragma: export
-#include "seq/bennett_kruskal.hpp"   // IWYU pragma: export
-#include "seq/bounded.hpp"           // IWYU pragma: export
-#include "seq/olken.hpp"             // IWYU pragma: export
+#include "seq/analyzer.hpp"           // IWYU pragma: export
+#include "seq/bennett_kruskal.hpp"    // IWYU pragma: export
+#include "seq/bounded.hpp"            // IWYU pragma: export
+#include "seq/fixed_size_sampler.hpp" // IWYU pragma: export
+#include "seq/olken.hpp"              // IWYU pragma: export
 
 // Histograms, miss-ratio curves, CSV reports.
 #include "hist/histogram.hpp" // IWYU pragma: export

@@ -1,8 +1,8 @@
 // The unified sequential-engine API: every reuse distance engine — Naive,
-// Olken, BennettKruskal, Bounded, Approx, Interval, LruChain — conforms to
-// the ReuseAnalyzer concept below (checked by static_asserts at the bottom
-// of each engine header), so drivers, benches, and the observability layer
-// talk to all seven through one shape:
+// Olken (bounded or not), BennettKruskal, FixedSizeSampler, Interval,
+// LruChain — conforms to the ReuseAnalyzer concept below (checked by
+// static_asserts at the bottom of each engine header), so drivers, benches,
+// and the observability layer talk to all six through one shape:
 //
 //   analyzer.process(addr);   // one reference (may defer work, e.g. B&K)
 //   analyzer.finish();        // flush deferred work; idempotent
@@ -21,7 +21,7 @@
 // (the BlockReuseAnalyzer refinement). The free process_block() below
 // dispatches to it when present and falls back to the per-reference loop
 // otherwise, so drivers always hand blocks down and engines that can
-// software-prefetch their hash probes (LruChain, Olken, Bounded) amortize
+// software-prefetch their hash probes (LruChain, Olken, Interval) amortize
 // per-reference dispatch overhead.
 #pragma once
 
@@ -38,8 +38,8 @@
 namespace parda {
 
 /// Structural work counters every engine can report. Fields an engine
-/// cannot measure stay 0 (the naive stack has no hash table; only the
-/// bounded engine evicts).
+/// cannot measure stay 0 (the naive stack has no hash table; only bounded
+/// engines evict).
 struct EngineStats {
   std::uint64_t references = 0;      // process() calls
   std::uint64_t finite = 0;          // finite distances in histogram()

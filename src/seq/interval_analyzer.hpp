@@ -44,8 +44,6 @@ class IntervalAnalyzer {
     return d;
   }
 
-  void access_and_record(Addr z, Histogram& hist) { hist.record(access(z)); }
-
   // --- ReuseAnalyzer surface -----------------------------------------------
   void process(Addr z) { hist_.record(access(z)); }
 

@@ -17,8 +17,6 @@ class NaiveStackAnalyzer {
   /// Processes one reference; returns its reuse distance.
   Distance access(Addr z);
 
-  void access_and_record(Addr z, Histogram& hist) { hist.record(access(z)); }
-
   // --- ReuseAnalyzer surface -----------------------------------------------
   void process(Addr z) { hist_.record(access(z)); }
   void finish() {}

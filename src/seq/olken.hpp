@@ -1,12 +1,21 @@
-// Olken's tree-based sequential reuse distance analysis (paper Algorithm 1).
+// Olken's tree-based sequential reuse distance analysis (paper Algorithm 1),
+// with the cache bound B of Algorithm 7 as a constructor argument.
 //
 // State is a hash table (address -> last timestamp) plus an order-statistic
 // tree holding one entry per distinct address, keyed by last-reference
 // timestamp. Each reference costs one hash lookup and O(log M) tree work.
 // The tree engine is a template parameter; the paper's configuration is
 // OlkenAnalyzer<SplayTree>.
+//
+// With a bound B (kUnbounded = none), the tree and hash table hold at most
+// B entries — the B most recently referenced distinct addresses — evicting
+// LRU like a real cache of size B, so a reference costs O(log B). Every
+// reference with true distance d < B is measured exactly; everything else
+// (evicted or first-ever) lands in the infinity bin, which is all a cache
+// of size <= B needs.
 #pragma once
 
+#include <cstdint>
 #include <span>
 
 #include "hash/addr_map.hpp"
@@ -21,41 +30,47 @@ namespace parda {
 template <OrderStatTree Tree>
 class OlkenAnalyzer {
  public:
-  OlkenAnalyzer() = default;
+  /// bound: kUnbounded, or the cache bound B of Algorithm 7.
+  explicit OlkenAnalyzer(std::uint64_t bound = kUnbounded) : bound_(bound) {}
 
-  /// Processes one reference and returns its reuse distance
-  /// (kInfiniteDistance for a first reference). Does NOT touch the
-  /// internal histogram — callers that want the distance stream tally it
-  /// themselves; the ReuseAnalyzer surface is process().
+  /// Processes one reference and returns its reuse distance: exact when
+  /// finite; kInfiniteDistance for a first reference and, under a bound,
+  /// for a reference whose true distance is >= B (capacity miss). Does NOT
+  /// touch the internal histogram — callers that want the distance stream
+  /// tally it themselves; the ReuseAnalyzer surface is process().
   Distance access(Addr z) {
     Distance d = kInfiniteDistance;
     if (const Timestamp* last = table_.find(z)) {
       d = tree_.count_greater(*last);
       tree_.erase(*last);
+    } else if (bound_ != kUnbounded && tree_.size() == bound_) {
+      const TreeEntry victim = tree_.pop_oldest();
+      table_.erase(victim.addr);
+      ++evictions_;
     }
     tree_.insert(now_, z);
     table_.insert_or_assign(z, now_);
-    if (tree_.size() > peak_) peak_ = tree_.size();
     ++now_;
     return d;
   }
 
-  /// Processes one reference and tallies it into hist.
-  void access_and_record(Addr z, Histogram& hist) { hist.record(access(z)); }
-
-  // --- ReuseAnalyzer surface -----------------------------------------------
-  void process(Addr z) { hist_.record(access(z)); }
-
-  /// Batched processing: identical tallies to per-reference process(),
-  /// with the hash probe a few references ahead software-prefetched so the
-  /// table's home slot is resident by the time access() runs.
-  void process_block(std::span<const Addr> block) {
+  /// Batched access: records each reference's distance into `hist` with
+  /// the hash probe a few references ahead software-prefetched, so the
+  /// table's home slot is resident by the time access() runs. Identical
+  /// tallies to calling access() per reference.
+  void access_block(std::span<const Addr> block, Histogram& hist) {
     constexpr std::size_t kAhead = 8;
     const std::size_t n = block.size();
     for (std::size_t i = 0; i < n; ++i) {
       if (i + kAhead < n) table_.prefetch(block[i + kAhead]);
-      hist_.record(access(block[i]));
+      hist.record(access(block[i]));
     }
+  }
+
+  // --- ReuseAnalyzer surface -----------------------------------------------
+  void process(Addr z) { hist_.record(access(z)); }
+  void process_block(std::span<const Addr> block) {
+    access_block(block, hist_);
   }
 
   void finish() {}
@@ -66,36 +81,41 @@ class OlkenAnalyzer {
     s.finite = hist_.finite_total();
     s.infinities = hist_.infinities();
     s.hash_probes = table_.probe_count();
-    s.peak_footprint = peak_;
+    s.evictions = evictions_;
+    // The resident set never shrinks (a hit re-keys its entry, an eviction
+    // makes room for the insert), so the current footprint is the peak —
+    // B once any eviction has happened.
+    s.peak_footprint = tree_.size();
     detail::fill_tree_stats(tree_, s);
     return s;
   }
 
+  std::uint64_t bound() const noexcept { return bound_; }
+
   /// Next timestamp to be assigned (== number of references processed).
   Timestamp time() const noexcept { return now_; }
 
-  /// Number of distinct addresses seen so far.
+  /// Distinct addresses currently tracked (<= bound under a bound).
   std::size_t footprint() const noexcept { return tree_.size(); }
 
   const Tree& tree() const noexcept { return tree_; }
-  Tree& tree() noexcept { return tree_; }
   const AddrMap& table() const noexcept { return table_; }
-  AddrMap& table() noexcept { return table_; }
 
   void reset() {
     tree_.clear();
     table_.clear();
     hist_.clear();
     now_ = 0;
-    peak_ = 0;
+    evictions_ = 0;
   }
 
  private:
+  std::uint64_t bound_;
   Tree tree_;
   AddrMap table_;
   Histogram hist_;
   Timestamp now_ = 0;
-  std::size_t peak_ = 0;
+  std::uint64_t evictions_ = 0;
 };
 
 static_assert(ReuseAnalyzer<OlkenAnalyzer<SplayTree>>);

@@ -115,7 +115,7 @@ void TenantSession::degrade() {
   monitor_.reset();
   sampler_ = std::make_unique<FixedSizeSampler>(
       config_.quotas.sampler_tracked, /*distance_cap=*/config_.bound,
-      /*initial_rate=*/1.0, name_seed(name_));
+      /*rate=*/1.0, name_seed(name_));
   window_fill_ = 0;
   mode_ = TenantMode::kDegraded;
 }

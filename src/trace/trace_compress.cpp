@@ -15,6 +15,9 @@ namespace parda {
 
 namespace {
 
+// Deltas are taken and applied on Addr, which wraps mod 2^64, and read as
+// int64 only for the zigzag mapping: addresses more than 2^63 apart would
+// overflow a signed subtraction.
 inline std::uint64_t zigzag_encode(std::int64_t v) noexcept {
   return (static_cast<std::uint64_t>(v) << 1) ^
          static_cast<std::uint64_t>(v >> 63);
@@ -86,8 +89,7 @@ std::size_t decode_deltas(std::span<const std::uint8_t> bytes,
                         " continues past bit 63");
       }
     }
-    prev = static_cast<Addr>(static_cast<std::int64_t>(prev) +
-                             zigzag_decode(v));
+    prev += static_cast<Addr>(zigzag_decode(v));
     out.push_back(prev);
   }
   return at;
@@ -106,8 +108,7 @@ void compress_chunk_tail(std::span<const Addr> chunk,
                          std::vector<std::uint8_t>& out) {
   Addr prev = chunk.front();
   for (std::size_t i = 1; i < chunk.size(); ++i) {
-    const auto delta = static_cast<std::int64_t>(chunk[i]) -
-                       static_cast<std::int64_t>(prev);
+    const auto delta = static_cast<std::int64_t>(chunk[i] - prev);
     put_varint(out, zigzag_encode(delta));
     prev = chunk[i];
   }
@@ -188,8 +189,7 @@ std::vector<std::uint8_t> compress_trace(std::span<const Addr> trace) {
   out.reserve(trace.size() * 2);
   Addr prev = 0;
   for (Addr a : trace) {
-    const auto delta =
-        static_cast<std::int64_t>(a) - static_cast<std::int64_t>(prev);
+    const auto delta = static_cast<std::int64_t>(a - prev);
     put_varint(out, zigzag_encode(delta));
     prev = a;
   }

@@ -25,4 +25,8 @@ inline constexpr Distance kInfiniteDistance =
 inline constexpr Timestamp kNoTimestamp =
     std::numeric_limits<Timestamp>::max();
 
+/// Cache bound B of Algorithm 7 meaning "no bound": the engines that take
+/// a bound (OlkenAnalyzer, RankState, PardaOptions) run unbounded.
+inline constexpr std::uint64_t kUnbounded = 0;
+
 }  // namespace parda

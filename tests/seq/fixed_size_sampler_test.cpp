@@ -2,12 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <numeric>
 #include <vector>
 
+#include "core/parda.hpp"
 #include "hist/mrc.hpp"
 #include "seq/analyzer.hpp"
-#include "seq/bounded.hpp"
+#include "seq/olken.hpp"
 #include "tree/splay_tree.hpp"
 #include "workload/generators.hpp"
 
@@ -25,7 +28,7 @@ TEST(FixedSizeSamplerTest, FullRateLargeBudgetMatchesExactBoundedEngine) {
   // sampled at scale 1: the histogram must equal the bounded engine's.
   const auto trace = zipf_trace(20000, 300, 1);
   FixedSizeSampler sampler(/*max_tracked=*/4096);
-  BoundedAnalyzer<SplayTree> exact(4096);
+  OlkenAnalyzer<SplayTree> exact(4096);
   const Histogram sampled = analyze_trace(sampler, trace);
   const Histogram reference = analyze_trace(exact, trace);
   EXPECT_TRUE(sampled == reference);
@@ -61,7 +64,7 @@ TEST(FixedSizeSamplerTest, FootprintStaysBoundedOnUnboundedStream) {
 
 TEST(FixedSizeSamplerTest, MissRatioAccuracyOnZipf) {
   const auto trace = zipf_trace(200000, 20000, 7);
-  BoundedAnalyzer<SplayTree> exact(1 << 16);
+  OlkenAnalyzer<SplayTree> exact(1 << 16);
   const Histogram reference = analyze_trace(exact, trace);
   FixedSizeSampler sampler(/*max_tracked=*/256, /*distance_cap=*/1 << 16);
   const Histogram approx = analyze_trace(sampler, trace);
@@ -145,6 +148,90 @@ TEST(FixedSizeSamplerTest, FinishIsIdempotent) {
   const Histogram after_first = sampler.histogram();
   sampler.finish();
   EXPECT_TRUE(sampler.histogram() == after_first);
+}
+
+// --- Fixed-rate sampling: the no-budget case --------------------------------
+
+std::vector<Addr> distinct_addresses(std::size_t n) {
+  std::vector<Addr> addrs(n);
+  std::iota(addrs.begin(), addrs.end(), Addr{0});
+  return addrs;
+}
+
+TEST(SampleSelectionTest, RateBoundsMembership) {
+  FixedSizeSampler sampler(kUnbounded, /*distance_cap=*/0, /*rate=*/0.1,
+                           /*seed=*/7);
+  sampler.process_block(distinct_addresses(100000));
+  // Binomial(100000, 0.1): ~10000 +- 300 (3 sigma ~285).
+  EXPECT_NEAR(static_cast<double>(sampler.sampled_references()), 10000.0,
+              400.0);
+  EXPECT_EQ(sampler.budget_evictions(), 0u);
+  EXPECT_DOUBLE_EQ(sampler.rate(), 0.1);
+}
+
+TEST(SampleSelectionTest, DeterministicPerSeed) {
+  const auto addrs = distinct_addresses(100);
+  FixedSizeSampler a(kUnbounded, 0, 0.5, /*seed=*/3);
+  FixedSizeSampler b(kUnbounded, 0, 0.5, /*seed=*/3);
+  FixedSizeSampler other(kUnbounded, 0, 0.5, /*seed=*/4);
+  const std::vector<Addr> picked = a.sample(addrs);
+  EXPECT_EQ(picked, b.sample(addrs));
+  EXPECT_NE(picked, other.sample(addrs));
+}
+
+TEST(SampleSelectionTest, RateOneSelectsEverything) {
+  // The rate arrives at run time (a flag, a config file), so the compiler
+  // cannot fold 1.0 * 2^64: the threshold must saturate, not overflow.
+  volatile double runtime_one = 1.0;
+  const auto trace = zipf_trace(5000, 300, 2);
+  FixedSizeSampler sampler(kUnbounded, 0, runtime_one, /*seed=*/11);
+  const Histogram h = analyze_trace(sampler, trace);
+  EXPECT_EQ(sampler.sampled_references(), trace.size());
+  EXPECT_TRUE(h == olken_analysis(trace));
+  FixedSizeSampler batch(kUnbounded, 0, runtime_one, /*seed=*/11);
+  EXPECT_EQ(batch.sample(trace).size(), trace.size());
+}
+
+TEST(SampledAnalysisTest, RateOneIsExact) {
+  UniformRandomWorkload w(200, 5);
+  const auto trace = generate_trace(w, 5000);
+  EXPECT_TRUE(sampled_analysis(trace, 1.0) == olken_analysis(trace));
+}
+
+TEST(SampledAnalysisTest, MrcCloseToExact) {
+  // The headline property: the sampled MRC tracks the exact MRC.
+  ZipfWorkload w(5000, 0.9, 17);
+  const auto trace = generate_trace(w, 200000);
+  const Histogram exact = olken_analysis(trace);
+  const Histogram approx = sampled_analysis(trace, 0.1, 3);
+  double worst = 0.0;
+  for (std::uint64_t c = 16; c <= 8192; c *= 2) {
+    const double err =
+        std::abs(miss_ratio(exact, c) - miss_ratio(approx, c));
+    worst = std::max(worst, err);
+  }
+  EXPECT_LT(worst, 0.05);
+}
+
+TEST(SampledAnalysisTest, TotalScalesBack) {
+  UniformRandomWorkload w(3000, 9);
+  const auto trace = generate_trace(w, 100000);
+  const Histogram approx = sampled_analysis(trace, 0.25, 5);
+  EXPECT_NEAR(static_cast<double>(approx.total()),
+              static_cast<double>(trace.size()),
+              static_cast<double>(trace.size()) * 0.1);
+}
+
+TEST(SampledAnalysisTest, ComposesWithParda) {
+  ZipfWorkload w(2000, 1.0, 23);
+  const auto trace = generate_trace(w, 60000);
+  PardaOptions options;
+  options.num_procs = 3;
+  const Histogram via_parda =
+      sampled_parda_analysis(trace, 0.2, options, 7);
+  const Histogram via_seq = sampled_analysis(trace, 0.2, 7);
+  // Same sample, same threshold, scaling and adjustment: identical results.
+  EXPECT_TRUE(via_parda == via_seq);
 }
 
 }  // namespace

@@ -284,10 +284,10 @@ TEST(LruChainTest, IntervalProcessBlockEqualsPerReferenceLoop) {
 TEST(LruChainTest, BoundedProcessBlockEqualsPerReferenceLoop) {
   UniformRandomWorkload w(512, 29);
   const auto trace = generate_trace(w, 8000);
-  BoundedAnalyzer<SplayTree> batched(32);
+  OlkenAnalyzer<SplayTree> batched(32);
   batched.process_block(trace);
   batched.finish();
-  BoundedAnalyzer<SplayTree> looped(32);
+  OlkenAnalyzer<SplayTree> looped(32);
   for (Addr z : trace) looped.process(z);
   looped.finish();
   EXPECT_TRUE(batched.histogram() == looped.histogram());

@@ -1,9 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <tuple>
 #include <vector>
 
+#include "seq/bennett_kruskal.hpp"
 #include "seq/bounded.hpp"
 #include "seq/naive.hpp"
 #include "seq/olken.hpp"
@@ -12,6 +12,7 @@
 #include "tree/vector_tree.hpp"
 #include "util/prng.hpp"
 #include "workload/generators.hpp"
+#include "workload/spec.hpp"
 
 namespace parda {
 namespace {
@@ -108,60 +109,108 @@ TEST(OlkenAnalyzerTest, ImmediateReuseIsDistanceZero) {
   EXPECT_EQ(analyzer.access(42), 0u);
 }
 
-// --- Bounded analysis --------------------------------------------------------
+// --- Bounded analysis (Algorithm 7) -----------------------------------------
+// The same engine with a cache bound B, typed over the same trees.
 
-class BoundedSemanticsTest
-    : public ::testing::TestWithParam<std::tuple<std::uint64_t, int>> {};
+template <typename Tree>
+class BoundedSemanticsTest : public ::testing::Test {};
 
-TEST_P(BoundedSemanticsTest, ExactBelowBoundInfinityAtOrAbove) {
-  const auto [bound, seed] = GetParam();
-  ZipfWorkload w(300, 0.7, static_cast<std::uint64_t>(seed));
-  const auto trace = generate_trace(w, 6000);
-  const Histogram exact = olken_analysis(trace);
-  const Histogram bounded = bounded_analysis(trace, bound);
+TYPED_TEST_SUITE(BoundedSemanticsTest, Engines);
 
-  EXPECT_EQ(bounded.total(), exact.total());
-  for (Distance d = 0; d < bound; ++d) {
-    EXPECT_EQ(bounded.at(d), exact.at(d)) << "d=" << d << " B=" << bound;
+TYPED_TEST(BoundedSemanticsTest, ExactBelowBoundInfinityAtOrAbove) {
+  for (const std::uint64_t seed : {1u, 2u}) {
+    ZipfWorkload w(300, 0.7, seed);
+    const auto trace = generate_trace(w, 6000);
+    const Histogram exact = olken_analysis<TypeParam>(trace);
+    for (const std::uint64_t bound : {1u, 2u, 8u, 32u, 128u, 299u, 300u,
+                                      512u}) {
+      SCOPED_TRACE(::testing::Message() << "B=" << bound << " seed=" << seed);
+      const Histogram bounded = bounded_analysis<TypeParam>(trace, bound);
+      EXPECT_EQ(bounded.total(), exact.total());
+      for (Distance d = 0; d < bound; ++d) {
+        EXPECT_EQ(bounded.at(d), exact.at(d)) << "d=" << d;
+      }
+      // No finite mass survives at or beyond the bound...
+      for (Distance d = bound; d <= bounded.max_distance(); ++d) {
+        EXPECT_EQ(bounded.at(d), 0u) << "d=" << d;
+      }
+      // ...because everything at or above the bound became an infinity.
+      std::uint64_t folded = exact.infinities();
+      for (Distance d = bound; d <= exact.max_distance(); ++d) {
+        folded += exact.at(d);
+      }
+      EXPECT_EQ(bounded.infinities(), folded);
+    }
   }
-  // No finite mass survives at or beyond the bound...
-  for (Distance d = bound; d <= bounded.max_distance(); ++d) {
-    EXPECT_EQ(bounded.at(d), 0u) << "d=" << d;
-  }
-  // ...because everything at or above the bound became an infinity.
-  std::uint64_t folded = exact.infinities();
-  for (Distance d = bound; d <= exact.max_distance(); ++d) {
-    folded += exact.at(d);
-  }
-  EXPECT_EQ(bounded.infinities(), folded);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Bounds, BoundedSemanticsTest,
-    ::testing::Combine(::testing::Values(1, 2, 8, 32, 128, 299, 300, 512),
-                       ::testing::Values(1, 2)));
-
-TEST(BoundedAnalyzerTest, ResidencyNeverExceedsBound) {
-  BoundedAnalyzer<SplayTree> analyzer(16);
+TYPED_TEST(BoundedSemanticsTest, ResidencyNeverExceedsBound) {
+  OlkenAnalyzer<TypeParam> analyzer(16);
   UniformRandomWorkload w(1000, 3);
   const auto trace = generate_trace(w, 2000);
   for (Addr a : trace) {
-    analyzer.access(a);
+    analyzer.process(a);
     EXPECT_LE(analyzer.footprint(), 16u);
+  }
+  // Every miss past the first B fills evicts exactly one LRU entry.
+  const EngineStats s = analyzer.stats();
+  EXPECT_EQ(s.evictions, s.infinities - 16);
+  EXPECT_EQ(s.peak_footprint, 16u);
+}
+
+TYPED_TEST(BoundedSemanticsTest, BoundLargerThanFootprintIsExact) {
+  UniformRandomWorkload w(50, 4);
+  const auto trace = generate_trace(w, 2000);
+  OlkenAnalyzer<TypeParam> analyzer(1 << 20);
+  const Histogram bounded = analyze_trace(analyzer, trace);
+  EXPECT_TRUE(bounded == olken_analysis<TypeParam>(trace));
+  EXPECT_EQ(analyzer.stats().evictions, 0u);
+  EXPECT_EQ(analyzer.stats().peak_footprint, bounded.infinities());
+}
+
+TYPED_TEST(BoundedSemanticsTest, BoundZeroIsUnbounded) {
+  // kUnbounded == 0, as for --bound=0 and PardaOptions::bound.
+  ZipfWorkload w(300, 0.7, 6);
+  const auto trace = generate_trace(w, 3000);
+  EXPECT_TRUE(bounded_analysis<TypeParam>(trace, kUnbounded) ==
+              olken_analysis<TypeParam>(trace));
+}
+
+TYPED_TEST(BoundedSemanticsTest, BoundOneOnlyCountsImmediateReuse) {
+  const std::vector<Addr> trace{1, 1, 2, 2, 2, 1};
+  const Histogram h = bounded_analysis<TypeParam>(trace, 1);
+  EXPECT_EQ(h.at(0), 3u);  // 1@1, 2@3, 2@4
+  EXPECT_EQ(h.infinities(), 3u);
+}
+
+// --- Bennett & Kruskal (paper ref [2]) ---------------------------------------
+
+TEST(BennettKruskalTest, EmptyTrace) {
+  EXPECT_EQ(bennett_kruskal_analysis({}).total(), 0u);
+}
+
+TEST(BennettKruskalTest, Table1Example) {
+  const Histogram h = bennett_kruskal_analysis(kTable1);
+  EXPECT_EQ(h.infinities(), 7u);
+  EXPECT_EQ(h.at(0), 1u);
+  EXPECT_EQ(h.at(1), 1u);
+  EXPECT_EQ(h.at(5), 1u);
+}
+
+TEST(BennettKruskalTest, MatchesOlkenOnRandomTraces) {
+  for (std::uint64_t seed : {1u, 7u, 42u}) {
+    ZipfWorkload w(500, 0.9, seed);
+    const auto trace = generate_trace(w, 8000);
+    EXPECT_TRUE(bennett_kruskal_analysis(trace) == olken_analysis(trace))
+        << seed;
   }
 }
 
-TEST(BoundedAnalyzerTest, BoundLargerThanFootprintIsExact) {
-  UniformRandomWorkload w(50, 4);
-  const auto trace = generate_trace(w, 2000);
-  EXPECT_TRUE(bounded_analysis(trace, 1 << 20) == olken_analysis(trace));
-}
-
-TEST(BoundedAnalyzerTest, BoundOneOnlyCountsImmediateReuse) {
-  const std::vector<Addr> trace{1, 1, 2, 2, 2, 1};
-  const Histogram h = bounded_analysis(trace, 1);
-  EXPECT_EQ(h.at(0), 3u);  // 1@1, 2@3, 2@4
-  EXPECT_EQ(h.infinities(), 3u);
+TEST(BennettKruskalTest, MatchesNaiveOnSpecProfile) {
+  auto w = make_spec_workload("soplex", 400000, 3);
+  const auto trace = generate_trace(*w, 3000);
+  EXPECT_TRUE(bennett_kruskal_analysis(trace) ==
+              naive_stack_analysis(trace));
 }
 
 }  // namespace

@@ -125,6 +125,24 @@ TEST(TrzChunkedTest, RoundTripExtremeAddresses) {
   std::remove(path.c_str());
 }
 
+TEST(TrzV1CodingTest, RoundTripExtremeAddresses) {
+  // Neighbours up to 2^64 - 1 apart: the deltas wrap mod 2^64.
+  const std::vector<Addr> trace{0, ~0ULL, 0, 1ULL << 63, 42, 1, ~0ULL - 1};
+  const std::string path = temp_path("rt_extreme_v1.trz");
+  write_trace_compressed(path, trace);
+  EXPECT_EQ(read_trace_compressed(path), trace);
+  std::remove(path.c_str());
+
+  // The wrapped deltas keep the zigzag bytes of their two's-complement
+  // values: -1, INT64_MIN + 1 and INT64_MIN + 42.
+  const std::vector<std::uint8_t> expected{
+      0x00, 0x01, 0xFD, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF,
+      0x01, 0xAB, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01};
+  const std::vector<Addr> head{0, ~0ULL, 1ULL << 63, 42};
+  EXPECT_EQ(compress_trace(head), expected);
+  EXPECT_EQ(decompress_trace(expected, head.size()), head);
+}
+
 TEST(TrzChunkedTest, IndexDescribesChunks) {
   const std::uint64_t k = 100;
   const std::vector<Addr> trace = walk_trace(250, 3);
