@@ -1,15 +1,16 @@
 // Ablation A4: the thread-backed message-passing runtime itself — message
-// latency, bandwidth, barrier, and reduction cost. These are the "MPI"
-// overheads inside every Parda run.
+// latency, bandwidth, barrier, and the histogram reduction Algorithm 3
+// ends in. These are the "MPI" overheads inside every Parda run.
 //
 // Besides the google-benchmark microbenchmarks, this harness runs a
-// data-movement pattern suite (broadcast / scatter / pipeline, each in its
-// copying and zero-copy form) across every in-process wire (threads, shm,
-// tcp) and writes the copy-count accounting to BENCH_comm.json (override
-// the path with PARDA_BENCH_JSON). This is the artifact that shows the
-// zero-copy transport actually removes copies rather than merely
-// relabeling them — and what each byte costs once it has to cross a real
-// wire.
+// data-movement pattern suite — the message shapes Parda sends: the
+// owned-vector broadcast of the phase header, the shared-block scatter of
+// the phase intake, and the move-in / view-out local-infinity pipeline —
+// across every in-process wire (threads, shm, tcp) and writes the
+// copy-count accounting to BENCH_comm.json (override the path with
+// PARDA_BENCH_JSON). This is the artifact that shows the zero-copy
+// transport actually removes copies rather than merely relabeling them —
+// and what each byte costs once it has to cross a real wire.
 //
 // Environment: PARDA_BENCH_PROCS (default 8), PARDA_BENCH_WORDS (default
 // 64Ki words per payload), PARDA_BENCH_ROUNDS (default 20),
@@ -28,6 +29,7 @@
 #include "bench_common.hpp"
 #include "comm/comm.hpp"
 #include "comm/transport/spec.hpp"
+#include "core/parda.hpp"
 #include "obs/runtime.hpp"
 #include "obs/telemetry.hpp"
 #include "util/timer.hpp"
@@ -42,12 +44,13 @@ void BM_PingPong(benchmark::State& state) {
   for (auto _ : state) {
     run(2, [&](Comm& comm) {
       for (int i = 0; i < rounds; ++i) {
+        // Sends are move-only: each round sends an owned copy.
         if (comm.rank() == 0) {
-          comm.send(1, 1, payload);
+          comm.send(1, 1, std::vector<std::uint64_t>(payload));
           benchmark::DoNotOptimize(comm.recv<std::uint64_t>(1, 2));
         } else {
           benchmark::DoNotOptimize(comm.recv<std::uint64_t>(0, 1));
-          comm.send(0, 2, payload);
+          comm.send(0, 2, std::vector<std::uint64_t>(payload));
         }
       }
     });
@@ -77,15 +80,18 @@ void BM_Barrier(benchmark::State& state) {
 BENCHMARK(BM_Barrier)->Arg(2)->Arg(8)->UseRealTime();
 
 void BM_ReduceSum(benchmark::State& state) {
+  // reduce_histogram (the reduce_sum of Algorithm 3) over histograms with
+  // range(1) populated distance bins.
   const auto np = static_cast<int>(state.range(0));
-  const std::vector<std::uint64_t> mine(
-      static_cast<std::size_t>(state.range(1)), 1);
+  Histogram mine;
+  for (std::int64_t d = 0; d < state.range(1); ++d) {
+    mine.record(static_cast<Distance>(d));
+  }
   const int rounds = 50;
   for (auto _ : state) {
     run(np, [&](Comm& comm) {
       for (int i = 0; i < rounds; ++i) {
-        benchmark::DoNotOptimize(comm.reduce_sum_u64(
-            std::span<const std::uint64_t>(mine), 0, 3));
+        benchmark::DoNotOptimize(reduce_histogram(comm, mine, 0));
       }
     });
   }
@@ -222,8 +228,8 @@ std::vector<bench::BenchPoint> telemetry_overhead_points() {
 }
 
 // ---------------------------------------------------------------------------
-// Data-movement pattern suite: each Parda communication shape in its
-// copying and zero-copy form, with the runtime's own accounting.
+// Data-movement pattern suite: each Parda communication shape, with the
+// runtime's own accounting.
 // ---------------------------------------------------------------------------
 
 struct PatternResult {
@@ -260,51 +266,6 @@ PatternResult broadcast_copying(const PatternEnv& env) {
   return {"broadcast_copying", env.transport, np, words, rounds, stats};
 }
 
-PatternResult broadcast_view(const PatternEnv& env) {
-  const int np = env.np;
-  const std::size_t words = env.words;
-  const int rounds = env.rounds;
-  const RunStats stats = run(np, [&](Comm& comm) {
-    for (int i = 0; i < rounds; ++i) {
-      std::vector<std::uint64_t> data;
-      if (comm.rank() == 0) data.assign(words, 7);
-      const View<std::uint64_t> v =
-          comm.broadcast_view(std::move(data), 0, i + 1);
-      benchmark::DoNotOptimize(v.data());
-    }
-  }, env.options);
-  return {"broadcast_view", env.transport, np, words, rounds, stats};
-}
-
-PatternResult scatter_copying(const PatternEnv& env) {
-  // The pre-zero-copy streaming shape: the root splits each phase block
-  // into np owned chunk vectors and scatters them.
-  const int np = env.np;
-  const std::size_t words = env.words;
-  const int rounds = env.rounds;
-  const RunStats stats = run(np, [&](Comm& comm) {
-    for (int i = 0; i < rounds; ++i) {
-      std::vector<std::vector<std::uint64_t>> pieces;
-      if (comm.rank() == 0) {
-        const std::vector<std::uint64_t> block(words, 9);
-        pieces.assign(static_cast<std::size_t>(np), {});
-        const std::size_t chunk = words / static_cast<std::size_t>(np);
-        for (int r = 0; r < np; ++r) {
-          const auto lo = static_cast<std::size_t>(r) * chunk;
-          const std::size_t hi =
-              r == np - 1 ? words : lo + chunk;
-          pieces[static_cast<std::size_t>(r)].assign(
-              block.begin() + static_cast<std::ptrdiff_t>(lo),
-              block.begin() + static_cast<std::ptrdiff_t>(hi));
-        }
-      }
-      const auto mine = comm.scatterv(pieces, 0, i + 1);  // lvalue: copies
-      benchmark::DoNotOptimize(mine.data());
-    }
-  }, env.options);
-  return {"scatter_copying", env.transport, np, words, rounds, stats};
-}
-
 PatternResult scatter_view(const PatternEnv& env) {
   // The streaming driver's shape: one shared block, np slice views.
   const int np = env.np;
@@ -333,28 +294,8 @@ PatternResult scatter_view(const PatternEnv& env) {
   return {"scatter_view", env.transport, np, words, rounds, stats};
 }
 
-PatternResult pipeline_copying(const PatternEnv& env) {
-  // Parda's local-infinity chain with span (copying) sends.
-  const int np = env.np;
-  const std::size_t words = env.words;
-  const int rounds = env.rounds;
-  const RunStats stats = run(np, [&](Comm& comm) {
-    const int r = comm.rank();
-    const std::vector<std::uint64_t> payload(words, 3);
-    for (int i = 0; i < rounds; ++i) {
-      if (r > 0) {
-        comm.send(r - 1, 5, std::span<const std::uint64_t>(payload));
-      }
-      if (r < np - 1) {
-        benchmark::DoNotOptimize(comm.recv<std::uint64_t>(r + 1, 5));
-      }
-    }
-  }, env.options);
-  return {"pipeline_copying", env.transport, np, words, rounds, stats};
-}
-
 PatternResult pipeline_move(const PatternEnv& env) {
-  // The same chain with move-in / view-out transport.
+  // Parda's local-infinity chain: move-in / view-out transport.
   const int np = env.np;
   const std::size_t words = env.words;
   const int rounds = env.rounds;
@@ -433,9 +374,8 @@ void run_pattern_suite() {
   const std::string json_path = bench::bench_json_path("BENCH_comm.json");
 
   using PatternFn = PatternResult (*)(const PatternEnv&);
-  const PatternFn patterns[] = {broadcast_copying, broadcast_view,
-                                scatter_copying,   scatter_view,
-                                pipeline_copying,  pipeline_move};
+  const PatternFn patterns[] = {broadcast_copying, scatter_view,
+                                pipeline_move};
 
   std::vector<PatternResult> results;
   for (const TransportSpec& spec : transport_sweep(np)) {

@@ -20,9 +20,6 @@ CommCounters& comm_counters() {
   // valid for its lifetime.
   static CommCounters counters{
       obs::registry().counter("comm.sends"),
-      obs::registry().counter("comm.recvs"),
-      obs::registry().counter("comm.barriers"),
-      obs::registry().counter("comm.collectives"),
       obs::registry().counter("comm.bytes_sent"),
       obs::registry().counter("comm.bytes_copied"),
       obs::registry().counter("comm.bytes_shared"),
@@ -131,11 +128,16 @@ std::uint64_t Mailbox::delivered() const {
   return next_seq_;
 }
 
-World::World(int np) : np_(np) { init(np); }
-
 World::World(int np, const TransportSpec& spec) : np_(np), spec_(spec) {
+  PARDA_CHECK(np >= 1);
   spec_.validate(np);
-  init(np);
+  rounds_ = np > 1 ? std::bit_width(static_cast<unsigned>(np - 1)) : 0;
+  mailboxes_.reserve(static_cast<std::size_t>(np));
+  boards_.reserve(static_cast<std::size_t>(np));
+  for (int i = 0; i < np; ++i) {
+    mailboxes_.push_back(std::make_unique<Mailbox>(np));
+    boards_.push_back(std::make_unique<RankBoard>());
+  }
   // The transport is built after the mailboxes exist (its pumps deliver
   // into them) and started last, when the World is fully formed.
   transport_ = make_transport(spec_, *this, np);
@@ -144,21 +146,6 @@ World::World(int np, const TransportSpec& spec) : np_(np), spec_(spec) {
 
 World::~World() {
   if (transport_ != nullptr) transport_->stop();
-}
-
-void World::init(int np) {
-  PARDA_CHECK(np >= 1);
-  rounds_ = np > 1 ? std::bit_width(static_cast<unsigned>(np - 1)) : 0;
-  mailboxes_.reserve(static_cast<std::size_t>(np));
-  barrier_.reserve(static_cast<std::size_t>(np));
-  boards_.reserve(static_cast<std::size_t>(np));
-  for (int i = 0; i < np; ++i) {
-    mailboxes_.push_back(std::make_unique<Mailbox>(np));
-    auto peer = std::make_unique<BarrierPeer>();
-    peer->signals.assign(static_cast<std::size_t>(rounds_), 0);
-    barrier_.push_back(std::move(peer));
-    boards_.push_back(std::make_unique<RankBoard>());
-  }
 }
 
 void World::route(int src, int dst, Message&& msg) {
@@ -173,50 +160,13 @@ void World::route(int src, int dst, Message&& msg) {
 }
 
 void World::barrier(int rank, const OpDeadline& deadline) {
-  if (transport_ != nullptr) {
-    message_barrier(rank, deadline);
-    return;
-  }
-  BarrierPeer& me = *barrier_[static_cast<std::size_t>(rank)];
-  // generation is only ever written by the owning rank's thread.
-  const std::uint64_t gen = ++me.generation;
-  for (int k = 0; k < rounds_; ++k) {
-    const int partner = (rank + (1 << k)) % np_;
-    BarrierPeer& peer = *barrier_[static_cast<std::size_t>(partner)];
-    {
-      std::lock_guard lock(peer.mu);
-      ++peer.signals[static_cast<std::size_t>(k)];
-    }
-    peer.cv.notify_one();
-    std::unique_lock lock(me.mu);
-    const auto ready = [&] {
-      return me.poisoned ||
-             me.signals[static_cast<std::size_t>(k)] >= gen;
-    };
-    if (deadline.has_value()) {
-      if (!me.cv.wait_until(lock, *deadline, ready)) {
-        throw DeadlineExceededError(
-            "barrier deadline exceeded at rank " + std::to_string(rank) +
-            " (round " + std::to_string(k) + " of " +
-            std::to_string(rounds_) + ")");
-      }
-    } else {
-      me.cv.wait(lock, ready);
-    }
-    if (me.poisoned) {
-      lock.unlock();
-      throw_aborted();
-    }
-  }
-}
-
-void World::message_barrier(int rank, const OpDeadline& deadline) {
-  // The same dissemination schedule as the cv barrier, but each round-k
-  // signal is a tagged (empty-payload) message on a reserved internal tag,
-  // so the synchronization crosses the same wire as data traffic. Tags are
-  // per-round and sources are explicit, so overlapping barrier epochs
-  // cannot confuse each other: a partner racing ahead just queues its next
-  // round-k signal behind the current one (FIFO pop consumes in order).
+  // Each round-k signal is a tagged (empty-payload) message on a reserved
+  // internal tag: on the threads transport route() pushes it straight into
+  // the partner's mailbox, elsewhere it crosses the same wire as data
+  // traffic. Tags are per-round and sources are explicit, so overlapping
+  // barrier epochs cannot confuse each other: a partner racing ahead just
+  // queues its next round-k signal behind the current one (FIFO pop
+  // consumes in order).
   for (int k = 0; k < rounds_; ++k) {
     const int step = 1 << k;
     const int to = (rank + step) % np_;
@@ -267,13 +217,6 @@ void World::abort_impl(int origin, const std::string& cause, bool broadcast) {
   obs::flightrec_note("world.generation", std::to_string(generation_));
   obs::flightrec_dump("comm.abort: " + cause);
   for (auto& mailbox : mailboxes_) mailbox->poison();
-  for (auto& peer : barrier_) {
-    {
-      std::lock_guard lock(peer->mu);
-      peer->poisoned = true;
-    }
-    peer->cv.notify_all();
-  }
   // Local teardown first, then tell the remote ranks (no-op for
   // in-process transports). A frame that arrives back carrying this abort
   // hits the first-wins check above and is ignored.
@@ -295,12 +238,6 @@ void World::reset() {
   if (transport_ != nullptr) transport_->stop();
   ++generation_;
   for (auto& mailbox : mailboxes_) mailbox->reset();
-  for (auto& peer : barrier_) {
-    std::lock_guard lock(peer->mu);
-    peer->signals.assign(static_cast<std::size_t>(rounds_), 0);
-    peer->generation = 0;
-    peer->poisoned = false;
-  }
   for (auto& board : boards_) {
     board->op.store(0, std::memory_order_relaxed);
     board->peer.store(kAnySource, std::memory_order_relaxed);
@@ -394,37 +331,6 @@ void Comm::apply_fault(const FaultPoint& pt) {
                            " (" + pt.describe() + ")");
 }
 
-std::vector<std::uint64_t> Comm::reduce_sum_u64(
-    std::span<const std::uint64_t> mine, int root, int tag) {
-  // Binomial-tree reduction in rank space relative to root, like a real
-  // MPI_Reduce: log2(np) rounds, each rank sends once (a zero-copy move of
-  // its accumulator).
-  note_collective();
-  const int np = size();
-  const int me = (rank_ - root + np) % np;  // virtual rank, root at 0
-  std::vector<std::uint64_t> acc(mine.begin(), mine.end());
-  for (int step = 1; step < np; step <<= 1) {
-    if ((me & step) != 0) {
-      const int dest = ((me - step) + root) % np;
-      send(dest, tag, std::move(acc));
-      return {};
-    }
-    if (me + step < np) {
-      const int src = (me + step + root) % np;
-      const std::vector<std::uint64_t> incoming = recv<std::uint64_t>(src, tag);
-      if (incoming.size() > acc.size()) acc.resize(incoming.size(), 0);
-      for (std::size_t i = 0; i < incoming.size(); ++i) acc[i] += incoming[i];
-    }
-  }
-  return acc;
-}
-
-std::vector<std::uint64_t> Comm::allreduce_sum_u64(
-    std::span<const std::uint64_t> mine, int tag) {
-  std::vector<std::uint64_t> total = reduce_sum_u64(mine, 0, tag);
-  return broadcast(std::move(total), 0, tag);
-}
-
 namespace detail {
 
 RunStats run_distributed(int np, const std::function<void(Comm&)>& fn,
@@ -486,14 +392,10 @@ RunStats run(int np, const std::function<void(Comm&)>& fn,
     // worker pool has nothing to schedule.
     return detail::run_distributed(np, fn, options);
   }
-  // Transient runtime: spawn, run one job, join — the historical contract.
-  // Long-lived callers hold a WorkerPool (or a core PardaRuntime) instead.
+  // Transient runtime: spawn, run one job, join. Long-lived callers hold
+  // a WorkerPool (or a core PardaRuntime) instead.
   WorkerPool pool(np);
   return pool.run_job(np, fn, options);
-}
-
-RunStats run(int np, const std::function<void(Comm&)>& fn) {
-  return run(np, fn, RunOptions{});
 }
 
 double RunStats::max_busy() const noexcept {

@@ -3,9 +3,14 @@
 //
 // The original Parda runs on MVAPICH over Infiniband; this repository
 // substitutes a runtime with the same programming model — ranks, two-sided
-// tagged send/recv, barrier, gather/reduce/broadcast collectives — so the
+// tagged send/recv, barrier, gather/broadcast/scatter collectives — so the
 // algorithm code reads like the paper's pseudocode (Send(x, p-1),
 // S <- Recv(p+1), reduce_sum(hist)) while running portably on a laptop.
+// The surface is exactly what the Parda rank bodies send: move-in send,
+// recv / recv_view, gather (the profile collection), broadcast and
+// scatterv_view (the streaming phase intake), and barrier (the
+// distributed completion barrier). reduce_sum(hist) is reduce_histogram
+// (core/parda.hpp), a binomial tree of point-to-point sends.
 //
 // The data plane is selected by RunOptions::transport (comm/transport/,
 // DESIGN.md "Transports"):
@@ -15,19 +20,20 @@
 //    segment, attachable by separate processes;
 //  - tcp: messages serialize through a socket mesh, one connection per
 //    rank pair, across processes or hosts.
-// Matching, ordering, deadlines, abort propagation, and the watchdog are
-// transport-invariant: every rank's blocking receive waits on its local
-// Mailbox regardless of the wire, so the failure model and the obs layer
-// behave identically on all three.
+// Matching, ordering, deadlines, abort propagation, the barrier, and the
+// watchdog are transport-invariant: every rank's blocking wait pops its
+// local Mailbox regardless of the wire, so the failure model and the obs
+// layer behave identically on all three.
 //
-// Data movement is zero-copy wherever the API and the transport permit
-// (see DESIGN.md section "Data movement in the comm runtime"):
+// Data movement is zero-copy wherever the transport permits (see
+// DESIGN.md section "Data movement in the comm runtime"):
 //  - send(dest, tag, std::vector<T>&&) moves the buffer into the message;
 //    the matching recv<T> moves it back out, so a point-to-point transfer
-//    of an owned vector costs zero byte copies.
+//    of an owned vector costs zero byte copies. Sends are move-only: a
+//    caller that keeps its data sends an explicit copy.
 //  - Collectives publish ONE refcounted immutable block (a shared buffer)
-//    and transport offset/length views of it: broadcast_view / scatterv_view
-//    hand every rank a View<T> aliasing the root's block, and the binomial
+//    and transport offset/length views of it: scatterv_view hands every
+//    rank a View<T> aliasing the root's block, and the binomial
 //    broadcast/gather trees forward payload handles, never bytes.
 //  - recv_view<T> reinterprets any payload in place when size and alignment
 //    permit, falling back to a single counted copy otherwise.
@@ -36,13 +42,13 @@
 // and tests can prove how many copies a communication pattern performs.
 //
 // Failure model (see DESIGN.md section "Failure model" and comm/fault.hpp):
-// when any rank's body throws, the World poisons every mailbox and barrier
-// peer; blocked ranks wake and throw RankAbortedError naming the originating
-// rank and cause, so run() unwinds cleanly on all ranks instead of
-// deadlocking. recv/barrier accept optional per-op deadlines
-// (DeadlineExceededError), a stall watchdog converts an all-ranks-blocked
-// cycle into a per-rank diagnostic dump, and a seeded FaultPlan injects
-// deterministic failures for the fault-injection test suite.
+// when any rank's body throws, the World poisons every mailbox; blocked
+// ranks wake and throw RankAbortedError naming the originating rank and
+// cause, so run() unwinds cleanly on all ranks instead of deadlocking.
+// recv/barrier accept optional per-op deadlines (DeadlineExceededError), a
+// stall watchdog converts an all-ranks-blocked cycle into a per-rank
+// diagnostic dump, and a seeded FaultPlan injects deterministic failures
+// for the fault-injection test suite.
 //
 // Per-rank CPU-time accounting is built in: every rank's thread measures
 // its own CLOCK_THREAD_CPUTIME_ID, so blocked time (waiting in recv or
@@ -86,8 +92,8 @@ inline constexpr int kAnyTag = -1;
 class Transport;
 
 namespace detail {
-/// Tags below kReservedTagCeiling are the runtime's own (the message-based
-/// barrier of serializing transports, and the telemetry control plane).
+/// Tags below kReservedTagCeiling are the runtime's own (the barrier's
+/// round signals, and the telemetry control plane).
 /// They are unreachable from user code in practice and excluded from
 /// kAnyTag wildcard matching, so internal traffic can share the mailboxes
 /// without ever surfacing in a user recv.
@@ -96,7 +102,7 @@ inline constexpr int kReservedTagCeiling = kReservedTagBase + 64;
 /// Telemetry control plane (comm/telemetry_channel.hpp): the clock
 /// ping/pong handshake at World setup and the metric/span frames each
 /// remote process forwards to rank 0. Barrier rounds use base+k for
-/// k < ceil(log2(np)) <= 6, so base+32.. is safely clear of them.
+/// k < ceil(log2(np)) < 32, so base+32.. is safely clear of them.
 inline constexpr int kTagClockPing = kReservedTagBase + 32;
 inline constexpr int kTagClockPong = kReservedTagBase + 33;
 inline constexpr int kTagTelemetry = kReservedTagBase + 34;
@@ -110,15 +116,14 @@ using OpTimeout = std::optional<std::chrono::milliseconds>;
 template <typename T>
 concept Trivial = std::is_trivially_copyable_v<T>;
 
-/// A type-erased immutable payload. Three provenances:
-///  - own():     a moved-in typed vector — zero-copy on send, and zero-copy
-///               on recv when the receiver asks for the same element type
-///               (the storage is moved back out);
-///  - copy_of(): bytes memcpy'd from a caller-owned span (the legacy path);
-///  - view():    an offset/length slice of a refcounted shared block — the
-///               currency of the zero-copy collectives. The block is
-///               immutable once published, so any number of ranks may hold
-///               views concurrently; the storage dies with its last holder.
+/// A type-erased immutable payload. Two provenances:
+///  - own():  a moved-in typed vector — zero-copy on send, and zero-copy on
+///            recv when the receiver asks for the same element type (the
+///            storage is moved back out);
+///  - view(): an offset/length slice of a refcounted shared block — the
+///            currency of the zero-copy collectives. The block is immutable
+///            once published, so any number of ranks may hold views
+///            concurrently; the storage dies with its last holder.
 class Payload {
  public:
   Payload() = default;
@@ -134,13 +139,6 @@ class Payload {
     return p;
   }
 
-  template <Trivial T>
-  static Payload copy_of(std::span<const T> s) {
-    std::vector<std::byte> bytes(s.size_bytes());
-    if (!s.empty()) std::memcpy(bytes.data(), s.data(), s.size_bytes());
-    return own(std::move(bytes));
-  }
-
   /// A view of `size` bytes at `data`, kept alive by `keepalive`. The
   /// storage must never be mutated after publication.
   static Payload view(std::shared_ptr<void> keepalive, const std::byte* data,
@@ -149,18 +147,12 @@ class Payload {
     p.keepalive_ = std::move(keepalive);
     p.data_ = data;
     p.size_ = size;
-    p.is_view_ = true;
     return p;
   }
 
   std::span<const std::byte> bytes() const noexcept { return {data_, size_}; }
   std::size_t size_bytes() const noexcept { return size_; }
   bool empty() const noexcept { return size_ == 0; }
-
-  /// True when this payload travels by refcount (shared block view, or an
-  /// owned buffer republished by a collective tree).
-  bool is_view() const noexcept { return is_view_; }
-  void mark_view() noexcept { is_view_ = true; }
 
   /// Moves the storage out as vector<T> without copying. Succeeds only if
   /// the payload was created by own(std::vector<T>&&) and nothing else
@@ -188,7 +180,6 @@ class Payload {
   const std::byte* data_ = nullptr;
   std::size_t size_ = 0;
   const std::type_info* type_ = nullptr;  // set for own()-provenance storage
-  bool is_view_ = false;
 };
 
 /// A refcount-backed immutable view of a T array, handed out by the
@@ -208,7 +199,6 @@ class View {
   const T* begin() const noexcept { return span_.data(); }
   const T* end() const noexcept { return span_.data() + span_.size(); }
   std::span<const T> span() const noexcept { return span_; }
-  std::vector<T> to_vector() const { return {span_.begin(), span_.end()}; }
 
  private:
   std::shared_ptr<void> keepalive_;
@@ -230,8 +220,8 @@ struct RankStats {
   double busy_seconds = 0.0;  // thread CPU time inside the rank function
   std::uint64_t messages_sent = 0;
   std::uint64_t bytes_sent = 0;    // payload bytes transmitted, any mode
-  std::uint64_t bytes_copied = 0;  // bytes physically memcpy'd (send-side
-                                   // span copies + recv-side copy-outs)
+  std::uint64_t bytes_copied = 0;  // bytes physically memcpy'd (wire
+                                   // crossings + recv-side copy-outs)
   std::uint64_t bytes_shared = 0;  // bytes handed over by moved ownership
                                    // or a refcount bump — never touched
 };
@@ -297,8 +287,8 @@ class Mailbox {
 
   static bool tag_matches(const Message& m, int tag) noexcept {
     // Wildcards never match the runtime's reserved internal tags: barrier
-    // traffic of serializing transports shares the mailboxes but must stay
-    // invisible to user-level recv(kAnySource, kAnyTag).
+    // signals share the mailboxes but must stay invisible to user-level
+    // recv(kAnySource, kAnyTag).
     if (tag == kAnyTag) return m.tag >= kReservedTagCeiling;
     return m.tag == tag;
   }
@@ -313,11 +303,9 @@ class Mailbox {
 
 class World {
  public:
-  /// Threads-transport world (the historical constructor).
-  explicit World(int np);
-  /// Transport-selected world. `spec` is validated against np; a
-  /// distributed spec (spec.local_rank >= 0) builds a world where exactly
-  /// one rank is hosted here and the rest are reached over the wire.
+  /// `spec` is validated against np; a distributed spec (spec.local_rank
+  /// >= 0) builds a world where exactly one rank is hosted here and the
+  /// rest are reached over the wire.
   World(int np, const TransportSpec& spec);
   ~World();
 
@@ -336,22 +324,18 @@ class World {
   /// RankAbortedError once the run is aborted mid-wait.
   void route(int src, int dst, Message&& msg);
 
-  /// Barrier with the same contract on every transport: throws
-  /// RankAbortedError when the world is poisoned mid-wait and
-  /// DeadlineExceededError when `deadline` passes first. The threads
-  /// transport uses a dissemination barrier — ceil(log2(np)) pairwise
-  /// signalling rounds with targeted notify_one wakeups (each rank only
-  /// ever waits on its own condition variable). Serializing transports run
-  /// the same dissemination schedule as tagged messages on reserved
-  /// internal tags, so the barrier exercises (and is ordered by) the same
-  /// wire as data traffic.
+  /// Dissemination barrier, one implementation on every transport:
+  /// ceil(log2(np)) rounds, each an empty message on a reserved internal
+  /// tag to rank + 2^k and a pop of the one from rank - 2^k, so the barrier
+  /// waits in the same mailbox (and crosses the same wire) as data traffic.
+  /// Throws RankAbortedError when the world is poisoned mid-wait and
+  /// DeadlineExceededError when `deadline` passes first.
   void barrier(int rank, const OpDeadline& deadline = std::nullopt);
 
   /// First failure wins: records (origin, cause), then poisons every
-  /// mailbox and barrier peer so all blocked ranks wake and throw
-  /// RankAbortedError, and (distributed worlds) broadcasts an abort
-  /// control frame so remote ranks do the same. Idempotent; later calls
-  /// are ignored.
+  /// mailbox so all blocked ranks wake and throw RankAbortedError, and
+  /// (distributed worlds) broadcasts an abort control frame so remote
+  /// ranks do the same. Idempotent; later calls are ignored.
   void abort(int origin, const std::string& cause);
   /// Abort on behalf of a remote rank, recorded by a transport pump when
   /// an abort control frame arrives: poisons locally, never re-broadcasts
@@ -385,10 +369,10 @@ class World {
   std::string stall_report();
 
   /// Returns the World to its just-constructed state for the next job:
-  /// mailboxes drained and unpoisoned, barrier signals rewound, rank
-  /// boards and abort state cleared — a generation bump, not a
-  /// reallocation. The caller (the WorkerPool's admitted submitter) must
-  /// guarantee every rank thread of the previous job has unwound.
+  /// mailboxes drained and unpoisoned, rank boards and abort state
+  /// cleared — a generation bump, not a reallocation. The caller (the
+  /// WorkerPool's admitted submitter) must guarantee every rank thread of
+  /// the previous job has unwound.
   void reset();
   /// Jobs this World has been reset for. Serializing transports stamp it
   /// into every frame so leftovers of a previous pooled job are dropped on
@@ -396,22 +380,7 @@ class World {
   std::uint64_t generation() const noexcept { return generation_; }
 
  private:
-  void init(int np);
   void abort_impl(int origin, const std::string& cause, bool broadcast);
-  /// The serializing-transport barrier: the dissemination schedule as
-  /// tagged messages on reserved internal tags.
-  void message_barrier(int rank, const OpDeadline& deadline);
-  /// Per-rank barrier mailbox: signals[k] counts round-k notifications
-  /// received over the rank's lifetime (cumulative counts make sense
-  /// reversal unnecessary: in barrier generation g a rank waits for
-  /// signals[k] >= g, and signals only ever grow).
-  struct BarrierPeer {
-    std::mutex mu;
-    std::condition_variable cv;
-    std::vector<std::uint64_t> signals;
-    std::uint64_t generation = 0;  // barriers entered by the owner
-    bool poisoned = false;
-  };
 
   int np_;
   int rounds_;
@@ -419,7 +388,6 @@ class World {
   TransportSpec spec_;
   std::unique_ptr<Transport> transport_;  // null = threads (direct) path
   std::vector<std::unique_ptr<Mailbox>> mailboxes_;
-  std::vector<std::unique_ptr<BarrierPeer>> barrier_;
   std::vector<std::unique_ptr<RankBoard>> boards_;
 
   std::atomic<bool> aborted_{false};
@@ -453,9 +421,6 @@ class BlockedScope {
 /// run's own accounting.
 struct CommCounters {
   obs::Counter& sends;
-  obs::Counter& recvs;
-  obs::Counter& barriers;
-  obs::Counter& collectives;
   obs::Counter& bytes_sent;
   obs::Counter& bytes_copied;
   obs::Counter& bytes_shared;
@@ -500,29 +465,15 @@ class Comm {
   //
   // Only the COST MODEL is transport-dependent, and RankStats records it
   // honestly either way:
-  //  - the span / const& overloads always pay one counted copy into the
-  //    message;
-  //  - the rvalue overload moves the buffer into the message: zero-copy
-  //    end to end on the threads transport (bytes_shared), one counted
-  //    serialization copy per wire crossing on shm/tcp (bytes_copied);
+  //  - send moves the buffer into the message: zero-copy end to end on the
+  //    threads transport (bytes_shared), one counted serialization copy
+  //    per wire crossing on shm/tcp (bytes_copied);
   //  - recv<T> moves a same-element-type owned payload back out
   //    (zero-copy) and otherwise reinterprets via one counted copy;
   //  - recv_view<T> aliases the payload storage in place when size and
   //    alignment permit, falling back to one counted copy. On serializing
   //    transports the aliased storage is the rank's own deserialized
   //    buffer, so the view is always private to the receiving rank.
-
-  template <Trivial T>
-  void send(int dest, int tag, std::span<const T> data) {
-    Payload p = Payload::copy_of(data);
-    note_copied(p.size_bytes());
-    post(dest, tag, std::move(p), rank_);
-  }
-
-  template <Trivial T>
-  void send(int dest, int tag, const std::vector<T>& data) {
-    send(dest, tag, std::span<const T>(data));
-  }
 
   template <Trivial T>
   void send(int dest, int tag, std::vector<T>&& data) {
@@ -557,15 +508,14 @@ class Comm {
     detail::BlockedScope scope(board_, FaultOp::kBarrier, kAnySource,
                                kAnyTag);
     if (obs::enabled()) {
-      auto& c = detail::comm_counters();
-      c.barriers.add(1);
       // One clock source feeds both the timer histogram and the wait span
       // the attribution report folds into per-rank blocked time.
       obs::SpanTracer& t = obs::tracer();
       const std::int64_t t0 = t.now_ns();
       world_.barrier(rank_, deadline_from(timeout));
       const std::int64_t t1 = t.now_ns();
-      c.barrier_wait.record_ns(static_cast<std::uint64_t>(t1 - t0));
+      detail::comm_counters().barrier_wait.record_ns(
+          static_cast<std::uint64_t>(t1 - t0));
       t.record(t0, t1, "barrier-wait", obs::thread_phase());
     } else {
       world_.barrier(rank_, deadline_from(timeout));
@@ -574,12 +524,11 @@ class Comm {
 
   /// Gathers each rank's buffer at root via a log-depth binomial tree;
   /// returns per-rank buffers at root (indexed by rank), empty elsewhere.
-  /// Relay hops forward payload handles (no byte copies); with the
-  /// rvalue overload the whole gather is zero-copy end to end.
+  /// Relay hops forward payload handles and the root moves each buffer
+  /// out, so on the threads transport the gather is zero-copy end to end.
   template <Trivial T>
   std::vector<std::vector<T>> gather(std::vector<T>&& mine, int root,
                                      int tag) {
-    note_collective();
     std::vector<Payload> payloads =
         gather_payloads(Payload::own(std::move(mine)), root, tag);
     if (rank_ != root) return {};
@@ -589,78 +538,17 @@ class Comm {
     return all;
   }
 
-  template <Trivial T>
-  std::vector<std::vector<T>> gather(std::span<const T> mine, int root,
-                                     int tag) {
-    std::vector<T> owned(mine.begin(), mine.end());
-    note_copied(mine.size_bytes());
-    return gather(std::move(owned), root, tag);
-  }
-
   /// Broadcast root's buffer to all ranks; returns the buffer everywhere.
   /// Transport is a log-depth binomial tree forwarding ONE shared payload
-  /// (refcount bumps, no byte copies); each rank pays a single copy-out to
-  /// materialize its owned result. Use broadcast_view to avoid even that.
+  /// (refcount bumps, no byte copies); each rank pays at most one copy-out
+  /// to materialize its owned result.
   template <Trivial T>
   std::vector<T> broadcast(std::vector<T> data, int root, int tag) {
     if (size() == 1) return data;
-    note_collective();
     Payload p;
     if (rank_ == root) p = Payload::own(std::move(data));
     p = bcast_payload(std::move(p), root, tag);
     return materialize<T>(std::move(p));
-  }
-
-  /// Zero-copy broadcast: root publishes its buffer as a shared block and
-  /// every rank (root included) receives an immutable View of that single
-  /// block — no byte is copied anywhere on the threads transport. On
-  /// serializing transports this degrades gracefully: the block crosses
-  /// the wire once per tree edge and each rank's View aliases its own
-  /// private deserialized copy; same values, counted copies.
-  template <Trivial T>
-  View<T> broadcast_view(std::vector<T>&& data, int root, int tag) {
-    note_collective();
-    Payload p;
-    if (rank_ == root) p = Payload::own(std::move(data));
-    p = bcast_payload(std::move(p), root, tag);
-    return as_view<T>(std::move(p));
-  }
-
-  /// Scatters per-rank buffers from root: rank r receives pieces[r].
-  /// Only root reads `pieces` (it may be empty elsewhere); every rank
-  /// returns its own piece. The rvalue overload moves each piece into its
-  /// message (zero-copy); the const& overload copies.
-  template <Trivial T>
-  std::vector<T> scatterv(const std::vector<std::vector<T>>& pieces,
-                          int root, int tag) {
-    note_collective();
-    if (rank_ == root) {
-      PARDA_CHECK_MSG(static_cast<int>(pieces.size()) == size(),
-                      "scatterv at root got %zu pieces for %d ranks",
-                      pieces.size(), size());
-      for (int r = 0; r < size(); ++r) {
-        if (r != root) send(r, tag, pieces[static_cast<std::size_t>(r)]);
-      }
-      return pieces[static_cast<std::size_t>(rank_)];
-    }
-    return recv<T>(root, tag);
-  }
-
-  template <Trivial T>
-  std::vector<T> scatterv(std::vector<std::vector<T>>&& pieces, int root,
-                          int tag) {
-    note_collective();
-    if (rank_ == root) {
-      PARDA_CHECK_MSG(static_cast<int>(pieces.size()) == size(),
-                      "scatterv at root got %zu pieces for %d ranks",
-                      pieces.size(), size());
-      for (int r = 0; r < size(); ++r) {
-        if (r != root)
-          send(r, tag, std::move(pieces[static_cast<std::size_t>(r)]));
-      }
-      return std::move(pieces[static_cast<std::size_t>(rank_)]);
-    }
-    return recv<T>(root, tag);
   }
 
   /// The zero-copy scatter: root publishes ONE shared block and each rank
@@ -675,7 +563,6 @@ class Comm {
       std::vector<T>&& block,
       std::span<const std::pair<std::uint64_t, std::uint64_t>> slices,
       int root, int tag) {
-    note_collective();
     if (rank_ != root) return recv_view<T>(root, tag);
     PARDA_CHECK_MSG(static_cast<int>(slices.size()) == size(),
                     "scatterv_view at root got %zu slices for %d ranks",
@@ -701,42 +588,6 @@ class Comm {
                    std::span<const T>(base + off, static_cast<std::size_t>(cnt)));
   }
 
-  /// Gather-to-all: every rank contributes a buffer and receives all of
-  /// them. Contributions ride a zero-copy binomial gather to rank 0 and
-  /// are re-broadcast as shared views — the flattened round trip of the
-  /// naive gather+broadcast formulation (and its O(np) copies of the
-  /// concatenated buffer) is gone; each rank pays one copy-out per piece.
-  template <Trivial T>
-  std::vector<std::vector<T>> allgather(std::span<const T> mine, int tag) {
-    note_collective();
-    const int np = size();
-    std::vector<T> owned(mine.begin(), mine.end());
-    note_copied(mine.size_bytes());
-    std::vector<Payload> at_root =
-        gather_payloads(Payload::own(std::move(owned)), 0, tag);
-    std::vector<std::vector<T>> out(static_cast<std::size_t>(np));
-    for (int r = 0; r < np; ++r) {
-      Payload p;
-      if (rank_ == 0) p = std::move(at_root[static_cast<std::size_t>(r)]);
-      p = bcast_payload(std::move(p), 0, tag);
-      out[static_cast<std::size_t>(r)] = materialize<T>(std::move(p));
-    }
-    return out;
-  }
-
-  /// Element-wise sum reduction of equal-or-ragged length u64 buffers at
-  /// root (ragged buffers are summed up to each buffer's length). Used for
-  /// the histogram reduction; returns the sum at root, empty elsewhere.
-  std::vector<std::uint64_t> reduce_sum_u64(
-      std::span<const std::uint64_t> mine, int root, int tag);
-
-  /// Allreduce: reduce_sum at rank 0 followed by a broadcast; every rank
-  /// returns the element-wise sum.
-  std::vector<std::uint64_t> allreduce_sum_u64(
-      std::span<const std::uint64_t> mine, int tag);
-
-  RankStats& stats() noexcept { return stats_; }
-
  private:
   /// Byte-movement accounting: every copied/shared byte updates this
   /// rank's RankStats and, when observability is on, the global per-rank
@@ -756,11 +607,6 @@ class Comm {
   /// post() instead, so nothing is recorded here.
   void note_transfer(std::size_t n) noexcept {
     if (world_.zero_copy()) note_shared(n);
-  }
-  /// One count per public collective entry (the binomial hops inside are
-  /// already visible as sends/recvs).
-  void note_collective() noexcept {
-    if (obs::enabled()) detail::comm_counters().collectives.add(1);
   }
 
   /// Converts a per-call timeout (or the run-wide default) into an
@@ -791,13 +637,12 @@ class Comm {
     Message out;
     detail::Mailbox::Wait wait;
     if (obs::enabled()) {
-      auto& c = detail::comm_counters();
-      c.recvs.add(1);
       obs::SpanTracer& t = obs::tracer();
       const std::int64_t t0 = t.now_ns();
       wait = world_.mailbox(rank_).pop(src, tag, out, deadline_from(timeout));
       const std::int64_t t1 = t.now_ns();
-      c.mailbox_wait.record_ns(static_cast<std::uint64_t>(t1 - t0));
+      detail::comm_counters().mailbox_wait.record_ns(
+          static_cast<std::uint64_t>(t1 - t0));
       t.record(t0, t1, "recv-wait", obs::thread_phase());
     } else {
       wait = world_.mailbox(rank_).pop(src, tag, out, deadline_from(timeout));
@@ -891,8 +736,6 @@ class Comm {
       const int parent = me - (me & -me);  // clear lowest set bit
       Message msg = pop_checked((parent + root) % np, tag);
       p = std::move(msg.payload);
-    } else {
-      p.mark_view();  // transported by refcount from here on
     }
     unsigned start;
     if (me == 0) {
@@ -995,12 +838,11 @@ RunStats run_distributed(int np, const std::function<void(Comm&)>& fn,
 /// sibling processes reached over the wire, and aborts cross as control
 /// frames.
 ///
-/// Back-compat wrapper: each in-process call builds a transient WorkerPool
-/// (see comm/worker_pool.hpp), so one-shot call sites keep the historical
-/// spawn/join semantics. Code that runs many jobs should hold a WorkerPool
-/// (or a core PardaRuntime) and reuse it.
-RunStats run(int np, const std::function<void(Comm&)>& fn);
+/// Each in-process call builds a transient WorkerPool (see
+/// comm/worker_pool.hpp), so one-shot call sites keep spawn/join
+/// semantics. Code that runs many jobs should hold a WorkerPool (or a core
+/// PardaRuntime) and reuse it.
 RunStats run(int np, const std::function<void(Comm&)>& fn,
-             const RunOptions& options);
+             const RunOptions& options = {});
 
 }  // namespace parda::comm

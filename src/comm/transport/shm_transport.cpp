@@ -35,8 +35,6 @@ class ShmTransport final : public Transport {
 
   ~ShmTransport() override { stop(); }
 
-  TransportKind kind() const noexcept override { return TransportKind::kShm; }
-
   void post(int src, int dst, Message&& msg) override {
     FrameHeader header;
     header.kind = static_cast<std::uint32_t>(FrameKind::kData);
@@ -164,9 +162,9 @@ class ShmTransport final : public Transport {
                 [&ring](std::byte* buf, std::size_t max) {
                   return ring.read_some(buf, max);
                 },
-                [this, dst](const FrameHeader& h,
-                            std::vector<std::byte>&& payload) {
-                  deliver(dst, h, std::move(payload));
+                [this, src, dst](const FrameHeader& h,
+                                 std::vector<std::byte>&& payload) {
+                  deliver_frame(world_, src, dst, h, std::move(payload));
                 });
             progressed |= consumed > 0;
           }
@@ -183,27 +181,6 @@ class ShmTransport final : public Transport {
       const int origin = local_rank_ < 0 ? 0 : local_rank_;
       world_.abort(origin, std::string("shm transport: ") + e.what());
     }
-  }
-
-  void deliver(int dst, const FrameHeader& header,
-               std::vector<std::byte>&& payload) {
-    if (header.kind == static_cast<std::uint32_t>(FrameKind::kAbort)) {
-      world_.abort_remote(
-          header.tag,
-          std::string(reinterpret_cast<const char*>(payload.data()),
-                      payload.size()));
-      return;
-    }
-    if (header.generation !=
-        static_cast<std::uint32_t>(world_.generation())) {
-      return;  // leftover of an earlier pooled job
-    }
-    Message msg;
-    msg.src = header.src;
-    msg.origin = header.origin;
-    msg.tag = header.tag;
-    msg.payload = Payload::own(std::move(payload));
-    world_.mailbox(dst).push(std::move(msg));
   }
 
   detail::World& world_;

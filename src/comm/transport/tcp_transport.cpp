@@ -126,8 +126,6 @@ class TcpTransport final : public Transport {
     ::close(wake_wr_);
   }
 
-  TransportKind kind() const noexcept override { return TransportKind::kTcp; }
-
   void post(int src, int dst, Message&& msg) override {
     Channel& ch = channel(src, dst);
     FrameHeader header;
@@ -489,29 +487,8 @@ class TcpTransport final : public Transport {
           return 0;
         },
         [this, &ch](const FrameHeader& h, std::vector<std::byte>&& payload) {
-          deliver(ch.owner, h, std::move(payload));
+          deliver_frame(world_, ch.peer, ch.owner, h, std::move(payload));
         });
-  }
-
-  void deliver(int dst, const FrameHeader& header,
-               std::vector<std::byte>&& payload) {
-    if (header.kind == static_cast<std::uint32_t>(FrameKind::kAbort)) {
-      world_.abort_remote(
-          header.tag,
-          std::string(reinterpret_cast<const char*>(payload.data()),
-                      payload.size()));
-      return;
-    }
-    if (header.generation !=
-        static_cast<std::uint32_t>(world_.generation())) {
-      return;  // leftover of an earlier pooled job
-    }
-    Message msg;
-    msg.src = header.src;
-    msg.origin = header.origin;
-    msg.tag = header.tag;
-    msg.payload = Payload::own(std::move(payload));
-    world_.mailbox(dst).push(std::move(msg));
   }
 
   detail::World& world_;

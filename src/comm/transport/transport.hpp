@@ -11,7 +11,8 @@
 //     payload from src to dst, delivering into dst's Mailbox — directly
 //     (threads: the payload handle moves by refcount, zero-copy) or by
 //     serializing frames through a ring/socket and having a pump thread
-//     rematerialize them on the consumer side.
+//     hand them to deliver_frame(), which checks the envelope against the
+//     ring or connection it arrived on before anything reaches a mailbox.
 //   - ABORT propagation crosses processes as a control frame
 //     (broadcast_abort); within a process it stays the existing mailbox
 //     poisoning.
@@ -22,9 +23,12 @@
 // partial frames; clear(aborted=true) must restore stream sync).
 #pragma once
 
+#include <cstddef>
 #include <memory>
 #include <string>
+#include <vector>
 
+#include "comm/transport/frame.hpp"
 #include "comm/transport/spec.hpp"
 
 namespace parda::comm {
@@ -38,14 +42,6 @@ class World;
 class Transport {
  public:
   virtual ~Transport() = default;
-
-  virtual TransportKind kind() const noexcept = 0;
-
-  /// True when payload handles cross rank boundaries by refcount — the
-  /// zero-copy moved-vector sends and shared-block collective views of the
-  /// threads transport. Serializing transports return false, and Comm
-  /// degrades those paths to counted copies.
-  virtual bool zero_copy() const noexcept { return false; }
 
   /// Moves one message toward dst's mailbox. Called from rank src's
   /// thread; may block on backpressure (full ring / full send queue), and
@@ -76,6 +72,18 @@ std::unique_ptr<Transport> make_transport(const TransportSpec& spec,
                                           detail::World& world, int np);
 
 namespace transport {
+/// The one consumer-side delivery of a decoded frame, shared by every
+/// serializing transport's pump. `from` is the rank that owns the sending
+/// end of the ring or connection the frame arrived on, `dst` the local
+/// rank it is for. Abort frames poison the world; data frames of an
+/// earlier pooled generation are dropped; any other data frame must name
+/// `from` as its src and a rank in [0, np) as its origin, or this throws
+/// CheckError (which the pump turns into a job abort) — a frame's envelope
+/// is never trusted as a mailbox bucket or gather slot index.
+void deliver_frame(detail::World& world, int from, int dst,
+                   const FrameHeader& header,
+                   std::vector<std::byte>&& payload);
+
 // Concrete factories (implementation detail of make_transport; exposed
 // for the transport unit tests).
 std::unique_ptr<Transport> make_shm_transport(const TransportSpec& spec,

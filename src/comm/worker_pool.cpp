@@ -164,10 +164,6 @@ WorkerPool::~WorkerPool() {
   if (service_.joinable()) service_.join();
 }
 
-RunStats WorkerPool::run_job(int np, const std::function<void(Comm&)>& fn) {
-  return run_job(np, fn, RunOptions{});
-}
-
 RunStats WorkerPool::run_job(int np, const std::function<void(Comm&)>& fn,
                              const RunOptions& options) {
   PARDA_CHECK_MSG(np >= 1, "run_job needs np >= 1, got %d", np);
@@ -309,9 +305,9 @@ detail::World& WorkerPool::acquire_world(int np, const TransportSpec& spec) {
   const std::pair<int, std::string> key(np, spec.signature());
   auto it = worlds_.find(key);
   if (it != worlds_.end()) {
-    // Generation bump instead of reallocation: mailbox buckets, barrier
-    // peers, rank boards, and the transport's rings/sockets keep their
-    // state across jobs.
+    // Generation bump instead of reallocation: mailbox buckets, rank
+    // boards, and the transport's rings/sockets keep their state across
+    // jobs.
     it->second->reset();
     world_reuses_.fetch_add(1, std::memory_order_relaxed);
     if (obs::enabled()) pool_counters().world_reuses.add(1);

@@ -1,8 +1,8 @@
 // Persistent executor runtime for the comm layer.
 //
 // Historically every comm::run(np, fn) spawned np OS threads, built a fresh
-// World (mailboxes, barrier peers, rank boards), joined everything at the
-// end, and threw it all away — so repeated analyses (bench loops, online
+// World (mailboxes, rank boards), joined everything at the end, and threw
+// it all away — so repeated analyses (bench loops, online
 // monitoring windows, many small traces) paid thread-creation and
 // allocation churn on every call. WorkerPool extracts the thread lifecycle
 // into a reusable runtime:
@@ -13,10 +13,9 @@
 //    no spin. Posting a job is one release increment + targeted notify per
 //    participating slot, so workers outside the job's np never wake.
 //  - Worlds are cached per (np, transport signature) and RESET between
-//    jobs (generation bump: mailboxes drained, barrier signals rewound,
-//    rank boards and abort state cleared, transport quiesced and
-//    restarted) instead of reallocated, so mailbox buckets, barrier
-//    structures, shm rings, and socket meshes keep their state across
+//    jobs (generation bump: mailboxes drained, rank boards and abort state
+//    cleared, transport quiesced and restarted) instead of reallocated, so
+//    mailbox buckets, shm rings, and socket meshes keep their state across
 //    jobs. Distributed transport specs bypass the pool entirely: run_job
 //    delegates them to the inline one-rank-per-process runner.
 //  - Jobs are admitted through a FIFO ticket queue: any number of threads
@@ -33,8 +32,8 @@
 // poisoned World is reset on the next admission and the workers are
 // already parked waiting for it.
 //
-// comm::run(np, fn) remains as a thin back-compat wrapper that builds a
-// transient pool, so the one-shot call sites keep their exact semantics.
+// comm::run(np, fn) is a thin wrapper that builds a transient pool, so
+// one-shot call sites keep spawn/join semantics.
 //
 // Observability (enabled like all obs instrumentation): runtime.jobs,
 // runtime.worlds_created / runtime.world_reuses, runtime.workers_spawned,
@@ -71,9 +70,8 @@ class WorkerPool {
   /// callers queue FIFO and time-multiplex the pool. If any rank throws,
   /// the job's World is poisoned and run_job rethrows the root cause after
   /// every participating rank has unwound — the pool itself stays usable.
-  RunStats run_job(int np, const std::function<void(Comm&)>& fn);
   RunStats run_job(int np, const std::function<void(Comm&)>& fn,
-                   const RunOptions& options);
+                   const RunOptions& options = {});
 
   /// Worker threads currently alive (monotone; excludes the service
   /// thread).

@@ -1,7 +1,6 @@
 // Randomized stress tests for the message-passing runtime: message storms
-// with random sizes/tags, interleaved collectives, and rank counts well
-// above the core count (the Figure 4/5 configurations run 64 ranks on
-// this 1-core host).
+// with random sizes/tags, interleaved collectives, and barrier storms at
+// rank counts above the core count.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -31,7 +30,7 @@ TEST(CommStressTest, RandomMessageStorm) {
         std::vector<std::uint64_t> payload(rng.below(64));
         for (auto& x : payload) x = rng();
         payload.push_back(static_cast<std::uint64_t>(b));  // sequence mark
-        comm.send(dest, /*tag=*/7, payload);
+        comm.send(dest, /*tag=*/7, std::move(payload));
       }
     }
     // Phase 2: drain and verify (per-source order and content).
@@ -50,20 +49,6 @@ TEST(CommStressTest, RandomMessageStorm) {
   });
 }
 
-TEST(CommStressTest, SixtyFourRanksReduce) {
-  // The paper's rank count, far above this host's core count.
-  const RunStats stats = run(64, [](Comm& comm) {
-    std::vector<std::uint64_t> mine{1};
-    const auto total =
-        comm.reduce_sum_u64(std::span<const std::uint64_t>(mine), 0, 9);
-    if (comm.rank() == 0) {
-      ASSERT_EQ(total.size(), 1u);
-      EXPECT_EQ(total[0], 64u);
-    }
-  });
-  EXPECT_EQ(stats.ranks.size(), 64u);
-}
-
 TEST(CommStressTest, PipelineWithRandomWorkloads) {
   // The Parda communication shape under randomized payload sizes.
   const int np = 8;
@@ -75,7 +60,7 @@ TEST(CommStressTest, PipelineWithRandomWorkloads) {
       if (r > 0) {
         std::vector<std::uint64_t> out(rng.below(256));
         std::iota(out.begin(), out.end(), 0);
-        comm.send(r - 1, 3, out);
+        comm.send(r - 1, 3, std::move(out));
       }
       if (r < np - 1 && round < np - r - 1) {
         received_words += comm.recv<std::uint64_t>(r + 1, 3).size();
@@ -97,10 +82,17 @@ TEST(CommStressTest, CollectivesInterleavedWithPointToPoint) {
       const auto got = comm.recv<int>(prev, 40 + round);
       EXPECT_EQ(got[0], prev);
       EXPECT_EQ(got[1], round);
-      // ...then a collective on the same communicator.
-      const std::vector<std::uint64_t> one{1};
-      const auto sum = comm.allreduce_sum_u64(
-          std::span<const std::uint64_t>(one), 1000 + round);
+      // ...then collectives on the same communicator: gather one word per
+      // rank at a rotating root, which broadcasts their sum back.
+      const int root = round % comm.size();
+      const auto all = comm.gather(std::vector<std::uint64_t>{1}, root,
+                                   1000 + round);
+      std::vector<std::uint64_t> sum;
+      if (comm.rank() == root) {
+        sum.push_back(0);
+        for (const auto& piece : all) sum[0] += piece.at(0);
+      }
+      sum = comm.broadcast(std::move(sum), root, 2000 + round);
       EXPECT_EQ(sum.at(0), 4u);
     }
   });

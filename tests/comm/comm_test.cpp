@@ -33,7 +33,7 @@ TEST(CommTest, PingPong) {
     } else {
       auto data = comm.recv<std::uint64_t>(0, 7);
       for (auto& x : data) ++x;
-      comm.send(0, 8, data);
+      comm.send(0, 8, std::move(data));
     }
   });
 }
@@ -131,8 +131,8 @@ TEST(CommTest, WildcardSkipsNonMatchingTags) {
 }
 
 TEST(CommTest, SelfSendThroughCollectives) {
-  // broadcast and scatterv where the root is also a receiver of its own
-  // data, across every root position.
+  // broadcast where the root is also a receiver of its own data, across
+  // every root position.
   const int np = 4;
   for (int root = 0; root < np; ++root) {
     run(np, [root](Comm& comm) {
@@ -140,17 +140,6 @@ TEST(CommTest, SelfSendThroughCollectives) {
       if (comm.rank() == root) data = {root, -root};
       data = comm.broadcast(std::move(data), root, 50);
       EXPECT_EQ(data, (std::vector<int>{root, -root}));
-
-      std::vector<std::vector<int>> pieces;
-      if (comm.rank() == root) {
-        pieces.resize(static_cast<std::size_t>(comm.size()));
-        for (int r = 0; r < comm.size(); ++r) {
-          pieces[static_cast<std::size_t>(r)] = {r * 10};
-        }
-      }
-      const auto mine = comm.scatterv(std::move(pieces), root, 51);
-      ASSERT_EQ(mine.size(), 1u);
-      EXPECT_EQ(mine[0], comm.rank() * 10);
     });
   }
 }
@@ -181,10 +170,10 @@ TEST(CommTest, RepeatedBarriers) {
 
 TEST(CommTest, GatherCollectsAllRanks) {
   run(4, [](Comm& comm) {
-    const std::vector<std::uint64_t> mine{
+    std::vector<std::uint64_t> mine{
         static_cast<std::uint64_t>(comm.rank()),
         static_cast<std::uint64_t>(comm.rank() * 2)};
-    auto all = comm.gather(std::span<const std::uint64_t>(mine), 2, 11);
+    auto all = comm.gather(std::move(mine), 2, 11);
     if (comm.rank() == 2) {
       ASSERT_EQ(all.size(), 4u);
       for (int r = 0; r < 4; ++r) {
@@ -206,107 +195,6 @@ TEST(CommTest, BroadcastReachesEveryone) {
     ASSERT_EQ(data.size(), 2u);
     EXPECT_EQ(data[0], 42);
     EXPECT_EQ(data[1], 43);
-  });
-}
-
-TEST(CommTest, ReduceSumU64EqualLengths) {
-  for (int np : {1, 2, 3, 4, 7, 8}) {
-    run(np, [np](Comm& comm) {
-      const std::vector<std::uint64_t> mine{
-          1, static_cast<std::uint64_t>(comm.rank())};
-      const auto total =
-          comm.reduce_sum_u64(std::span<const std::uint64_t>(mine), 0, 13);
-      if (comm.rank() == 0) {
-        ASSERT_EQ(total.size(), 2u);
-        EXPECT_EQ(total[0], static_cast<std::uint64_t>(np));
-        EXPECT_EQ(total[1],
-                  static_cast<std::uint64_t>(np) * (np - 1) / 2);
-      } else {
-        EXPECT_TRUE(total.empty());
-      }
-    });
-  }
-}
-
-TEST(CommTest, ReduceSumU64RaggedLengths) {
-  run(4, [](Comm& comm) {
-    // Rank r contributes r+1 ones.
-    const std::vector<std::uint64_t> mine(
-        static_cast<std::size_t>(comm.rank() + 1), 1);
-    const auto total =
-        comm.reduce_sum_u64(std::span<const std::uint64_t>(mine), 0, 14);
-    if (comm.rank() == 0) {
-      ASSERT_EQ(total.size(), 4u);
-      EXPECT_EQ(total[0], 4u);  // all ranks
-      EXPECT_EQ(total[1], 3u);
-      EXPECT_EQ(total[2], 2u);
-      EXPECT_EQ(total[3], 1u);
-    }
-  });
-}
-
-TEST(CommTest, ReduceSumNonZeroRoot) {
-  run(3, [](Comm& comm) {
-    const std::vector<std::uint64_t> mine{10};
-    const auto total =
-        comm.reduce_sum_u64(std::span<const std::uint64_t>(mine), 2, 15);
-    if (comm.rank() == 2) {
-      ASSERT_EQ(total.size(), 1u);
-      EXPECT_EQ(total[0], 30u);
-    }
-  });
-}
-
-TEST(CommTest, ScattervDistributesPieces) {
-  run(4, [](Comm& comm) {
-    std::vector<std::vector<int>> pieces;
-    if (comm.rank() == 1) {
-      pieces = {{0}, {1, 11}, {2, 22, 222}, {}};
-    }
-    const std::vector<int> mine = comm.scatterv(pieces, 1, 30);
-    switch (comm.rank()) {
-      case 0:
-        EXPECT_EQ(mine, (std::vector<int>{0}));
-        break;
-      case 1:
-        EXPECT_EQ(mine, (std::vector<int>{1, 11}));
-        break;
-      case 2:
-        EXPECT_EQ(mine, (std::vector<int>{2, 22, 222}));
-        break;
-      default:
-        EXPECT_TRUE(mine.empty());
-    }
-  });
-}
-
-TEST(CommTest, AllgatherGivesEveryoneEverything) {
-  run(3, [](Comm& comm) {
-    const std::vector<std::uint64_t> mine(
-        static_cast<std::size_t>(comm.rank()) + 1,
-        static_cast<std::uint64_t>(comm.rank()));
-    const auto all =
-        comm.allgather(std::span<const std::uint64_t>(mine), 31);
-    ASSERT_EQ(all.size(), 3u);
-    for (int r = 0; r < 3; ++r) {
-      ASSERT_EQ(all[static_cast<std::size_t>(r)].size(),
-                static_cast<std::size_t>(r) + 1);
-      for (std::uint64_t v : all[static_cast<std::size_t>(r)]) {
-        EXPECT_EQ(v, static_cast<std::uint64_t>(r));
-      }
-    }
-  });
-}
-
-TEST(CommTest, AllreduceSumReachesAllRanks) {
-  run(5, [](Comm& comm) {
-    const std::vector<std::uint64_t> mine{
-        static_cast<std::uint64_t>(comm.rank()), 1};
-    const auto total = comm.allreduce_sum_u64(
-        std::span<const std::uint64_t>(mine), 32);
-    ASSERT_EQ(total.size(), 2u);
-    EXPECT_EQ(total[0], 10u);  // 0+1+2+3+4
-    EXPECT_EQ(total[1], 5u);
   });
 }
 

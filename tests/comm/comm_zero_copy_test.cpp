@@ -40,14 +40,17 @@ TEST(CommZeroCopyTest, MoveSendRecvPreservesStorage) {
 TEST(CommZeroCopyTest, CopySendIsCountedAsCopied) {
   const RunStats stats = run(2, [](Comm& comm) {
     if (comm.rank() == 0) {
-      const std::vector<std::uint64_t> data(10, 3);  // lvalue: copy path
-      comm.send(1, 1, data);
+      comm.send(1, 1, std::vector<std::uint32_t>(20, 3));
     } else {
-      EXPECT_EQ(comm.recv<std::uint64_t>(0, 1).size(), 10u);
+      // A different element type cannot take the moved storage back out.
+      const auto got = comm.recv<std::uint64_t>(0, 1);
+      ASSERT_EQ(got.size(), 10u);
+      EXPECT_EQ(got[0], (std::uint64_t{3} << 32) | 3u);
     }
   });
-  // One copy into the message, one copy out of the untyped payload.
-  EXPECT_EQ(stats.total_bytes_copied(), 160u);
+  // The send is a move; the receive pays exactly one copy-out.
+  EXPECT_EQ(stats.total_bytes_copied(), 80u);
+  EXPECT_EQ(stats.total_bytes_shared(), 80u);
   EXPECT_EQ(stats.total_bytes(), 80u);
 }
 
@@ -69,29 +72,6 @@ TEST(CommZeroCopyTest, RecvViewAliasesMovedBuffer) {
   });
   EXPECT_EQ(sent.load(), viewed.load());
   EXPECT_EQ(stats.total_bytes_copied(), 0u);
-}
-
-TEST(CommZeroCopyTest, BroadcastViewPublishesOneBlock) {
-  constexpr int kNp = 5;
-  std::atomic<const void*> root_block{nullptr};
-  std::atomic<int> aliased{0};
-  const RunStats stats = run(kNp, [&](Comm& comm) {
-    std::vector<std::uint64_t> data;
-    if (comm.rank() == 2) {
-      data.assign(4096, 0);
-      for (std::size_t i = 0; i < data.size(); ++i) data[i] = i * 3;
-      root_block.store(data.data());
-    }
-    const View<std::uint64_t> v =
-        comm.broadcast_view(std::move(data), 2, 12);
-    ASSERT_EQ(v.size(), 4096u);
-    EXPECT_EQ(v[100], 300u);
-    if (v.data() == root_block.load()) aliased.fetch_add(1);
-  });
-  // Every rank (root included) reads the same physical block.
-  EXPECT_EQ(aliased.load(), kNp);
-  EXPECT_EQ(stats.total_bytes_copied(), 0u);
-  EXPECT_GT(stats.total_bytes_shared(), 0u);
 }
 
 TEST(CommZeroCopyTest, ScattervViewSlicesOneBlock) {
@@ -137,18 +117,6 @@ TEST(CommZeroCopyTest, ScattervViewSlicesOneBlock) {
   EXPECT_EQ(stats.total_bytes_shared(), 100u * 8u - 50u * 8u);
 }
 
-TEST(CommZeroCopyTest, ScattervMoveOverloadMovesPieces) {
-  const RunStats stats = run(3, [](Comm& comm) {
-    std::vector<std::vector<int>> pieces;
-    if (comm.rank() == 0) pieces = {{1}, {2, 2}, {3, 3, 3}};
-    const std::vector<int> mine =
-        comm.scatterv(std::move(pieces), 0, 31);
-    ASSERT_EQ(mine.size(), static_cast<std::size_t>(comm.rank()) + 1);
-    EXPECT_EQ(mine[0], comm.rank() + 1);
-  });
-  EXPECT_EQ(stats.total_bytes_copied(), 0u);
-}
-
 TEST(CommZeroCopyTest, GatherOfMovedBuffersNeverCopies) {
   const RunStats stats = run(6, [](Comm& comm) {
     std::vector<std::uint64_t> mine(
@@ -180,10 +148,6 @@ TEST(CommZeroCopyTest, ZeroLengthPayloads) {
     } else if (comm.rank() == 1) {
       EXPECT_TRUE(comm.recv<std::uint64_t>(0, 1).empty());
     }
-    // Empty broadcast_view.
-    const View<std::uint64_t> v =
-        comm.broadcast_view(std::vector<std::uint64_t>{}, 0, 2);
-    EXPECT_TRUE(v.empty());
     // scatterv_view where every slice is empty.
     std::vector<std::uint64_t> block;
     std::vector<std::pair<std::uint64_t, std::uint64_t>> slices;
@@ -200,9 +164,6 @@ TEST(CommZeroCopyTest, SingleRankCollectivesSelfDeliver) {
   run(1, [](Comm& comm) {
     const auto b = comm.broadcast(std::vector<int>{5, 6}, 0, 1);
     EXPECT_EQ(b, (std::vector<int>{5, 6}));
-    const View<int> bv = comm.broadcast_view(std::vector<int>{7}, 0, 2);
-    ASSERT_EQ(bv.size(), 1u);
-    EXPECT_EQ(bv[0], 7);
     std::vector<std::pair<std::uint64_t, std::uint64_t>> slices{{1, 2}};
     const View<int> sv = comm.scatterv_view(
         std::vector<int>{9, 10, 11},
@@ -240,7 +201,7 @@ TEST(CommZeroCopyTest, ViewKeepsBlockAliveAfterRootMovesOn) {
 }
 
 TEST(CommZeroCopyTest, BroadcastStillReturnsOwnedVectors) {
-  // The legacy vector-returning broadcast on top of the shared transport.
+  // The vector-returning broadcast on top of the shared transport.
   const RunStats stats = run(8, [](Comm& comm) {
     std::vector<std::uint64_t> data;
     if (comm.rank() == 3) data.assign(1 << 12, 9);

@@ -162,14 +162,15 @@ TEST(FaultMatrixTest, ThrowDuringBarrier) {
 }
 
 TEST(FaultMatrixTest, ThrowDuringCollective) {
-  // Rank 3 dies inside the allreduce (its first collective-internal recv,
-  // the broadcast hop from its tree parent).
+  // Rank 3 dies inside the broadcast (its first collective-internal recv,
+  // the hop from its tree parent).
   const FaultPlan plan = FaultPlan::parse("rank=3,op=recv,n=0");
   RunOptions opts = guarded();
   opts.fault_plan = &plan;
   expect_attributed_abort(8, 3, opts, [](Comm& comm) {
-    std::vector<std::uint64_t> mine{static_cast<std::uint64_t>(comm.rank())};
-    comm.allreduce_sum_u64(mine, 7);
+    std::vector<std::uint64_t> data;
+    if (comm.rank() == 0) data = {1, 2, 3};
+    comm.broadcast(std::move(data), 0, 7);
   });
 }
 

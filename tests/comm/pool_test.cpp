@@ -14,14 +14,14 @@
 namespace parda::comm {
 namespace {
 
-// A small allreduce-ish body used to check that a job on the pool behaves
+// A small gather-and-sum body used to check that a job on the pool behaves
 // exactly like comm::run: every rank contributes its rank+1, rank 0 sums.
 std::uint64_t gather_sum(WorkerPool& pool, int np) {
   std::uint64_t sum = 0;
   pool.run_job(np, [&](Comm& comm) {
-    const std::uint64_t mine = static_cast<std::uint64_t>(comm.rank()) + 1;
-    const auto pieces =
-        comm.gather(std::span<const std::uint64_t>(&mine, 1), 0, 3);
+    const auto pieces = comm.gather(
+        std::vector<std::uint64_t>{static_cast<std::uint64_t>(comm.rank()) + 1},
+        0, 3);
     if (comm.rank() == 0) {
       for (const auto& piece : pieces) sum += piece.at(0);
     }

@@ -316,29 +316,77 @@ TEST(CrossTransportTest, ByteAccountingIsHonestPerWire) {
 }
 
 TEST(CrossTransportTest, SharedViewsDegradeToCopiesOffThreads) {
-  // broadcast_view hands out refcounted views on the threads wire and
-  // falls back to per-receiver copies on serializing wires — same values
-  // either way (the graceful-degradation half of the view contract).
+  // scatterv_view hands out refcounted slices of one block on the threads
+  // wire and falls back to per-receiver copies on serializing wires — same
+  // values either way (the graceful-degradation half of the view contract).
   for (const char* wire : kWires) {
     SCOPED_TRACE(wire);
-    run(
+    const RunStats stats = run(
         3,
         [](Comm& comm) {
-          std::vector<std::uint64_t> root_data;
+          std::vector<std::uint64_t> block;
+          std::vector<std::pair<std::uint64_t, std::uint64_t>> slices;
           if (comm.rank() == 0) {
-            root_data.assign(512, 0);
-            for (std::size_t i = 0; i < root_data.size(); ++i) {
-              root_data[i] = i * 3 + 1;
-            }
+            block.resize(3 * 512);
+            for (std::size_t i = 0; i < block.size(); ++i) block[i] = i * 3 + 1;
+            slices = {{0, 512}, {512, 512}, {1024, 512}};
           }
-          const View<std::uint64_t> view =
-              comm.broadcast_view(std::move(root_data), 0, 9);
+          const View<std::uint64_t> view = comm.scatterv_view(
+              std::move(block),
+              std::span<const std::pair<std::uint64_t, std::uint64_t>>(
+                  slices),
+              0, 9);
+          const std::uint64_t first =
+              static_cast<std::uint64_t>(comm.rank()) * 512;
           ASSERT_EQ(view.span().size(), 512u);
-          EXPECT_EQ(view.span()[0], 1u);
-          EXPECT_EQ(view.span()[511], 511u * 3 + 1);
+          EXPECT_EQ(view.span()[0], first * 3 + 1);
+          EXPECT_EQ(view.span()[511], (first + 511) * 3 + 1);
           comm.barrier();
         },
         on_wire(wire));
+    const std::uint64_t slice_bytes = 512 * sizeof(std::uint64_t);
+    if (std::string(wire) == "threads") {
+      EXPECT_EQ(stats.total_bytes_copied(), 0u);
+      EXPECT_EQ(stats.total_bytes_shared(), 2 * slice_bytes);
+    } else {
+      EXPECT_EQ(stats.total_bytes_copied(), 2 * slice_bytes);
+      EXPECT_EQ(stats.total_bytes_shared(), 0u);
+    }
+  }
+}
+
+// --- Hostile frames: the envelope is checked before delivery ---------------
+
+/// Rank 1 posts one data frame with a forged envelope to rank 0 over
+/// `wire` while rank 0 gathers. The pump must reject the frame and abort
+/// the world, so rank 0 sees RankAbortedError: the forged fields never
+/// reach a mailbox bucket or a gather slot.
+void expect_forged_frame_aborts(const char* wire, int src, int origin) {
+  detail::World world(2, TransportSpec::parse(wire));
+  RankStats stats;
+  Comm comm(world, 0, stats, nullptr, milliseconds(3000));
+  Message forged;
+  forged.src = src;
+  forged.origin = origin;
+  forged.tag = 5;
+  forged.payload = Payload::own(std::vector<std::uint64_t>{7});
+  world.route(1, 0, std::move(forged));
+  EXPECT_THROW(comm.gather(std::vector<std::uint64_t>{1}, 0, 5),
+               RankAbortedError);
+}
+
+TEST(HostileFrameTest, OriginOutsideTheWorldAborts) {
+  for (const char* wire : {"shm", "tcp"}) {
+    SCOPED_TRACE(wire);
+    expect_forged_frame_aborts(wire, /*src=*/1, /*origin=*/2);  // origin = np
+  }
+}
+
+TEST(HostileFrameTest, SpoofedSrcAborts) {
+  for (const char* wire : {"shm", "tcp"}) {
+    SCOPED_TRACE(wire);
+    // Rank 1's ring or connection carries a frame claiming rank 0 sent it.
+    expect_forged_frame_aborts(wire, /*src=*/0, /*origin=*/1);
   }
 }
 

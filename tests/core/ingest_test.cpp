@@ -274,6 +274,23 @@ TEST_F(IngestTest, ZeroCopyProofInMetrics) {
   obs::set_enabled(false);
 }
 
+TEST_F(IngestTest, OfflineAnalysisCopiesNoCommBytes) {
+  // Next to the ingest proof above, the comm half: every message of the
+  // offline algorithm on the threads wire — the local-infinity lists, the
+  // histogram reduce, and the profile gather — moves its buffer, so the
+  // run's RankStats count no copied byte.
+  for (const std::uint64_t bound : {std::uint64_t{0}, std::uint64_t{128}}) {
+    for (const int np : {1, 2, 4}) {
+      SCOPED_TRACE("np=" + std::to_string(np) +
+                   " bound=" + std::to_string(bound));
+      const PardaResult span = parda_analyze(*trace_, options_for(np, bound));
+      EXPECT_EQ(span.stats.total_bytes_copied(), 0u);
+      const PardaResult mmap = analyze(IngestMode::kMmap, np, bound);
+      EXPECT_EQ(mmap.stats.total_bytes_copied(), 0u);
+    }
+  }
+}
+
 TEST_F(IngestTest, OfflineSourceRejectsStreamingInterface) {
   MmapTraceSource mmap(*trc_path_);
   EXPECT_THROW(mmap.pipe(), CheckError);

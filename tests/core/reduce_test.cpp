@@ -44,7 +44,7 @@ TEST_P(ReduceHistogramTest, SumsAcrossAllRanks) {
 }
 
 INSTANTIATE_TEST_SUITE_P(RankCounts, ReduceHistogramTest,
-                         ::testing::Values(1, 2, 3, 4, 5, 8, 13, 16));
+                         ::testing::Values(1, 2, 3, 4, 5, 8, 13, 16, 64));
 
 TEST(ReduceHistogramTest, NonZeroRoot) {
   comm::run(6, [](comm::Comm& comm) {
