@@ -5,13 +5,13 @@
 // three orders of magnitude below the paper's). Set PARDA_BENCH_SCALE=1000
 // for the full-size scaled runs reported in EXPERIMENTS.md.
 //
-// Timing model: this host has a single core, so wall clock cannot show
-// parallel speedup. The harnesses therefore report, for each parallel run,
+// Timing model: the paper-figure harnesses report, for each parallel run,
 //   - seq:   measured sequential Olken81 time,
 //   - work:  total CPU work across ranks,
 //   - crit:  the busiest rank's CPU time — the critical-path lower bound
 //            that a one-core-per-rank cluster would approach (what the
 //            paper's 64-node runs measure).
+// Every artifact records the host it ran on (see write_bench_json).
 //
 // Timing-source audit (all timing sites, none use system_clock): every
 // harness interval is a util/timer.hpp WallTimer (steady_clock — immune to
@@ -25,10 +25,12 @@
 // trace_tool --metrics-out / --trace-spans).
 #pragma once
 
+#include <cctype>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -79,7 +81,10 @@ inline std::uint64_t scaled_bound(std::uint64_t paper_words) {
 // threshold. Params may be integers (counts, sizes) or strings
 // (categorical axes such as the comm transport); bench_diff defaults a
 // missing "transport" to "threads" so pre-transport baselines keep
-// matching. Harnesses build BenchPoints and call write_bench_json.
+// matching. Harnesses build BenchPoints and call write_bench_json, which
+// also writes a "host" object (nproc, compiler, build_type, git_sha, as
+// bench_e2e/run.py writes it, plus a "-dirty" mark on uncommitted trees)
+// saying where the numbers came from; bench_diff does not read it.
 // ---------------------------------------------------------------------------
 
 struct BenchPoint {
@@ -95,6 +100,25 @@ inline std::string bench_json_path(const char* fallback) {
   return env != nullptr && *env != '\0' ? env : fallback;
 }
 
+/// HEAD of the checkout the bench runs from, with a "-dirty" suffix when
+/// tracked files differ from it (the numbers then come from uncommitted
+/// code), or "unknown".
+inline std::string git_sha() {
+  std::string sha;
+  if (FILE* out = ::popen("git -C '" PARDA_BENCH_SOURCE_DIR
+                          "' describe --always --dirty --abbrev=40"
+                          " --exclude='*' 2>/dev/null",
+                          "r")) {
+    char line[64];
+    if (std::fgets(line, sizeof(line), out) != nullptr) sha = line;
+    ::pclose(out);
+  }
+  while (!sha.empty() && std::isspace(static_cast<unsigned char>(sha.back()))) {
+    sha.pop_back();
+  }
+  return sha.empty() ? "unknown" : sha;
+}
+
 inline void write_bench_json(const std::string& path,
                              const std::string& bench,
                              const std::vector<BenchPoint>& points) {
@@ -102,6 +126,17 @@ inline void write_bench_json(const std::string& path,
   w.begin_object();
   w.key("schema").value("parda.bench.v1");
   w.key("bench").value(bench);
+  w.key("host").begin_object();
+  w.key("nproc").value(
+      static_cast<std::uint64_t>(std::thread::hardware_concurrency()));
+#if defined(__clang__)
+  w.key("compiler").value(std::string("clang ") + __clang_version__);
+#else
+  w.key("compiler").value(std::string("gcc ") + __VERSION__);
+#endif
+  w.key("build_type").value(PARDA_BENCH_BUILD_TYPE);
+  w.key("git_sha").value(git_sha());
+  w.end_object();
   w.key("points").begin_array();
   for (const BenchPoint& p : points) {
     w.begin_object();

@@ -1,6 +1,7 @@
 // Ablation A1: order-statistic tree engine choice (splay vs AVL vs treap
-// vs sorted vector) under the reuse-distance access pattern — the design
-// space the paper's Section VII surveys ([13] AVL, [17][18] splay).
+// vs sorted vector, against the FenwickIndex that Parda's ranks run on by
+// default) under the reuse-distance access pattern — the design space the
+// paper's Section VII surveys ([13] AVL, [17][18] splay, [2] Fenwick).
 //
 // Writes a parda.bench.v1 artifact (default BENCH_trees.json, override
 // with PARDA_BENCH_JSON): olken_zipf_* points sweep the footprint m on a
@@ -23,6 +24,7 @@
 #include "bench_common.hpp"
 #include "seq/olken.hpp"
 #include "tree/avl_tree.hpp"
+#include "tree/fenwick.hpp"
 #include "tree/splay_tree.hpp"
 #include "tree/treap.hpp"
 #include "tree/vector_tree.hpp"
@@ -112,6 +114,7 @@ void run_trees_suite() {
   tree_points<SplayTree>("splay", refs, reps, points);
   tree_points<AvlTree>("avl", refs, reps, points);
   tree_points<Treap>("treap", refs, reps, points);
+  tree_points<FenwickIndex>("fenwick", refs, reps, points);
   // VectorTree is O(m) per erase: zipf/churn only at the small footprint
   // would still dominate the suite at full size, so it stays out of the
   // artifact (run BM_OlkenEngine_Zipf<VectorTree> ad hoc instead).

@@ -7,6 +7,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <thread>
@@ -111,6 +112,10 @@ std::size_t FrameReader::drain(
     const std::function<std::size_t(std::byte*, std::size_t)>& pull,
     const std::function<void(const FrameHeader&, std::vector<std::byte>&&)>&
         sink) {
+  // The payload buffer grows with the bytes that arrive, at most doubling
+  // each step, so a header that declares a huge payload costs memory only
+  // as fast as the stream delivers it.
+  constexpr std::size_t kFirstStep = std::size_t{64} << 10;
   std::size_t consumed = 0;
   for (;;) {
     if (!in_payload_) {
@@ -121,17 +126,22 @@ std::size_t FrameReader::drain(
       have_ += got;
       if (have_ < sizeof(FrameHeader)) return consumed;
       check_frame_header(header_);
-      payload_.resize(static_cast<std::size_t>(header_.payload_bytes));
+      payload_.clear();
       have_ = 0;
       in_payload_ = true;
     }
-    const std::size_t got = payload_.empty()
-                                ? 0
-                                : pull(payload_.data() + have_,
-                                       payload_.size() - have_);
-    consumed += got;
-    have_ += got;
-    if (have_ < payload_.size()) return consumed;
+    const auto declared = static_cast<std::size_t>(header_.payload_bytes);
+    while (have_ < declared) {
+      if (have_ == payload_.size()) {
+        payload_.resize(
+            std::min(declared, have_ + std::max(have_, kFirstStep)));
+      }
+      const std::size_t got =
+          pull(payload_.data() + have_, payload_.size() - have_);
+      consumed += got;
+      have_ += got;
+      if (got == 0) return consumed;
+    }
     sink(header_, std::move(payload_));
     payload_ = {};
     have_ = 0;

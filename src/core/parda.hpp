@@ -28,7 +28,7 @@
 #include "obs/span_tracer.hpp"
 #include "trace/source.hpp"
 #include "trace/trace_pipe.hpp"
-#include "tree/splay_tree.hpp"
+#include "tree/fenwick.hpp"
 #include "util/check.hpp"
 #include "util/types.hpp"
 
@@ -278,18 +278,22 @@ void stream_rank_body(comm::Comm& comm, TracePipe& pipe,
     profile.records_received += state.received_count();
 
     // --- State reduction onto virtual np-1 (Algorithm 6): the exported
-    // state moves into the message and is imported through a view.
+    // state moves into the message and is imported through a view. The
+    // holder takes every view before importing, because the imports are
+    // keyed below its own entries oldest first, in virtual-rank order.
     {
       obs::SpanScope span("reduce", phase_no);
       const int holder_phys = phys_of(np - 1);
       if (virt != np - 1) {
         comm.send(holder_phys, kTagState, state.export_state());
       } else {
+        std::vector<comm::View<InfRecord>> views;
+        std::vector<std::span<const InfRecord>> parts;
         for (int v = 0; v < np - 1; ++v) {
-          const comm::View<InfRecord> incoming =
-              comm.recv_view<InfRecord>(phys_of(v), kTagState);
-          state.import_state(incoming.span());
+          views.push_back(comm.recv_view<InfRecord>(phys_of(v), kTagState));
+          parts.push_back(views.back().span());
         }
+        state.import_state(parts);
         state.prune_to_bound();
       }
     }
@@ -332,7 +336,7 @@ void stream_rank_body(comm::Comm& comm, TracePipe& pipe,
 /// analysis when options.bound is set. The source must stay alive for the
 /// call (rank views alias its storage) and may be reused across calls —
 /// ChunkedTrzSource keeps its per-rank decode arenas warm.
-template <OrderStatTree Tree = SplayTree>
+template <OrderStatTree Tree = FenwickIndex>
 PardaResult parda_analyze_source_on(comm::WorkerPool& pool,
                                     TraceSource& source,
                                     const PardaOptions& options) {
@@ -366,7 +370,7 @@ PardaResult parda_analyze_source_on(comm::WorkerPool& pool,
 /// One-shot analysis of a source on a transient runtime. Long-lived
 /// callers should hold a core::PardaRuntime (or a raw WorkerPool) to
 /// amortize thread spawning.
-template <OrderStatTree Tree = SplayTree>
+template <OrderStatTree Tree = FenwickIndex>
 PardaResult parda_analyze(TraceSource& source, const PardaOptions& options) {
   comm::WorkerPool pool(options.num_procs);
   return parda_analyze_source_on<Tree>(pool, source, options);
@@ -374,7 +378,7 @@ PardaResult parda_analyze(TraceSource& source, const PardaOptions& options) {
 
 /// One-shot offline analysis of an in-memory trace (Algorithm 3): chunk p
 /// owns global positions [p*ceil(N/np), ...) — see SpanTraceSource.
-template <OrderStatTree Tree = SplayTree>
+template <OrderStatTree Tree = FenwickIndex>
 PardaResult parda_analyze(std::span<const Addr> trace,
                           const PardaOptions& options) {
   SpanTraceSource source(trace);

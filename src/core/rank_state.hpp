@@ -6,6 +6,20 @@
 // logic of Algorithm 7. It is deliberately comm-agnostic so the same state
 // machine drives the offline, phased, and test harnesses.
 //
+// Keys: the tree and hash table key each resident address by a per-rank
+// clock, not by its global trace position. Own-chunk references, and the
+// incoming records that unoptimized Algorithm 3 replays, are newer than
+// everything resident and take the next tick; state imported by the phase
+// holder (Algorithm 6) is older than everything resident and takes the
+// ticks just below the oldest key. Key order is therefore time order, and
+// every tree performs the operations it would perform keyed by global
+// time, but the keys stay dense, so the default tree is a FenwickIndex
+// over flat arrays. A side array maps each key back to its global
+// timestamp for the records that leave the rank. Each hit leaves a dead
+// key behind; the rank renumbers its live keys before the dead ones
+// outgrow them (plus a slack), so the window and the side array stay
+// O(resident + slack) however long the chunk or the stream.
+//
 // Bounded-mode semantics (one deliberate tightening over the paper, see
 // DESIGN.md): with bound B, the final histogram is exact for all d < B and
 // every reference with true distance >= B is an infinity. The paper's
@@ -14,20 +28,22 @@
 // bounded-sequential bit-for-bit, which the property tests verify.
 #pragma once
 
+#include <algorithm>
 #include <span>
 #include <vector>
 
 #include "core/messages.hpp"
 #include "hash/addr_map.hpp"
 #include "hist/histogram.hpp"
+#include "seq/olken.hpp"
+#include "tree/fenwick.hpp"
 #include "tree/order_stat_tree.hpp"
-#include "tree/splay_tree.hpp"
 #include "util/check.hpp"
 #include "util/types.hpp"
 
 namespace parda {
 
-template <OrderStatTree Tree = SplayTree>
+template <OrderStatTree Tree = FenwickIndex>
 class RankState {
  public:
   /// bound: kUnbounded, or the cache bound B of Algorithm 7.
@@ -56,27 +72,16 @@ class RankState {
   /// >= B (also an infinity, correct). This is what makes the bounded
   /// parallel histogram equal the bounded sequential one bit for bit.
   void process_own(Addr z, Timestamp ts) {
-    if (const Timestamp* last = table_.find(z)) {
-      Distance d = tree_.count_greater(*last);
-      tree_.erase(*last);
-      // The tree can transiently exceed B entries (a phase-holder rank
-      // carries up to B inherited entries plus its chunk's misses), so a
-      // hit may resolve a distance >= B; under the bound that reference is
-      // a capacity miss.
-      if (bound_ != kUnbounded && d >= bound_) d = kInfiniteDistance;
-      hist_.record(d);
-    } else {
-      if (bound_ != kUnbounded && table_.size() >= bound_) {
-        // Capacity: evict LRU. The victim's own judgement was already
-        // deferred when it first appeared, so nothing is tallied here.
-        const TreeEntry victim = tree_.pop_oldest();
-        table_.erase(victim.addr);
-      }
+    const Distance d =
+        olken_step(tree_, table_, z, next_key_, bound_).distance;
+    key_ts_.push_back(ts);
+    ++next_key_;
+    if (d == kInfiniteDistance) {
       // First reference in this rank's view: defer judgement, pass left.
       loc_inf_.push_back(InfRecord{z, ts});
+    } else {
+      record(d);
     }
-    tree_.insert(ts, z);
-    table_.insert_or_assign(z, ts);
     note_resident();
   }
 
@@ -84,45 +89,52 @@ class RankState {
   /// first reference sits at global position base_ts. Identical tallies and
   /// record stream to the per-reference loop; the hash probe a few
   /// references ahead is software-prefetched.
+  ///
+  /// Every hit leaves its previous key dead, so the key span would grow
+  /// with the chunk, and on a rank that never exports its state (np = 1
+  /// streaming) with the whole trace. The rank renumbers its live keys as
+  /// soon as the span exceeds twice the resident count plus the block
+  /// (at most kKeySlack), so the span stays O(resident + slack).
   void process_own_block(std::span<const Addr> block, Timestamp base_ts) {
     constexpr std::size_t kAhead = 8;
     const std::size_t n = block.size();
+    const std::uint64_t slack = std::min<std::uint64_t>(n, kKeySlack);
+    // One allocation for a whole offline chunk; geometric across phases.
+    if (key_ts_.capacity() < key_ts_.size() + n) {
+      key_ts_.reserve(std::max(key_ts_.size() + n, 2 * key_ts_.capacity()));
+    }
     for (std::size_t i = 0; i < n; ++i) {
       if (i + kAhead < n) table_.prefetch(block[i + kAhead]);
       process_own(block[i], base_ts + i);
+      bound_key_span(slack);
     }
   }
 
   /// Processes a received local-infinity list (one merge round). Survivors
   /// (still-unresolved references) are appended to the outgoing queue.
   void process_incoming(std::span<const InfRecord> records) {
-    for (const InfRecord& rec : records) {
-      if (const Timestamp* last = table_.find(rec.addr)) {
-        Distance d = tree_.count_greater(*last);
-        if (space_optimized_) {
-          // Algorithm 4: offset by infinities received so far — distinct
-          // elements of the right-hand suffix that are (by design) absent
-          // from this rank's tree.
-          d += received_count_;
-          tree_.erase(*last);
-          table_.erase(rec.addr);
-        } else {
-          // Unoptimized Algorithm 3: the incoming reference is replayed
-          // like a normal trace entry, so the tree itself accounts for
-          // every suffix element and no offset applies.
-          tree_.erase(*last);
-          tree_.insert(rec.ts, rec.addr);
-          table_.insert_or_assign(rec.addr, rec.ts);
-        }
-        if (bound_ != kUnbounded && d >= bound_) d = kInfiniteDistance;
-        hist_.record(d);
+    constexpr std::size_t kAhead = 8;
+    const std::size_t n = records.size();
+    for (std::size_t i = 0; i < n; ++i) {
+      if (i + kAhead < n) table_.prefetch(records[i + kAhead].addr);
+      const InfRecord& rec = records[i];
+      if (!space_optimized_) {
+        // Unoptimized Algorithm 3: the incoming reference is replayed like
+        // a normal trace entry (it is newer than everything here), so the
+        // tree itself accounts for every suffix element and no offset
+        // applies.
+        process_own(rec.addr, rec.ts);
+        bound_key_span(kKeySlack);
+      } else if (const Timestamp* last = table_.find(rec.addr)) {
+        // Algorithm 4: offset by infinities received so far — distinct
+        // elements of the right-hand suffix that are (by design) absent
+        // from this rank's tree.
+        const Distance d = tree_.count_greater(*last) + received_count_;
+        tree_.erase(*last);
+        table_.erase(rec.addr);
+        record(d);
       } else {
         loc_inf_.push_back(rec);
-        if (!space_optimized_) {
-          tree_.insert(rec.ts, rec.addr);
-          table_.insert_or_assign(rec.addr, rec.ts);
-          note_resident();
-        }
       }
       ++received_count_;
     }
@@ -147,26 +159,59 @@ class RankState {
     loc_inf_.clear();
   }
 
-  /// Serializes the resident (addr, last-ts) set for the phase reduction
-  /// (Algorithm 6), leaving this rank empty.
-  std::vector<InfRecord> export_state() {
+  /// The resident set as (address, global timestamp of its last reference)
+  /// records, oldest first.
+  std::vector<InfRecord> resident_records() const {
     std::vector<InfRecord> out;
     out.reserve(tree_.size());
-    tree_.for_each(
-        [&](TreeEntry e) { out.push_back(InfRecord{e.addr, e.ts}); });
-    tree_.clear();
-    table_.clear();
+    tree_.for_each([&](TreeEntry e) {
+      out.push_back(InfRecord{e.addr, global_ts(e.ts)});
+    });
     return out;
   }
 
-  /// Merges another rank's exported state. With space optimization the
+  /// Serializes the resident set (resident_records) for the phase
+  /// reduction (Algorithm 6), leaving this rank empty with its clock
+  /// restarted.
+  std::vector<InfRecord> export_state() {
+    std::vector<InfRecord> out = resident_records();
+    tree_.clear();
+    table_.clear();
+    key_ts_.clear();
+    first_key_ = next_key_ = kClockOrigin;
+    return out;
+  }
+
+  /// Merges the exported states of the ranks to the left, given oldest
+  /// first (virtual-rank order is time order, and every part is older than
+  /// this rank's own entries). The records take the keys just below this
+  /// rank's oldest key, in order, so no resident entry is re-keyed and the
+  /// hash table sees one insert per record. With space optimization the
   /// address sets are disjoint (paper Section IV-C), so no duplicate check
   /// is needed — PARDA_DCHECK guards that claim in debug builds.
-  void import_state(std::span<const InfRecord> records) {
-    for (const InfRecord& rec : records) {
-      PARDA_DCHECK(!table_.contains(rec.addr));
-      tree_.insert(rec.ts, rec.addr);
-      table_.insert_or_assign(rec.addr, rec.ts);
+  void import_state(std::span<const std::span<const InfRecord>> parts) {
+    std::size_t total = 0;
+    for (const auto& part : parts) total += part.size();
+    const Timestamp below = tree_.empty() ? next_key_ : tree_.oldest().ts;
+    Timestamp key = below - total;
+    if (key < first_key_) {
+      // The keys below the oldest are dead: keep [below, next) behind the
+      // imports' slots.
+      const auto live =
+          key_ts_.begin() + static_cast<std::ptrdiff_t>(below - first_key_);
+      std::vector<Timestamp> side(total);
+      side.insert(side.end(), live, key_ts_.end());
+      key_ts_ = std::move(side);
+      first_key_ = key;
+    }
+    for (const auto& part : parts) {
+      for (const InfRecord& rec : part) {
+        PARDA_DCHECK(!table_.contains(rec.addr));
+        tree_.insert(key, rec.addr);
+        table_.insert_or_assign(rec.addr, key);
+        key_ts_[key - first_key_] = rec.ts;
+        ++key;
+      }
     }
     note_resident();
   }
@@ -185,6 +230,14 @@ class RankState {
   /// Resets the per-merge-stage received counter (start of each phase).
   void begin_merge_stage() { received_count_ = 0; }
 
+  /// The most dead keys the rank keeps beyond its live ones.
+  static constexpr std::uint64_t kKeySlack = 65536;
+
+  /// Keys from the first one the side array maps to the next one the clock
+  /// hands out: the side array's length. Every live key lies in the span,
+  /// so it also bounds what the FenwickIndex's window must cover.
+  std::uint64_t key_span() const noexcept { return next_key_ - first_key_; }
+
   const Histogram& hist() const noexcept { return hist_; }
   Histogram& hist() noexcept { return hist_; }
   std::size_t resident() const noexcept { return tree_.size(); }
@@ -197,6 +250,44 @@ class RankState {
   const AddrMap& table() const noexcept { return table_; }
 
  private:
+  /// The clock restarts here, far from 0, so that imports can always take
+  /// keys below a fresh rank's first key.
+  static constexpr Timestamp kClockOrigin = Timestamp{1} << 62;
+
+  Timestamp global_ts(Timestamp key) const { return key_ts_[key - first_key_]; }
+
+  /// Tallies a resolved distance; under the bound, d >= B is a capacity
+  /// miss. (The tree can exceed B entries: a phase holder carries up to B
+  /// inherited entries plus its chunk's misses.)
+  void record(Distance d) {
+    if (bound_ != kUnbounded && d >= bound_) d = kInfiniteDistance;
+    hist_.record(d);
+  }
+
+  /// Renumbers the live keys once the dead keys in the span outnumber them
+  /// by more than slack. A renumbering costs O(span) and leaves no dead
+  /// key, so it is O(1) amortized per key that died since the last one.
+  void bound_key_span(std::uint64_t slack) {
+    if (key_span() > 2 * resident() + slack) compact_keys();
+  }
+
+  /// Renumbers the live keys kClockOrigin, kClockOrigin + 1, ... in order.
+  void compact_keys() {
+    std::vector<TreeEntry> live;
+    live.reserve(tree_.size());
+    tree_.for_each([&](TreeEntry e) { live.push_back(e); });
+    tree_.clear();
+    std::vector<Timestamp> side(live.size());
+    for (std::size_t i = 0; i < live.size(); ++i) {
+      side[i] = global_ts(live[i].ts);
+      tree_.insert(kClockOrigin + i, live[i].addr);
+      *table_.find(live[i].addr) = kClockOrigin + i;
+    }
+    key_ts_ = std::move(side);
+    first_key_ = kClockOrigin;
+    next_key_ = kClockOrigin + live.size();
+  }
+
   void note_resident() noexcept {
     if (tree_.size() > peak_resident_) peak_resident_ = tree_.size();
   }
@@ -204,11 +295,14 @@ class RankState {
   std::uint64_t bound_;
   bool space_optimized_;
   Tree tree_;
-  AddrMap table_;
+  AddrMap table_;  // address -> key
   Histogram hist_;
   std::vector<InfRecord> loc_inf_;
   std::uint64_t received_count_ = 0;  // 'count' of Algorithm 4
   std::uint64_t peak_resident_ = 0;
+  Timestamp next_key_ = kClockOrigin;   // the per-rank clock
+  Timestamp first_key_ = kClockOrigin;  // key of key_ts_[0]
+  std::vector<Timestamp> key_ts_;       // key - first_key_ -> global ts
 };
 
 }  // namespace parda

@@ -27,6 +27,34 @@
 
 namespace parda {
 
+/// What one Olken step did.
+struct OlkenStep {
+  Distance distance;  // to z's previous reference; kInfiniteDistance on a miss
+  bool evicted;       // the miss found `bound` entries and evicted the oldest
+};
+
+/// One step of Algorithm 1, shared by OlkenAnalyzer and every Parda rank
+/// (RankState): references z at key `now`, which must exceed every key in
+/// `tree`. A hit's distance is the number of keys newer than z's previous
+/// one, each the last reference of a distinct address. Under a bound
+/// (kUnbounded = none), a miss with `bound` entries resident first evicts
+/// the least recently referenced one.
+template <OrderStatTree Tree>
+OlkenStep olken_step(Tree& tree, AddrMap& table, Addr z, Timestamp now,
+                     std::uint64_t bound) {
+  OlkenStep step{kInfiniteDistance, false};
+  if (const Timestamp* last = table.find(z)) {
+    step.distance = tree.count_greater(*last);
+    tree.erase(*last);
+  } else if (bound != kUnbounded && tree.size() >= bound) {
+    table.erase(tree.pop_oldest().addr);
+    step.evicted = true;
+  }
+  tree.insert(now, z);
+  table.insert_or_assign(z, now);
+  return step;
+}
+
 template <OrderStatTree Tree>
 class OlkenAnalyzer {
  public:
@@ -39,19 +67,9 @@ class OlkenAnalyzer {
   /// touch the internal histogram — callers that want the distance stream
   /// tally it themselves; the ReuseAnalyzer surface is process().
   Distance access(Addr z) {
-    Distance d = kInfiniteDistance;
-    if (const Timestamp* last = table_.find(z)) {
-      d = tree_.count_greater(*last);
-      tree_.erase(*last);
-    } else if (bound_ != kUnbounded && tree_.size() == bound_) {
-      const TreeEntry victim = tree_.pop_oldest();
-      table_.erase(victim.addr);
-      ++evictions_;
-    }
-    tree_.insert(now_, z);
-    table_.insert_or_assign(z, now_);
-    ++now_;
-    return d;
+    const OlkenStep step = olken_step(tree_, table_, z, now_++, bound_);
+    evictions_ += step.evicted ? 1 : 0;
+    return step.distance;
   }
 
   /// Batched access: records each reference's distance into `hist` with

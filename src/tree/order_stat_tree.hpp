@@ -1,10 +1,11 @@
 // The order-statistic tree interface shared by all Parda tree engines.
 //
 // A tree holds one entry per *distinct* data address currently tracked,
-// keyed by the timestamp of that address's most recent reference, with
-// subtree weights so that "how many distinct addresses were referenced
-// after time t" — the reuse distance query of Algorithm 2 in the paper —
-// resolves in O(log size) node visits.
+// keyed by the time of that address's most recent reference (a trace
+// position, or a Parda rank's own clock: any key whose order is time
+// order), with subtree weights so that "how many distinct addresses were
+// referenced after time t" — the reuse distance query of Algorithm 2 in
+// the paper — resolves in O(log size) node visits.
 #pragma once
 
 #include <concepts>
@@ -23,7 +24,8 @@ struct TreeEntry {
   friend bool operator==(const TreeEntry&, const TreeEntry&) = default;
 };
 
-/// Concept satisfied by SplayTree, AvlTree, Treap, and VectorTree.
+/// Concept satisfied by SplayTree, AvlTree, Treap, VectorTree, and
+/// FenwickIndex (which needs dense keys, see tree/fenwick.hpp).
 ///
 /// Semantics:
 ///  - insert(ts, addr): ts must not already be present.

@@ -228,6 +228,33 @@ TEST(FrameReaderTest, ReassemblesFramesAcrossArbitraryFragmentation) {
   EXPECT_EQ(frames[1].second, "");
 }
 
+TEST(FrameReaderTest, DeclaredPayloadIsNotAllocatedUpFront) {
+  // A forged header may declare up to 2^40 payload bytes. The reader must
+  // not size its buffer from that claim before the bytes arrive: here 64
+  // arrive, so it consumes the 96 bytes offered and waits for more.
+  transport::FrameHeader header;
+  header.payload_bytes = std::uint64_t{1} << 40;
+  std::vector<std::byte> stream(sizeof(header) + 64, std::byte{0x5A});
+  std::memcpy(stream.data(), &header, sizeof(header));
+  std::size_t at = 0;
+  const auto pull = [&](std::byte* dst, std::size_t max) {
+    const std::size_t n = std::min(max, stream.size() - at);
+    std::memcpy(dst, stream.data() + at, n);
+    at += n;
+    return n;
+  };
+  bool delivered = false;
+  transport::FrameReader reader;
+  std::size_t consumed = 0;
+  EXPECT_NO_THROW(consumed = reader.drain(
+                      pull, [&](const transport::FrameHeader&,
+                                std::vector<std::byte>&&) {
+                        delivered = true;
+                      }));
+  EXPECT_EQ(consumed, 96u);
+  EXPECT_FALSE(delivered);
+}
+
 // --- Comm semantics over every wire ----------------------------------------
 
 TEST(CrossTransportTest, PointToPointSemanticsHoldOnEveryWire) {

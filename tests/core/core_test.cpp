@@ -3,6 +3,7 @@
 // bound, and with or without the space optimization (paper Section IV-B).
 #include <gtest/gtest.h>
 
+#include <span>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -12,6 +13,8 @@
 #include "seq/bounded.hpp"
 #include "seq/olken.hpp"
 #include "tree/avl_tree.hpp"
+#include "tree/fenwick.hpp"
+#include "tree/splay_tree.hpp"
 #include "tree/treap.hpp"
 #include "workload/generators.hpp"
 #include "workload/spec.hpp"
@@ -244,7 +247,8 @@ TEST(RankStateTest, ExportImportRoundTrip) {
   b.take_local_infinities();
   auto exported = a.export_state();
   EXPECT_EQ(a.resident(), 0u);
-  b.import_state(exported);
+  const std::span<const InfRecord> parts[] = {exported};
+  b.import_state(parts);
   EXPECT_EQ(b.resident(), 3u);
   // b can now resolve reuses of a's addresses.
   b.process_incoming(std::vector<InfRecord>{{10, 50}});
@@ -253,13 +257,72 @@ TEST(RankStateTest, ExportImportRoundTrip) {
 
 TEST(RankStateTest, PruneToBoundKeepsMostRecent) {
   RankState<> state(/*bound=*/2, /*space_optimized=*/true);
-  state.import_state(std::vector<InfRecord>{{1, 10}, {2, 20}, {3, 30}});
+  const std::vector<InfRecord> records{{1, 10}, {2, 20}, {3, 30}};
+  const std::span<const InfRecord> parts[] = {records};
+  state.import_state(parts);
   state.prune_to_bound();
   EXPECT_EQ(state.resident(), 2u);
   // Address 1 (oldest) is gone: a reuse of it now misses.
   state.begin_merge_stage();
   state.process_incoming(std::vector<InfRecord>{{1, 40}});
   EXPECT_EQ(state.pending_infinities(), 1u);
+}
+
+template <typename Tree>
+class RankStateKeyTest : public ::testing::Test {};
+
+using RankTrees = ::testing::Types<FenwickIndex, SplayTree>;
+TYPED_TEST_SUITE(RankStateKeyTest, RankTrees);
+
+TYPED_TEST(RankStateKeyTest, PartsTakeKeysBelowOwnEntriesOldestFirst) {
+  // A phase holder: its own chunk is newer than every imported part, and
+  // the parts arrive oldest first (virtual-rank order is time order).
+  RankState<TypeParam> holder;
+  holder.process_own(50, 20);
+  holder.process_own(60, 21);
+  holder.take_local_infinities();
+  const std::vector<InfRecord> v0{{10, 2}, {11, 5}};
+  const std::vector<InfRecord> v1{{30, 12}};
+  const std::span<const InfRecord> parts[] = {v0, v1};
+  holder.import_state(parts);
+  EXPECT_EQ(holder.resident_records(),
+            (std::vector<InfRecord>{
+                {10, 2}, {11, 5}, {30, 12}, {50, 20}, {60, 21}}));
+  // Distances see the merged order: 30, 50 and 60 follow 11.
+  holder.begin_merge_stage();
+  holder.process_incoming(std::vector<InfRecord>{{11, 40}});
+  EXPECT_EQ(holder.hist().at(3), 1u);
+  // The export hands the global timestamps on, oldest first.
+  EXPECT_EQ(holder.export_state(),
+            (std::vector<InfRecord>{{10, 2}, {30, 12}, {50, 20}, {60, 21}}));
+  EXPECT_EQ(holder.resident(), 0u);
+  EXPECT_EQ(holder.key_span(), 0u);
+}
+
+TYPED_TEST(RankStateKeyTest, LongChunkRenumbersLiveKeys) {
+  // Address 7 is referenced once, first, so it stays the oldest entry;
+  // the rest cycle through 100 addresses. Without renumbering the key
+  // span would reach the chunk length.
+  std::vector<Addr> chunk{7};
+  for (std::size_t i = 0; i < 3 * RankState<>::kKeySlack; ++i) {
+    chunk.push_back(1000 + i % 100);
+  }
+  RankState<TypeParam> state;
+  state.process_own_block(chunk, 500);
+  EXPECT_EQ(state.resident(), 101u);
+  EXPECT_LE(state.key_span(), 2 * state.resident() + RankState<>::kKeySlack);
+
+  // The renumbered keys keep time order and their global timestamps.
+  const std::vector<InfRecord> resident = state.resident_records();
+  ASSERT_EQ(resident.size(), 101u);
+  EXPECT_EQ(resident.front(), (InfRecord{7, 500}));
+  EXPECT_EQ(resident.back(),
+            (InfRecord{chunk.back(), 500 + chunk.size() - 1}));
+  // An incoming reference to 7 sees the 100 newer addresses.
+  state.take_local_infinities();
+  state.begin_merge_stage();
+  state.process_incoming(std::vector<InfRecord>{{7, 500 + chunk.size()}});
+  EXPECT_EQ(state.hist().at(100), 1u);
 }
 
 TEST(RankStateTest, FlushGlobalInfinitiesCountsPending) {

@@ -1,11 +1,13 @@
 // Randomized cross-engine equivalence sweep: for a battery of seeds and
 // workload shapes, every exact engine in the repository must produce the
-// identical histogram — naive stack, Olken on all four trees,
+// identical histogram — naive stack, Olken on all five trees,
 // Bennett-Kruskal, offline Parda (both merge variants, several rank
 // counts), and streaming Parda — and the bounded variants must equal the
-// bounded sequential analysis.
+// bounded sequential analysis. Every Parda run is made twice: on the
+// default FenwickIndex and on the paper's splay tree.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -19,6 +21,8 @@
 #include "seq/opt.hpp"
 #include "trace/trace_pipe.hpp"
 #include "tree/avl_tree.hpp"
+#include "tree/fenwick.hpp"
+#include "tree/splay_tree.hpp"
 #include "tree/treap.hpp"
 #include "tree/vector_tree.hpp"
 #include "util/prng.hpp"
@@ -86,6 +90,39 @@ std::vector<Addr> cocktail_trace(std::uint64_t seed, std::size_t n) {
   return trace;
 }
 
+/// Streams `trace` through a pipe of `pipe_words` in writes of `block`
+/// references and runs streaming Parda (Algorithms 5-6) on Tree.
+template <OrderStatTree Tree>
+PardaResult streamed(const std::vector<Addr>& trace,
+                     const PardaOptions& options, std::size_t block,
+                     std::size_t pipe_words) {
+  TracePipe pipe(pipe_words);
+  std::thread producer([&] {
+    for (std::size_t at = 0; at < trace.size(); at += block) {
+      const std::size_t hi = std::min(at + block, trace.size());
+      pipe.write(std::span<const Addr>(trace.data() + at, hi - at));
+    }
+    pipe.close();
+  });
+  PipeTraceSource source(pipe);
+  PardaResult result = parda_analyze<Tree>(source, options);
+  producer.join();
+  return result;
+}
+
+/// The two trees do the same work: same records, same residency.
+void expect_same_profiles(const PardaResult& a, const PardaResult& b) {
+  ASSERT_EQ(a.profiles.size(), b.profiles.size());
+  for (std::size_t r = 0; r < a.profiles.size(); ++r) {
+    EXPECT_EQ(a.profiles[r].records_forwarded, b.profiles[r].records_forwarded)
+        << "rank " << r;
+    EXPECT_EQ(a.profiles[r].records_received, b.profiles[r].records_received)
+        << "rank " << r;
+    EXPECT_EQ(a.profiles[r].peak_resident, b.profiles[r].peak_resident)
+        << "rank " << r;
+  }
+}
+
 class FuzzEquivalenceTest : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(FuzzEquivalenceTest, AllExactEnginesAgree) {
@@ -97,16 +134,27 @@ TEST_P(FuzzEquivalenceTest, AllExactEnginesAgree) {
   EXPECT_TRUE(olken_analysis<AvlTree>(trace) == expected);
   EXPECT_TRUE(olken_analysis<Treap>(trace) == expected);
   EXPECT_TRUE(olken_analysis<VectorTree>(trace) == expected);
+  EXPECT_TRUE(olken_analysis<FenwickIndex>(trace) == expected);
   EXPECT_TRUE(bennett_kruskal_analysis(trace) == expected);
   EXPECT_TRUE(interval_analysis(trace) == expected);
+}
 
-  for (const int np : {2, 5}) {
+TEST_P(FuzzEquivalenceTest, ParallelMatchesSequential) {
+  const std::uint64_t seed = GetParam();
+  const auto trace = cocktail_trace(seed, 4000);
+  const Histogram expected = olken_analysis<SplayTree>(trace);
+  for (const int np : {1, 2, 5}) {
     for (const bool space_opt : {false, true}) {
+      SCOPED_TRACE(::testing::Message() << "np=" << np << " opt="
+                                        << space_opt);
       PardaOptions options;
       options.num_procs = np;
       options.space_optimized = space_opt;
-      EXPECT_TRUE(parda_analyze(trace, options).hist == expected)
-          << "np=" << np << " opt=" << space_opt;
+      const PardaResult fenwick = parda_analyze(trace, options);
+      const PardaResult splay = parda_analyze<SplayTree>(trace, options);
+      EXPECT_TRUE(fenwick.hist == expected);
+      EXPECT_TRUE(splay.hist == expected);
+      expect_same_profiles(fenwick, splay);
     }
   }
 }
@@ -119,8 +167,11 @@ TEST_P(FuzzEquivalenceTest, BoundedEnginesAgree) {
     PardaOptions options;
     options.num_procs = 4;
     options.bound = bound;
-    EXPECT_TRUE(parda_analyze(trace, options).hist == expected)
-        << "B=" << bound;
+    const PardaResult fenwick = parda_analyze(trace, options);
+    const PardaResult splay = parda_analyze<SplayTree>(trace, options);
+    EXPECT_TRUE(fenwick.hist == expected) << "B=" << bound;
+    EXPECT_TRUE(splay.hist == expected) << "B=" << bound;
+    expect_same_profiles(fenwick, splay);
   }
 }
 
@@ -133,21 +184,16 @@ TEST_P(FuzzEquivalenceTest, StreamedMatchesOffline) {
   options.num_procs = 1 + static_cast<int>(rng.below(6));
   options.chunk_words = 16 + rng.below(700);
   const std::size_t block = 1 + rng.below(900);
+  SCOPED_TRACE(::testing::Message() << "np=" << options.num_procs << " C="
+                                    << options.chunk_words
+                                    << " block=" << block);
 
-  TracePipe pipe(512);
-  std::thread producer([&] {
-    for (std::size_t at = 0; at < trace.size(); at += block) {
-      const std::size_t hi = std::min(at + block, trace.size());
-      pipe.write(std::span<const Addr>(trace.data() + at, hi - at));
-    }
-    pipe.close();
-  });
-  PipeTraceSource source(pipe);
-  const PardaResult result = parda_analyze(source, options);
-  producer.join();
-  EXPECT_TRUE(result.hist == expected)
-      << "np=" << options.num_procs << " C=" << options.chunk_words
-      << " block=" << block;
+  const PardaResult fenwick =
+      streamed<FenwickIndex>(trace, options, block, 512);
+  const PardaResult splay = streamed<SplayTree>(trace, options, block, 512);
+  EXPECT_TRUE(fenwick.hist == expected);
+  EXPECT_TRUE(splay.hist == expected);
+  expect_same_profiles(fenwick, splay);
 }
 
 TEST_P(FuzzEquivalenceTest, BoundedStreamedMatchesBoundedSequential) {
@@ -161,21 +207,99 @@ TEST_P(FuzzEquivalenceTest, BoundedStreamedMatchesBoundedSequential) {
   options.num_procs = 1 + static_cast<int>(rng.below(5));
   options.chunk_words = 16 + rng.below(400);
   options.bound = bound;
+  SCOPED_TRACE(::testing::Message() << "np=" << options.num_procs << " C="
+                                    << options.chunk_words << " B=" << bound);
 
-  TracePipe pipe(256);
-  std::thread producer([&] {
-    for (std::size_t at = 0; at < trace.size(); at += 100) {
-      const std::size_t hi = std::min(at + 100, trace.size());
-      pipe.write(std::span<const Addr>(trace.data() + at, hi - at));
+  const PardaResult fenwick = streamed<FenwickIndex>(trace, options, 100, 256);
+  const PardaResult splay = streamed<SplayTree>(trace, options, 100, 256);
+  EXPECT_TRUE(fenwick.hist == expected);
+  EXPECT_TRUE(splay.hist == expected);
+  expect_same_profiles(fenwick, splay);
+}
+
+/// Runs the phase loop of stream_rank_body at np = 1 over `trace` in
+/// phases of `chunk`: rank 0 is virtual rank 0 and the holder, its merge
+/// stage only flushes, and it never exports, so only its own renumbering
+/// bounds the key span (the side array's length). Checks the span after
+/// every phase, then the histogram, also through the real np = 1 stream.
+void expect_single_rank_span_bounded(const std::vector<Addr>& trace,
+                                     std::uint64_t bound, std::size_t chunk) {
+  ASSERT_GE(trace.size() / chunk, 64u);
+  RankState<> state(bound);
+  for (std::size_t at = 0; at < trace.size(); at += chunk) {
+    const std::size_t n = std::min(chunk, trace.size() - at);
+    state.begin_merge_stage();
+    state.process_own_block(std::span<const Addr>(trace.data() + at, n), at);
+    state.flush_global_infinities();
+    state.import_state({});
+    state.prune_to_bound();
+    ASSERT_LE(state.key_span(), 2 * state.resident() + chunk) << "at " << at;
+  }
+  const Histogram expected = bounded_analysis(trace, bound);
+  EXPECT_TRUE(state.hist() == expected);
+
+  PardaOptions options;
+  options.num_procs = 1;
+  options.chunk_words = chunk;
+  options.bound = bound;
+  EXPECT_TRUE(streamed<FenwickIndex>(trace, options, 100, 256).hist ==
+              expected);
+}
+
+TEST_P(FuzzEquivalenceTest, SingleRankStreamKeepsKeySpanBounded) {
+  const std::uint64_t seed = GetParam();
+  const std::size_t chunk = 64;
+  const std::vector<Addr> mix = cocktail_trace(seed ^ 0x5EED, 6000);
+  {
+    // A lonely first address stays resident, and oldest, for the whole
+    // run; the rest fold into 257 addresses.
+    SCOPED_TRACE("lonely oldest");
+    std::vector<Addr> trace{~Addr{0}};
+    for (const Addr a : mix) trace.push_back(a % 257);
+    expect_single_rank_span_bounded(trace, kUnbounded, chunk);
+  }
+  {
+    // A cyclic sweep: the oldest key advances every reference, but each
+    // reference still leaves one dead key behind.
+    SCOPED_TRACE("cyclic");
+    std::vector<Addr> trace;
+    for (std::size_t i = 0; i < mix.size(); ++i) trace.push_back(i % 257);
+    expect_single_rank_span_bounded(trace, kUnbounded, chunk);
+  }
+  {
+    // A scan under a bound: every reference misses and evicts the oldest.
+    SCOPED_TRACE("bounded scan");
+    std::vector<Addr> trace;
+    for (std::size_t i = 0; i < mix.size(); ++i) {
+      trace.push_back(seed * mix.size() + i);
     }
-    pipe.close();
-  });
-  PipeTraceSource source(pipe);
-  const PardaResult result = parda_analyze(source, options);
-  producer.join();
-  EXPECT_TRUE(result.hist == expected)
-      << "np=" << options.num_procs << " C=" << options.chunk_words
-      << " B=" << bound;
+    expect_single_rank_span_bounded(trace, 100, chunk);
+  }
+}
+
+TEST(LongChunkTest, OfflineRanksRenumberTheirKeys) {
+  // Chunks far longer than 2 * resident + kKeySlack, and a lonely address
+  // that stays oldest on rank 0: every rank renumbers its keys mid-chunk,
+  // and no histogram or profile may notice.
+  std::vector<Addr> trace{~Addr{0}};
+  for (const Addr a : cocktail_trace(77, 3 * RankState<>::kKeySlack)) {
+    trace.push_back(a % 257);
+  }
+  const Histogram expected = olken_analysis(trace);
+  for (const int np : {1, 2}) {
+    for (const bool space_opt : {false, true}) {
+      SCOPED_TRACE(::testing::Message() << "np=" << np << " opt="
+                                        << space_opt);
+      PardaOptions options;
+      options.num_procs = np;
+      options.space_optimized = space_opt;
+      const PardaResult fenwick = parda_analyze(trace, options);
+      const PardaResult splay = parda_analyze<SplayTree>(trace, options);
+      EXPECT_TRUE(fenwick.hist == expected);
+      EXPECT_TRUE(splay.hist == expected);
+      expect_same_profiles(fenwick, splay);
+    }
+  }
 }
 
 TEST_P(FuzzEquivalenceTest, OptStackMatchesBeladySimulator) {

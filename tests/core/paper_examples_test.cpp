@@ -166,9 +166,8 @@ TEST(PaperTable3Figure2, ThreeProcessorSpaceOptimizedWalkthrough) {
   EXPECT_EQ(p0.received_count(), 6u);
   EXPECT_EQ(p0.resident(), 3u);
   {
-    const auto contents = tree_contents(p0.tree());
-    const std::vector<TreeEntry> expect{{0, 'd'}, {6, 'g'}, {7, 'e'}};
-    EXPECT_EQ(contents, expect);
+    const std::vector<InfRecord> expect{{'d', 0}, {'g', 6}, {'e', 7}};
+    EXPECT_EQ(p0.resident_records(), expect);
   }
   // Distances resolved at p0 so far: a@9 -> 5, b@11 -> 5, c@12 -> 5.
   EXPECT_EQ(p0.hist().at(5), 3u);
@@ -182,9 +181,8 @@ TEST(PaperTable3Figure2, ThreeProcessorSpaceOptimizedWalkthrough) {
   EXPECT_EQ(p0.resident(), 2u);
   EXPECT_EQ(p0.hist().at(8), 1u);
   {
-    const auto contents = tree_contents(p0.tree());
-    const std::vector<TreeEntry> expect{{6, 'g'}, {7, 'e'}};
-    EXPECT_EQ(contents, expect);
+    const std::vector<InfRecord> expect{{'g', 6}, {'e', 7}};
+    EXPECT_EQ(p0.resident_records(), expect);
   }
   p0.flush_global_infinities();
 

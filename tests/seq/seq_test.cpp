@@ -8,6 +8,7 @@
 #include "seq/naive.hpp"
 #include "seq/olken.hpp"
 #include "tree/avl_tree.hpp"
+#include "tree/fenwick.hpp"
 #include "tree/treap.hpp"
 #include "tree/vector_tree.hpp"
 #include "util/prng.hpp"
@@ -48,7 +49,10 @@ TEST(NaiveStackTest, RepeatedSingleAddress) {
 template <typename Tree>
 class OlkenEngineTest : public ::testing::Test {};
 
-using Engines = ::testing::Types<SplayTree, AvlTree, Treap, VectorTree>;
+// OlkenAnalyzer's keys are its reference counter, a dense clock, so the
+// FenwickIndex that Parda's ranks run on is one more engine here.
+using Engines =
+    ::testing::Types<SplayTree, AvlTree, Treap, VectorTree, FenwickIndex>;
 TYPED_TEST_SUITE(OlkenEngineTest, Engines);
 
 TYPED_TEST(OlkenEngineTest, Table1Example) {

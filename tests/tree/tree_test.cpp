@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "tree/avl_tree.hpp"
+#include "tree/fenwick.hpp"
 #include "tree/order_stat_tree.hpp"
 #include "tree/splay_tree.hpp"
 #include "tree/treap.hpp"
@@ -192,6 +193,92 @@ TEST(SplayTreeTest, WorksAfterWorstCasePattern) {
   EXPECT_TRUE(tree.validate());
   EXPECT_EQ(tree.count_greater(0), 199999u);
   EXPECT_EQ(tree.size(), 200000u);
+}
+
+// FenwickIndex cannot join the typed suite: its space follows the span of
+// live keys, and the random cases there draw 48-bit keys. Its own contract
+// is the dense clock that RankState drives it with: keys handed out in
+// increasing order, blocks of older keys imported just below the oldest
+// live one, and entries dying anywhere. Small windows force many window
+// moves (each a linear-time rebuild of the counts) along the way.
+TEST(FenwickIndexTest, DenseClockAgainstOracle) {
+  for (const std::uint64_t seed : {1u, 2u, 3u, 4u}) {
+    SCOPED_TRACE(::testing::Message() << "seed " << seed);
+    FenwickIndex index;
+    VectorTree oracle;
+    Xoshiro256 rng(seed);
+    Timestamp clock = std::uint64_t{1} << 40;
+    std::vector<Timestamp> live;
+    const auto check_probe = [&](Timestamp probe) {
+      ASSERT_EQ(index.count_greater(probe), oracle.count_greater(probe))
+          << "probe " << probe;
+    };
+    for (int step = 0; step < 40000; ++step) {
+      const std::uint64_t op = rng.below(10000);
+      if (op < 4000 || live.empty()) {  // the next tick of the clock
+        index.insert(clock, clock ^ 0xA5);
+        oracle.insert(clock, clock ^ 0xA5);
+        live.push_back(clock++);
+      } else if (op < 8000) {  // a hit or a resolved record: any entry dies
+        const std::size_t pick = rng.below(live.size());
+        EXPECT_TRUE(index.erase(live[pick]));
+        EXPECT_TRUE(oracle.erase(live[pick]));
+        EXPECT_FALSE(index.erase(live[pick]));
+        live[pick] = live.back();
+        live.pop_back();
+      } else if (op < 9000) {  // LRU eviction
+        const TreeEntry victim = index.pop_oldest();
+        EXPECT_EQ(victim, oracle.pop_oldest());
+        live.erase(std::find(live.begin(), live.end(), victim.ts));
+      } else if (op < 9050) {  // a phase holder imports older state
+        const Timestamp below = oracle.empty() ? clock : oracle.oldest().ts;
+        const std::uint64_t count = rng.below(200);
+        for (Timestamp key = below - count; key < below; ++key) {
+          index.insert(key, key * 3);
+          oracle.insert(key, key * 3);
+          live.push_back(key);
+        }
+      } else if (op < 9052) {  // an export empties the rank
+        index.clear();
+        oracle.clear();
+        live.clear();
+      } else {
+        const Timestamp lo = oracle.empty() ? clock : oracle.oldest().ts;
+        check_probe(lo - 1 + rng.below(clock - lo + 3));
+      }
+      ASSERT_EQ(index.size(), oracle.size());
+      if (!oracle.empty()) {
+        ASSERT_EQ(index.oldest(), oracle.oldest());
+      }
+      if (step % 4096 == 0) {
+        ASSERT_TRUE(index.validate());
+      }
+    }
+    EXPECT_TRUE(index.validate());
+    std::vector<TreeEntry> got;
+    std::vector<TreeEntry> want;
+    index.for_each([&](TreeEntry e) { got.push_back(e); });
+    oracle.for_each([&](TreeEntry e) { want.push_back(e); });
+    EXPECT_EQ(got, want);
+  }
+}
+
+TEST(FenwickIndexTest, EmptyIndexReanchorsAtAnyKey) {
+  FenwickIndex index;
+  EXPECT_EQ(index.count_greater(0), 0u);
+  EXPECT_FALSE(index.erase(7));
+  index.insert(100, 1);
+  index.insert(101, 2);
+  EXPECT_EQ(index.pop_oldest(), (TreeEntry{100, 1}));
+  EXPECT_TRUE(index.erase(101));
+  EXPECT_TRUE(index.empty());
+  // Emptied, the window follows the next key wherever it lands.
+  index.insert(5, 3);
+  index.insert(6, 4);
+  EXPECT_EQ(index.count_greater(5), 1u);
+  EXPECT_EQ(index.count_greater(4), 2u);
+  EXPECT_EQ(index.oldest(), (TreeEntry{5, 3}));
+  EXPECT_TRUE(index.validate());
 }
 
 }  // namespace
