@@ -3,6 +3,7 @@
 // the rank states directly, the aggregate tree residency after the merge —
 // the paper's O(np * M) vs O(M) claim (Section IV-C).
 #include <cstdio>
+#include <span>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -32,15 +33,14 @@ std::uint64_t aggregate_residency(const std::vector<Addr>& trace, int np,
     const std::size_t lo = std::min(static_cast<std::size_t>(p) * chunk,
                                     trace.size());
     const std::size_t hi = std::min(lo + chunk, trace.size());
-    for (std::size_t t = lo; t < hi; ++t) {
-      ranks[static_cast<std::size_t>(p)].process_own(trace[t], t);
-    }
+    ranks[static_cast<std::size_t>(p)].process_own_block(
+        std::span<const Addr>(trace.data() + lo, hi - lo));
   }
   // Pass infinities leftward round by round, exactly Algorithm 3's loop:
   // rank p participates in rounds 0 .. np-p-1, sending first, then
   // processing what its right neighbour sent in the same round.
   for (int round = 0; round < np; ++round) {
-    std::vector<std::vector<InfRecord>> sent(static_cast<std::size_t>(np));
+    std::vector<std::vector<Addr>> sent(static_cast<std::size_t>(np));
     for (int p = 0; p < np; ++p) {
       if (round >= np - p) continue;
       auto& rank = ranks[static_cast<std::size_t>(p)];

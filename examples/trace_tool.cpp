@@ -30,6 +30,7 @@
 // analysis, invalid exposition format), 2 usage error (bad flag or
 // argument).
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -469,6 +470,9 @@ int run_tool(int argc, char** argv) {
     if (procs == 0) usage_error("analyze: --procs must be positive");
     if (engine == "parda" && ingest == IngestMode::kPipe) {
       if (chunk == 0) usage_error("analyze: --chunk must be positive");
+      if (chunk > SIZE_MAX / procs) {
+        usage_error("analyze: --chunk times --procs overflows a phase");
+      }
       if (pipe_words == 0) usage_error("analyze: --pipe must be positive");
     }
 

@@ -211,6 +211,10 @@ TEST_F(TraceToolCliTest, PipeIngestNeedsPositiveChunkAndPipe) {
   EXPECT_EQ(run_env("PARDA_INGEST=pipe",
                     "analyze trace_cli_test.trc --pipe=0"),
             2);
+  // A phase of np * C references that overflows is as degenerate as C = 0.
+  EXPECT_EQ(run("analyze trace_cli_test.trc --ingest=pipe --procs=2 "
+                "--chunk=9223372036854775808"),
+            2);
 }
 
 TEST_F(TraceToolCliTest, StreamContradictsOfflineIngest) {

@@ -1,28 +1,18 @@
-// Wire records and message tags used between Parda ranks.
+// Message tags used between Parda ranks.
+//
+// Both record streams are bare addresses in time order, oldest first, as in
+// the paper's pseudocode: a rank's local infinities travel leftward
+// (Algorithm 3) in the order of their first references, and its resident
+// set travels to the phase holder (Algorithm 6) in the order of their last
+// references. The receiver rebuilds its state from that order alone.
 #pragma once
-
-#include <cstdint>
-
-#include "util/types.hpp"
 
 namespace parda {
 
-/// One local-infinity entry: a first reference (within the producing rank's
-/// view) carrying its global timestamp, passed leftward down the rank
-/// pipeline (Algorithm 3). The same record serializes tree/hash state for
-/// the phase reduction (Algorithm 6).
-struct InfRecord {
-  Addr addr;
-  Timestamp ts;
-
-  friend bool operator==(const InfRecord&, const InfRecord&) = default;
-};
-static_assert(sizeof(InfRecord) == 16);
-
 /// Message tags (the comm runtime matches on (src, tag) like MPI).
 enum MsgTag : int {
-  kTagInfinities = 1,  // local-infinity lists, rank p -> p-1
-  kTagState = 2,       // (addr, ts) state dump for the phase reduce
+  kTagInfinities = 1,  // local-infinity addresses, rank p -> p-1
+  kTagState = 2,       // resident addresses for the phase reduce
   kTagHistogram = 3,   // histogram reduction
   kTagChunk = 4,       // trace chunk scatter from the pipe reader
   kTagControl = 5,     // per-phase reference counts

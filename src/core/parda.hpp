@@ -17,6 +17,7 @@
 // critical-path scaling reports).
 #pragma once
 
+#include <cstdint>
 #include <span>
 
 #include "comm/comm.hpp"
@@ -44,7 +45,7 @@ struct PardaOptions {
   /// Bounded and streaming modes require it.
   bool space_optimized = true;
   /// Streaming only: per-rank chunk size C; each phase consumes np*C
-  /// references (Algorithm 5).
+  /// references (Algorithm 5), which must fit in a size_t.
   std::size_t chunk_words = 1 << 16;
   /// Fault-tolerance knobs forwarded to comm::run: per-op deadlines, the
   /// stall watchdog, and deterministic fault injection. The default is the
@@ -86,7 +87,7 @@ void run_merge_rounds(comm::Comm& comm, RankState<Tree>& state, int virt,
   const int np = comm.size();
   for (int round = 0; round < np - virt; ++round) {
     if (virt > 0) {
-      std::vector<InfRecord> outgoing = state.take_local_infinities();
+      std::vector<Addr> outgoing = state.take_local_infinities();
       if (forwarded != nullptr) *forwarded += outgoing.size();
       // Zero-copy: the record list is moved into the message and the
       // receiving rank processes it in place through a View.
@@ -95,8 +96,8 @@ void run_merge_rounds(comm::Comm& comm, RankState<Tree>& state, int virt,
       state.flush_global_infinities();
     }
     if (virt < np - 1 && round < np - virt - 1) {
-      const comm::View<InfRecord> incoming =
-          comm.recv_view<InfRecord>(phys_of(virt + 1), kTagInfinities);
+      const comm::View<Addr> incoming =
+          comm.recv_view<Addr>(phys_of(virt + 1), kTagInfinities);
       state.process_incoming(incoming.span());
     }
   }
@@ -149,12 +150,12 @@ inline std::vector<RankProfile> gather_profiles(comm::Comm& comm,
 /// partitioned source (for ChunkedTrzSource that call IS the per-rank
 /// parallel decode, recorded under an "ingest" span), analyzes it, and
 /// joins the merge and reduce. The views must tile the trace contiguously
-/// in rank order with cumulative bases.
+/// in rank order.
 template <OrderStatTree Tree>
 void offline_rank_body(comm::Comm& comm, TraceSource& source,
                        const PardaOptions& options, Histogram& result,
                        std::vector<RankProfile>& profiles) {
-  RankView view;
+  std::span<const Addr> view;
   {
     obs::SpanScope span("ingest");
     view = source.rank_view(comm.rank());
@@ -165,9 +166,9 @@ void offline_rank_body(comm::Comm& comm, TraceSource& source,
   {
     obs::SpanScope span("analyze");
     state.begin_merge_stage();
-    state.process_own_block(view.refs, view.base);
+    state.process_own_block(view);
   }
-  profile.chunk_refs = view.refs.size();
+  profile.chunk_refs = view.size();
 
   {
     obs::SpanScope span("infinity-pipeline");
@@ -215,7 +216,6 @@ void stream_rank_body(comm::Comm& comm, TracePipe& pipe,
   const auto virt_of = [&](int phys) {
     return reversed ? np - 1 - phys : phys;
   };
-  Timestamp phase_base = 0;
   std::uint32_t phase_no = 0;
 
   while (true) {
@@ -259,12 +259,10 @@ void stream_rank_body(comm::Comm& comm, TracePipe& pipe,
 
     // --- Chunk processing (Algorithm 7 / modified stack_dist).
     const int virt = virt_of(me);
-    const Timestamp my_base =
-        phase_base + static_cast<Timestamp>(virt) * chunk;
     {
       obs::SpanScope span("analyze", phase_no);
       state.begin_merge_stage();
-      state.process_own_block(mine.span(), my_base);
+      state.process_own_block(mine.span());
     }
     profile.chunk_refs += mine.size();
     ++profile.phases;
@@ -287,10 +285,10 @@ void stream_rank_body(comm::Comm& comm, TracePipe& pipe,
       if (virt != np - 1) {
         comm.send(holder_phys, kTagState, state.export_state());
       } else {
-        std::vector<comm::View<InfRecord>> views;
-        std::vector<std::span<const InfRecord>> parts;
+        std::vector<comm::View<Addr>> views;
+        std::vector<std::span<const Addr>> parts;
         for (int v = 0; v < np - 1; ++v) {
-          views.push_back(comm.recv_view<InfRecord>(phys_of(v), kTagState));
+          views.push_back(comm.recv_view<Addr>(phys_of(v), kTagState));
           parts.push_back(views.back().span());
         }
         state.import_state(parts);
@@ -298,7 +296,6 @@ void stream_rank_body(comm::Comm& comm, TracePipe& pipe,
       }
     }
 
-    phase_base += phase_words;
     reversed = !reversed;  // the holder is virtual rank 0 next phase
     ++phase_no;
     if (phase_words < chunk * static_cast<std::uint64_t>(np)) {
@@ -347,6 +344,10 @@ PardaResult parda_analyze_source_on(comm::WorkerPool& pool,
     source.partition(np);
   } else {
     PARDA_CHECK(options.chunk_words >= 1);
+    PARDA_CHECK_MSG(options.chunk_words <=
+                        SIZE_MAX / static_cast<std::size_t>(np),
+                    "chunk_words %zu times %d ranks overflows a phase length",
+                    options.chunk_words, np);
     PARDA_CHECK(options.space_optimized);
   }
   Histogram result;

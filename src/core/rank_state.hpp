@@ -14,11 +14,11 @@
 // ticks just below the oldest key. Key order is therefore time order, and
 // every tree performs the operations it would perform keyed by global
 // time, but the keys stay dense, so the default tree is a FenwickIndex
-// over flat arrays. A side array maps each key back to its global
-// timestamp for the records that leave the rank. Each hit leaves a dead
-// key behind; the rank renumbers its live keys before the dead ones
-// outgrow them (plus a slack), so the window and the side array stay
-// O(resident + slack) however long the chunk or the stream.
+// over flat arrays. No global time is kept: records leave the rank as
+// bare addresses in key order. Each hit leaves a dead key behind; the rank
+// renumbers its live keys before the dead ones outgrow them (plus a
+// slack), so the index window stays O(resident + slack) however long the
+// chunk or the stream.
 //
 // Bounded-mode semantics (one deliberate tightening over the paper, see
 // DESIGN.md): with bound B, the final histogram is exact for all d < B and
@@ -32,7 +32,6 @@
 #include <span>
 #include <vector>
 
-#include "core/messages.hpp"
 #include "hash/addr_map.hpp"
 #include "hist/histogram.hpp"
 #include "seq/olken.hpp"
@@ -55,8 +54,8 @@ class RankState {
     PARDA_CHECK(bound_ == kUnbounded || space_optimized_);
   }
 
-  /// Processes one reference of this rank's own chunk; ts is the global
-  /// trace position (Algorithm 3 / Algorithm 7 main loop).
+  /// Processes one reference of this rank's own chunk (Algorithm 3 /
+  /// Algorithm 7 main loop).
   ///
   /// Bounded-mode note: the paper's Algorithm 7 emits at most B local
   /// infinities per chunk and counts later misses as infinite on the spot.
@@ -71,83 +70,77 @@ class RankState {
   /// an infinity at rank 0, correct) or resolves to a clamped distance
   /// >= B (also an infinity, correct). This is what makes the bounded
   /// parallel histogram equal the bounded sequential one bit for bit.
-  void process_own(Addr z, Timestamp ts) {
+  void process_own(Addr z) {
     const Distance d =
-        olken_step(tree_, table_, z, next_key_, bound_).distance;
-    key_ts_.push_back(ts);
-    ++next_key_;
+        olken_step(tree_, table_, z, next_key_++, bound_).distance;
     if (d == kInfiniteDistance) {
       // First reference in this rank's view: defer judgement, pass left.
-      loc_inf_.push_back(InfRecord{z, ts});
+      loc_inf_.push_back(z);
     } else {
       record(d);
     }
     note_resident();
   }
 
-  /// Batched process_own over a contiguous run of this rank's chunk whose
-  /// first reference sits at global position base_ts. Identical tallies and
-  /// record stream to the per-reference loop; the hash probe a few
-  /// references ahead is software-prefetched.
+  /// Batched process_own over a contiguous run of this rank's chunk.
+  /// Identical tallies and record stream to the per-reference loop; the
+  /// hash probe a few references ahead is software-prefetched.
   ///
   /// Every hit leaves its previous key dead, so the key span would grow
   /// with the chunk, and on a rank that never exports its state (np = 1
   /// streaming) with the whole trace. The rank renumbers its live keys as
   /// soon as the span exceeds twice the resident count plus the block
   /// (at most kKeySlack), so the span stays O(resident + slack).
-  void process_own_block(std::span<const Addr> block, Timestamp base_ts) {
+  void process_own_block(std::span<const Addr> block) {
     constexpr std::size_t kAhead = 8;
     const std::size_t n = block.size();
     const std::uint64_t slack = std::min<std::uint64_t>(n, kKeySlack);
-    // One allocation for a whole offline chunk; geometric across phases.
-    if (key_ts_.capacity() < key_ts_.size() + n) {
-      key_ts_.reserve(std::max(key_ts_.size() + n, 2 * key_ts_.capacity()));
-    }
     for (std::size_t i = 0; i < n; ++i) {
       if (i + kAhead < n) table_.prefetch(block[i + kAhead]);
-      process_own(block[i], base_ts + i);
+      process_own(block[i]);
       bound_key_span(slack);
     }
   }
 
-  /// Processes a received local-infinity list (one merge round). Survivors
-  /// (still-unresolved references) are appended to the outgoing queue.
-  void process_incoming(std::span<const InfRecord> records) {
+  /// Processes a received local-infinity list (one merge round), oldest
+  /// first. Survivors (still-unresolved references) are appended to the
+  /// outgoing queue.
+  void process_incoming(std::span<const Addr> records) {
     constexpr std::size_t kAhead = 8;
     const std::size_t n = records.size();
     for (std::size_t i = 0; i < n; ++i) {
-      if (i + kAhead < n) table_.prefetch(records[i + kAhead].addr);
-      const InfRecord& rec = records[i];
+      if (i + kAhead < n) table_.prefetch(records[i + kAhead]);
+      const Addr z = records[i];
       if (!space_optimized_) {
         // Unoptimized Algorithm 3: the incoming reference is replayed like
         // a normal trace entry (it is newer than everything here), so the
         // tree itself accounts for every suffix element and no offset
         // applies.
-        process_own(rec.addr, rec.ts);
+        process_own(z);
         bound_key_span(kKeySlack);
-      } else if (const Timestamp* last = table_.find(rec.addr)) {
+      } else if (const Timestamp* last = table_.find(z)) {
         // Algorithm 4: offset by infinities received so far — distinct
         // elements of the right-hand suffix that are (by design) absent
         // from this rank's tree.
         const Distance d = tree_.count_greater(*last) + received_count_;
         tree_.erase(*last);
-        table_.erase(rec.addr);
+        table_.erase(z);
         record(d);
       } else {
-        loc_inf_.push_back(rec);
+        loc_inf_.push_back(z);
       }
       ++received_count_;
     }
   }
 
-  /// The pending local-infinity queue (inspection only).
-  const std::vector<InfRecord>& local_infinities() const noexcept {
+  /// The pending local-infinity queue, oldest first (inspection only).
+  const std::vector<Addr>& local_infinities() const noexcept {
     return loc_inf_;
   }
 
   /// Moves out the pending local-infinity queue (to send leftward).
-  std::vector<InfRecord> take_local_infinities() {
-    std::vector<InfRecord> out = std::move(loc_inf_);
+  std::vector<Addr> take_local_infinities() {
+    std::vector<Addr> out = std::move(loc_inf_);
     loc_inf_.clear();
     return out;
   }
@@ -159,57 +152,41 @@ class RankState {
     loc_inf_.clear();
   }
 
-  /// The resident set as (address, global timestamp of its last reference)
-  /// records, oldest first.
-  std::vector<InfRecord> resident_records() const {
-    std::vector<InfRecord> out;
+  /// The resident addresses, least recently referenced first.
+  std::vector<Addr> resident_addrs() const {
+    std::vector<Addr> out;
     out.reserve(tree_.size());
-    tree_.for_each([&](TreeEntry e) {
-      out.push_back(InfRecord{e.addr, global_ts(e.ts)});
-    });
+    tree_.for_each([&](TreeEntry e) { out.push_back(e.addr); });
     return out;
   }
 
-  /// Serializes the resident set (resident_records) for the phase
-  /// reduction (Algorithm 6), leaving this rank empty with its clock
-  /// restarted.
-  std::vector<InfRecord> export_state() {
-    std::vector<InfRecord> out = resident_records();
+  /// Serializes the resident set (resident_addrs) for the phase reduction
+  /// (Algorithm 6), leaving this rank empty with its clock restarted.
+  std::vector<Addr> export_state() {
+    std::vector<Addr> out = resident_addrs();
     tree_.clear();
     table_.clear();
-    key_ts_.clear();
     first_key_ = next_key_ = kClockOrigin;
     return out;
   }
 
   /// Merges the exported states of the ranks to the left, given oldest
   /// first (virtual-rank order is time order, and every part is older than
-  /// this rank's own entries). The records take the keys just below this
+  /// this rank's own entries). The addresses take the keys just below this
   /// rank's oldest key, in order, so no resident entry is re-keyed and the
-  /// hash table sees one insert per record. With space optimization the
+  /// hash table sees one insert per address. With space optimization the
   /// address sets are disjoint (paper Section IV-C), so no duplicate check
   /// is needed — PARDA_DCHECK guards that claim in debug builds.
-  void import_state(std::span<const std::span<const InfRecord>> parts) {
+  void import_state(std::span<const std::span<const Addr>> parts) {
     std::size_t total = 0;
     for (const auto& part : parts) total += part.size();
-    const Timestamp below = tree_.empty() ? next_key_ : tree_.oldest().ts;
-    Timestamp key = below - total;
-    if (key < first_key_) {
-      // The keys below the oldest are dead: keep [below, next) behind the
-      // imports' slots.
-      const auto live =
-          key_ts_.begin() + static_cast<std::ptrdiff_t>(below - first_key_);
-      std::vector<Timestamp> side(total);
-      side.insert(side.end(), live, key_ts_.end());
-      key_ts_ = std::move(side);
-      first_key_ = key;
-    }
+    Timestamp key = (tree_.empty() ? next_key_ : tree_.oldest().ts) - total;
+    first_key_ = std::min(first_key_, key);
     for (const auto& part : parts) {
-      for (const InfRecord& rec : part) {
-        PARDA_DCHECK(!table_.contains(rec.addr));
-        tree_.insert(key, rec.addr);
-        table_.insert_or_assign(rec.addr, key);
-        key_ts_[key - first_key_] = rec.ts;
+      for (const Addr z : part) {
+        PARDA_DCHECK(!table_.contains(z));
+        tree_.insert(key, z);
+        table_.insert_or_assign(z, key);
         ++key;
       }
     }
@@ -233,9 +210,9 @@ class RankState {
   /// The most dead keys the rank keeps beyond its live ones.
   static constexpr std::uint64_t kKeySlack = 65536;
 
-  /// Keys from the first one the side array maps to the next one the clock
-  /// hands out: the side array's length. Every live key lies in the span,
-  /// so it also bounds what the FenwickIndex's window must cover.
+  /// Keys from the lowest one handed out since the clock last restarted to
+  /// the next one it hands out. Every live key lies in the span, so it
+  /// bounds what the FenwickIndex's window must cover.
   std::uint64_t key_span() const noexcept { return next_key_ - first_key_; }
 
   const Histogram& hist() const noexcept { return hist_; }
@@ -254,8 +231,6 @@ class RankState {
   /// keys below a fresh rank's first key.
   static constexpr Timestamp kClockOrigin = Timestamp{1} << 62;
 
-  Timestamp global_ts(Timestamp key) const { return key_ts_[key - first_key_]; }
-
   /// Tallies a resolved distance; under the bound, d >= B is a capacity
   /// miss. (The tree can exceed B entries: a phase holder carries up to B
   /// inherited entries plus its chunk's misses.)
@@ -273,17 +248,12 @@ class RankState {
 
   /// Renumbers the live keys kClockOrigin, kClockOrigin + 1, ... in order.
   void compact_keys() {
-    std::vector<TreeEntry> live;
-    live.reserve(tree_.size());
-    tree_.for_each([&](TreeEntry e) { live.push_back(e); });
+    const std::vector<Addr> live = resident_addrs();
     tree_.clear();
-    std::vector<Timestamp> side(live.size());
     for (std::size_t i = 0; i < live.size(); ++i) {
-      side[i] = global_ts(live[i].ts);
-      tree_.insert(kClockOrigin + i, live[i].addr);
-      *table_.find(live[i].addr) = kClockOrigin + i;
+      tree_.insert(kClockOrigin + i, live[i]);
+      *table_.find(live[i]) = kClockOrigin + i;
     }
-    key_ts_ = std::move(side);
     first_key_ = kClockOrigin;
     next_key_ = kClockOrigin + live.size();
   }
@@ -297,12 +267,11 @@ class RankState {
   Tree tree_;
   AddrMap table_;  // address -> key
   Histogram hist_;
-  std::vector<InfRecord> loc_inf_;
+  std::vector<Addr> loc_inf_;
   std::uint64_t received_count_ = 0;  // 'count' of Algorithm 4
   std::uint64_t peak_resident_ = 0;
   Timestamp next_key_ = kClockOrigin;   // the per-rank clock
-  Timestamp first_key_ = kClockOrigin;  // key of key_ts_[0]
-  std::vector<Timestamp> key_ts_;       // key - first_key_ -> global ts
+  Timestamp first_key_ = kClockOrigin;  // lowest key since it restarted
 };
 
 }  // namespace parda

@@ -50,7 +50,7 @@ void TraceSource::partition(int) {
   PARDA_CHECK_MSG(false, "TraceSource: not an offline source");
 }
 
-RankView TraceSource::rank_view(int) {
+std::span<const Addr> TraceSource::rank_view(int) {
   PARDA_CHECK_MSG(false, "TraceSource: not an offline source");
 }
 
@@ -65,7 +65,7 @@ void SpanTraceSource::partition(int np) {
   np_ = np;
 }
 
-RankView SpanTraceSource::rank_view(int rank) {
+std::span<const Addr> SpanTraceSource::rank_view(int rank) {
   PARDA_CHECK_MSG(np_ >= 1, "SpanTraceSource: partition() before rank_view()");
   PARDA_CHECK(rank >= 0 && rank < np_);
   // The classic ceil-division split of Algorithm 3: rank p owns global
@@ -75,8 +75,7 @@ RankView SpanTraceSource::rank_view(int rank) {
   const std::size_t chunk = (n + np - 1) / np;
   const std::size_t begin = std::min(static_cast<std::size_t>(rank) * chunk, n);
   const std::size_t end = std::min(begin + chunk, n);
-  return RankView{refs_.subspan(begin, end - begin),
-                  static_cast<Timestamp>(begin)};
+  return refs_.subspan(begin, end - begin);
 }
 
 // --- MmapTraceSource --------------------------------------------------------
@@ -148,7 +147,6 @@ void ChunkedTrzSource::partition(int np) {
     Assignment& a = plan_[static_cast<std::size_t>(r)];
     a.first_chunk = r * m / unp;
     a.num_chunks = (r + 1) * m / unp - a.first_chunk;
-    a.first_ref = a.first_chunk * file_.chunk_refs();
     a.refs = 0;
     for (std::uint64_t c = 0; c < a.num_chunks; ++c) {
       a.refs += file_.chunk(static_cast<std::size_t>(a.first_chunk + c)).refs;
@@ -159,7 +157,7 @@ void ChunkedTrzSource::partition(int np) {
   }
 }
 
-RankView ChunkedTrzSource::rank_view(int rank) {
+std::span<const Addr> ChunkedTrzSource::rank_view(int rank) {
   PARDA_CHECK_MSG(!plan_.empty(),
                   "ChunkedTrzSource: partition() before rank_view()");
   PARDA_CHECK(rank >= 0 && static_cast<std::size_t>(rank) < plan_.size());
@@ -180,8 +178,7 @@ RankView ChunkedTrzSource::rank_view(int rank) {
     reg.timer("ingest.decode").record_ns(
         static_cast<std::uint64_t>(obs::tracer().now_ns() - t0));
   }
-  return RankView{std::span<const Addr>(arena),
-                  static_cast<Timestamp>(a.first_ref)};
+  return arena;
 }
 
 std::pair<std::uint64_t, std::uint64_t> ChunkedTrzSource::assigned_chunks(

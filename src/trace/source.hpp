@@ -23,11 +23,13 @@
 //                         arrives live; runs the multi-phase Algorithm 5.
 //
 // Offline sources partition the trace once per job (partition(np), driver
-// thread), then every rank asks for its RankView from its own thread
+// thread), then every rank asks for its view from its own thread
 // (rank_view(rank)) — which is exactly where ChunkedTrzSource does its
-// decoding, so decompression parallelizes with np for free. Views stay
-// valid until the next partition() or the source's destruction; they must
-// never outlive the source (the mmap case would fault).
+// decoding, so decompression parallelizes with np for free. A view is a
+// plain span of references: the views tile the trace in rank order, and
+// that order is all the algorithm needs. Views stay valid until the next
+// partition() or the source's destruction; they must never outlive the
+// source (the mmap case would fault).
 //
 // Ingest telemetry (the `ingest.*` metrics, DESIGN.md "Ingest"):
 //   ingest.bytes_mapped    bytes of file mapped (mmap + trz)
@@ -62,14 +64,6 @@ const char* ingest_mode_name(IngestMode mode) noexcept;
 /// Parses "pipe" | "mmap" | "trz"; nullopt for anything else.
 std::optional<IngestMode> parse_ingest_mode(std::string_view text) noexcept;
 
-/// One rank's slice of the trace: the references plus the global logical
-/// time of refs[0] (rank bases must be cumulative across ranks so the
-/// infinity pipeline sees one consistent clock).
-struct RankView {
-  std::span<const Addr> refs;
-  Timestamp base = 0;
-};
-
 class TraceSource {
  public:
   virtual ~TraceSource() = default;
@@ -92,8 +86,9 @@ class TraceSource {
 
   /// Offline only: rank's disjoint view, called from the rank's own
   /// thread (concurrent across ranks — this is where ChunkedTrzSource
-  /// decodes). Valid until the next partition() or destruction.
-  virtual RankView rank_view(int rank);
+  /// decodes). Rank r's view directly follows rank r-1's in the trace.
+  /// Valid until the next partition() or destruction.
+  virtual std::span<const Addr> rank_view(int rank);
 
   /// Streaming only: the pipe the multi-phase driver drains.
   virtual TracePipe& pipe();
@@ -125,7 +120,7 @@ class SpanTraceSource : public TraceSource {
   bool offline() const noexcept override { return true; }
   std::uint64_t total_references() const override { return refs_.size(); }
   void partition(int np) override;
-  RankView rank_view(int rank) override;
+  std::span<const Addr> rank_view(int rank) override;
 
  protected:
   /// For subclasses that own the storage: they set refs_ once it is
@@ -172,7 +167,7 @@ class ChunkedTrzSource final : public TraceSource {
     return file_.total_references();
   }
   void partition(int np) override;
-  RankView rank_view(int rank) override;
+  std::span<const Addr> rank_view(int rank) override;
 
   const ChunkedTrzFile& file() const noexcept { return file_; }
   /// The chunk range assigned to `rank` by the last partition(), as
@@ -183,7 +178,6 @@ class ChunkedTrzSource final : public TraceSource {
   struct Assignment {
     std::uint64_t first_chunk = 0;
     std::uint64_t num_chunks = 0;
-    std::uint64_t first_ref = 0;  // global index of the run's first ref
     std::uint64_t refs = 0;
   };
 

@@ -185,86 +185,77 @@ TEST(PardaProfileTest, BoundedCapsPeakResidency) {
 
 TEST(RankStateTest, LocalInfinityPerDistinctElement) {
   // Property 4.2: one local-infinity entry per distinct element of the
-  // chunk.
+  // chunk, in the order of first references.
   RankState<> state;
-  const std::vector<Addr> chunk{5, 6, 5, 7, 6, 6, 8};
-  for (std::size_t i = 0; i < chunk.size(); ++i) {
-    state.process_own(chunk[i], i);
-  }
-  const auto inf = state.take_local_infinities();
-  ASSERT_EQ(inf.size(), 4u);
-  EXPECT_EQ(inf[0], (InfRecord{5, 0}));
-  EXPECT_EQ(inf[1], (InfRecord{6, 1}));
-  EXPECT_EQ(inf[2], (InfRecord{7, 3}));
-  EXPECT_EQ(inf[3], (InfRecord{8, 6}));
+  for (const Addr a : {5, 6, 5, 7, 6, 6, 8}) state.process_own(a);
+  EXPECT_EQ(state.take_local_infinities(), (std::vector<Addr>{5, 6, 7, 8}));
 }
 
 TEST(RankStateTest, SpaceOptimizedDeletesResolvedEntries) {
   RankState<> state;  // space-optimized by default
-  state.process_own(1, 0);
-  state.process_own(2, 1);
+  state.process_own(1);
+  state.process_own(2);
   EXPECT_EQ(state.resident(), 2u);
   // Incoming infinity for address 1 resolves and removes the replica.
-  state.process_incoming(std::vector<InfRecord>{{1, 10}});
-  EXPECT_EQ(state.resident(), 1u);
+  state.process_incoming(std::vector<Addr>{1});
+  EXPECT_EQ(state.resident_addrs(), (std::vector<Addr>{2}));
   EXPECT_EQ(state.received_count(), 1u);
   EXPECT_EQ(state.hist().at(1), 1u);  // one distinct element (2) intervened
 }
 
 TEST(RankStateTest, UnoptimizedKeepsAndReplaysEntries) {
   RankState<> state(kUnbounded, /*space_optimized=*/false);
-  state.process_own(1, 0);
-  state.process_own(2, 1);
+  state.process_own(1);
+  state.process_own(2);
   state.take_local_infinities();
-  state.process_incoming(std::vector<InfRecord>{{1, 10}, {3, 11}});
-  // Hit re-inserted, miss inserted: 3 residents (1@10, 2@1, 3@11).
-  EXPECT_EQ(state.resident(), 3u);
+  state.process_incoming(std::vector<Addr>{1, 3});
+  // Hit re-inserted as the newest, miss inserted after it.
+  EXPECT_EQ(state.resident_addrs(), (std::vector<Addr>{2, 1, 3}));
   EXPECT_EQ(state.hist().at(1), 1u);
-  const auto forwarded = state.take_local_infinities();
-  ASSERT_EQ(forwarded.size(), 1u);
-  EXPECT_EQ(forwarded[0], (InfRecord{3, 11}));
+  EXPECT_EQ(state.take_local_infinities(), (std::vector<Addr>{3}));
 }
 
 TEST(RankStateTest, CountOffsetsIncomingDistances) {
   // Algorithm 4's count: misses processed earlier offset later hits.
   RankState<> state;
-  state.process_own(100, 0);
+  state.process_own(100);
   state.take_local_infinities();
   // Two unseen addresses pass through, then a hit on 100: the two strangers
   // are distinct elements between the reuse pair.
-  state.process_incoming(std::vector<InfRecord>{{200, 5}, {300, 6}});
-  state.process_incoming(std::vector<InfRecord>{{100, 7}});
+  state.process_incoming(std::vector<Addr>{200, 300});
+  state.process_incoming(std::vector<Addr>{100});
   EXPECT_EQ(state.hist().at(2), 1u);
 }
 
 TEST(RankStateTest, ExportImportRoundTrip) {
   RankState<> a;
-  a.process_own(10, 0);
-  a.process_own(20, 1);
+  a.process_own(10);
+  a.process_own(20);
   a.take_local_infinities();
   RankState<> b;
-  b.process_own(30, 2);
+  b.process_own(30);
   b.take_local_infinities();
-  auto exported = a.export_state();
+  const std::vector<Addr> exported = a.export_state();
+  EXPECT_EQ(exported, (std::vector<Addr>{10, 20}));
   EXPECT_EQ(a.resident(), 0u);
-  const std::span<const InfRecord> parts[] = {exported};
+  const std::span<const Addr> parts[] = {exported};
   b.import_state(parts);
-  EXPECT_EQ(b.resident(), 3u);
+  EXPECT_EQ(b.resident_addrs(), (std::vector<Addr>{10, 20, 30}));
   // b can now resolve reuses of a's addresses.
-  b.process_incoming(std::vector<InfRecord>{{10, 50}});
+  b.process_incoming(std::vector<Addr>{10});
   EXPECT_EQ(b.hist().at(2), 1u);  // 20 and 30 intervene
 }
 
 TEST(RankStateTest, PruneToBoundKeepsMostRecent) {
   RankState<> state(/*bound=*/2, /*space_optimized=*/true);
-  const std::vector<InfRecord> records{{1, 10}, {2, 20}, {3, 30}};
-  const std::span<const InfRecord> parts[] = {records};
+  const std::vector<Addr> addrs{1, 2, 3};
+  const std::span<const Addr> parts[] = {addrs};
   state.import_state(parts);
   state.prune_to_bound();
-  EXPECT_EQ(state.resident(), 2u);
+  EXPECT_EQ(state.resident_addrs(), (std::vector<Addr>{2, 3}));
   // Address 1 (oldest) is gone: a reuse of it now misses.
   state.begin_merge_stage();
-  state.process_incoming(std::vector<InfRecord>{{1, 40}});
+  state.process_incoming(std::vector<Addr>{1});
   EXPECT_EQ(state.pending_infinities(), 1u);
 }
 
@@ -278,23 +269,22 @@ TYPED_TEST(RankStateKeyTest, PartsTakeKeysBelowOwnEntriesOldestFirst) {
   // A phase holder: its own chunk is newer than every imported part, and
   // the parts arrive oldest first (virtual-rank order is time order).
   RankState<TypeParam> holder;
-  holder.process_own(50, 20);
-  holder.process_own(60, 21);
+  holder.process_own(50);
+  holder.process_own(60);
   holder.take_local_infinities();
-  const std::vector<InfRecord> v0{{10, 2}, {11, 5}};
-  const std::vector<InfRecord> v1{{30, 12}};
-  const std::span<const InfRecord> parts[] = {v0, v1};
+  const std::vector<Addr> v0{10, 11};
+  const std::vector<Addr> v1{30};
+  const std::span<const Addr> parts[] = {v0, v1};
   holder.import_state(parts);
-  EXPECT_EQ(holder.resident_records(),
-            (std::vector<InfRecord>{
-                {10, 2}, {11, 5}, {30, 12}, {50, 20}, {60, 21}}));
+  EXPECT_EQ(holder.resident_addrs(), (std::vector<Addr>{10, 11, 30, 50, 60}));
+  // The parts took the three keys just below the holder's two.
+  EXPECT_EQ(holder.key_span(), 5u);
   // Distances see the merged order: 30, 50 and 60 follow 11.
   holder.begin_merge_stage();
-  holder.process_incoming(std::vector<InfRecord>{{11, 40}});
+  holder.process_incoming(std::vector<Addr>{11});
   EXPECT_EQ(holder.hist().at(3), 1u);
-  // The export hands the global timestamps on, oldest first.
-  EXPECT_EQ(holder.export_state(),
-            (std::vector<InfRecord>{{10, 2}, {30, 12}, {50, 20}, {60, 21}}));
+  // The export hands the order on, oldest first, and restarts the clock.
+  EXPECT_EQ(holder.export_state(), (std::vector<Addr>{10, 30, 50, 60}));
   EXPECT_EQ(holder.resident(), 0u);
   EXPECT_EQ(holder.key_span(), 0u);
 }
@@ -308,27 +298,26 @@ TYPED_TEST(RankStateKeyTest, LongChunkRenumbersLiveKeys) {
     chunk.push_back(1000 + i % 100);
   }
   RankState<TypeParam> state;
-  state.process_own_block(chunk, 500);
+  state.process_own_block(chunk);
   EXPECT_EQ(state.resident(), 101u);
   EXPECT_LE(state.key_span(), 2 * state.resident() + RankState<>::kKeySlack);
 
-  // The renumbered keys keep time order and their global timestamps.
-  const std::vector<InfRecord> resident = state.resident_records();
+  // The renumbered keys keep time order.
+  const std::vector<Addr> resident = state.resident_addrs();
   ASSERT_EQ(resident.size(), 101u);
-  EXPECT_EQ(resident.front(), (InfRecord{7, 500}));
-  EXPECT_EQ(resident.back(),
-            (InfRecord{chunk.back(), 500 + chunk.size() - 1}));
+  EXPECT_EQ(resident.front(), 7u);
+  EXPECT_EQ(resident.back(), chunk.back());
   // An incoming reference to 7 sees the 100 newer addresses.
   state.take_local_infinities();
   state.begin_merge_stage();
-  state.process_incoming(std::vector<InfRecord>{{7, 500 + chunk.size()}});
+  state.process_incoming(std::vector<Addr>{7});
   EXPECT_EQ(state.hist().at(100), 1u);
 }
 
 TEST(RankStateTest, FlushGlobalInfinitiesCountsPending) {
   RankState<> state;
-  state.process_own(1, 0);
-  state.process_own(2, 1);
+  state.process_own(1);
+  state.process_own(2);
   state.flush_global_infinities();
   EXPECT_EQ(state.hist().infinities(), 2u);
   EXPECT_EQ(state.pending_infinities(), 0u);

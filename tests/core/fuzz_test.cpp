@@ -220,8 +220,9 @@ TEST_P(FuzzEquivalenceTest, BoundedStreamedMatchesBoundedSequential) {
 /// Runs the phase loop of stream_rank_body at np = 1 over `trace` in
 /// phases of `chunk`: rank 0 is virtual rank 0 and the holder, its merge
 /// stage only flushes, and it never exports, so only its own renumbering
-/// bounds the key span (the side array's length). Checks the span after
-/// every phase, then the histogram, also through the real np = 1 stream.
+/// bounds the key span (and with it the FenwickIndex window). Checks the
+/// span after every phase, then the histogram, also through the real
+/// np = 1 stream.
 void expect_single_rank_span_bounded(const std::vector<Addr>& trace,
                                      std::uint64_t bound, std::size_t chunk) {
   ASSERT_GE(trace.size() / chunk, 64u);
@@ -229,7 +230,7 @@ void expect_single_rank_span_bounded(const std::vector<Addr>& trace,
   for (std::size_t at = 0; at < trace.size(); at += chunk) {
     const std::size_t n = std::min(chunk, trace.size() - at);
     state.begin_merge_stage();
-    state.process_own_block(std::span<const Addr>(trace.data() + at, n), at);
+    state.process_own_block(std::span<const Addr>(trace.data() + at, n));
     state.flush_global_infinities();
     state.import_state({});
     state.prune_to_bound();

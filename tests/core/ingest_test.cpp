@@ -11,8 +11,10 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <memory>
+#include <span>
 #include <string>
 #include <thread>
 #include <tuple>
@@ -80,8 +82,8 @@ class IngestTest : public ::testing::Test {
   }
 
   /// Partitions `source` at several rank counts and checks that the rank
-  /// views tile the trace contiguously with cumulative bases, and that
-  /// every view points into [lo, hi) — the source's own storage.
+  /// views tile the trace contiguously in rank order, and that every view
+  /// points into [lo, hi) — the source's own storage.
   static void expect_views_tile_trace(TraceSource& source, const void* lo,
                                       const void* hi) {
     EXPECT_EQ(source.total_references(), trace_->size());
@@ -91,23 +93,24 @@ class IngestTest : public ::testing::Test {
       source.partition(np);
       std::uint64_t covered = 0;
       for (int r = 0; r < np; ++r) {
-        const RankView view = source.rank_view(r);
-        // Cumulative clock: the view starts at its global position.
-        EXPECT_EQ(view.base, covered) << "np=" << np << " rank=" << r;
-        covered += view.refs.size();
-        if (view.refs.empty()) continue;
+        const std::span<const Addr> view = source.rank_view(r);
+        const auto at = static_cast<std::size_t>(covered);
+        covered += view.size();
+        if (view.empty()) continue;
         // Zero-copy: the span points into the storage, not a buffer.
         const auto* first = reinterpret_cast<const std::uint8_t*>(
-            view.refs.data());
+            view.data());
         const auto* last = reinterpret_cast<const std::uint8_t*>(
-            view.refs.data() + view.refs.size());
+            view.data() + view.size());
         EXPECT_GE(first, base);
         EXPECT_LE(last, end);
-        // Contiguous tiling: rank r's refs are exactly trace[base..).
-        EXPECT_EQ(view.refs.front(),
-                  (*trace_)[static_cast<std::size_t>(view.base)]);
-        EXPECT_EQ(view.refs.back(),
-                  (*trace_)[static_cast<std::size_t>(covered) - 1]);
+        // Contiguous tiling: rank r's refs are exactly trace[at..), where
+        // `at` counts the refs of ranks 0..r-1.
+        ASSERT_LE(covered, trace_->size()) << "np=" << np << " rank=" << r;
+        EXPECT_TRUE(std::equal(view.begin(), view.end(),
+                               trace_->begin() +
+                                   static_cast<std::ptrdiff_t>(at)))
+            << "np=" << np << " rank=" << r;
       }
       EXPECT_EQ(covered, trace_->size()) << "np=" << np;
     }
@@ -170,7 +173,7 @@ TEST_F(IngestTest, MmapViewReadableForSourceLifetime) {
   for (const Addr a : *trace_) expect_sum += a;
   Addr sum = 0;
   for (int r = 0; r < 3; ++r) {
-    for (const Addr a : source.rank_view(r).refs) sum += a;
+    for (const Addr a : source.rank_view(r)) sum += a;
   }
   EXPECT_EQ(sum, expect_sum);
 }
@@ -187,13 +190,13 @@ TEST_F(IngestTest, TrzChunkRunsAreContiguousAndComplete) {
       const auto [first, count] = source.assigned_chunks(r);
       EXPECT_EQ(first, next_chunk) << "np=" << np << " rank=" << r;
       next_chunk += count;
-      const RankView view = source.rank_view(r);
-      EXPECT_EQ(view.base, static_cast<Timestamp>(next_ref));
-      next_ref += view.refs.size();
-      // Decoded content matches the trace slice, byte for byte.
-      for (std::size_t i = 0; i < view.refs.size(); ++i) {
-        ASSERT_EQ(view.refs[i],
-                  (*trace_)[static_cast<std::size_t>(view.base) + i])
+      const std::span<const Addr> view = source.rank_view(r);
+      const auto at = static_cast<std::size_t>(next_ref);
+      next_ref += view.size();
+      ASSERT_LE(next_ref, trace_->size()) << "np=" << np << " rank=" << r;
+      // Decoded content matches trace[at..), byte for byte.
+      for (std::size_t i = 0; i < view.size(); ++i) {
+        ASSERT_EQ(view[i], (*trace_)[at + i])
             << "np=" << np << " rank=" << r << " i=" << i;
       }
     }

@@ -83,16 +83,11 @@ TEST(PaperTable2, LocalDistancesOfRightChunk) {
   // local distances: inf inf inf inf 1 inf inf (Table II row "Local").
   RankState<> rank1;
   const auto trace = to_trace(kTable2);
-  for (std::size_t t = 6; t < trace.size(); ++t) {
-    rank1.process_own(trace[t], t);
-  }
+  for (std::size_t t = 6; t < trace.size(); ++t) rank1.process_own(trace[t]);
   EXPECT_EQ(rank1.hist().at(1), 1u);        // f@10
   EXPECT_EQ(rank1.hist().finite_total(), 1u);
-  const auto inf = rank1.take_local_infinities();
-  // Local infinities: g e f a b c with their first-reference times.
-  const std::vector<InfRecord> expected{{'g', 6}, {'e', 7}, {'f', 8},
-                                        {'a', 9}, {'b', 11}, {'c', 12}};
-  EXPECT_EQ(inf, expected);
+  // Local infinities: g e f a b c, in the order of their first references.
+  EXPECT_EQ(rank1.take_local_infinities(), to_trace("g e f a b c"));
 }
 
 TEST(PaperTable2, GlobalDistancesMatchPaper) {
@@ -118,26 +113,19 @@ TEST(PaperTable3Figure2, ThreeProcessorSpaceOptimizedWalkthrough) {
   RankState<> p0;
   RankState<> p1;
   RankState<> p2;
-  for (std::size_t t = 0; t < 8; ++t) p0.process_own(trace[t], t);
-  for (std::size_t t = 8; t < 16; ++t) p1.process_own(trace[t], t);
-  for (std::size_t t = 16; t < 24; ++t) p2.process_own(trace[t], t);
+  for (std::size_t t = 0; t < 8; ++t) p0.process_own(trace[t]);
+  for (std::size_t t = 8; t < 16; ++t) p1.process_own(trace[t]);
+  for (std::size_t t = 16; t < 24; ++t) p2.process_own(trace[t]);
 
-  // Figure 2(a-c): per-rank local infinities after chunk processing.
-  // (p0 keeps its queue: rank 0 flushes rather than sends.)
-  const auto inf0 = p0.local_infinities();
+  // Figure 2(a-c): per-rank local infinities after chunk processing, in
+  // the order of their first references (d@0 a@1 c@2 b@3 g@6 e@7; f@8 a@9
+  // b@11 c@12 m@13 t@14; a@16 c@17 f@18 b@19 d@20). p0 keeps its queue:
+  // rank 0 flushes rather than sends.
   const auto inf1 = p1.take_local_infinities();
   const auto inf2 = p2.take_local_infinities();
-  {
-    const std::vector<InfRecord> expect0{{'d', 0}, {'a', 1}, {'c', 2},
-                                         {'b', 3}, {'g', 6}, {'e', 7}};
-    const std::vector<InfRecord> expect1{{'f', 8},  {'a', 9},  {'b', 11},
-                                         {'c', 12}, {'m', 13}, {'t', 14}};
-    const std::vector<InfRecord> expect2{
-        {'a', 16}, {'c', 17}, {'f', 18}, {'b', 19}, {'d', 20}};
-    EXPECT_EQ(inf0, expect0);
-    EXPECT_EQ(inf1, expect1);
-    EXPECT_EQ(inf2, expect2);
-  }
+  EXPECT_EQ(p0.local_infinities(), to_trace("d a c b g e"));
+  EXPECT_EQ(inf1, to_trace("f a b c m t"));
+  EXPECT_EQ(inf2, to_trace("a c f b d"));
   // Intra-chunk hits: p0 sees c@4 (1) and c@5 (0); p1 sees f@10 (1) and
   // m@15 (1); p2 sees c@21 (3), a@22 (4), c@23 (1).
   EXPECT_EQ(p0.hist().at(1), 1u);
@@ -154,8 +142,9 @@ TEST(PaperTable3Figure2, ThreeProcessorSpaceOptimizedWalkthrough) {
   // Figure 2(e): p1 retains only t@14, m@15; forwards 'd'; count = 5.
   EXPECT_EQ(p1.received_count(), 5u);
   EXPECT_EQ(p1.resident(), 2u);
+  EXPECT_EQ(p1.resident_addrs(), to_trace("t m"));
   const auto fwd1 = p1.take_local_infinities();
-  EXPECT_EQ(fwd1, (std::vector<InfRecord>{{'d', 20}}));
+  EXPECT_EQ(fwd1, to_trace("d"));
   // Distances resolved at p1: a@16 -> 5, c@17 -> 3, f@18 -> 5, b@19 -> 5.
   EXPECT_EQ(p1.hist().at(5), 3u);
   EXPECT_EQ(p1.hist().at(3), 1u);
@@ -164,11 +153,7 @@ TEST(PaperTable3Figure2, ThreeProcessorSpaceOptimizedWalkthrough) {
   p0.process_incoming(inf1);
   // Figure 2(d): p0 keeps d@0, g@6, e@7; forwards f, m, t; count = 6.
   EXPECT_EQ(p0.received_count(), 6u);
-  EXPECT_EQ(p0.resident(), 3u);
-  {
-    const std::vector<InfRecord> expect{{'d', 0}, {'g', 6}, {'e', 7}};
-    EXPECT_EQ(p0.resident_records(), expect);
-  }
+  EXPECT_EQ(p0.resident_addrs(), to_trace("d g e"));
   // Distances resolved at p0 so far: a@9 -> 5, b@11 -> 5, c@12 -> 5.
   EXPECT_EQ(p0.hist().at(5), 3u);
 
@@ -178,12 +163,8 @@ TEST(PaperTable3Figure2, ThreeProcessorSpaceOptimizedWalkthrough) {
   p0.process_incoming(fwd1);
   // Figure 2(f): only g@6, e@7 remain; count = 7; d@20 resolved at 8.
   EXPECT_EQ(p0.received_count(), 7u);
-  EXPECT_EQ(p0.resident(), 2u);
   EXPECT_EQ(p0.hist().at(8), 1u);
-  {
-    const std::vector<InfRecord> expect{{'g', 6}, {'e', 7}};
-    EXPECT_EQ(p0.resident_records(), expect);
-  }
+  EXPECT_EQ(p0.resident_addrs(), to_trace("g e"));
   p0.flush_global_infinities();
 
   // The aggregate space property (Section IV-C): every distinct address

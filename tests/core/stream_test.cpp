@@ -5,6 +5,7 @@
 
 #include <cstdio>
 #include <memory>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -113,6 +114,25 @@ TEST(StreamTest, EmptyStream) {
   PipeTraceSource source(pipe);
   const PardaResult result = parda_analyze(source, options);
   EXPECT_EQ(result.hist.total(), 0u);
+}
+
+TEST(StreamTest, PhaseLengthOverflowIsRejected) {
+  // np * C wraps a size_t to 0, which would read empty phases and report
+  // nothing: parda_analyze_source_on must reject the phase length instead.
+  // The pipe is filled and closed up front, so no producer blocks on a
+  // reader that never comes.
+  const auto trace = stream_trace(1000, 5);
+  TracePipe pipe(trace.size());
+  pipe.write(std::span<const Addr>(trace));
+  pipe.close();
+  PipeTraceSource source(pipe);
+  PardaOptions options;
+  options.num_procs = 2;
+  options.chunk_words = std::size_t{1} << 63;
+  EXPECT_THROW(parda_analyze(source, options), CheckError);
+  options.num_procs = 4;
+  options.chunk_words = std::size_t{1} << 62;
+  EXPECT_THROW(parda_analyze(source, options), CheckError);
 }
 
 TEST(StreamTest, StreamShorterThanOnePhase) {
