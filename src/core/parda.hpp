@@ -197,9 +197,11 @@ void offline_rank_body(comm::Comm& comm, TraceSource& source,
 /// The per-rank body of the streaming algorithm (Algorithms 5-6): phase
 /// intake + scatter, chunk processing, merge rounds on the virtual
 /// topology, state reduction with rank reversal. Rank 0 drains the pipe in
-/// phases of np*C references; after each phase all resident state is
-/// reduced onto the virtual rank np-1, which becomes virtual rank 0 of the
-/// next phase, so the global state never travels.
+/// phases of np*C references; after each full phase all resident state
+/// (under a bound, only its B most recent addresses) is reduced onto the
+/// virtual rank np-1, which becomes virtual rank 0 of the next phase, so
+/// the global state never travels. A short phase is the last one, and
+/// skips the reduction.
 template <OrderStatTree Tree>
 void stream_rank_body(comm::Comm& comm, TracePipe& pipe,
                       const PardaOptions& options, Histogram& result,
@@ -274,35 +276,34 @@ void stream_rank_body(comm::Comm& comm, TracePipe& pipe,
                                &profile.records_forwarded);
     }
     profile.records_received += state.received_count();
+    if (phase_words < chunk * static_cast<std::uint64_t>(np)) {
+      // Short phase: the pipe is exhausted; everyone agrees because
+      // phase_words was broadcast. No phase follows to read the state, so
+      // the state reduction is skipped.
+      break;
+    }
 
     // --- State reduction onto virtual np-1 (Algorithm 6): the exported
     // state moves into the message and is imported through a view. The
-    // holder takes every view before importing, because the imports are
-    // keyed below its own entries oldest first, in virtual-rank order.
+    // holder imports each part as it arrives, newest first (virtual ranks
+    // np-2 down to 0, the order in which they finish merging), so every
+    // part is keyed below everything it already holds; under a bound it
+    // keys only what still fits under B.
     {
       obs::SpanScope span("reduce", phase_no);
       const int holder_phys = phys_of(np - 1);
       if (virt != np - 1) {
         comm.send(holder_phys, kTagState, state.export_state());
       } else {
-        std::vector<comm::View<Addr>> views;
-        std::vector<std::span<const Addr>> parts;
-        for (int v = 0; v < np - 1; ++v) {
-          views.push_back(comm.recv_view<Addr>(phys_of(v), kTagState));
-          parts.push_back(views.back().span());
+        for (int v = np - 2; v >= 0; --v) {
+          state.import_state(
+              comm.recv_view<Addr>(phys_of(v), kTagState).span());
         }
-        state.import_state(parts);
-        state.prune_to_bound();
       }
     }
 
     reversed = !reversed;  // the holder is virtual rank 0 next phase
     ++phase_no;
-    if (phase_words < chunk * static_cast<std::uint64_t>(np)) {
-      // Short phase: the pipe is exhausted; everyone agrees because
-      // phase_words was broadcast.
-      break;
-    }
   }
 
   profile.hits_resolved = state.hist().finite_total();

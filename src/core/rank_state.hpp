@@ -10,22 +10,25 @@
 // clock, not by its global trace position. Own-chunk references, and the
 // incoming records that unoptimized Algorithm 3 replays, are newer than
 // everything resident and take the next tick; state imported by the phase
-// holder (Algorithm 6) is older than everything resident and takes the
-// ticks just below the oldest key. Key order is therefore time order, and
-// every tree performs the operations it would perform keyed by global
-// time, but the keys stay dense, so the default tree is a FenwickIndex
-// over flat arrays. No global time is kept: records leave the rank as
-// bare addresses in key order. Each hit leaves a dead key behind; the rank
-// renumbers its live keys before the dead ones outgrow them (plus a
-// slack), so the index window stays O(resident + slack) however long the
-// chunk or the stream.
+// holder (Algorithm 6), one part at a time and the newest part first, is
+// older than everything resident and takes the ticks just below the oldest
+// key. Key order is therefore time order, and every tree performs the
+// operations it would perform keyed by global time, but the keys stay
+// dense, so the default tree is a FenwickIndex over flat arrays. No global
+// time is kept: records leave the rank as bare addresses in key order.
+// Each hit leaves a dead key behind; the rank renumbers its live keys
+// before the dead ones outgrow them (plus a slack), so the index window
+// stays O(resident + slack) however long the chunk or the stream.
 //
 // Bounded-mode semantics (one deliberate tightening over the paper, see
 // DESIGN.md): with bound B, the final histogram is exact for all d < B and
 // every reference with true distance >= B is an infinity. The paper's
 // Algorithm 4 would occasionally resolve an inter-chunk distance >= B
 // exactly; we clamp those to infinity so bounded-parallel equals
-// bounded-sequential bit-for-bit, which the property tests verify.
+// bounded-sequential bit-for-bit, which the property tests verify. No rank
+// ever holds more than B entries: an own-chunk miss evicts the oldest, and
+// the phase holder keys only the newest addresses of each part that still
+// fit under B.
 #pragma once
 
 #include <algorithm>
@@ -170,38 +173,34 @@ class RankState {
     return out;
   }
 
-  /// Merges the exported states of the ranks to the left, given oldest
-  /// first (virtual-rank order is time order, and every part is older than
-  /// this rank's own entries). The addresses take the keys just below this
-  /// rank's oldest key, in order, so no resident entry is re-keyed and the
-  /// hash table sees one insert per address. With space optimization the
-  /// address sets are disjoint (paper Section IV-C), so no duplicate check
-  /// is needed — PARDA_DCHECK guards that claim in debug builds.
-  void import_state(std::span<const std::span<const Addr>> parts) {
-    std::size_t total = 0;
-    for (const auto& part : parts) total += part.size();
-    Timestamp key = (tree_.empty() ? next_key_ : tree_.oldest().ts) - total;
+  /// Merges the exported state of one rank to the left. The part is older
+  /// than everything resident: virtual-rank order is time order, and the
+  /// phase holder imports the parts newest first. Its addresses take the
+  /// keys just below this rank's oldest key, in order, so no resident entry
+  /// is re-keyed and the hash table sees one insert per address. With space
+  /// optimization the address sets are disjoint (paper Section IV-C), so no
+  /// duplicate check is needed — PARDA_DCHECK guards that claim in debug
+  /// builds. Under a bound only the part's newest B − resident() addresses
+  /// are keyed (none once the rank holds B): anything older has at least B
+  /// distinct successors and can never be hit again under the bound.
+  void import_state(std::span<const Addr> part) {
+    if (bound_ != kUnbounded) {
+      const std::uint64_t room = bound_ - resident();
+      if (part.size() > room) part = part.last(room);
+    }
+    constexpr std::size_t kAhead = 8;
+    const std::size_t n = part.size();
+    Timestamp key = (tree_.empty() ? next_key_ : tree_.oldest().ts) - n;
     first_key_ = std::min(first_key_, key);
-    for (const auto& part : parts) {
-      for (const Addr z : part) {
-        PARDA_DCHECK(!table_.contains(z));
-        tree_.insert(key, z);
-        table_.insert_or_assign(z, key);
-        ++key;
-      }
+    for (std::size_t i = 0; i < n; ++i) {
+      if (i + kAhead < n) table_.prefetch(part[i + kAhead]);
+      PARDA_DCHECK(!table_.contains(part[i]));
+      tree_.insert(key, part[i]);
+      table_.insert_or_assign(part[i], key);
+      ++key;
     }
     note_resident();
-  }
-
-  /// Bounded phases: drop all but the B most-recent distinct elements —
-  /// anything older has >= B distinct successors and can never be hit again
-  /// under the bound.
-  void prune_to_bound() {
-    if (bound_ == kUnbounded) return;
-    while (tree_.size() > bound_) {
-      const TreeEntry victim = tree_.pop_oldest();
-      table_.erase(victim.addr);
-    }
+    PARDA_DCHECK(bound_ == kUnbounded || resident() <= bound_);
   }
 
   /// Resets the per-merge-stage received counter (start of each phase).
@@ -232,8 +231,7 @@ class RankState {
   static constexpr Timestamp kClockOrigin = Timestamp{1} << 62;
 
   /// Tallies a resolved distance; under the bound, d >= B is a capacity
-  /// miss. (The tree can exceed B entries: a phase holder carries up to B
-  /// inherited entries plus its chunk's misses.)
+  /// miss.
   void record(Distance d) {
     if (bound_ != kUnbounded && d >= bound_) d = kInfiniteDistance;
     hist_.record(d);

@@ -1,6 +1,7 @@
 #include "hash/addr_map.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "util/check.hpp"
 #include "util/prng.hpp"
@@ -119,13 +120,6 @@ void AddrMap::reserve(std::size_t n) {
 }
 
 void AddrMap::grow() { reserve(slots_.size() * 2); }
-
-std::vector<std::pair<Addr, Timestamp>> AddrMap::entries() const {
-  std::vector<std::pair<Addr, Timestamp>> out;
-  out.reserve(size_);
-  for_each([&](Addr a, Timestamp t) { out.emplace_back(a, t); });
-  return out;
-}
 
 std::size_t AddrMap::max_probe_length() const noexcept {
   std::uint16_t longest = 0;

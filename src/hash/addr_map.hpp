@@ -10,7 +10,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 #include "util/prng.hpp"
@@ -68,10 +67,6 @@ class AddrMap {
       if (s.dib != kEmpty) fn(s.key, s.value);
     }
   }
-
-  /// All entries as (addr, timestamp) pairs; used to serialize rank state
-  /// for the multi-phase reduce step (Algorithm 6).
-  std::vector<std::pair<Addr, Timestamp>> entries() const;
 
   /// Longest probe chain currently in the table (diagnostics / tests).
   std::size_t max_probe_length() const noexcept;

@@ -3,7 +3,6 @@
 // bound, and with or without the space optimization (paper Section IV-B).
 #include <gtest/gtest.h>
 
-#include <span>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -238,25 +237,38 @@ TEST(RankStateTest, ExportImportRoundTrip) {
   const std::vector<Addr> exported = a.export_state();
   EXPECT_EQ(exported, (std::vector<Addr>{10, 20}));
   EXPECT_EQ(a.resident(), 0u);
-  const std::span<const Addr> parts[] = {exported};
-  b.import_state(parts);
+  b.import_state(exported);
   EXPECT_EQ(b.resident_addrs(), (std::vector<Addr>{10, 20, 30}));
   // b can now resolve reuses of a's addresses.
   b.process_incoming(std::vector<Addr>{10});
   EXPECT_EQ(b.hist().at(2), 1u);  // 20 and 30 intervene
 }
 
-TEST(RankStateTest, PruneToBoundKeepsMostRecent) {
-  RankState<> state(/*bound=*/2, /*space_optimized=*/true);
-  const std::vector<Addr> addrs{1, 2, 3};
-  const std::span<const Addr> parts[] = {addrs};
-  state.import_state(parts);
-  state.prune_to_bound();
-  EXPECT_EQ(state.resident_addrs(), (std::vector<Addr>{2, 3}));
-  // Address 1 (oldest) is gone: a reuse of it now misses.
-  state.begin_merge_stage();
-  state.process_incoming(std::vector<Addr>{1});
-  EXPECT_EQ(state.pending_infinities(), 1u);
+TEST(RankStateTest, BoundedImportKeepsNewest) {
+  {
+    RankState<> state(/*bound=*/2, /*space_optimized=*/true);
+    state.import_state(std::vector<Addr>{1, 2, 3});
+    EXPECT_EQ(state.resident_addrs(), (std::vector<Addr>{2, 3}));
+    // Address 1 (oldest) was never keyed: a reuse of it misses.
+    state.begin_merge_stage();
+    state.process_incoming(std::vector<Addr>{1});
+    EXPECT_EQ(state.pending_infinities(), 1u);
+  }
+  {
+    // A holder with two own entries under B = 3 has room for one more:
+    // the newest of the first part. The older part gets none.
+    RankState<> holder(/*bound=*/3, /*space_optimized=*/true);
+    holder.process_own(50);
+    holder.process_own(60);
+    holder.take_local_infinities();
+    holder.import_state(std::vector<Addr>{30, 31});
+    EXPECT_EQ(holder.resident_addrs(), (std::vector<Addr>{31, 50, 60}));
+    EXPECT_EQ(holder.key_span(), 3u);
+    holder.import_state(std::vector<Addr>{10, 11});
+    EXPECT_EQ(holder.resident_addrs(), (std::vector<Addr>{31, 50, 60}));
+    EXPECT_EQ(holder.key_span(), 3u);  // no key handed out
+    EXPECT_EQ(holder.peak_resident(), 3u);
+  }
 }
 
 template <typename Tree>
@@ -265,17 +277,16 @@ class RankStateKeyTest : public ::testing::Test {};
 using RankTrees = ::testing::Types<FenwickIndex, SplayTree>;
 TYPED_TEST_SUITE(RankStateKeyTest, RankTrees);
 
-TYPED_TEST(RankStateKeyTest, PartsTakeKeysBelowOwnEntriesOldestFirst) {
+TYPED_TEST(RankStateKeyTest, PartsTakeKeysBelowResidentNewestFirst) {
   // A phase holder: its own chunk is newer than every imported part, and
-  // the parts arrive oldest first (virtual-rank order is time order).
+  // it imports the parts newest first (virtual-rank order is time order),
+  // each one below everything it already holds.
   RankState<TypeParam> holder;
   holder.process_own(50);
   holder.process_own(60);
   holder.take_local_infinities();
-  const std::vector<Addr> v0{10, 11};
-  const std::vector<Addr> v1{30};
-  const std::span<const Addr> parts[] = {v0, v1};
-  holder.import_state(parts);
+  holder.import_state(std::vector<Addr>{30});
+  holder.import_state(std::vector<Addr>{10, 11});
   EXPECT_EQ(holder.resident_addrs(), (std::vector<Addr>{10, 11, 30, 50, 60}));
   // The parts took the three keys just below the holder's two.
   EXPECT_EQ(holder.key_span(), 5u);

@@ -215,6 +215,9 @@ TEST_P(FuzzEquivalenceTest, BoundedStreamedMatchesBoundedSequential) {
   EXPECT_TRUE(fenwick.hist == expected);
   EXPECT_TRUE(splay.hist == expected);
   expect_same_profiles(fenwick, splay);
+  for (const RankProfile& p : fenwick.profiles) {
+    EXPECT_LE(p.peak_resident, bound);
+  }
 }
 
 /// Runs the phase loop of stream_rank_body at np = 1 over `trace` in
@@ -232,8 +235,6 @@ void expect_single_rank_span_bounded(const std::vector<Addr>& trace,
     state.begin_merge_stage();
     state.process_own_block(std::span<const Addr>(trace.data() + at, n));
     state.flush_global_infinities();
-    state.import_state({});
-    state.prune_to_bound();
     ASSERT_LE(state.key_span(), 2 * state.resident() + chunk) << "at " << at;
   }
   const Histogram expected = bounded_analysis(trace, bound);

@@ -14,6 +14,8 @@
 
 #include "core/file_analysis.hpp"
 #include "core/parda.hpp"
+#include "obs/runtime.hpp"
+#include "obs/span_tracer.hpp"
 #include "seq/bounded.hpp"
 #include "seq/olken.hpp"
 #include "trace/trace_io.hpp"
@@ -144,6 +146,38 @@ TEST(StreamTest, StreamShorterThanOnePhase) {
   EXPECT_TRUE(result.hist == olken_analysis(trace));
 }
 
+TEST(StreamTest, ShortLastPhaseSkipsStateReduction) {
+  // Phases of 300, 300 and 50 references. The full phases reduce the state
+  // onto their holder; the short one ends the stream, so nothing would
+  // read its state and no rank enters the reduction.
+  struct ScopedEnable {
+    bool prev = obs::enabled();
+    ScopedEnable() { obs::set_enabled(true); }
+    ~ScopedEnable() { obs::set_enabled(prev); }
+  } on;
+  obs::tracer().clear();
+
+  const auto trace = stream_trace(650, 5);
+  PardaOptions options;
+  options.num_procs = 3;
+  options.chunk_words = 100;
+  const PardaResult result = run_streamed(trace, options, 1024, 128);
+  EXPECT_TRUE(result.hist == olken_analysis(trace));
+
+  for (int rank = 0; rank < options.num_procs; ++rank) {
+    std::uint64_t reduces[3] = {0, 0, 0};
+    for (const obs::SpanEvent& e : obs::tracer().events_for_rank(rank)) {
+      if (std::string(e.op) != "reduce") continue;
+      ASSERT_LT(e.phase, 3u) << "rank " << rank;
+      ++reduces[e.phase];
+    }
+    EXPECT_EQ(reduces[0], 1u) << "rank " << rank;
+    EXPECT_EQ(reduces[1], 1u) << "rank " << rank;
+    EXPECT_EQ(reduces[2], 0u) << "rank " << rank;
+  }
+  obs::tracer().clear();
+}
+
 class StreamBoundedTest
     : public ::testing::TestWithParam<std::tuple<std::uint64_t, std::size_t>> {
 };
@@ -160,6 +194,11 @@ TEST_P(StreamBoundedTest, BoundedStreamingMatchesBoundedSequential) {
   const PardaResult result = run_streamed(trace, options, 1024, 200);
   EXPECT_TRUE(result.hist == expected)
       << "B=" << bound << " C=" << chunk;
+  // No rank, the phase holder included, ever holds more than B.
+  ASSERT_EQ(result.profiles.size(), 4u);
+  for (const RankProfile& p : result.profiles) {
+    EXPECT_LE(p.peak_resident, bound) << "B=" << bound << " C=" << chunk;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(

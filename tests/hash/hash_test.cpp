@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <unordered_map>
 #include <vector>
 
@@ -74,18 +73,6 @@ TEST(AddrMapTest, ReserveAvoidsRehash) {
   const std::size_t cap = map.capacity();
   for (Addr a = 0; a < 5000; ++a) map.insert_or_assign(a, a);
   EXPECT_EQ(map.capacity(), cap);
-}
-
-TEST(AddrMapTest, EntriesMatchesContents) {
-  AddrMap map;
-  for (Addr a = 0; a < 57; ++a) map.insert_or_assign(a * 7, a);
-  auto entries = map.entries();
-  ASSERT_EQ(entries.size(), 57u);
-  std::sort(entries.begin(), entries.end());
-  for (std::size_t i = 0; i < entries.size(); ++i) {
-    EXPECT_EQ(entries[i].first, i * 7);
-    EXPECT_EQ(entries[i].second, i);
-  }
 }
 
 TEST(AddrMapTest, ForEachVisitsEverythingOnce) {

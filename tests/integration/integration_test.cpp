@@ -165,9 +165,9 @@ TEST(EndToEnd, PerRankStatsAreAccounted) {
 TEST(Observability, StreamingRunEmitsPerPhaseSpansAndAgreeingMetrics) {
   // Algorithm 5 observed from the outside: a 4-rank streaming run must
   // leave behind (a) per-rank spans shaped scatter -> analyze ->
-  // infinity-pipeline -> reduce for every phase plus one final-reduce, and
-  // (b) a metrics snapshot whose engine counters agree exactly with the
-  // analysis result.
+  // infinity-pipeline -> reduce for every phase but the short last one,
+  // which has no reduce, plus one final-reduce, and (b) a metrics snapshot
+  // whose engine counters agree exactly with the analysis result.
   obs::registry().reset_values();
   obs::tracer().clear();
   obs::set_enabled(true);
@@ -205,11 +205,13 @@ TEST(Observability, StreamingRunEmitsPerPhaseSpansAndAgreeingMetrics) {
   EXPECT_EQ(reg.counter_total("comm.bytes_sent"), bytes);
   EXPECT_GT(msgs, 0u);
 
-  // --- Span structure: phases 0..P-1, the four-stage shape per rank.
+  // --- Span structure: phases 0..P-1, the four-stage shape per rank. The
+  // trace ends in a short phase, after which no state reduction runs.
   const std::uint64_t refs = trace.size();
   const std::uint32_t phases = static_cast<std::uint32_t>(
       (refs + kRanks * kChunk - 1) / (kRanks * kChunk));
   ASSERT_GE(phases, 3u) << "trace too short to exercise multiple phases";
+  ASSERT_NE(refs % (kRanks * kChunk), 0u) << "the last phase must be short";
 
   for (int rank = 0; rank < kRanks; ++rank) {
     const auto spans = obs::tracer().events_for_rank(rank);
@@ -239,11 +241,17 @@ TEST(Observability, StreamingRunEmitsPerPhaseSpansAndAgreeingMetrics) {
       ASSERT_NE(scatter, nullptr) << "rank " << rank << " phase " << p;
       ASSERT_NE(analyze, nullptr) << "rank " << rank << " phase " << p;
       ASSERT_NE(pipeline, nullptr) << "rank " << rank << " phase " << p;
-      ASSERT_NE(reduce, nullptr) << "rank " << rank << " phase " << p;
-      // The four stages run in Algorithm 5 order within the phase.
+      if (p + 1 < phases) {
+        ASSERT_NE(reduce, nullptr) << "rank " << rank << " phase " << p;
+      } else {
+        EXPECT_EQ(reduce, nullptr) << "rank " << rank << " last phase";
+      }
+      // The stages run in Algorithm 5 order within the phase.
       EXPECT_LE(scatter->t_start_ns, analyze->t_start_ns);
       EXPECT_LE(analyze->t_end_ns, pipeline->t_end_ns);
-      EXPECT_LE(pipeline->t_start_ns, reduce->t_start_ns);
+      if (reduce != nullptr) {
+        EXPECT_LE(pipeline->t_start_ns, reduce->t_start_ns);
+      }
       EXPECT_LE(analyze->t_start_ns, analyze->t_end_ns);
     }
     for (const auto& e : spans) {
