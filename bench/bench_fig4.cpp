@@ -2,7 +2,6 @@
 // varies (8..64) for cache bounds 512Kw..4Mw (scaled), fixed 64Mw pipe.
 // The y-axis quantity is Parda critical-path time / original runtime.
 #include <cstdio>
-#include <thread>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -31,23 +30,18 @@ double measure_orig(Workload& w, std::uint64_t n) {
 
 double measure_parda_crit(const std::vector<Addr>& trace, int np,
                           std::uint64_t bound, std::size_t pipe_words) {
-  TracePipe pipe(pipe_words);
-  std::thread producer([&] {
+  PipeTraceSource source(pipe_words, [&](TracePipe& pipe) {
     for (std::size_t at = 0; at < trace.size(); at += kBlock) {
       const std::size_t hi = std::min(at + kBlock, trace.size());
       pipe.write(std::span<const Addr>(trace.data() + at, hi - at));
     }
-    pipe.close();
   });
   PardaOptions options;
   options.num_procs = np;
   options.bound = bound;
   options.chunk_words =
       std::max<std::size_t>(1024, pipe_words / static_cast<std::size_t>(np));
-  PipeTraceSource source(pipe);
-  const PardaResult result = parda_analyze(source, options);
-  producer.join();
-  return result.stats.max_busy();
+  return parda_analyze(source, options).stats.max_busy();
 }
 
 }  // namespace

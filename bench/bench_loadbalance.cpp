@@ -4,7 +4,6 @@
 // prints per-rank work (busy time, chunk references, records received)
 // for the offline single-stage run versus phased runs.
 #include <cstdio>
-#include <thread>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -21,18 +20,13 @@ constexpr std::size_t kBlock = 4096;
 
 PardaResult run_streamed(const std::vector<Addr>& trace,
                          const PardaOptions& options) {
-  TracePipe pipe(8 * kBlock);
-  std::thread producer([&] {
+  PipeTraceSource source(8 * kBlock, [&](TracePipe& pipe) {
     for (std::size_t at = 0; at < trace.size(); at += kBlock) {
       const std::size_t hi = std::min(at + kBlock, trace.size());
       pipe.write(std::span<const Addr>(trace.data() + at, hi - at));
     }
-    pipe.close();
   });
-  PipeTraceSource source(pipe);
-  PardaResult result = parda_analyze(source, options);
-  producer.join();
-  return result;
+  return parda_analyze(source, options);
 }
 
 void print_profiles(const char* label, const PardaResult& result) {

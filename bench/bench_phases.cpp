@@ -3,7 +3,6 @@
 // communication the phase reduction costs — the offline single-phase run
 // is the reference point.
 #include <cstdio>
-#include <thread>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -22,18 +21,13 @@ constexpr std::size_t kBlock = 4096;
 PardaResult run_streamed(const std::vector<Addr>& trace,
                          const PardaOptions& options,
                          std::size_t pipe_words) {
-  TracePipe pipe(pipe_words);
-  std::thread producer([&] {
+  PipeTraceSource source(pipe_words, [&](TracePipe& pipe) {
     for (std::size_t at = 0; at < trace.size(); at += kBlock) {
       const std::size_t hi = std::min(at + kBlock, trace.size());
       pipe.write(std::span<const Addr>(trace.data() + at, hi - at));
     }
-    pipe.close();
   });
-  PipeTraceSource source(pipe);
-  PardaResult result = parda_analyze(source, options);
-  producer.join();
-  return result;
+  return parda_analyze(source, options);
 }
 
 }  // namespace

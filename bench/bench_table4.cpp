@@ -141,24 +141,20 @@ Row run_benchmark(const SpecProfile& profile, std::uint64_t scale,
     }
   }
   {
-    TracePipe pipe(pipe_words);
-    std::thread producer([&] {
+    PipeTraceSource source(pipe_words, [&](TracePipe& pipe) {
       for (std::size_t at = 0; at < trace.size(); at += kBlock) {
         const std::size_t hi = std::min(at + kBlock, trace.size());
         pipe.write(std::span<const Addr>(trace.data() + at, hi - at));
       }
-      pipe.close();
     });
     PardaOptions options;
     options.num_procs = np;
     options.bound = scaled_bound(2ULL << 20);  // "2Mw cache bound"
     options.chunk_words = std::max<std::size_t>(
         1024, pipe_words / static_cast<std::size_t>(np));
-    PipeTraceSource source(pipe);
     WallTimer t;
     const PardaResult result = parda_analyze(source, options);
     row.parda_wall = t.seconds();
-    producer.join();
     // Critical path = trace production (sequential, unavoidable per the
     // paper's Section VI-A) overlapped with the busiest analysis rank.
     row.parda_crit = std::max(result.stats.max_busy(), row.pin);

@@ -6,7 +6,6 @@
 //   ./online_streaming --program=matmul --n=48 --procs=4 --chunk=4096
 #include <cstdio>
 #include <string>
-#include <thread>
 
 #include "core/parda.hpp"
 #include "hist/mrc.hpp"
@@ -15,8 +14,8 @@
 #include "util/stats.hpp"
 #include "util/table.hpp"
 #include "util/timer.hpp"
-#include "vm/machine.hpp"
 #include "vm/programs.hpp"
+#include "vm/tracer.hpp"
 
 int main(int argc, char** argv) {
   using namespace parda;
@@ -64,29 +63,10 @@ int main(int argc, char** argv) {
                 program_name.c_str());
   }
 
-  TracePipe pipe(pipe_words);
   WallTimer timer;
   std::uint64_t instructions = 0;
-  std::thread producer([&] {
-    try {
-      vm::Machine machine(program);
-      std::vector<Addr> block;
-      block.reserve(1024);
-      instructions = machine.run([&](Addr a) {
-        block.push_back(a);
-        if (block.size() == 1024) {
-          pipe.write(std::move(block));
-          block = {};
-          block.reserve(1024);
-        }
-      });
-      pipe.write(std::move(block));
-      pipe.close();
-    } catch (...) {
-      // A crashed VM must read as a failure downstream, not as a clean
-      // end-of-trace.
-      pipe.close_with_error(std::current_exception());
-    }
+  PipeTraceSource source(pipe_words, [&](TracePipe& pipe) {
+    instructions = vm::stream_program(program, pipe, 1024).instructions;
   });
 
   PardaOptions options;
@@ -99,15 +79,12 @@ int main(int argc, char** argv) {
   }
   PardaResult result;
   try {
-    PipeTraceSource source(pipe);
+    // A crashed VM reads as a failure here, not as a clean end-of-trace.
     result = parda_analyze(source, options);
   } catch (const std::exception& e) {
-    pipe.close_with_error(std::current_exception());
-    producer.join();
     std::fprintf(stderr, "online_streaming: analysis failed: %s\n", e.what());
     return kExitRuntime;
   }
-  producer.join();
   const double elapsed = timer.seconds();
 
   const Histogram& hist = result.hist;

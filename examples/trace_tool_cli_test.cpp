@@ -3,8 +3,10 @@
 // (exit 2) from runtime failures (exit 1) and success (exit 0).
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <vector>
 
 namespace {
 
@@ -151,20 +153,32 @@ TEST_F(TraceToolCliTest, TransportResolvesCliOverEnvOverDefault) {
             0);
 }
 
-/// Launches one trace_tool rank process per entry in `ranks` (all but the
-/// last in the background), returning rank 0's exit code. The peers all
-/// analyze the same trace, so the run exercises the real cross-process
-/// rendezvous + wire + implicit final barrier.
-int run_distributed(const std::string& common, int np) {
+/// Launches one trace_tool rank process per rank, each under `timeout` (so
+/// a rank that never exits fails the test instead of hanging it), and
+/// returns every rank's exit code in rank order (124: timed out). The
+/// peers all analyze the same trace, so the run exercises the real
+/// cross-process rendezvous + wire + implicit final barrier.
+std::vector<int> run_distributed(const std::string& common, int np) {
+  const std::string rank_cmd = "timeout -k 5 60 " +
+                               std::string(PARDA_TRACE_TOOL_PATH) + " " +
+                               common + " --rank=";
   std::string cmd = "( ";
-  for (int r = np - 1; r >= 1; --r) {
-    cmd += std::string(PARDA_TRACE_TOOL_PATH) + " " + common +
-           " --rank=" + std::to_string(r) + " >/dev/null 2>&1 & ";
+  for (int r = 1; r < np; ++r) {
+    cmd += rank_cmd + std::to_string(r) + " >/dev/null 2>&1 & p" +
+           std::to_string(r) + "=$! ; ";
   }
-  cmd += std::string(PARDA_TRACE_TOOL_PATH) + " " + common +
-         " --rank=0 >/dev/null 2>&1 ; rc=$? ; wait ; exit $rc )";
-  const int status = std::system(cmd.c_str());
-  return WEXITSTATUS(status);
+  cmd += rank_cmd + "0 >/dev/null 2>&1 ; echo $? ; ";
+  for (int r = 1; r < np; ++r) {
+    cmd += "wait $p" + std::to_string(r) + " ; echo $? ; ";
+  }
+  std::FILE* out = popen((cmd + ")").c_str(), "r");
+  std::vector<int> codes;
+  int code = 0;
+  while (out != nullptr && std::fscanf(out, "%d", &code) == 1) {
+    codes.push_back(code);
+  }
+  if (out != nullptr) pclose(out);
+  return codes;
 }
 
 TEST_F(TraceToolCliTest, DistributedTcpAnalyzeAcrossProcesses) {
@@ -174,7 +188,7 @@ TEST_F(TraceToolCliTest, DistributedTcpAnalyzeAcrossProcesses) {
                 "analyze trace_cli_test.trc --procs=2 --transport=tcp "
                 "--peers=127.0.0.1:24917,127.0.0.1:24918",
                 2),
-            0);
+            (std::vector<int>{0, 0}));
 }
 
 TEST_F(TraceToolCliTest, DistributedShmAnalyzeAcrossProcesses) {
@@ -182,7 +196,23 @@ TEST_F(TraceToolCliTest, DistributedShmAnalyzeAcrossProcesses) {
                 "analyze trace_cli_test.trc --procs=2 --transport=shm "
                 "--segment=/parda-cli-test",
                 2),
+            (std::vector<int>{0, 0}));
+}
+
+TEST_F(TraceToolCliTest, DistributedStreamEndsOnEveryProcess) {
+  // Only rank 0 reads the pipe, so only rank 0's process may run the file
+  // producer: another rank's producer would block on its full pipe and
+  // never exit. The trace spans two 64Ki-word read blocks, more than a
+  // 1024-word pipe holds.
+  ASSERT_EQ(run("gen --workload=zipf:m=500,a=0.9 --refs=100000 "
+                "--out=trace_cli_stream.trc"),
             0);
+  EXPECT_EQ(run_distributed(
+                "analyze trace_cli_stream.trc --stream --pipe=1024 "
+                "--procs=2 --transport=tcp "
+                "--peers=127.0.0.1:24919,127.0.0.1:24920",
+                2),
+            (std::vector<int>{0, 0}));
 }
 
 // --- Ingest flag matrix (DESIGN.md "Ingest") --------------------------------

@@ -7,7 +7,6 @@
 //   ./vm_pintool --program=bubble_sort --n=128
 #include <cstdio>
 #include <string>
-#include <thread>
 
 #include "core/parda.hpp"
 #include "hist/mrc.hpp"
@@ -63,18 +62,16 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  TracePipe pipe(1 << 16);
   vm::StreamResult run_result;
-  std::thread producer(
-      [&] { run_result = vm::stream_program(program, pipe); });
+  PipeTraceSource source(1 << 16, [&](TracePipe& pipe) {
+    run_result = vm::stream_program(program, pipe);
+  });
 
   PardaOptions options;
   options.num_procs = static_cast<int>(procs);
   options.bound = bound;
   options.chunk_words = 4096;
-  PipeTraceSource source(pipe);
   const PardaResult result = parda_analyze(source, options);
-  producer.join();
 
   std::printf("program %s: %s instructions, %s memory accesses, %s distinct"
               "\n\n",

@@ -1,6 +1,6 @@
 // Analysis of on-disk traces, by ingest mode (DESIGN.md "Ingest"):
 //
-//   kPipe — the historical path: a producer thread streams the file
+//   kPipe — the historical path: a file producer streams the file
 //           through a bounded TracePipe into the multi-phase online
 //           algorithm, so traces larger than memory are analyzed at
 //           O(pipe + rank state) footprint (the Figure 3 shape).
@@ -18,11 +18,11 @@
 namespace parda {
 
 /// Analyzes a trace file on a caller-owned WorkerPool through the chosen
-/// ingest path. kPipe spawns a producer thread that streams the file into
-/// a bounded pipe (pipe_words is the paper's pipe-size knob; it is ignored
-/// by the offline modes) and analyzes it as a PipeTraceSource; a producer
-/// error (including the FaultPlan's producer_fail_after injection) poisons
-/// the pipe and is rethrown as the root cause. kMmap expects a binary
+/// ingest path. kPipe validates the file's header, then analyzes it as a
+/// PipeTraceSource whose producer reads the file into a bounded pipe
+/// (pipe_words is the paper's pipe-size knob; it is ignored by the offline
+/// modes); a producer error (including the FaultPlan's producer_fail_after
+/// injection) is rethrown as the root cause. kMmap expects a binary
 /// .trc/.bin file; kTrz expects a chunked v2 .trz archive.
 PardaResult parda_analyze_file_on(comm::WorkerPool& pool,
                                   const std::string& path,

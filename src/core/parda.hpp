@@ -5,10 +5,10 @@
 //  - offline sources (in-memory span, mmap, chunked .trz) hand each rank a
 //    contiguous chunk up front: Algorithm 3, with the space-optimized merge
 //    of Algorithm 4 and the cache bound of Algorithm 7;
-//  - the pipe source is drained in phases by rank 0 and scattered: the
-//    online Algorithms 5-6 with the rank-reversal optimization, reproducing
-//    the Figure 3 framework: producer -> pipe -> rank 0 -> scatter -> ranks
-//    -> merge -> reduce.
+//  - the pipe source's producer writes into a pipe that rank 0 drains in
+//    phases and scatters: the online Algorithms 5-6 with the rank-reversal
+//    optimization, reproducing the Figure 3 framework: producer -> pipe ->
+//    rank 0 -> scatter -> ranks -> merge -> reduce.
 // parda_analyze wraps the driver in a transient pool; parda_analyze_file_on
 // (core/file_analysis.hpp) and core::AnalysisSession build the source for
 // on-disk traces and persistent runtimes.
@@ -18,6 +18,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <span>
 
 #include "comm/comm.hpp"
@@ -322,49 +323,45 @@ void stream_rank_body(comm::Comm& comm, TracePipe& pipe,
   }
 }
 
+/// Submits parda_analyze_source_on's job: rank_body runs on every rank,
+/// with a null pipe for an offline source. A streaming source gets a fresh
+/// pipe, and its producer runs on a thread of its own in the process that
+/// hosts rank 0 (the pipe's only reader). The pipe is closed when the
+/// producer returns and poisoned when either side throws; the producer is
+/// joined before this returns, and its own exception is rethrown first.
+comm::RunStats run_analysis_job(
+    comm::WorkerPool& pool, TraceSource& source, const PardaOptions& options,
+    const std::function<void(comm::Comm&, TracePipe*)>& rank_body);
+
 }  // namespace detail
 
 /// The analysis driver, on a caller-owned WorkerPool: the only place an
-/// analysis job is submitted. Offline sources are partitioned once, on
-/// this thread, and run Algorithm 3 over their rank views; streaming
-/// sources run the multi-phase pipe algorithm (Algorithms 5-6, which need
-/// the space optimization: the state reduction relies on the
-/// disjoint-residency property of Algorithm 4). The result equals the
-/// sequential analysis exactly (unbounded), or the bounded sequential
-/// analysis when options.bound is set. The source must stay alive for the
-/// call (rank views alias its storage) and may be reused across calls —
-/// ChunkedTrzSource keeps its per-rank decode arenas warm.
+/// analysis job is submitted. Offline sources run Algorithm 3 over their
+/// rank views; streaming sources run the multi-phase pipe algorithm
+/// (Algorithms 5-6, which need the space optimization: the state reduction
+/// relies on the disjoint-residency property of Algorithm 4), fed by their
+/// producer. The result equals the sequential analysis exactly
+/// (unbounded), or the bounded sequential analysis when options.bound is
+/// set. The source must stay alive for the call (rank views alias its
+/// storage) and may be reused across calls — ChunkedTrzSource keeps its
+/// per-rank decode arenas warm, and a PipeTraceSource runs its producer
+/// again.
 template <OrderStatTree Tree = FenwickIndex>
 PardaResult parda_analyze_source_on(comm::WorkerPool& pool,
                                     TraceSource& source,
                                     const PardaOptions& options) {
-  const int np = options.num_procs;
-  PARDA_CHECK(np >= 1);
-  const bool offline = source.offline();
-  if (offline) {
-    source.partition(np);
-  } else {
-    PARDA_CHECK(options.chunk_words >= 1);
-    PARDA_CHECK_MSG(options.chunk_words <=
-                        SIZE_MAX / static_cast<std::size_t>(np),
-                    "chunk_words %zu times %d ranks overflows a phase length",
-                    options.chunk_words, np);
-    PARDA_CHECK(options.space_optimized);
-  }
   Histogram result;
   std::vector<RankProfile> profiles;
-  comm::RunStats stats = pool.run_job(
-      np,
-      [&](comm::Comm& comm) {
-        if (offline) {
+  comm::RunStats stats = detail::run_analysis_job(
+      pool, source, options, [&](comm::Comm& comm, TracePipe* pipe) {
+        if (pipe == nullptr) {
           detail::offline_rank_body<Tree>(comm, source, options, result,
                                           profiles);
         } else {
-          detail::stream_rank_body<Tree>(comm, source.pipe(), options, result,
+          detail::stream_rank_body<Tree>(comm, *pipe, options, result,
                                          profiles);
         }
-      },
-      options.run_options);
+      });
   return PardaResult{std::move(result), std::move(stats),
                      std::move(profiles)};
 }

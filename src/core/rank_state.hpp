@@ -220,8 +220,6 @@ class RankState {
   std::uint64_t peak_resident() const noexcept { return peak_resident_; }
   std::uint64_t received_count() const noexcept { return received_count_; }
   std::size_t pending_infinities() const noexcept { return loc_inf_.size(); }
-  std::uint64_t bound() const noexcept { return bound_; }
-  bool space_optimized() const noexcept { return space_optimized_; }
   const Tree& tree() const noexcept { return tree_; }
   const AddrMap& table() const noexcept { return table_; }
 

@@ -42,7 +42,8 @@ class AnalysisSession {
  public:
   /// Analysis through a caller-owned TraceSource (trace/source.hpp):
   /// offline sources run Algorithm 3 over their rank views; a
-  /// PipeTraceSource runs the multi-phase Algorithms 5-6.
+  /// PipeTraceSource runs the multi-phase Algorithms 5-6, its producer on
+  /// a thread the driver starts and joins within the call.
   PardaResult analyze(TraceSource& source);
   /// Offline analysis of an in-memory trace (Algorithm 3).
   PardaResult analyze(std::span<const Addr> trace);

@@ -54,7 +54,11 @@ std::span<const Addr> TraceSource::rank_view(int) {
   PARDA_CHECK_MSG(false, "TraceSource: not an offline source");
 }
 
-TracePipe& TraceSource::pipe() {
+std::size_t TraceSource::pipe_words() const {
+  PARDA_CHECK_MSG(false, "TraceSource: not a streaming source");
+}
+
+void TraceSource::produce(TracePipe&) {
   PARDA_CHECK_MSG(false, "TraceSource: not a streaming source");
 }
 

@@ -17,10 +17,11 @@
 //                         contiguous runs and each rank decodes its own
 //                         chunks, in parallel, into a per-rank arena that
 //                         is reused across analyses.
-//   - PipeTraceSource   — the streaming/online source: a TracePipe fed by
-//                         an external producer (the Figure 3 shape). The
-//                         only choice when the trace is unbounded or
-//                         arrives live; runs the multi-phase Algorithm 5.
+//   - PipeTraceSource   — the streaming/online source: a producer that
+//                         the driver runs on its own thread, writing into
+//                         a TracePipe (the Figure 3 shape). The only choice
+//                         when the trace is unbounded or arrives live; runs
+//                         the multi-phase Algorithm 5.
 //
 // Offline sources partition the trace once per job (partition(np), driver
 // thread), then every rank asks for its view from its own thread
@@ -40,6 +41,7 @@
 //   ingest.decode          per-rank decode wall time (trz)
 #pragma once
 
+#include <functional>
 #include <memory>
 #include <optional>
 #include <span>
@@ -68,13 +70,9 @@ class TraceSource {
  public:
   virtual ~TraceSource() = default;
 
-  /// The ingest-mode label ("pipe" | "mmap" | "trz"), for diagnostics and
-  /// bench points.
-  virtual const char* name() const noexcept = 0;
-
   /// Whether the whole trace is addressable up front. Offline sources
   /// implement partition()/rank_view(); streaming sources implement
-  /// pipe().
+  /// pipe_words()/produce().
   virtual bool offline() const noexcept = 0;
 
   /// Offline only: total references in the trace.
@@ -90,23 +88,33 @@ class TraceSource {
   /// Valid until the next partition() or destruction.
   virtual std::span<const Addr> rank_view(int rank);
 
-  /// Streaming only: the pipe the multi-phase driver drains.
-  virtual TracePipe& pipe();
+  /// Streaming only: the capacity of the pipe the driver makes for each
+  /// analysis.
+  virtual std::size_t pipe_words() const;
+
+  /// Streaming only: writes the whole trace into `pipe`. The driver calls
+  /// it once per analysis, on a producer thread of its own.
+  virtual void produce(TracePipe& pipe);
 };
 
-/// The streaming/online source: wraps an externally produced TracePipe
-/// behind the TraceSource interface (the producer lifecycle stays with the
-/// caller — see parda_analyze_file_on for the file-backed shape).
+/// The streaming/online source: a producer (an instrumented program, a file
+/// reader, a generator) that writes the trace into a pipe of pipe_words and
+/// returns at its end, or throws; the driver closes or poisons the pipe.
+/// Each analysis gets a fresh pipe and runs the producer once, so the
+/// source is reusable like the offline ones.
 class PipeTraceSource final : public TraceSource {
  public:
-  explicit PipeTraceSource(TracePipe& pipe) : pipe_(&pipe) {}
+  PipeTraceSource(std::size_t pipe_words,
+                  std::function<void(TracePipe&)> producer)
+      : pipe_words_(pipe_words), producer_(std::move(producer)) {}
 
-  const char* name() const noexcept override { return "pipe"; }
   bool offline() const noexcept override { return false; }
-  TracePipe& pipe() override { return *pipe_; }
+  std::size_t pipe_words() const override { return pipe_words_; }
+  void produce(TracePipe& pipe) override { producer_(pipe); }
 
  private:
-  TracePipe* pipe_;
+  std::size_t pipe_words_;
+  std::function<void(TracePipe&)> producer_;
 };
 
 /// Offline source over a caller-owned in-memory trace, split with the
@@ -116,7 +124,6 @@ class SpanTraceSource : public TraceSource {
  public:
   explicit SpanTraceSource(std::span<const Addr> refs) : refs_(refs) {}
 
-  const char* name() const noexcept override { return "span"; }
   bool offline() const noexcept override { return true; }
   std::uint64_t total_references() const override { return refs_.size(); }
   void partition(int np) override;
@@ -142,8 +149,6 @@ class MmapTraceSource final : public SpanTraceSource {
   /// TraceFormatErrors as BinaryTraceReader).
   explicit MmapTraceSource(const std::string& path);
 
-  const char* name() const noexcept override { return "mmap"; }
-
   /// The mapped byte range, exposed so tests can prove rank views alias
   /// the mapping (zero copies) instead of pointing at private buffers.
   const void* map_base() const noexcept { return map_.data(); }
@@ -161,7 +166,6 @@ class ChunkedTrzSource final : public TraceSource {
  public:
   explicit ChunkedTrzSource(const std::string& path);
 
-  const char* name() const noexcept override { return "trz"; }
   bool offline() const noexcept override { return true; }
   std::uint64_t total_references() const override {
     return file_.total_references();
@@ -187,7 +191,7 @@ class ChunkedTrzSource final : public TraceSource {
 };
 
 /// Opens the offline source for `mode` (kMmap or kTrz) over `path`.
-/// kPipe has no offline source (the producer owns the pipe's lifecycle);
+/// kPipe has no offline source (it streams through a PipeTraceSource);
 /// asking for it is a CheckError.
 std::unique_ptr<TraceSource> open_offline_source(const std::string& path,
                                                  IngestMode mode);

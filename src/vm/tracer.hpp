@@ -18,9 +18,7 @@ struct StreamResult {
 };
 
 /// Executes the program, writing its address trace into the pipe in blocks
-/// of block_words, and closes the pipe at halt. Call from a producer
-/// thread while a consumer (e.g. parda_analyze of a PipeTraceSource)
-/// drains the pipe.
+/// of block_words: a PipeTraceSource producer.
 inline StreamResult stream_program(const Program& program, TracePipe& pipe,
                                    std::size_t block_words = 1024) {
   Machine machine(program);
@@ -36,7 +34,6 @@ inline StreamResult stream_program(const Program& program, TracePipe& pipe,
     }
   });
   pipe.write(std::move(block));
-  pipe.close();
   result.accesses = machine.mem_accesses();
   return result;
 }

@@ -452,24 +452,19 @@ TEST(CrossTransportEqualityTest, OfflineHistogramsAreBitIdentical) {
 
 TEST(CrossTransportEqualityTest, StreamedHistogramsAreBitIdentical) {
   const auto trace = equality_trace(5000, 23);
+  PipeTraceSource source(1024, [&](TracePipe& pipe) {
+    constexpr std::size_t kBlock = 257;
+    for (std::size_t at = 0; at < trace.size(); at += kBlock) {
+      const std::size_t hi = std::min(at + kBlock, trace.size());
+      pipe.write(std::span<const Addr>(trace.data() + at, hi - at));
+    }
+  });
   const auto streamed = [&](const char* wire, int np) {
-    TracePipe pipe(1024);
-    std::thread producer([&] {
-      constexpr std::size_t kBlock = 257;
-      for (std::size_t at = 0; at < trace.size(); at += kBlock) {
-        const std::size_t hi = std::min(at + kBlock, trace.size());
-        pipe.write(std::span<const Addr>(trace.data() + at, hi - at));
-      }
-      pipe.close();
-    });
     PardaOptions options;
     options.num_procs = np;
     options.chunk_words = 320;
     options.run_options = on_wire(wire);
-    PipeTraceSource source(pipe);
-    const PardaResult result = parda_analyze(source, options);
-    producer.join();
-    return result;
+    return parda_analyze(source, options);
   };
   for (const int np : {2, 4}) {
     const PardaResult expected = streamed("threads", np);

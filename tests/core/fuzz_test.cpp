@@ -9,7 +9,6 @@
 
 #include <algorithm>
 #include <memory>
-#include <thread>
 #include <vector>
 
 #include "core/parda.hpp"
@@ -96,18 +95,13 @@ template <OrderStatTree Tree>
 PardaResult streamed(const std::vector<Addr>& trace,
                      const PardaOptions& options, std::size_t block,
                      std::size_t pipe_words) {
-  TracePipe pipe(pipe_words);
-  std::thread producer([&] {
+  PipeTraceSource source(pipe_words, [&](TracePipe& pipe) {
     for (std::size_t at = 0; at < trace.size(); at += block) {
       const std::size_t hi = std::min(at + block, trace.size());
       pipe.write(std::span<const Addr>(trace.data() + at, hi - at));
     }
-    pipe.close();
   });
-  PipeTraceSource source(pipe);
-  PardaResult result = parda_analyze<Tree>(source, options);
-  producer.join();
-  return result;
+  return parda_analyze<Tree>(source, options);
 }
 
 /// The two trees do the same work: same records, same residency.

@@ -16,7 +16,6 @@
 #include <memory>
 #include <span>
 #include <string>
-#include <thread>
 #include <tuple>
 #include <vector>
 
@@ -221,18 +220,12 @@ TEST_F(IngestTest, TrzSourceReusableAcrossAnalyses) {
 }
 
 TEST_F(IngestTest, PipeSourceRunsTheStreamingAlgorithm) {
-  TracePipe pipe(2048);
-  std::thread producer([&] {
-    pipe.write(*trace_);
-    pipe.close();
-  });
-  PipeTraceSource source(pipe);
+  PipeTraceSource source(2048, [&](TracePipe& pipe) { pipe.write(*trace_); });
   EXPECT_FALSE(source.offline());
   comm::WorkerPool pool(2);
   PardaOptions options;
   options.num_procs = 2;
   const PardaResult result = parda_analyze_source_on(pool, source, options);
-  producer.join();
   EXPECT_TRUE(result.hist == olken_analysis(*trace_));
 }
 
@@ -295,15 +288,17 @@ TEST_F(IngestTest, OfflineAnalysisCopiesNoCommBytes) {
 }
 
 TEST_F(IngestTest, OfflineSourceRejectsStreamingInterface) {
+  TracePipe pipe(64);  // for the produce() calls, which must throw
   MmapTraceSource mmap(*trc_path_);
-  EXPECT_THROW(mmap.pipe(), CheckError);
-  TracePipe pipe(64);
-  PipeTraceSource streaming(pipe);
+  EXPECT_THROW(mmap.pipe_words(), CheckError);
+  EXPECT_THROW(mmap.produce(pipe), CheckError);
+  PipeTraceSource streaming(64, [](TracePipe&) {});
   EXPECT_THROW(streaming.partition(2), CheckError);
   EXPECT_THROW(streaming.rank_view(0), CheckError);
   EXPECT_THROW(streaming.total_references(), CheckError);
   SpanTraceSource in_memory(*trace_);
-  EXPECT_THROW(in_memory.pipe(), CheckError);
+  EXPECT_THROW(in_memory.pipe_words(), CheckError);
+  EXPECT_THROW(in_memory.produce(pipe), CheckError);
   EXPECT_THROW(in_memory.rank_view(0), CheckError);  // before partition()
 }
 

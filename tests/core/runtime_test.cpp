@@ -172,10 +172,8 @@ TEST(PardaRuntimeTest, AnalyzeStreamViaSession) {
 
   core::PardaRuntime runtime;
   auto session = runtime.session(options);
-  TracePipe pipe(trace.size() + 1);
-  pipe.write(std::vector<Addr>(trace));
-  pipe.close();
-  PipeTraceSource source(pipe);
+  PipeTraceSource source(trace.size() + 1,
+                         [&](TracePipe& pipe) { pipe.write(trace); });
   EXPECT_TRUE(session.analyze(source).hist == reference);
 }
 

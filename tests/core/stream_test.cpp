@@ -8,7 +8,6 @@
 #include <span>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <tuple>
 #include <vector>
 
@@ -33,24 +32,19 @@ std::vector<Addr> stream_trace(std::size_t n, std::uint64_t seed) {
   return generate_trace(mix, n);
 }
 
-/// Runs the streaming analysis with a producer thread feeding the pipe in
-/// blocks of `block_words`.
+/// Runs the streaming analysis with a producer writing the trace into the
+/// pipe in blocks of `block_words`.
 PardaResult run_streamed(const std::vector<Addr>& trace,
                          const PardaOptions& options,
                          std::size_t pipe_capacity,
                          std::size_t block_words) {
-  TracePipe pipe(pipe_capacity);
-  std::thread producer([&] {
+  PipeTraceSource source(pipe_capacity, [&](TracePipe& pipe) {
     for (std::size_t at = 0; at < trace.size(); at += block_words) {
       const std::size_t hi = std::min(at + block_words, trace.size());
       pipe.write(std::span<const Addr>(trace.data() + at, hi - at));
     }
-    pipe.close();
   });
-  PipeTraceSource source(pipe);
-  PardaResult result = parda_analyze(source, options);
-  producer.join();
-  return result;
+  return parda_analyze(source, options);
 }
 
 class StreamEquivalenceTest
@@ -109,25 +103,31 @@ TEST(StreamTest, ManyTinyPhases) {
 }
 
 TEST(StreamTest, EmptyStream) {
-  TracePipe pipe(64);
-  pipe.close();
   PardaOptions options;
   options.num_procs = 4;
-  PipeTraceSource source(pipe);
-  const PardaResult result = parda_analyze(source, options);
+  const PardaResult result = run_streamed({}, options, 64, 16);
   EXPECT_EQ(result.hist.total(), 0u);
+}
+
+TEST(StreamTest, PipeSourceIsReusable) {
+  // The driver makes a fresh pipe for each analysis and runs the producer
+  // once per analysis, so one source analyzes the same trace twice.
+  const auto trace = stream_trace(3000, 8);
+  PipeTraceSource source(256, [&](TracePipe& pipe) { pipe.write(trace); });
+  PardaOptions options;
+  options.num_procs = 3;
+  options.chunk_words = 200;
+  const PardaResult first = parda_analyze(source, options);
+  const PardaResult second = parda_analyze(source, options);
+  EXPECT_TRUE(first.hist == olken_analysis(trace));
+  EXPECT_TRUE(second.hist == first.hist);
 }
 
 TEST(StreamTest, PhaseLengthOverflowIsRejected) {
   // np * C wraps a size_t to 0, which would read empty phases and report
-  // nothing: parda_analyze_source_on must reject the phase length instead.
-  // The pipe is filled and closed up front, so no producer blocks on a
-  // reader that never comes.
-  const auto trace = stream_trace(1000, 5);
-  TracePipe pipe(trace.size());
-  pipe.write(std::span<const Addr>(trace));
-  pipe.close();
-  PipeTraceSource source(pipe);
+  // nothing: parda_analyze_source_on must reject the phase length, before
+  // its producer starts.
+  PipeTraceSource source(64, [](TracePipe&) { ADD_FAILURE() << "ran"; });
   PardaOptions options;
   options.num_procs = 2;
   options.chunk_words = std::size_t{1} << 63;

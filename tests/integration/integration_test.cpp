@@ -6,7 +6,6 @@
 #include <cstdio>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "apps/miss_rate.hpp"
@@ -19,8 +18,8 @@
 #include "trace/trace_io.hpp"
 #include "trace/trace_pipe.hpp"
 #include "util/json.hpp"
-#include "vm/machine.hpp"
 #include "vm/programs.hpp"
+#include "vm/tracer.hpp"
 #include "workload/generators.hpp"
 #include "workload/spec.hpp"
 
@@ -35,29 +34,13 @@ TEST(Figure3Pipeline, VmProgramThroughPipeToParallelAnalysis) {
   const std::vector<Addr> offline = vm::trace_program(program);
   const Histogram expected = olken_analysis(offline);
 
-  TracePipe pipe(1 << 12);
-  std::thread producer([&] {
-    vm::Machine machine(program);
-    std::vector<Addr> block;
-    block.reserve(256);
-    machine.run([&](Addr a) {
-      block.push_back(a);
-      if (block.size() == 256) {
-        pipe.write(std::move(block));
-        block.clear();
-        block.reserve(256);
-      }
-    });
-    pipe.write(std::move(block));
-    pipe.close();
+  PipeTraceSource source(1 << 12, [&](TracePipe& pipe) {
+    vm::stream_program(program, pipe, 256);
   });
-
   PardaOptions options;
   options.num_procs = 4;
   options.chunk_words = 500;
-  PipeTraceSource source(pipe);
   const PardaResult result = parda_analyze(source, options);
-  producer.join();
 
   EXPECT_TRUE(result.hist == expected);
   EXPECT_EQ(result.hist.total(), offline.size());
@@ -67,28 +50,14 @@ TEST(Figure3Pipeline, BoundedOnlineAnalysisOfListChase) {
   const vm::Program program = vm::list_chase(600, 4);
   const std::vector<Addr> offline = vm::trace_program(program);
 
-  TracePipe pipe(1024);
-  std::thread producer([&] {
-    vm::Machine machine(program);
-    std::vector<Addr> block;
-    machine.run([&](Addr a) {
-      block.push_back(a);
-      if (block.size() == 128) {
-        pipe.write(std::move(block));
-        block = {};
-      }
-    });
-    pipe.write(std::move(block));
-    pipe.close();
+  PipeTraceSource source(1024, [&](TracePipe& pipe) {
+    vm::stream_program(program, pipe, 128);
   });
-
   PardaOptions options;
   options.num_procs = 3;
   options.chunk_words = 200;
   options.bound = 256;  // below the 600-node footprint: everything misses
-  PipeTraceSource source(pipe);
   const PardaResult result = parda_analyze(source, options);
-  producer.join();
 
   // Every round-to-round reuse spans 599 distinct elements >= bound 256.
   EXPECT_EQ(result.hist.infinities(), offline.size());
@@ -177,18 +146,11 @@ TEST(Observability, StreamingRunEmitsPerPhaseSpansAndAgreeingMetrics) {
   const auto trace =
       generate_trace(*make_spec_workload("mcf", 400000, 11), 7000);
 
-  TracePipe pipe(1 << 12);
-  std::thread producer([&] {
-    std::vector<Addr> copy = trace;
-    pipe.write(std::move(copy));
-    pipe.close();
-  });
+  PipeTraceSource source(1 << 12, [&](TracePipe& pipe) { pipe.write(trace); });
   PardaOptions options;
   options.num_procs = kRanks;
   options.chunk_words = kChunk;
-  PipeTraceSource source(pipe);
   const PardaResult result = parda_analyze(source, options);
-  producer.join();
   obs::set_enabled(false);
 
   // --- Metrics agree with the analysis result and the comm RankStats.

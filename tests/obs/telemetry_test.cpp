@@ -590,11 +590,9 @@ TEST(TelemetryServer, ScrapesConcurrentWithStreamingAnalysis) {
 
   auto session = runtime.session(options);
   const Histogram reference = parda_analyze(trace, options).hist;
+  PipeTraceSource source(trace.size() + 1,
+                         [&](TracePipe& pipe) { pipe.write(trace); });
   for (int i = 0; i < 4; ++i) {
-    TracePipe pipe(trace.size() + 1);
-    pipe.write(std::vector<Addr>(trace));
-    pipe.close();
-    PipeTraceSource source(pipe);
     EXPECT_TRUE(session.analyze(source).hist == reference);
   }
   done.store(true, std::memory_order_relaxed);
@@ -998,10 +996,8 @@ TEST(SpanReportIntegration, InjectedDelayNamesTheDelayedRank) {
 
   core::PardaRuntime runtime;
   auto session = runtime.session(options);
-  TracePipe pipe(trace.size() + 1);
-  pipe.write(std::vector<Addr>(trace));
-  pipe.close();
-  PipeTraceSource source(pipe);
+  PipeTraceSource source(trace.size() + 1,
+                         [&](TracePipe& pipe) { pipe.write(trace); });
   session.analyze(source);
 
   const SpanReport report =

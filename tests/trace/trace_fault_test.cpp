@@ -1,7 +1,9 @@
 // Failure-path tests for trace I/O and the streaming pipeline: corrupt
 // trace fixtures (truncated, bad magic, bad version, count mismatch),
-// TracePipe poisoning from both sides, and deterministic producer faults
-// through parda_analyze_file_on. These run under TSAN in CI.
+// TracePipe poisoning from both sides, the analysis driver's producer
+// protocol when either side of the pipe fails, and deterministic producer
+// faults through parda_analyze_file_on. These run under TSAN and ASan in
+// CI.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -243,6 +245,38 @@ PardaOptions streaming_options(int np) {
   // Safety net: a propagation bug fails the test instead of hanging it.
   options.run_options.op_timeout = std::chrono::milliseconds(5000);
   return options;
+}
+
+TEST(StreamProducerFaultTest, ProducerErrorIsTheRootCause) {
+  // The producer fails after writing part of the trace. The ranks see
+  // the poisoned pipe or a RankAbortedError; the call rethrows the
+  // producer's own exception.
+  PipeTraceSource source(64, [](TracePipe& pipe) {
+    for (Addr a = 0; a < 1000; ++a) pipe.write(std::vector<Addr>{a % 97});
+    throw std::runtime_error("producer crashed mid-trace");
+  });
+  try {
+    parda_analyze(source, streaming_options(4));
+    FAIL() << "expected the producer's error to surface";
+  } catch (const comm::RankAbortedError& e) {
+    FAIL() << "the root cause was lost: " << e.what();
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "producer crashed mid-trace");
+  }
+}
+
+TEST(StreamProducerFaultTest, ConsumerFaultStopsAnEndlessProducer) {
+  // Rank 1 fails at its first receive while the producer writes an
+  // endless stream into a 64-word pipe, so the producer ends up blocked on
+  // a full pipe. The driver must poison the pipe to wake it, join it and
+  // rethrow the injected fault.
+  const comm::FaultPlan plan = comm::FaultPlan::parse("rank=1,op=recv,n=0");
+  PardaOptions options = streaming_options(2);
+  options.run_options.fault_plan = &plan;
+  PipeTraceSource source(64, [](TracePipe& pipe) {
+    for (Addr a = 0;; ++a) pipe.write(std::vector<Addr>{a % 97});
+  });
+  EXPECT_THROW(parda_analyze(source, options), comm::FaultInjectedError);
 }
 
 TEST(AnalyzeFileFaultTest, ProducerFaultPlanStopsTheRunCleanly) {
