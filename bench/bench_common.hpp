@@ -25,18 +25,23 @@
 // trace_tool --metrics-out / --trace-spans).
 #pragma once
 
+#include <algorithm>
 #include <cctype>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <span>
 #include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
+#include "core/parda.hpp"
 #include "hist/report.hpp"
 #include "obs/obs.hpp"
+#include "trace/trace_pipe.hpp"
 #include "util/json.hpp"
+#include "util/timer.hpp"
 #include "workload/spec.hpp"
 
 namespace parda::bench {
@@ -66,6 +71,42 @@ inline std::uint64_t scaled_bound(std::uint64_t paper_words) {
   const std::uint64_t s = spec_scale();
   const std::uint64_t b = paper_words / s;
   return b < 16 ? 16 : b;
+}
+
+/// References per generator fill and per pipe write in the figure benches.
+inline constexpr std::size_t kBlock = 4096;
+
+/// The "original runtime" of Figures 4-5: generating n references of w
+/// with no analysis attached.
+inline double measure_orig(Workload& w, std::uint64_t n) {
+  w.reset();
+  std::vector<Addr> block(kBlock);
+  WallTimer t;
+  for (std::uint64_t at = 0; at < n; at += block.size()) {
+    w.fill(std::span<Addr>(block.data(),
+                           std::min<std::uint64_t>(block.size(), n - at)));
+  }
+  return t.seconds();
+}
+
+/// Streams `trace` through a pipe of pipe_words into Parda at np ranks
+/// under `bound` (C = pipe_words / np, at least 1024) and returns the
+/// busiest rank's CPU time.
+inline double measure_parda_crit(const std::vector<Addr>& trace, int np,
+                                 std::uint64_t bound,
+                                 std::size_t pipe_words) {
+  PipeTraceSource source(pipe_words, [&](TracePipe& pipe) {
+    for (std::size_t at = 0; at < trace.size(); at += kBlock) {
+      const std::size_t hi = std::min(at + kBlock, trace.size());
+      pipe.write(std::span<const Addr>(trace.data() + at, hi - at));
+    }
+  });
+  PardaOptions options;
+  options.num_procs = np;
+  options.bound = bound;
+  options.chunk_words =
+      std::max<std::size_t>(1024, pipe_words / static_cast<std::size_t>(np));
+  return parda_analyze(source, options).stats.max_busy();
 }
 
 // ---------------------------------------------------------------------------

@@ -2,10 +2,9 @@
 // sequential ReuseAnalyzer head-to-head (LruChain vs Olken-splay/AVL/treap
 // vs Bennett-Kruskal's Fenwick engine vs the interval engine), each
 // measured through both the batched process_block path and the
-// per-reference loop, plus parallel Parda at np=1..4 on its default
-// FenwickIndex (parda_fenwick) and on the paper's splay tree
-// (parda_splay); Parda always runs the batched path, so its points carry
-// block=1.
+// per-reference loop, plus parallel Parda at np=1..4 (parda_fenwick: its
+// ranks index by a FenwickIndex); Parda always runs the batched path, so
+// its points carry block=1.
 //
 // Writes a parda.bench.v1 artifact (default BENCH_engines.json, override
 // with PARDA_BENCH_JSON); a point's identity is (name, np, block) — trace
@@ -41,7 +40,6 @@
 #include "seq/olken.hpp"
 #include "seq/opt.hpp"
 #include "tree/avl_tree.hpp"
-#include "tree/fenwick.hpp"
 #include "tree/splay_tree.hpp"
 #include "tree/treap.hpp"
 #include "util/timer.hpp"
@@ -112,19 +110,18 @@ void measure_seq(const char* name, const std::vector<Addr>& trace, int reps,
   points.push_back(make_point(name, 1, false, best(loop_secs), trace.size()));
 }
 
-template <OrderStatTree Tree>
-void measure_parda(const char* name, int np, const std::vector<Addr>& trace,
-                   int reps, std::vector<bench::BenchPoint>& points) {
+void measure_parda(int np, const std::vector<Addr>& trace, int reps,
+                   std::vector<bench::BenchPoint>& points) {
   std::vector<double> secs;
   PardaOptions options;
   options.num_procs = np;
   for (int i = 0; i < reps; ++i) {
     WallTimer timer;
-    benchmark::DoNotOptimize(parda_analyze<Tree>(trace, options).hist.total());
+    benchmark::DoNotOptimize(parda_analyze(trace, options).hist.total());
     secs.push_back(timer.seconds());
   }
-  points.push_back(make_point(name, static_cast<std::uint64_t>(np), true,
-                              best(secs), trace.size()));
+  points.push_back(make_point("parda_fenwick", static_cast<std::uint64_t>(np),
+                              true, best(secs), trace.size()));
 }
 
 void run_engines_suite() {
@@ -145,10 +142,7 @@ void run_engines_suite() {
               [] { return BennettKruskalAnalyzer(); });
   measure_seq("interval", trace, reps, points,
               [] { return IntervalAnalyzer(); });
-  for (int np = 1; np <= 4; ++np) {
-    measure_parda<SplayTree>("parda_splay", np, trace, reps, points);
-    measure_parda<FenwickIndex>("parda_fenwick", np, trace, reps, points);
-  }
+  for (int np = 1; np <= 4; ++np) measure_parda(np, trace, reps, points);
 
   std::printf("\nengines (refs=%zu, reps=%d)\n%-14s %3s %6s %12s %10s\n",
               trace.size(), reps, "engine", "np", "block", "ns_per_ref",
@@ -165,23 +159,19 @@ void run_engines_suite() {
 // google-benchmark registrations (ad-hoc runs; not part of the artifact).
 // ---------------------------------------------------------------------------
 
-template <typename Tree>
 void BM_PardaEngine(benchmark::State& state) {
   const auto& trace = shared_trace();
   PardaOptions options;
   options.num_procs = static_cast<int>(state.range(0));
   for (auto _ : state) {
-    const PardaResult r = parda_analyze<Tree>(trace, options);
+    const PardaResult r = parda_analyze(trace, options);
     benchmark::DoNotOptimize(r.hist.total());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(trace.size()));
 }
 
-BENCHMARK_TEMPLATE(BM_PardaEngine, FenwickIndex)->Arg(4)->UseRealTime();
-BENCHMARK_TEMPLATE(BM_PardaEngine, SplayTree)->Arg(4)->UseRealTime();
-BENCHMARK_TEMPLATE(BM_PardaEngine, AvlTree)->Arg(4)->UseRealTime();
-BENCHMARK_TEMPLATE(BM_PardaEngine, Treap)->Arg(4)->UseRealTime();
+BENCHMARK(BM_PardaEngine)->Arg(4)->UseRealTime();
 
 void BM_LruChain(benchmark::State& state) {
   const auto& trace = shared_trace();

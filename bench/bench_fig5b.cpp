@@ -4,47 +4,9 @@
 #include <vector>
 
 #include "bench_common.hpp"
-#include "core/parda.hpp"
-#include "trace/trace_pipe.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
-#include "util/timer.hpp"
 #include "workload/spec.hpp"
-
-namespace parda::bench {
-namespace {
-
-constexpr std::size_t kBlock = 4096;
-
-double measure_orig(Workload& w, std::uint64_t n) {
-  w.reset();
-  std::vector<Addr> block(kBlock);
-  WallTimer t;
-  for (std::uint64_t at = 0; at < n; at += block.size()) {
-    w.fill(std::span<Addr>(block.data(),
-                           std::min<std::uint64_t>(block.size(), n - at)));
-  }
-  return t.seconds();
-}
-
-double measure_parda_crit(const std::vector<Addr>& trace, int np,
-                          std::uint64_t bound, std::size_t pipe_words) {
-  PipeTraceSource source(pipe_words, [&](TracePipe& pipe) {
-    for (std::size_t at = 0; at < trace.size(); at += kBlock) {
-      const std::size_t hi = std::min(at + kBlock, trace.size());
-      pipe.write(std::span<const Addr>(trace.data() + at, hi - at));
-    }
-  });
-  PardaOptions options;
-  options.num_procs = np;
-  options.bound = bound;
-  options.chunk_words =
-      std::max<std::size_t>(1024, pipe_words / static_cast<std::size_t>(np));
-  return parda_analyze(source, options).stats.max_busy();
-}
-
-}  // namespace
-}  // namespace parda::bench
 
 int main() {
   using namespace parda;

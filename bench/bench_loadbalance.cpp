@@ -16,8 +16,6 @@
 namespace parda::bench {
 namespace {
 
-constexpr std::size_t kBlock = 4096;
-
 PardaResult run_streamed(const std::vector<Addr>& trace,
                          const PardaOptions& options) {
   PipeTraceSource source(8 * kBlock, [&](TracePipe& pipe) {

@@ -9,6 +9,7 @@
 #include "bench_common.hpp"
 #include "core/parda.hpp"
 #include "core/rank_state.hpp"
+#include "seq/olken.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
 #include "util/timer.hpp"
@@ -21,7 +22,7 @@ namespace {
 /// aggregate resident tree entries across all ranks after the merge.
 std::uint64_t aggregate_residency(const std::vector<Addr>& trace, int np,
                                   bool space_optimized) {
-  std::vector<RankState<>> ranks;
+  std::vector<RankState> ranks;
   ranks.reserve(static_cast<std::size_t>(np));
   for (int p = 0; p < np; ++p) {
     ranks.emplace_back(kUnbounded, space_optimized);
@@ -77,7 +78,7 @@ int main() {
       std::min<std::uint64_t>(spec_profile("perlbench").scaled_n(scale),
                               maxrefs);
   const std::vector<Addr> trace = take_trace(*workload, n);
-  const Histogram reference = sequential_reference(trace);
+  const Histogram reference = olken_analysis(trace);
   const std::uint64_t m = reference.infinities();
 
   std::printf(

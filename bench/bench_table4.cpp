@@ -40,8 +40,6 @@ struct Row {
   double parda_wall = 0;  // measured wall on this 1-core host
 };
 
-constexpr std::size_t kBlock = 4096;
-
 /// "Orig": the program runs; addresses are consumed in registers only.
 double time_orig(Workload& w, std::uint64_t n) {
   w.reset();

@@ -12,10 +12,10 @@
 // everything resident and take the next tick; state imported by the phase
 // holder (Algorithm 6), one part at a time and the newest part first, is
 // older than everything resident and takes the ticks just below the oldest
-// key. Key order is therefore time order, and every tree performs the
+// key. Key order is therefore time order, and the index performs the
 // operations it would perform keyed by global time, but the keys stay
-// dense, so the default tree is a FenwickIndex over flat arrays. No global
-// time is kept: records leave the rank as bare addresses in key order.
+// dense, so the index is a FenwickIndex over flat arrays. No global time is
+// kept: records leave the rank as bare addresses in key order.
 // Each hit leaves a dead key behind; the rank renumbers its live keys
 // before the dead ones outgrow them (plus a slack), so the index window
 // stays O(resident + slack) however long the chunk or the stream.
@@ -45,7 +45,6 @@
 
 namespace parda {
 
-template <OrderStatTree Tree = FenwickIndex>
 class RankState {
  public:
   /// bound: kUnbounded, or the cache bound B of Algorithm 7.
@@ -220,7 +219,6 @@ class RankState {
   std::uint64_t peak_resident() const noexcept { return peak_resident_; }
   std::uint64_t received_count() const noexcept { return received_count_; }
   std::size_t pending_infinities() const noexcept { return loc_inf_.size(); }
-  const Tree& tree() const noexcept { return tree_; }
   const AddrMap& table() const noexcept { return table_; }
 
  private:
@@ -260,7 +258,7 @@ class RankState {
 
   std::uint64_t bound_;
   bool space_optimized_;
-  Tree tree_;
+  FenwickIndex tree_;
   AddrMap table_;  // address -> key
   Histogram hist_;
   std::vector<Addr> loc_inf_;

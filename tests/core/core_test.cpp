@@ -1,6 +1,6 @@
 // Property tests for the parallel algorithm: Parda must equal the
-// sequential analysis exactly, for every rank count, chunking, engine,
-// bound, and with or without the space optimization (paper Section IV-B).
+// sequential analysis exactly, for every rank count, chunking, bound, and
+// with or without the space optimization (paper Section IV-B).
 #include <gtest/gtest.h>
 
 #include <string>
@@ -11,10 +11,6 @@
 #include "core/rank_state.hpp"
 #include "seq/bounded.hpp"
 #include "seq/olken.hpp"
-#include "tree/avl_tree.hpp"
-#include "tree/fenwick.hpp"
-#include "tree/splay_tree.hpp"
-#include "tree/treap.hpp"
 #include "workload/generators.hpp"
 #include "workload/spec.hpp"
 
@@ -114,16 +110,6 @@ TEST(PardaTest, AllDistinctTrace) {
   EXPECT_EQ(result.hist.finite_total(), 0u);
 }
 
-TEST(PardaTest, WorksWithEveryTreeEngine) {
-  const auto trace = mixed_trace(3000, 5);
-  const Histogram expected = olken_analysis(trace);
-  PardaOptions options;
-  options.num_procs = 3;
-  EXPECT_TRUE(parda_analyze<SplayTree>(trace, options).hist == expected);
-  EXPECT_TRUE(parda_analyze<AvlTree>(trace, options).hist == expected);
-  EXPECT_TRUE(parda_analyze<Treap>(trace, options).hist == expected);
-}
-
 TEST(PardaTest, SpecWorkloadsRoundTrip) {
   // End-to-end over three scaled SPEC profiles with awkward rank counts.
   for (std::string_view name : {"mcf", "libquantum", "povray"}) {
@@ -185,13 +171,13 @@ TEST(PardaProfileTest, BoundedCapsPeakResidency) {
 TEST(RankStateTest, LocalInfinityPerDistinctElement) {
   // Property 4.2: one local-infinity entry per distinct element of the
   // chunk, in the order of first references.
-  RankState<> state;
+  RankState state;
   for (const Addr a : {5, 6, 5, 7, 6, 6, 8}) state.process_own(a);
   EXPECT_EQ(state.take_local_infinities(), (std::vector<Addr>{5, 6, 7, 8}));
 }
 
 TEST(RankStateTest, SpaceOptimizedDeletesResolvedEntries) {
-  RankState<> state;  // space-optimized by default
+  RankState state;  // space-optimized by default
   state.process_own(1);
   state.process_own(2);
   EXPECT_EQ(state.resident(), 2u);
@@ -203,7 +189,7 @@ TEST(RankStateTest, SpaceOptimizedDeletesResolvedEntries) {
 }
 
 TEST(RankStateTest, UnoptimizedKeepsAndReplaysEntries) {
-  RankState<> state(kUnbounded, /*space_optimized=*/false);
+  RankState state(kUnbounded, /*space_optimized=*/false);
   state.process_own(1);
   state.process_own(2);
   state.take_local_infinities();
@@ -216,7 +202,7 @@ TEST(RankStateTest, UnoptimizedKeepsAndReplaysEntries) {
 
 TEST(RankStateTest, CountOffsetsIncomingDistances) {
   // Algorithm 4's count: misses processed earlier offset later hits.
-  RankState<> state;
+  RankState state;
   state.process_own(100);
   state.take_local_infinities();
   // Two unseen addresses pass through, then a hit on 100: the two strangers
@@ -227,11 +213,11 @@ TEST(RankStateTest, CountOffsetsIncomingDistances) {
 }
 
 TEST(RankStateTest, ExportImportRoundTrip) {
-  RankState<> a;
+  RankState a;
   a.process_own(10);
   a.process_own(20);
   a.take_local_infinities();
-  RankState<> b;
+  RankState b;
   b.process_own(30);
   b.take_local_infinities();
   const std::vector<Addr> exported = a.export_state();
@@ -246,7 +232,7 @@ TEST(RankStateTest, ExportImportRoundTrip) {
 
 TEST(RankStateTest, BoundedImportKeepsNewest) {
   {
-    RankState<> state(/*bound=*/2, /*space_optimized=*/true);
+    RankState state(/*bound=*/2, /*space_optimized=*/true);
     state.import_state(std::vector<Addr>{1, 2, 3});
     EXPECT_EQ(state.resident_addrs(), (std::vector<Addr>{2, 3}));
     // Address 1 (oldest) was never keyed: a reuse of it misses.
@@ -257,7 +243,7 @@ TEST(RankStateTest, BoundedImportKeepsNewest) {
   {
     // A holder with two own entries under B = 3 has room for one more:
     // the newest of the first part. The older part gets none.
-    RankState<> holder(/*bound=*/3, /*space_optimized=*/true);
+    RankState holder(/*bound=*/3, /*space_optimized=*/true);
     holder.process_own(50);
     holder.process_own(60);
     holder.take_local_infinities();
@@ -271,17 +257,11 @@ TEST(RankStateTest, BoundedImportKeepsNewest) {
   }
 }
 
-template <typename Tree>
-class RankStateKeyTest : public ::testing::Test {};
-
-using RankTrees = ::testing::Types<FenwickIndex, SplayTree>;
-TYPED_TEST_SUITE(RankStateKeyTest, RankTrees);
-
-TYPED_TEST(RankStateKeyTest, PartsTakeKeysBelowResidentNewestFirst) {
+TEST(RankStateKeyTest, PartsTakeKeysBelowResidentNewestFirst) {
   // A phase holder: its own chunk is newer than every imported part, and
   // it imports the parts newest first (virtual-rank order is time order),
   // each one below everything it already holds.
-  RankState<TypeParam> holder;
+  RankState holder;
   holder.process_own(50);
   holder.process_own(60);
   holder.take_local_infinities();
@@ -300,18 +280,18 @@ TYPED_TEST(RankStateKeyTest, PartsTakeKeysBelowResidentNewestFirst) {
   EXPECT_EQ(holder.key_span(), 0u);
 }
 
-TYPED_TEST(RankStateKeyTest, LongChunkRenumbersLiveKeys) {
+TEST(RankStateKeyTest, LongChunkRenumbersLiveKeys) {
   // Address 7 is referenced once, first, so it stays the oldest entry;
   // the rest cycle through 100 addresses. Without renumbering the key
   // span would reach the chunk length.
   std::vector<Addr> chunk{7};
-  for (std::size_t i = 0; i < 3 * RankState<>::kKeySlack; ++i) {
+  for (std::size_t i = 0; i < 3 * RankState::kKeySlack; ++i) {
     chunk.push_back(1000 + i % 100);
   }
-  RankState<TypeParam> state;
+  RankState state;
   state.process_own_block(chunk);
   EXPECT_EQ(state.resident(), 101u);
-  EXPECT_LE(state.key_span(), 2 * state.resident() + RankState<>::kKeySlack);
+  EXPECT_LE(state.key_span(), 2 * state.resident() + RankState::kKeySlack);
 
   // The renumbered keys keep time order.
   const std::vector<Addr> resident = state.resident_addrs();
@@ -326,7 +306,7 @@ TYPED_TEST(RankStateKeyTest, LongChunkRenumbersLiveKeys) {
 }
 
 TEST(RankStateTest, FlushGlobalInfinitiesCountsPending) {
-  RankState<> state;
+  RankState state;
   state.process_own(1);
   state.process_own(2);
   state.flush_global_infinities();

@@ -3,15 +3,19 @@
 // identical histogram — naive stack, Olken on all five trees,
 // Bennett-Kruskal, offline Parda (both merge variants, several rank
 // counts), and streaming Parda — and the bounded variants must equal the
-// bounded sequential analysis. Every Parda run is made twice: on the
-// default FenwickIndex and on the paper's splay tree.
+// bounded sequential analysis. Every unbounded Parda run must also forward
+// and receive exactly the records Property 4.3 predicts, and every bounded
+// one must keep each rank within B.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <memory>
+#include <span>
+#include <unordered_set>
 #include <vector>
 
 #include "core/parda.hpp"
+#include "core/rank_state.hpp"
 #include "seq/bennett_kruskal.hpp"
 #include "seq/bounded.hpp"
 #include "seq/interval_analyzer.hpp"
@@ -89,9 +93,75 @@ std::vector<Addr> cocktail_trace(std::uint64_t seed, std::size_t n) {
   return trace;
 }
 
+/// distinct_suffix(refs)[i] = |distinct(refs[i ..])|, for i in
+/// 0 .. refs.size().
+std::vector<std::uint64_t> distinct_suffix(std::span<const Addr> refs) {
+  std::vector<std::uint64_t> out(refs.size() + 1, 0);
+  std::unordered_set<Addr> seen;
+  for (std::size_t i = refs.size(); i-- > 0;) {
+    seen.insert(refs[i]);
+    out[i] = seen.size();
+  }
+  return out;
+}
+
+/// Property 4.3 as record counts, offline and unbounded: rank p >= 1
+/// forwards one record per distinct address of the trace from its view to
+/// the end, and rank 0 forwards none; rank p < np - 1 receives what rank
+/// p + 1 forwards, and the last rank receives none. Both merge variants
+/// obey it, since no address reaches a rank twice.
+void expect_offline_record_counts(const std::vector<Addr>& trace,
+                                  const PardaResult& result, int np) {
+  SpanTraceSource split(trace);
+  split.partition(np);
+  const std::vector<std::uint64_t> suffix = distinct_suffix(trace);
+  std::vector<std::uint64_t> from_view(static_cast<std::size_t>(np) + 1, 0);
+  for (int p = 0; p < np; ++p) {
+    const auto begin =
+        static_cast<std::size_t>(split.rank_view(p).data() - trace.data());
+    from_view[static_cast<std::size_t>(p)] = suffix[begin];
+  }
+  ASSERT_EQ(result.profiles.size(), static_cast<std::size_t>(np));
+  for (int p = 0; p < np; ++p) {
+    const auto r = static_cast<std::size_t>(p);
+    EXPECT_EQ(result.profiles[r].records_forwarded, p == 0 ? 0 : from_view[r])
+        << "rank " << p;
+    EXPECT_EQ(result.profiles[r].records_received, from_view[r + 1])
+        << "rank " << p;
+  }
+}
+
+/// Property 4.3 for a stream, unbounded: in each phase virtual rank v >= 1
+/// starts empty and forwards one record per distinct address of the phase
+/// from its chunk (v*C) to the phase's end, and virtual rank v - 1
+/// receives them. Ranks swap places between phases, so only the totals
+/// are fixed.
+void expect_stream_record_counts(const std::vector<Addr>& trace,
+                                 const PardaResult& result,
+                                 const PardaOptions& options) {
+  const std::size_t chunk = options.chunk_words;
+  const std::size_t phase = chunk * static_cast<std::size_t>(options.num_procs);
+  std::uint64_t expected = 0;
+  for (std::size_t at = 0; at < trace.size(); at += phase) {
+    const std::span<const Addr> refs(trace.data() + at,
+                                     std::min(phase, trace.size() - at));
+    const std::vector<std::uint64_t> suffix = distinct_suffix(refs);
+    for (std::size_t lo = chunk; lo < refs.size(); lo += chunk) {
+      expected += suffix[lo];
+    }
+  }
+  std::uint64_t forwarded = 0;
+  std::uint64_t received = 0;
+  for (const RankProfile& p : result.profiles) {
+    forwarded += p.records_forwarded;
+    received += p.records_received;
+  }
+  EXPECT_EQ(forwarded, expected);
+  EXPECT_EQ(received, expected);
+}
+
 /// Streams `trace` through a pipe of `pipe_words` in writes of `block`
-/// references and runs streaming Parda (Algorithms 5-6) on Tree.
-template <OrderStatTree Tree>
+/// references and runs streaming Parda (Algorithms 5-6).
 PardaResult streamed(const std::vector<Addr>& trace,
                      const PardaOptions& options, std::size_t block,
                      std::size_t pipe_words) {
@@ -101,20 +171,7 @@ PardaResult streamed(const std::vector<Addr>& trace,
       pipe.write(std::span<const Addr>(trace.data() + at, hi - at));
     }
   });
-  return parda_analyze<Tree>(source, options);
-}
-
-/// The two trees do the same work: same records, same residency.
-void expect_same_profiles(const PardaResult& a, const PardaResult& b) {
-  ASSERT_EQ(a.profiles.size(), b.profiles.size());
-  for (std::size_t r = 0; r < a.profiles.size(); ++r) {
-    EXPECT_EQ(a.profiles[r].records_forwarded, b.profiles[r].records_forwarded)
-        << "rank " << r;
-    EXPECT_EQ(a.profiles[r].records_received, b.profiles[r].records_received)
-        << "rank " << r;
-    EXPECT_EQ(a.profiles[r].peak_resident, b.profiles[r].peak_resident)
-        << "rank " << r;
-  }
+  return parda_analyze(source, options);
 }
 
 class FuzzEquivalenceTest : public ::testing::TestWithParam<std::uint64_t> {};
@@ -144,11 +201,9 @@ TEST_P(FuzzEquivalenceTest, ParallelMatchesSequential) {
       PardaOptions options;
       options.num_procs = np;
       options.space_optimized = space_opt;
-      const PardaResult fenwick = parda_analyze(trace, options);
-      const PardaResult splay = parda_analyze<SplayTree>(trace, options);
-      EXPECT_TRUE(fenwick.hist == expected);
-      EXPECT_TRUE(splay.hist == expected);
-      expect_same_profiles(fenwick, splay);
+      const PardaResult result = parda_analyze(trace, options);
+      EXPECT_TRUE(result.hist == expected);
+      expect_offline_record_counts(trace, result, np);
     }
   }
 }
@@ -161,11 +216,11 @@ TEST_P(FuzzEquivalenceTest, BoundedEnginesAgree) {
     PardaOptions options;
     options.num_procs = 4;
     options.bound = bound;
-    const PardaResult fenwick = parda_analyze(trace, options);
-    const PardaResult splay = parda_analyze<SplayTree>(trace, options);
-    EXPECT_TRUE(fenwick.hist == expected) << "B=" << bound;
-    EXPECT_TRUE(splay.hist == expected) << "B=" << bound;
-    expect_same_profiles(fenwick, splay);
+    const PardaResult result = parda_analyze(trace, options);
+    EXPECT_TRUE(result.hist == expected) << "B=" << bound;
+    for (const RankProfile& p : result.profiles) {
+      EXPECT_LE(p.peak_resident, bound) << "B=" << bound;
+    }
   }
 }
 
@@ -182,12 +237,9 @@ TEST_P(FuzzEquivalenceTest, StreamedMatchesOffline) {
                                     << options.chunk_words
                                     << " block=" << block);
 
-  const PardaResult fenwick =
-      streamed<FenwickIndex>(trace, options, block, 512);
-  const PardaResult splay = streamed<SplayTree>(trace, options, block, 512);
-  EXPECT_TRUE(fenwick.hist == expected);
-  EXPECT_TRUE(splay.hist == expected);
-  expect_same_profiles(fenwick, splay);
+  const PardaResult result = streamed(trace, options, block, 512);
+  EXPECT_TRUE(result.hist == expected);
+  expect_stream_record_counts(trace, result, options);
 }
 
 TEST_P(FuzzEquivalenceTest, BoundedStreamedMatchesBoundedSequential) {
@@ -204,12 +256,9 @@ TEST_P(FuzzEquivalenceTest, BoundedStreamedMatchesBoundedSequential) {
   SCOPED_TRACE(::testing::Message() << "np=" << options.num_procs << " C="
                                     << options.chunk_words << " B=" << bound);
 
-  const PardaResult fenwick = streamed<FenwickIndex>(trace, options, 100, 256);
-  const PardaResult splay = streamed<SplayTree>(trace, options, 100, 256);
-  EXPECT_TRUE(fenwick.hist == expected);
-  EXPECT_TRUE(splay.hist == expected);
-  expect_same_profiles(fenwick, splay);
-  for (const RankProfile& p : fenwick.profiles) {
+  const PardaResult result = streamed(trace, options, 100, 256);
+  EXPECT_TRUE(result.hist == expected);
+  for (const RankProfile& p : result.profiles) {
     EXPECT_LE(p.peak_resident, bound);
   }
 }
@@ -223,7 +272,7 @@ TEST_P(FuzzEquivalenceTest, BoundedStreamedMatchesBoundedSequential) {
 void expect_single_rank_span_bounded(const std::vector<Addr>& trace,
                                      std::uint64_t bound, std::size_t chunk) {
   ASSERT_GE(trace.size() / chunk, 64u);
-  RankState<> state(bound);
+  RankState state(bound);
   for (std::size_t at = 0; at < trace.size(); at += chunk) {
     const std::size_t n = std::min(chunk, trace.size() - at);
     state.begin_merge_stage();
@@ -238,8 +287,7 @@ void expect_single_rank_span_bounded(const std::vector<Addr>& trace,
   options.num_procs = 1;
   options.chunk_words = chunk;
   options.bound = bound;
-  EXPECT_TRUE(streamed<FenwickIndex>(trace, options, 100, 256).hist ==
-              expected);
+  EXPECT_TRUE(streamed(trace, options, 100, 256).hist == expected);
 }
 
 TEST_P(FuzzEquivalenceTest, SingleRankStreamKeepsKeySpanBounded) {
@@ -276,9 +324,9 @@ TEST_P(FuzzEquivalenceTest, SingleRankStreamKeepsKeySpanBounded) {
 TEST(LongChunkTest, OfflineRanksRenumberTheirKeys) {
   // Chunks far longer than 2 * resident + kKeySlack, and a lonely address
   // that stays oldest on rank 0: every rank renumbers its keys mid-chunk,
-  // and no histogram or profile may notice.
+  // and neither the histogram nor the record counts may notice.
   std::vector<Addr> trace{~Addr{0}};
-  for (const Addr a : cocktail_trace(77, 3 * RankState<>::kKeySlack)) {
+  for (const Addr a : cocktail_trace(77, 3 * RankState::kKeySlack)) {
     trace.push_back(a % 257);
   }
   const Histogram expected = olken_analysis(trace);
@@ -289,11 +337,9 @@ TEST(LongChunkTest, OfflineRanksRenumberTheirKeys) {
       PardaOptions options;
       options.num_procs = np;
       options.space_optimized = space_opt;
-      const PardaResult fenwick = parda_analyze(trace, options);
-      const PardaResult splay = parda_analyze<SplayTree>(trace, options);
-      EXPECT_TRUE(fenwick.hist == expected);
-      EXPECT_TRUE(splay.hist == expected);
-      expect_same_profiles(fenwick, splay);
+      const PardaResult result = parda_analyze(trace, options);
+      EXPECT_TRUE(result.hist == expected);
+      expect_offline_record_counts(trace, result, np);
     }
   }
 }

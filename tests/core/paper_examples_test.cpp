@@ -81,7 +81,7 @@ TEST(PaperFigure1, TreeStateBeforeAndAfterTime9) {
 TEST(PaperTable2, LocalDistancesOfRightChunk) {
   // The right chunk (g e f a f b c, times 6-12) analyzed in isolation:
   // local distances: inf inf inf inf 1 inf inf (Table II row "Local").
-  RankState<> rank1;
+  RankState rank1;
   const auto trace = to_trace(kTable2);
   for (std::size_t t = 6; t < trace.size(); ++t) rank1.process_own(trace[t]);
   EXPECT_EQ(rank1.hist().at(1), 1u);        // f@10
@@ -110,9 +110,9 @@ TEST(PaperTable3Figure2, ThreeProcessorSpaceOptimizedWalkthrough) {
 
   // Drive the three rank states by hand, playing the messages of
   // Algorithm 3 + 4 exactly as Figure 2 does.
-  RankState<> p0;
-  RankState<> p1;
-  RankState<> p2;
+  RankState p0;
+  RankState p1;
+  RankState p2;
   for (std::size_t t = 0; t < 8; ++t) p0.process_own(trace[t]);
   for (std::size_t t = 8; t < 16; ++t) p1.process_own(trace[t]);
   for (std::size_t t = 16; t < 24; ++t) p2.process_own(trace[t]);

@@ -61,7 +61,9 @@ TEST(ReduceHistogramTest, NonZeroRoot) {
 TEST(ReduceHistogramTest, EmptyHistograms) {
   comm::run(4, [](comm::Comm& comm) {
     const Histogram total = reduce_histogram(comm, Histogram{}, 0);
-    if (comm.rank() == 0) EXPECT_EQ(total.total(), 0u);
+    if (comm.rank() == 0) {
+      EXPECT_EQ(total.total(), 0u);
+    }
   });
 }
 
@@ -103,7 +105,9 @@ TEST(ReduceHistogramTest, MatchesSerialMerge) {
     comm::run(np, [&](comm::Comm& comm) {
       const Histogram total = reduce_histogram(
           comm, inputs[static_cast<std::size_t>(comm.rank())], 0);
-      if (comm.rank() == 0) EXPECT_TRUE(total == expected);
+      if (comm.rank() == 0) {
+        EXPECT_TRUE(total == expected);
+      }
     });
   }
 }

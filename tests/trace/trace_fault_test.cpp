@@ -279,6 +279,26 @@ TEST(StreamProducerFaultTest, ConsumerFaultStopsAnEndlessProducer) {
   EXPECT_THROW(parda_analyze(source, options), comm::FaultInjectedError);
 }
 
+TEST(StreamProducerFaultTest, ConsumerFaultWakesRankZero) {
+  // Rank 1 fails at its first receive while rank 0 waits on the pipe for
+  // its first phase: the producer writes one word per ms for 3 s, far
+  // short of np*C. The World abort cannot wake a rank blocked on the pipe,
+  // so the failing rank must poison it; the call then throws at once, not
+  // when the producer finishes.
+  const comm::FaultPlan plan = comm::FaultPlan::parse("rank=1,op=recv,n=0");
+  PardaOptions options = streaming_options(2);
+  options.run_options.fault_plan = &plan;
+  PipeTraceSource source(1 << 20, [](TracePipe& pipe) {
+    for (Addr a = 0; a < 3000; ++a) {
+      pipe.write(std::vector<Addr>{a});
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  });
+  const auto start = std::chrono::steady_clock::now();
+  EXPECT_THROW(parda_analyze(source, options), comm::FaultInjectedError);
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(1));
+}
+
 TEST(AnalyzeFileFaultTest, ProducerFaultPlanStopsTheRunCleanly) {
   std::vector<Addr> trace(200000);
   for (std::size_t i = 0; i < trace.size(); ++i) trace[i] = i % 997;

@@ -15,7 +15,7 @@ namespace parda {
 namespace {
 
 TEST(DeathTest, BoundedRankStateRequiresSpaceOptimization) {
-  EXPECT_DEATH(RankState<>(/*bound=*/16, /*space_optimized=*/false),
+  EXPECT_DEATH(RankState(/*bound=*/16, /*space_optimized=*/false),
                "PARDA_CHECK");
 }
 
