@@ -37,9 +37,13 @@
 #include <vector>
 
 #include "core/parda.hpp"
+#include "hash/addr_map.hpp"
 #include "hist/report.hpp"
 #include "obs/obs.hpp"
+#include "seq/olken.hpp"
+#include "trace/source.hpp"
 #include "trace/trace_pipe.hpp"
+#include "tree/order_stat_tree.hpp"
 #include "util/json.hpp"
 #include "util/timer.hpp"
 #include "workload/spec.hpp"
@@ -89,18 +93,44 @@ inline double measure_orig(Workload& w, std::uint64_t n) {
   return t.seconds();
 }
 
+/// Olken's Algorithm 1 as the paper and its Olken81 baseline ran it: one
+/// olken_step per reference on a pointer tree (the paper's is SplayTree),
+/// keyed by trace position, with access_block's hash prefetch. The
+/// library's OlkenAnalyzer runs the same step on the renumbered
+/// FenwickIndex stack; this loop keeps the paper's configuration timed for
+/// the A1 tree ablation, the A3 bound sweep and Table IV.
+template <OrderStatTree Tree>
+Histogram tree_olken_analysis(std::span<const Addr> trace,
+                              std::uint64_t bound = kUnbounded) {
+  constexpr std::size_t kAhead = 8;
+  Tree tree;
+  AddrMap table;
+  Histogram hist;
+  for (std::size_t i = 0; i < trace.size(); ++i) {
+    if (i + kAhead < trace.size()) table.prefetch(trace[i + kAhead]);
+    hist.record(olken_step(tree, table, trace[i], i, bound).distance);
+  }
+  return hist;
+}
+
+/// A streaming source whose producer writes `trace` into a pipe of
+/// pipe_words in kBlock pieces. The trace must outlive the source.
+inline PipeTraceSource trace_pipe_source(std::span<const Addr> trace,
+                                         std::size_t pipe_words) {
+  return PipeTraceSource(pipe_words, [trace](TracePipe& pipe) {
+    for (std::size_t at = 0; at < trace.size(); at += kBlock) {
+      pipe.write(trace.subspan(at, std::min(kBlock, trace.size() - at)));
+    }
+  });
+}
+
 /// Streams `trace` through a pipe of pipe_words into Parda at np ranks
 /// under `bound` (C = pipe_words / np, at least 1024) and returns the
 /// busiest rank's CPU time.
 inline double measure_parda_crit(const std::vector<Addr>& trace, int np,
                                  std::uint64_t bound,
                                  std::size_t pipe_words) {
-  PipeTraceSource source(pipe_words, [&](TracePipe& pipe) {
-    for (std::size_t at = 0; at < trace.size(); at += kBlock) {
-      const std::size_t hi = std::min(at + kBlock, trace.size());
-      pipe.write(std::span<const Addr>(trace.data() + at, hi - at));
-    }
-  });
+  PipeTraceSource source = trace_pipe_source(trace, pipe_words);
   PardaOptions options;
   options.num_procs = np;
   options.bound = bound;

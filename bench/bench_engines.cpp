@@ -1,6 +1,6 @@
 // End-to-end engine comparison on an MRC-histogram workload: every
-// sequential ReuseAnalyzer head-to-head (LruChain vs Olken-splay/AVL/treap
-// vs Bennett-Kruskal's Fenwick engine vs the interval engine), each
+// sequential ReuseAnalyzer head-to-head (LruChain vs Olken on the ranks'
+// stack vs Bennett-Kruskal's Fenwick engine vs the interval engine), each
 // measured through both the batched process_block path and the
 // per-reference loop, plus parallel Parda at np=1..4 (parda_fenwick: its
 // ranks index by a FenwickIndex); Parda always runs the batched path, so
@@ -39,9 +39,6 @@
 #include "seq/naive.hpp"
 #include "seq/olken.hpp"
 #include "seq/opt.hpp"
-#include "tree/avl_tree.hpp"
-#include "tree/splay_tree.hpp"
-#include "tree/treap.hpp"
 #include "util/timer.hpp"
 #include "workload/generators.hpp"
 
@@ -132,12 +129,7 @@ void run_engines_suite() {
 
   std::vector<bench::BenchPoint> points;
   measure_seq("lru", trace, reps, points, [] { return LruChainAnalyzer(); });
-  measure_seq("olken_splay", trace, reps, points,
-              [] { return OlkenAnalyzer<SplayTree>(); });
-  measure_seq("olken_avl", trace, reps, points,
-              [] { return OlkenAnalyzer<AvlTree>(); });
-  measure_seq("olken_treap", trace, reps, points,
-              [] { return OlkenAnalyzer<Treap>(); });
+  measure_seq("olken", trace, reps, points, [] { return OlkenAnalyzer(); });
   measure_seq("fenwick", trace, reps, points,
               [] { return BennettKruskalAnalyzer(); });
   measure_seq("interval", trace, reps, points,

@@ -8,24 +8,12 @@
 
 #include "bench_common.hpp"
 #include "core/parda.hpp"
-#include "trace/trace_pipe.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
 #include "workload/spec.hpp"
 
 namespace parda::bench {
 namespace {
-
-PardaResult run_streamed(const std::vector<Addr>& trace,
-                         const PardaOptions& options) {
-  PipeTraceSource source(8 * kBlock, [&](TracePipe& pipe) {
-    for (std::size_t at = 0; at < trace.size(); at += kBlock) {
-      const std::size_t hi = std::min(at + kBlock, trace.size());
-      pipe.write(std::span<const Addr>(trace.data() + at, hi - at));
-    }
-  });
-  return parda_analyze(source, options);
-}
 
 void print_profiles(const char* label, const PardaResult& result) {
   std::printf("%s\n", label);
@@ -91,7 +79,8 @@ int main() {
                   "phased (Algorithm 5), C=%zu: rank reversal spreads the "
                   "merge across ranks",
                   chunk);
-    print_profiles(label, run_streamed(trace, streamed));
+    PipeTraceSource source = trace_pipe_source(trace, 8 * kBlock);
+    print_profiles(label, parda_analyze(source, streamed));
   }
   return 0;
 }

@@ -7,29 +7,10 @@
 
 #include "bench_common.hpp"
 #include "core/parda.hpp"
-#include "trace/trace_pipe.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
 #include "util/timer.hpp"
 #include "workload/spec.hpp"
-
-namespace parda::bench {
-namespace {
-
-PardaResult run_streamed(const std::vector<Addr>& trace,
-                         const PardaOptions& options,
-                         std::size_t pipe_words) {
-  PipeTraceSource source(pipe_words, [&](TracePipe& pipe) {
-    for (std::size_t at = 0; at < trace.size(); at += kBlock) {
-      const std::size_t hi = std::min(at + kBlock, trace.size());
-      pipe.write(std::span<const Addr>(trace.data() + at, hi - at));
-    }
-  });
-  return parda_analyze(source, options);
-}
-
-}  // namespace
-}  // namespace parda::bench
 
 int main() {
   using namespace parda;
@@ -62,8 +43,9 @@ int main() {
     PardaOptions options;
     options.num_procs = np;
     options.chunk_words = chunk;
+    PipeTraceSource source = trace_pipe_source(trace, 4 * chunk);
     WallTimer t;
-    const PardaResult result = run_streamed(trace, options, 4 * chunk);
+    const PardaResult result = parda_analyze(source, options);
     const double wall = t.seconds();
     if (!(result.hist == reference.hist)) {
       std::fprintf(stderr, "MISMATCH at C=%zu\n", chunk);

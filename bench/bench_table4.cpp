@@ -3,7 +3,8 @@
 //   Orig    the program alone (trace generation into a scratch buffer)
 //   Pin     + per-access instrumentation callback (mini-Pin hook)
 //   Pipe    + transfer through the bounded pipe, no analysis
-//   Olken81 sequential splay-tree analysis [13]
+//   Olken81 sequential splay-tree analysis [13] (the bench loop,
+//           tree_olken_analysis over SplayTree)
 //   Parda   the parallel bounded online analysis (np ranks, bound 2Mw/scale)
 // and prints measured M, N, absolute seconds, and the slowdown factors the
 // paper reports, next to the paper's own numbers.
@@ -18,8 +19,8 @@
 #include "core/parda.hpp"
 #include "hist/mrc.hpp"
 #include "hist/report.hpp"
-#include "seq/olken.hpp"
 #include "trace/trace_pipe.hpp"
+#include "tree/splay_tree.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
 #include "util/timer.hpp"
@@ -124,7 +125,7 @@ Row run_benchmark(const SpecProfile& profile, std::uint64_t scale,
   const std::vector<Addr> trace = take_trace(*workload, row.n);
   {
     WallTimer t;
-    const Histogram h = olken_analysis(trace);
+    const Histogram h = tree_olken_analysis<SplayTree>(trace);
     row.olken = t.seconds();
     row.m = h.infinities();
     // Optional plot data: per-benchmark histogram + MRC CSVs.
@@ -139,12 +140,7 @@ Row run_benchmark(const SpecProfile& profile, std::uint64_t scale,
     }
   }
   {
-    PipeTraceSource source(pipe_words, [&](TracePipe& pipe) {
-      for (std::size_t at = 0; at < trace.size(); at += kBlock) {
-        const std::size_t hi = std::min(at + kBlock, trace.size());
-        pipe.write(std::span<const Addr>(trace.data() + at, hi - at));
-      }
-    });
+    PipeTraceSource source = trace_pipe_source(trace, pipe_words);
     PardaOptions options;
     options.num_procs = np;
     options.bound = scaled_bound(2ULL << 20);  // "2Mw cache bound"

@@ -1,12 +1,15 @@
-// Ablation A1: order-statistic tree engine choice (splay vs AVL vs treap
-// vs sorted vector, against the FenwickIndex that Parda's ranks run on by
-// default) under the reuse-distance access pattern — the design space the
-// paper's Section VII surveys ([13] AVL, [17][18] splay, [2] Fenwick).
+// Ablation A1: order-statistic tree engine choice (splay vs AVL vs treap,
+// against the FenwickIndex that the Olken stack runs on) under the
+// reuse-distance access pattern — the design space the paper's Section VII
+// surveys ([13] AVL, [17][18] splay, [2] Fenwick).
 //
 // Writes a parda.bench.v1 artifact (default BENCH_trees.json, override
 // with PARDA_BENCH_JSON): olken_zipf_* points sweep the footprint m on a
 // zipf trace, olken_stream_* hit the splay tree's sequential worst case,
 // churn_* measure raw insert/count/erase cycles at a fixed resident size.
+// The pointer trees' olken points run the bench loop
+// (bench::tree_olken_analysis); fenwick's run the library's OlkenAnalyzer,
+// the FenwickIndex on its renumbered clock.
 // Environment: PARDA_BENCH_TREE_REFS (trace length, default 64K),
 // PARDA_BENCH_TREE_REPS (default 3; median rep reported).
 //
@@ -17,7 +20,9 @@
 #include <cinttypes>
 #include <cstdint>
 #include <cstdio>
+#include <span>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -27,7 +32,6 @@
 #include "tree/fenwick.hpp"
 #include "tree/splay_tree.hpp"
 #include "tree/treap.hpp"
-#include "tree/vector_tree.hpp"
 #include "util/timer.hpp"
 #include "workload/generators.hpp"
 
@@ -37,6 +41,17 @@ namespace {
 double median(std::vector<double> v) {
   std::sort(v.begin(), v.end());
   return v[v.size() / 2];
+}
+
+/// Olken's algorithm on Tree: the bench loop for a pointer tree, the
+/// library's OlkenAnalyzer for the FenwickIndex it runs on.
+template <typename Tree>
+Histogram olken_on(std::span<const Addr> trace) {
+  if constexpr (std::is_same_v<Tree, FenwickIndex>) {
+    return olken_analysis(trace);
+  } else {
+    return bench::tree_olken_analysis<Tree>(trace);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -70,7 +85,7 @@ void tree_points(const char* tree_name, std::size_t refs, int reps,
     points.push_back(measure(std::string("olken_zipf_") + tree_name, m,
                              trace.size(), reps, [&trace] {
                                benchmark::DoNotOptimize(
-                                   olken_analysis<Tree>(trace).total());
+                                   olken_on<Tree>(trace).total());
                              }));
   }
   {
@@ -82,7 +97,7 @@ void tree_points(const char* tree_name, std::size_t refs, int reps,
                              std::uint64_t{1} << 12, trace.size(), reps,
                              [&trace] {
                                benchmark::DoNotOptimize(
-                                   olken_analysis<Tree>(trace).total());
+                                   olken_on<Tree>(trace).total());
                              }));
   }
   {
@@ -115,9 +130,6 @@ void run_trees_suite() {
   tree_points<AvlTree>("avl", refs, reps, points);
   tree_points<Treap>("treap", refs, reps, points);
   tree_points<FenwickIndex>("fenwick", refs, reps, points);
-  // VectorTree is O(m) per erase: zipf/churn only at the small footprint
-  // would still dominate the suite at full size, so it stays out of the
-  // artifact (run BM_OlkenEngine_Zipf<VectorTree> ad hoc instead).
 
   std::printf("\ntrees (refs=%zu, reps=%d)\n%-20s %8s %12s\n", refs, reps,
               "point", "m", "ns_per_op");
@@ -137,7 +149,7 @@ void BM_OlkenEngine_Zipf(benchmark::State& state) {
   ZipfWorkload w(static_cast<std::uint64_t>(state.range(0)), 0.9, 7);
   const auto trace = generate_trace(w, 1 << 16);
   for (auto _ : state) {
-    const Histogram h = olken_analysis<Tree>(trace);
+    const Histogram h = olken_on<Tree>(trace);
     benchmark::DoNotOptimize(h.total());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
@@ -147,14 +159,13 @@ void BM_OlkenEngine_Zipf(benchmark::State& state) {
 BENCHMARK_TEMPLATE(BM_OlkenEngine_Zipf, SplayTree)->Arg(1 << 10)->Arg(1 << 14);
 BENCHMARK_TEMPLATE(BM_OlkenEngine_Zipf, AvlTree)->Arg(1 << 10)->Arg(1 << 14);
 BENCHMARK_TEMPLATE(BM_OlkenEngine_Zipf, Treap)->Arg(1 << 10)->Arg(1 << 14);
-BENCHMARK_TEMPLATE(BM_OlkenEngine_Zipf, VectorTree)->Arg(1 << 10);
 
 template <typename Tree>
 void BM_OlkenEngine_Streaming(benchmark::State& state) {
   SequentialWorkload w(static_cast<std::uint64_t>(state.range(0)));
   const auto trace = generate_trace(w, 1 << 16);
   for (auto _ : state) {
-    const Histogram h = olken_analysis<Tree>(trace);
+    const Histogram h = olken_on<Tree>(trace);
     benchmark::DoNotOptimize(h.total());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *

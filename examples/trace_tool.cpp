@@ -46,8 +46,6 @@
 #include "seq/bennett_kruskal.hpp"
 #include "seq/lru_chain.hpp"
 #include "seq/olken.hpp"
-#include "tree/avl_tree.hpp"
-#include "tree/treap.hpp"
 #include "hist/mrc.hpp"
 #include "hist/report.hpp"
 #include "obs/obs.hpp"
@@ -120,12 +118,10 @@ void check_trz_flags(const parda::CliParser& cli, const char* command,
   }
 }
 
-constexpr const char* kEngineNames =
-    "parda|lru|olken|splay|avl|treap|fenwick";
+constexpr const char* kEngineNames = "parda|lru|olken|fenwick";
 
 bool is_known_engine(const std::string& e) {
-  return e == "parda" || e == "lru" || e == "olken" || e == "splay" ||
-         e == "avl" || e == "treap" || e == "fenwick";
+  return e == "parda" || e == "lru" || e == "olken" || e == "fenwick";
 }
 
 /// Runs a whole trace through a sequential engine and publishes its
@@ -145,11 +141,7 @@ parda::Histogram run_seq_engine(const std::string& engine,
                                 std::uint64_t bound) {
   using namespace parda;
   if (engine == "lru") return run_seq(LruChainAnalyzer(bound), trace);
-  if (engine == "olken" || engine == "splay") {
-    return run_seq(OlkenAnalyzer<SplayTree>(bound), trace);
-  }
-  if (engine == "avl") return run_seq(OlkenAnalyzer<AvlTree>(bound), trace);
-  if (engine == "treap") return run_seq(OlkenAnalyzer<Treap>(bound), trace);
+  if (engine == "olken") return run_seq(OlkenAnalyzer(bound), trace);
   if (bound != 0) {
     usage_error("analyze: --engine=%s does not support --bound",
                 engine.c_str());
@@ -290,7 +282,7 @@ int run_tool(int argc, char** argv) {
   cli.add_flag("bound", &bound, "analyze: cache bound (0 = unbounded)");
   cli.add_flag("engine", &engine,
                "analyze: parda (parallel, default) or a sequential engine: "
-               "lru|olken|splay|avl|treap|fenwick");
+               "lru|olken|fenwick");
   cli.add_flag("stream", &stream,
                "analyze: stream the file through a bounded pipe");
   cli.add_flag("ingest", &ingest_text,
@@ -348,9 +340,11 @@ int run_tool(int argc, char** argv) {
                "process's rank; also $PARDA_FLIGHT_RECORDER)");
   cli.parse(argc - 1, argv + 1);
 
-  if (engine == "interval" || engine == "naive") {
+  if (engine == "interval" || engine == "naive" || engine == "splay" ||
+      engine == "avl" || engine == "treap") {
     usage_error("--engine=%s is no longer a trace_tool engine; it remains "
-                "as a test/bench oracle (tests, bench_engines)",
+                "in the tests and benches (--engine=olken runs Olken's "
+                "algorithm)",
                 engine.c_str());
   }
   if (!is_known_engine(engine)) {

@@ -48,8 +48,7 @@ TEST_F(TraceToolCliTest, SequentialEngineRuns) {
   EXPECT_EQ(run("analyze trace_cli_test.trc --engine=lru"), 0);
   EXPECT_EQ(run("analyze trace_cli_test.trc --engine=lru --bound=256"), 0);
   EXPECT_EQ(run("analyze trace_cli_test.trc --engine=olken"), 0);
-  EXPECT_EQ(run("analyze trace_cli_test.trc --engine=avl --bound=256"), 0);
-  EXPECT_EQ(run("analyze trace_cli_test.trc --engine=treap --bound=256"), 0);
+  EXPECT_EQ(run("analyze trace_cli_test.trc --engine=olken --bound=256"), 0);
   EXPECT_EQ(run("analyze trace_cli_test.trc --engine=fenwick"), 0);
 }
 
@@ -63,9 +62,13 @@ TEST_F(TraceToolCliTest, BoundOnUnboundedOnlyEngineIsUsageError) {
 }
 
 TEST_F(TraceToolCliTest, OracleEnginesAreNotToolEngines) {
-  // The naive and interval engines remain test/bench oracles only.
+  // The naive and interval engines remain test/bench oracles only, and the
+  // pointer trees bench ablations: --engine=olken runs on the ranks' stack.
   EXPECT_EQ(run("analyze trace_cli_test.trc --engine=naive"), 2);
   EXPECT_EQ(run("analyze trace_cli_test.trc --engine=interval"), 2);
+  EXPECT_EQ(run("analyze trace_cli_test.trc --engine=splay"), 2);
+  EXPECT_EQ(run("analyze trace_cli_test.trc --engine=avl"), 2);
+  EXPECT_EQ(run("analyze trace_cli_test.trc --engine=treap"), 2);
 }
 
 TEST_F(TraceToolCliTest, MissingTraceIsRuntimeError) {

@@ -17,7 +17,6 @@
 #include "core/runtime.hpp"
 #include "hist/histogram.hpp"
 #include "seq/olken.hpp"
-#include "tree/splay_tree.hpp"
 #include "util/types.hpp"
 
 namespace parda {
@@ -55,7 +54,7 @@ class OnlineMrcMonitor {
  private:
   void roll_window();
 
-  OlkenAnalyzer<SplayTree> analyzer_;
+  OlkenAnalyzer analyzer_;
   std::uint64_t window_;
   double decay_;
   Histogram current_;    // in-progress window

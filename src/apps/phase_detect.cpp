@@ -5,7 +5,6 @@
 
 #include "hist/histogram.hpp"
 #include "seq/olken.hpp"
-#include "tree/splay_tree.hpp"
 
 namespace parda {
 
@@ -28,7 +27,7 @@ PhaseReport detect_phases(std::span<const Addr> trace,
 
   // One continuous analyzer across the trace (so window signatures reflect
   // cross-window reuse), histogram snapshot per window.
-  OlkenAnalyzer<SplayTree> analyzer;
+  OlkenAnalyzer analyzer;
   for (std::size_t start = 0; start < trace.size();
        start += options.window) {
     const std::size_t end = std::min(start + options.window, trace.size());

@@ -2,7 +2,6 @@
 
 #include "hist/mrc.hpp"
 #include "seq/olken.hpp"
-#include "tree/splay_tree.hpp"
 #include "util/check.hpp"
 #include "util/prng.hpp"
 
@@ -58,7 +57,7 @@ SharedCacheAnalysis analyze_shared_cache(
   analysis.solo_view.resize(streams.size());
 
   const InterleavedTrace mix = interleave_traces(streams, policy, seed);
-  OlkenAnalyzer<SplayTree> analyzer;
+  OlkenAnalyzer analyzer;
   for (std::size_t i = 0; i < mix.addresses.size(); ++i) {
     const Distance d = analyzer.access(mix.addresses[i]);
     analysis.combined.record(d);

@@ -1,24 +1,23 @@
 // Per-rank analysis state for the Parda parallel algorithm.
 //
-// One RankState bundles the tree + hash table + histogram of Algorithm 3's
+// One RankState bundles the Olken stack + histogram of Algorithm 3's
 // modified stack_dist, the local-infinity queue, the received-infinity
 // counter of the space-optimized merge (Algorithm 4), and the bounded-cache
 // logic of Algorithm 7. It is deliberately comm-agnostic so the same state
 // machine drives the offline, phased, and test harnesses.
 //
-// Keys: the tree and hash table key each resident address by a per-rank
-// clock, not by its global trace position. Own-chunk references, and the
-// incoming records that unoptimized Algorithm 3 replays, are newer than
+// Keys: the OlkenStack (seq/olken.hpp) keys each resident address by its
+// own clock, not by its global trace position. Own-chunk references, and
+// the incoming records that unoptimized Algorithm 3 replays, are newer than
 // everything resident and take the next tick; state imported by the phase
 // holder (Algorithm 6), one part at a time and the newest part first, is
 // older than everything resident and takes the ticks just below the oldest
 // key. Key order is therefore time order, and the index performs the
-// operations it would perform keyed by global time, but the keys stay
-// dense, so the index is a FenwickIndex over flat arrays. No global time is
-// kept: records leave the rank as bare addresses in key order.
-// Each hit leaves a dead key behind; the rank renumbers its live keys
-// before the dead ones outgrow them (plus a slack), so the index window
-// stays O(resident + slack) however long the chunk or the stream.
+// operations it would perform keyed by global time. No global time is
+// kept: records leave the rank as bare addresses in key order. The rank
+// bounds the stack's dead keys with a slack of min(block, kKeySlack), so
+// the index window stays O(resident + slack) however long the chunk or the
+// stream.
 //
 // Bounded-mode semantics (one deliberate tightening over the paper, see
 // DESIGN.md): with bound B, the final histogram is exact for all d < B and
@@ -38,8 +37,6 @@
 #include "hash/addr_map.hpp"
 #include "hist/histogram.hpp"
 #include "seq/olken.hpp"
-#include "tree/fenwick.hpp"
-#include "tree/order_stat_tree.hpp"
 #include "util/check.hpp"
 #include "util/types.hpp"
 
@@ -73,8 +70,7 @@ class RankState {
   /// >= B (also an infinity, correct). This is what makes the bounded
   /// parallel histogram equal the bounded sequential one bit for bit.
   void process_own(Addr z) {
-    const Distance d =
-        olken_step(tree_, table_, z, next_key_++, bound_).distance;
+    const Distance d = stack_.step(z, bound_).distance;
     if (d == kInfiniteDistance) {
       // First reference in this rank's view: defer judgement, pass left.
       loc_inf_.push_back(z);
@@ -98,9 +94,9 @@ class RankState {
     const std::size_t n = block.size();
     const std::uint64_t slack = std::min<std::uint64_t>(n, kKeySlack);
     for (std::size_t i = 0; i < n; ++i) {
-      if (i + kAhead < n) table_.prefetch(block[i + kAhead]);
+      if (i + kAhead < n) stack_.prefetch(block[i + kAhead]);
       process_own(block[i]);
-      bound_key_span(slack);
+      stack_.bound_key_span(slack);
     }
   }
 
@@ -111,23 +107,21 @@ class RankState {
     constexpr std::size_t kAhead = 8;
     const std::size_t n = records.size();
     for (std::size_t i = 0; i < n; ++i) {
-      if (i + kAhead < n) table_.prefetch(records[i + kAhead]);
+      if (i + kAhead < n) stack_.prefetch(records[i + kAhead]);
       const Addr z = records[i];
       if (!space_optimized_) {
         // Unoptimized Algorithm 3: the incoming reference is replayed like
         // a normal trace entry (it is newer than everything here), so the
-        // tree itself accounts for every suffix element and no offset
+        // stack itself accounts for every suffix element and no offset
         // applies.
         process_own(z);
-        bound_key_span(kKeySlack);
-      } else if (const Timestamp* last = table_.find(z)) {
+        stack_.bound_key_span(kKeySlack);
+      } else if (const Distance newer = stack_.remove(z);
+                 newer != kInfiniteDistance) {
         // Algorithm 4: offset by infinities received so far — distinct
         // elements of the right-hand suffix that are (by design) absent
-        // from this rank's tree.
-        const Distance d = tree_.count_greater(*last) + received_count_;
-        tree_.erase(*last);
-        table_.erase(z);
-        record(d);
+        // from this rank's stack.
+        record(newer + received_count_);
       } else {
         loc_inf_.push_back(z);
       }
@@ -155,20 +149,13 @@ class RankState {
   }
 
   /// The resident addresses, least recently referenced first.
-  std::vector<Addr> resident_addrs() const {
-    std::vector<Addr> out;
-    out.reserve(tree_.size());
-    tree_.for_each([&](TreeEntry e) { out.push_back(e.addr); });
-    return out;
-  }
+  std::vector<Addr> resident_addrs() const { return stack_.addrs(); }
 
   /// Serializes the resident set (resident_addrs) for the phase reduction
   /// (Algorithm 6), leaving this rank empty with its clock restarted.
   std::vector<Addr> export_state() {
-    std::vector<Addr> out = resident_addrs();
-    tree_.clear();
-    table_.clear();
-    first_key_ = next_key_ = kClockOrigin;
+    std::vector<Addr> out = stack_.addrs();
+    stack_.clear();
     return out;
   }
 
@@ -187,17 +174,7 @@ class RankState {
       const std::uint64_t room = bound_ - resident();
       if (part.size() > room) part = part.last(room);
     }
-    constexpr std::size_t kAhead = 8;
-    const std::size_t n = part.size();
-    Timestamp key = (tree_.empty() ? next_key_ : tree_.oldest().ts) - n;
-    first_key_ = std::min(first_key_, key);
-    for (std::size_t i = 0; i < n; ++i) {
-      if (i + kAhead < n) table_.prefetch(part[i + kAhead]);
-      PARDA_DCHECK(!table_.contains(part[i]));
-      tree_.insert(key, part[i]);
-      table_.insert_or_assign(part[i], key);
-      ++key;
-    }
+    stack_.push_older(part);
     note_resident();
     PARDA_DCHECK(bound_ == kUnbounded || resident() <= bound_);
   }
@@ -208,24 +185,18 @@ class RankState {
   /// The most dead keys the rank keeps beyond its live ones.
   static constexpr std::uint64_t kKeySlack = 65536;
 
-  /// Keys from the lowest one handed out since the clock last restarted to
-  /// the next one it hands out. Every live key lies in the span, so it
-  /// bounds what the FenwickIndex's window must cover.
-  std::uint64_t key_span() const noexcept { return next_key_ - first_key_; }
+  /// The stack's key span (OlkenStack::key_span).
+  std::uint64_t key_span() const noexcept { return stack_.key_span(); }
 
   const Histogram& hist() const noexcept { return hist_; }
   Histogram& hist() noexcept { return hist_; }
-  std::size_t resident() const noexcept { return tree_.size(); }
+  std::size_t resident() const noexcept { return stack_.size(); }
   std::uint64_t peak_resident() const noexcept { return peak_resident_; }
   std::uint64_t received_count() const noexcept { return received_count_; }
   std::size_t pending_infinities() const noexcept { return loc_inf_.size(); }
-  const AddrMap& table() const noexcept { return table_; }
+  const AddrMap& table() const noexcept { return stack_.table(); }
 
  private:
-  /// The clock restarts here, far from 0, so that imports can always take
-  /// keys below a fresh rank's first key.
-  static constexpr Timestamp kClockOrigin = Timestamp{1} << 62;
-
   /// Tallies a resolved distance; under the bound, d >= B is a capacity
   /// miss.
   void record(Distance d) {
@@ -233,39 +204,17 @@ class RankState {
     hist_.record(d);
   }
 
-  /// Renumbers the live keys once the dead keys in the span outnumber them
-  /// by more than slack. A renumbering costs O(span) and leaves no dead
-  /// key, so it is O(1) amortized per key that died since the last one.
-  void bound_key_span(std::uint64_t slack) {
-    if (key_span() > 2 * resident() + slack) compact_keys();
-  }
-
-  /// Renumbers the live keys kClockOrigin, kClockOrigin + 1, ... in order.
-  void compact_keys() {
-    const std::vector<Addr> live = resident_addrs();
-    tree_.clear();
-    for (std::size_t i = 0; i < live.size(); ++i) {
-      tree_.insert(kClockOrigin + i, live[i]);
-      *table_.find(live[i]) = kClockOrigin + i;
-    }
-    first_key_ = kClockOrigin;
-    next_key_ = kClockOrigin + live.size();
-  }
-
   void note_resident() noexcept {
-    if (tree_.size() > peak_resident_) peak_resident_ = tree_.size();
+    if (resident() > peak_resident_) peak_resident_ = resident();
   }
 
   std::uint64_t bound_;
   bool space_optimized_;
-  FenwickIndex tree_;
-  AddrMap table_;  // address -> key
+  OlkenStack stack_;
   Histogram hist_;
   std::vector<Addr> loc_inf_;
   std::uint64_t received_count_ = 0;  // 'count' of Algorithm 4
   std::uint64_t peak_resident_ = 0;
-  Timestamp next_key_ = kClockOrigin;   // the per-rank clock
-  Timestamp first_key_ = kClockOrigin;  // lowest key since it restarted
 };
 
 }  // namespace parda

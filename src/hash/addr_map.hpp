@@ -56,6 +56,9 @@ class AddrMap {
   std::size_t size() const noexcept { return size_; }
   bool empty() const noexcept { return size_ == 0; }
   std::size_t capacity() const noexcept { return slots_.size(); }
+  std::uint64_t bytes() const noexcept {
+    return slots_.capacity() * sizeof(Slot);
+  }
 
   void clear() noexcept;
   void reserve(std::size_t n);

@@ -45,78 +45,25 @@ struct EngineStats {
   std::uint64_t finite = 0;          // finite distances in histogram()
   std::uint64_t infinities = 0;      // infinity bin of histogram()
   std::uint64_t hash_probes = 0;     // AddrMap slot inspections
-  std::uint64_t tree_rotations = 0;  // rotations (splay/AVL/treap)
-  std::uint64_t tree_splays = 0;     // splay-to-root operations
   std::uint64_t evictions = 0;       // LRU evictions (bounded engines)
   std::uint64_t marker_hops = 0;     // log2-marker slides (LruChain)
   std::uint64_t peak_footprint = 0;  // max distinct addresses tracked
 
-  void publish(obs::Registry& reg, std::string_view prefix) const;
+  /// Publishes under "<prefix>.references", "<prefix>.hash_probes", ...,
+  /// attributed to the calling thread's rank shard.
+  void publish(obs::Registry& reg, std::string_view prefix) const {
+    const auto name = [prefix](std::string_view field) {
+      return std::string(prefix).append(".").append(field);
+    };
+    reg.counter(name("references")).add(references);
+    reg.counter(name("finite")).add(finite);
+    reg.counter(name("infinities")).add(infinities);
+    reg.counter(name("hash_probes")).add(hash_probes);
+    reg.counter(name("evictions")).add(evictions);
+    reg.counter(name("marker_hops")).add(marker_hops);
+    reg.gauge(name("peak_footprint")).set_max(peak_footprint);
+  }
 };
-
-/// Resolves the "<prefix>.*" metric handles for EngineStats publication
-/// once, so repeated publication (one per job in the pooled-runtime loop)
-/// is just nine handle records — no name concatenation, no allocation,
-/// no registry lock. Construct it next to the session/monitor that owns
-/// the engine and call publish() per job.
-class EngineStatsPublisher {
- public:
-  EngineStatsPublisher(obs::Registry& reg, std::string_view prefix)
-      : references_(&resolve(reg, prefix, ".references")),
-        finite_(&resolve(reg, prefix, ".finite")),
-        infinities_(&resolve(reg, prefix, ".infinities")),
-        hash_probes_(&resolve(reg, prefix, ".hash_probes")),
-        tree_rotations_(&resolve(reg, prefix, ".tree_rotations")),
-        tree_splays_(&resolve(reg, prefix, ".tree_splays")),
-        evictions_(&resolve(reg, prefix, ".evictions")),
-        marker_hops_(&resolve(reg, prefix, ".marker_hops")),
-        peak_footprint_(&reg.gauge(name(prefix, ".peak_footprint"))) {}
-
-  /// Hot-path safe: records through the cached handles only.
-  void publish(const EngineStats& s) const {
-    references_->add(s.references);
-    finite_->add(s.finite);
-    infinities_->add(s.infinities);
-    hash_probes_->add(s.hash_probes);
-    tree_rotations_->add(s.tree_rotations);
-    tree_splays_->add(s.tree_splays);
-    evictions_->add(s.evictions);
-    marker_hops_->add(s.marker_hops);
-    peak_footprint_->set_max(s.peak_footprint);
-  }
-
- private:
-  static std::string name(std::string_view prefix, std::string_view suffix) {
-    std::string n;
-    n.reserve(prefix.size() + suffix.size());
-    n.append(prefix);
-    n.append(suffix);
-    return n;
-  }
-  static obs::Counter& resolve(obs::Registry& reg, std::string_view prefix,
-                               std::string_view suffix) {
-    return reg.counter(name(prefix, suffix));
-  }
-
-  obs::Counter* references_;
-  obs::Counter* finite_;
-  obs::Counter* infinities_;
-  obs::Counter* hash_probes_;
-  obs::Counter* tree_rotations_;
-  obs::Counter* tree_splays_;
-  obs::Counter* evictions_;
-  obs::Counter* marker_hops_;
-  obs::Gauge* peak_footprint_;
-};
-
-/// One-shot publication under "<prefix>.references", "<prefix>.hash_probes",
-/// ... attributed to the calling thread's rank shard. Cold path (nine name
-/// lookups); per-job publication in a loop should hold an
-/// EngineStatsPublisher instead, which resolves the handles once.
-inline void EngineStats::publish(obs::Registry& reg,
-                                 std::string_view prefix) const {
-  EngineStatsPublisher(reg, prefix).publish(*this);
-}
 
 /// The engine concept. histogram() contents are only final after finish();
 /// finish() must be idempotent and process() must not be called after it.
@@ -161,21 +108,5 @@ Histogram analyze_trace(A& analyzer, std::span<const Addr> trace) {
   analyzer.finish();
   return analyzer.histogram();
 }
-
-namespace detail {
-
-/// Structural counters from tree engines that expose them; engines that
-/// don't (e.g. VectorTree) contribute zeros.
-template <typename Tree>
-void fill_tree_stats(const Tree& tree, EngineStats& s) {
-  if constexpr (requires { tree.rotation_count(); }) {
-    s.tree_rotations = tree.rotation_count();
-  }
-  if constexpr (requires { tree.splay_count(); }) {
-    s.tree_splays = tree.splay_count();
-  }
-}
-
-}  // namespace detail
 
 }  // namespace parda

@@ -67,7 +67,6 @@
 #include "hist/histogram.hpp"
 #include "seq/analyzer.hpp"
 #include "seq/olken.hpp"
-#include "tree/splay_tree.hpp"
 #include "util/check.hpp"
 #include "util/prng.hpp"
 #include "util/types.hpp"
@@ -119,7 +118,7 @@ class FixedSizeSampler {
   const Histogram& histogram() const noexcept { return hist_; }
 
   EngineStats stats() const {
-    // Structural counters (probes, rotations, footprint) reflect the
+    // Structural counters (probes, evictions, footprint) reflect the
     // sampled sub-stream the exact engine ran on; references is the
     // unsampled stream length.
     EngineStats s = exact_.stats();
@@ -187,13 +186,13 @@ class FixedSizeSampler {
   std::uint64_t budget_evictions() const noexcept { return budget_evictions_; }
 
   /// Resident-state estimate for quota accounting: the tracked-set table
-  /// and eviction heap, the exact engine's tree + hash entries, and the
-  /// dense histogram. O(max_tracked + distance_cap) under a budget.
+  /// and eviction heap, the exact engine's stack (its index window and hash
+  /// slots), and the dense histogram. O(max_tracked + distance_cap) under a
+  /// budget.
   std::uint64_t footprint_bytes() const noexcept {
-    // ~96 B/entry covers a splay node + robin-hood slot + slack.
     return static_cast<std::uint64_t>(members_.capacity()) * 16 +
            static_cast<std::uint64_t>(heap_.size()) * 16 +
-           static_cast<std::uint64_t>(exact_.footprint()) * 96 +
+           exact_.stack().bytes() +
            static_cast<std::uint64_t>(hist_.counts().capacity()) * 8;
   }
 
@@ -288,8 +287,8 @@ class FixedSizeSampler {
   std::uint64_t seed_;
   std::uint64_t initial_threshold_;
   std::uint64_t threshold_;
-  OlkenAnalyzer<SplayTree> exact_;  // runs on the sampled sub-stream
-  AddrMap members_;                 // sampled addr -> its hash (budget only)
+  OlkenAnalyzer exact_;  // runs on the sampled sub-stream
+  AddrMap members_;      // sampled addr -> its hash (budget only)
   // Max-heap over (hash, addr): the eviction order. Every member is
   // pushed exactly once (admit() dedups), so no lazy deletion is needed.
   std::priority_queue<std::pair<std::uint64_t, Addr>> heap_;

@@ -13,13 +13,15 @@ Distance NaiveStackAnalyzer::access(Addr z) {
       return static_cast<Distance>(i);
     }
   }
+  if (bound_ != kUnbounded && stack_.size() == bound_) stack_.pop_back();
   stack_.insert(stack_.begin(), z);
   if (stack_.size() > peak_) peak_ = stack_.size();
   return kInfiniteDistance;
 }
 
-Histogram naive_stack_analysis(std::span<const Addr> trace) {
-  NaiveStackAnalyzer analyzer;
+Histogram naive_stack_analysis(std::span<const Addr> trace,
+                               std::uint64_t bound) {
+  NaiveStackAnalyzer analyzer(bound);
   return analyze_trace(analyzer, trace);
 }
 

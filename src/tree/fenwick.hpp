@@ -67,6 +67,10 @@ class FenwickTree {
 
   void clear() { std::fill(bits_.begin(), bits_.end(), 0); }
 
+  std::uint64_t bytes() const noexcept {
+    return bits_.capacity() * sizeof(Count);
+  }
+
  private:
   std::vector<Count> bits_;
 };
@@ -78,10 +82,10 @@ class FenwickTree {
 ///
 /// Keys must be dense. Space is linear in the window, which spans from the
 /// oldest live key to the newest, so keyed by global trace position this
-/// would be Bennett & Kruskal's O(N) structure. Keyed by a clock that only
-/// the tree's own entries advance (RankState's per-rank clock,
-/// OlkenAnalyzer's reference counter) it stays within a constant factor of
-/// the live entries plus the keys since the oldest one. A key above the
+/// would be Bennett & Kruskal's O(N) structure. Keyed by OlkenStack's
+/// clock, which renumbers the live entries before the dead keys outgrow
+/// them, it stays within a constant factor of the live entries plus a
+/// slack. A key above the
 /// window slides it up past the dead keys below the oldest entry; a key
 /// below it (Parda's phase holder importing older state) moves the window
 /// down. Both rebuild the tree in linear time, and the window at least
@@ -140,6 +144,12 @@ class FenwickIndex {
               std::uint8_t{0});
     counts_.clear();
     size_ = oldest_ = top_ = 0;
+  }
+
+  /// Bytes in the window's arrays.
+  std::uint64_t bytes() const noexcept {
+    return addr_.capacity() * sizeof(Addr) + live_.capacity() +
+           counts_.bytes();
   }
 
   /// Ascending-key traversal; fn(TreeEntry).

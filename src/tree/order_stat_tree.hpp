@@ -24,8 +24,9 @@ struct TreeEntry {
   friend bool operator==(const TreeEntry&, const TreeEntry&) = default;
 };
 
-/// Concept satisfied by SplayTree, AvlTree, Treap, VectorTree, and
-/// FenwickIndex (which needs dense keys, see tree/fenwick.hpp).
+/// Concept satisfied by FenwickIndex (which needs dense keys, see
+/// tree/fenwick.hpp), the index of the Olken stack, and by SplayTree,
+/// AvlTree and Treap, which bench/ runs olken_step over.
 ///
 /// Semantics:
 ///  - insert(ts, addr): ts must not already be present.

@@ -28,7 +28,6 @@ void SplayTree::update(std::uint32_t n) noexcept {
 }
 
 void SplayTree::rotate(std::uint32_t x) noexcept {
-  ++rotations_;
   const std::uint32_t p = nodes_[x].parent;
   const std::uint32_t g = nodes_[p].parent;
   if (nodes_[p].left == x) {
@@ -56,7 +55,6 @@ void SplayTree::rotate(std::uint32_t x) noexcept {
 }
 
 void SplayTree::splay(std::uint32_t x) noexcept {
-  ++splays_;
   while (nodes_[x].parent != kNull) {
     const std::uint32_t p = nodes_[x].parent;
     const std::uint32_t g = nodes_[p].parent;

@@ -1,6 +1,8 @@
 // Splay-tree order-statistic engine — the paper's core analysis structure
 // (Sleator & Tarjan [17], as used by Sugumar & Abraham [18] and the original
-// Parda implementation).
+// Parda implementation). The library's engines run on OlkenStack's
+// FenwickIndex instead; bench/ runs olken_step over this tree to time the
+// paper's configuration.
 //
 // Nodes live in a contiguous pool addressed by 32-bit indices with a free
 // list, so steady-state analysis performs no heap allocation per reference.
@@ -61,11 +63,6 @@ class SplayTree {
   /// Checks BST ordering, subtree weights, and parent links.
   bool validate() const;
 
-  /// Lifetime structural-work counters for the observability layer (plain
-  /// increments; the tree is single-threaded per rank).
-  std::uint64_t rotation_count() const noexcept { return rotations_; }
-  std::uint64_t splay_count() const noexcept { return splays_; }
-
  private:
   static constexpr std::uint32_t kNull = 0xFFFFFFFFu;
 
@@ -97,8 +94,6 @@ class SplayTree {
   std::vector<std::uint32_t> free_list_;
   std::uint32_t root_ = kNull;
   std::size_t size_ = 0;
-  std::uint64_t rotations_ = 0;
-  std::uint64_t splays_ = 0;
 };
 
 static_assert(OrderStatTree<SplayTree>);

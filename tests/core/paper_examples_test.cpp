@@ -11,6 +11,7 @@
 
 #include "core/parda.hpp"
 #include "core/rank_state.hpp"
+#include "hash/addr_map.hpp"
 #include "seq/olken.hpp"
 #include "tree/splay_tree.hpp"
 
@@ -40,7 +41,7 @@ std::vector<TreeEntry> tree_contents(const SplayTree& tree) {
 }
 
 TEST(PaperTable1, DistancesMatchPaper) {
-  OlkenAnalyzer<SplayTree> analyzer;
+  OlkenAnalyzer analyzer;
   std::vector<Distance> d;
   for (Addr a : to_trace(kTable1)) d.push_back(analyzer.access(a));
   // Times 0-9: d a c b c c g e f a.
@@ -57,22 +58,24 @@ TEST(PaperTable1, DistancesMatchPaper) {
 }
 
 TEST(PaperFigure1, TreeStateBeforeAndAfterTime9) {
-  OlkenAnalyzer<SplayTree> analyzer;
+  // The paper's tree keyed by timestamp: olken_step on a splay tree.
+  SplayTree tree;
+  AddrMap table;
   const auto trace = to_trace(kTable1);
   for (std::size_t t = 0; t + 1 < trace.size(); ++t) {
-    analyzer.access(trace[t]);
+    olken_step(tree, table, trace[t], t, kUnbounded);
   }
   // Figure 1(a): before processing 'a'@9 the tree holds one entry per
   // distinct address, keyed by last access: 0:d 1:a 3:b 5:c 6:g 7:e 8:f.
-  const auto before = tree_contents(analyzer.tree());
+  const auto before = tree_contents(tree);
   const std::vector<TreeEntry> expected_before{
       {0, 'd'}, {1, 'a'}, {3, 'b'}, {5, 'c'}, {6, 'g'}, {7, 'e'}, {8, 'f'}};
   EXPECT_EQ(before, expected_before);
 
-  EXPECT_EQ(analyzer.access('a'), 5u);
+  EXPECT_EQ(olken_step(tree, table, 'a', 9, kUnbounded).distance, 5u);
 
   // Figure 1(b): 'a' moved from timestamp 1 to timestamp 9.
-  const auto after = tree_contents(analyzer.tree());
+  const auto after = tree_contents(tree);
   const std::vector<TreeEntry> expected_after{
       {0, 'd'}, {3, 'b'}, {5, 'c'}, {6, 'g'}, {7, 'e'}, {8, 'f'}, {9, 'a'}};
   EXPECT_EQ(after, expected_after);

@@ -17,7 +17,7 @@ TEST(HeaderSelfContain, UmbrellaExportsVersionAndNewApis) {
   // The umbrella must re-export the observability layer and the analyzer
   // concept (satellites of the observability PR): name them directly.
   EXPECT_FALSE(obs::enabled());
-  static_assert(ReuseAnalyzer<OlkenAnalyzer<SplayTree>>);
+  static_assert(ReuseAnalyzer<OlkenAnalyzer>);
 }
 
 }  // namespace

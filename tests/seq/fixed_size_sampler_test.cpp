@@ -11,7 +11,6 @@
 #include "hist/mrc.hpp"
 #include "seq/analyzer.hpp"
 #include "seq/olken.hpp"
-#include "tree/splay_tree.hpp"
 #include "workload/generators.hpp"
 
 namespace parda {
@@ -28,7 +27,7 @@ TEST(FixedSizeSamplerTest, FullRateLargeBudgetMatchesExactBoundedEngine) {
   // sampled at scale 1: the histogram must equal the bounded engine's.
   const auto trace = zipf_trace(20000, 300, 1);
   FixedSizeSampler sampler(/*max_tracked=*/4096);
-  OlkenAnalyzer<SplayTree> exact(4096);
+  OlkenAnalyzer exact(4096);
   const Histogram sampled = analyze_trace(sampler, trace);
   const Histogram reference = analyze_trace(exact, trace);
   EXPECT_TRUE(sampled == reference);
@@ -62,9 +61,23 @@ TEST(FixedSizeSamplerTest, FootprintStaysBoundedOnUnboundedStream) {
   EXPECT_LT(peak, (kBudget * 256 + kCap * 8) * 4);
 }
 
+TEST(FixedSizeSamplerTest, FootprintCountsTheExactStacksArrays) {
+  // At rate 1.0 without a budget the exact engine sees every reference, so
+  // a twin OlkenAnalyzer holds the same stack. A lonely oldest address
+  // keeps the stack's index window several times its resident count.
+  std::vector<Addr> trace{~Addr{0}};
+  for (std::size_t i = 0; i < 100000; ++i) trace.push_back(i % 256);
+  FixedSizeSampler sampler;
+  OlkenAnalyzer twin;
+  sampler.process_block(trace);
+  twin.process_block(trace);
+  EXPECT_EQ(sampler.stats().hash_probes, twin.stats().hash_probes);
+  EXPECT_GE(sampler.footprint_bytes(), twin.stack().bytes());
+}
+
 TEST(FixedSizeSamplerTest, MissRatioAccuracyOnZipf) {
   const auto trace = zipf_trace(200000, 20000, 7);
-  OlkenAnalyzer<SplayTree> exact(1 << 16);
+  OlkenAnalyzer exact(1 << 16);
   const Histogram reference = analyze_trace(exact, trace);
   FixedSizeSampler sampler(/*max_tracked=*/256, /*distance_cap=*/1 << 16);
   const Histogram approx = analyze_trace(sampler, trace);

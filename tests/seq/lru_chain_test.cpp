@@ -15,7 +15,6 @@
 #include "seq/lru_chain.hpp"
 #include "seq/naive.hpp"
 #include "seq/olken.hpp"
-#include "tree/splay_tree.hpp"
 #include "util/prng.hpp"
 #include "workload/generators.hpp"
 
@@ -26,7 +25,7 @@ const std::vector<Addr> kTable1{'d', 'a', 'c', 'b', 'c',
                                 'c', 'g', 'e', 'f', 'a'};
 
 std::vector<std::uint64_t> olken_log2(std::span<const Addr> trace) {
-  return olken_analysis<SplayTree>(trace).log2_buckets();
+  return olken_analysis(trace).log2_buckets();
 }
 
 /// Triangle-wave sweep over K addresses: 0..K-1, K-2..0, 1..K-1, ... —
@@ -134,7 +133,7 @@ TEST(LruChainTest, MatchesBucketedOlkenOnRandomTraces) {
     LruChainAnalyzer a;
     const Histogram h = analyze_trace(a, trace);
     EXPECT_EQ(h.log2_buckets(), olken_log2(trace)) << "seed " << seed;
-    EXPECT_EQ(h.infinities(), olken_analysis<SplayTree>(trace).infinities());
+    EXPECT_EQ(h.infinities(), olken_analysis(trace).infinities());
     std::string why;
     EXPECT_TRUE(a.check_invariants(&why)) << "seed " << seed << ": " << why;
   }
@@ -185,7 +184,7 @@ TEST(LruChainTest, BoundedMatchesBoundedTreeEngine) {
     const auto trace = generate_trace(w, 6000);
     LruChainAnalyzer a(bound);
     const Histogram mine = analyze_trace(a, trace);
-    const Histogram exact = bounded_analysis<SplayTree>(trace, bound);
+    const Histogram exact = bounded_analysis(trace, bound);
     EXPECT_EQ(mine.log2_buckets(), exact.log2_buckets()) << "bound " << bound;
     EXPECT_EQ(mine.infinities(), exact.infinities()) << "bound " << bound;
     std::string why;
@@ -241,17 +240,36 @@ TEST(LruChainTest, ProcessBlockEqualsPerReferenceLoop) {
   EXPECT_EQ(a.peak_footprint, b.peak_footprint);
 }
 
-TEST(LruChainTest, OlkenProcessBlockEqualsPerReferenceLoop) {
-  UniformRandomWorkload w(512, 17);
-  const auto trace = generate_trace(w, 8000);
-  OlkenAnalyzer<SplayTree> batched;
+/// Runs `trace` through two Olken analyzers under `bound`, one as a single
+/// block and one reference at a time, and checks that both renumbered
+/// their keys at the same points: same histogram, same stats (renumbering
+/// probes the hash table once per live key), same key span.
+void expect_olken_block_equals_loop(std::span<const Addr> trace,
+                                    std::uint64_t bound) {
+  OlkenAnalyzer batched(bound);
   batched.process_block(trace);
   batched.finish();
-  OlkenAnalyzer<SplayTree> looped;
+  OlkenAnalyzer looped(bound);
   for (Addr z : trace) looped.process(z);
   looped.finish();
+  // Both renumbered: keyed by reference count, the span would be time().
+  EXPECT_LT(batched.stack().key_span(), batched.time());
+  EXPECT_LT(looped.stack().key_span(), looped.time());
+  EXPECT_EQ(batched.stack().key_span(), looped.stack().key_span());
   EXPECT_TRUE(batched.histogram() == looped.histogram());
-  EXPECT_EQ(batched.stats().hash_probes, looped.stats().hash_probes);
+  const EngineStats a = batched.stats();
+  const EngineStats b = looped.stats();
+  EXPECT_EQ(a.references, b.references);
+  EXPECT_EQ(a.finite, b.finite);
+  EXPECT_EQ(a.infinities, b.infinities);
+  EXPECT_EQ(a.hash_probes, b.hash_probes);
+  EXPECT_EQ(a.evictions, b.evictions);
+  EXPECT_EQ(a.peak_footprint, b.peak_footprint);
+}
+
+TEST(LruChainTest, OlkenProcessBlockEqualsPerReferenceLoop) {
+  UniformRandomWorkload w(512, 17);
+  expect_olken_block_equals_loop(generate_trace(w, 40000), kUnbounded);
 }
 
 TEST(LruChainTest, BennettKruskalProcessBlockEqualsPerReferenceLoop) {
@@ -283,15 +301,7 @@ TEST(LruChainTest, IntervalProcessBlockEqualsPerReferenceLoop) {
 
 TEST(LruChainTest, BoundedProcessBlockEqualsPerReferenceLoop) {
   UniformRandomWorkload w(512, 29);
-  const auto trace = generate_trace(w, 8000);
-  OlkenAnalyzer<SplayTree> batched(32);
-  batched.process_block(trace);
-  batched.finish();
-  OlkenAnalyzer<SplayTree> looped(32);
-  for (Addr z : trace) looped.process(z);
-  looped.finish();
-  EXPECT_TRUE(batched.histogram() == looped.histogram());
-  EXPECT_EQ(batched.stats().evictions, looped.stats().evictions);
+  expect_olken_block_equals_loop(generate_trace(w, 40000), 32);
 }
 
 TEST(LruChainTest, StatsAndMarkerHops) {
@@ -304,7 +314,6 @@ TEST(LruChainTest, StatsAndMarkerHops) {
   EXPECT_EQ(s.finite + s.infinities, s.references);
   EXPECT_GT(s.marker_hops, 0u);
   EXPECT_EQ(s.marker_hops, a.marker_hop_count());
-  EXPECT_EQ(s.tree_rotations, 0u);  // no tree in this engine
 }
 
 TEST(LruChainTest, FinishIsIdempotent) {

@@ -33,7 +33,7 @@ TEST(OptDistanceTest, KnownSmallExample) {
   const auto d = opt_distances(std::vector<Addr>{'a', 'b', 'c', 'a'});
   EXPECT_EQ(d[3], 1u);
   // LRU would need C=3 (distance 2) for the same reuse.
-  OlkenAnalyzer<SplayTree> lru;
+  OlkenAnalyzer lru;
   lru.access('a');
   lru.access('b');
   lru.access('c');

@@ -10,8 +10,8 @@
 #include "tree/order_stat_tree.hpp"
 #include "tree/splay_tree.hpp"
 #include "tree/treap.hpp"
-#include "tree/vector_tree.hpp"
 #include "util/prng.hpp"
+#include "vector_tree.hpp"
 
 namespace parda {
 namespace {
