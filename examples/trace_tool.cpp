@@ -16,7 +16,7 @@
 //   ./trace_tool checkmetrics scrape.prom
 //   ./trace_tool convert lbm.trc lbm.txt
 //   ./trace_tool convert lbm.trc lbm.trz --chunk-refs=65536
-//   ./trace_tool convert old.trz new.trz --trz-version=2  # v1 -> chunked v2
+//   ./trace_tool convert old.trz new.trz                  # v1 -> chunked v2
 //
 // The transport, ingest path, and log level all resolve through the
 // layered config rule: the CLI flag beats the environment variable
@@ -24,7 +24,8 @@
 // The default ingest path comes from the trace container: .trz archives
 // are decoded per rank (trz), anything else is mapped (mmap), and --stream
 // is the pipe. The parallel engine therefore needs a .trc/.bin file or a
-// chunked v2 .trz; convert .txt traces and v1 archives first.
+// chunked v2 .trz; convert .txt traces and v1 archives first. gen and
+// convert write every .trz as a chunked v2 archive.
 //
 // Exit codes: 0 success, 1 runtime failure (missing/corrupt trace, aborted
 // analysis, invalid exposition format), 2 usage error (bad flag or
@@ -74,47 +75,26 @@ std::vector<parda::Addr> load(const std::string& path) {
 }
 
 void store(const std::string& path, const std::vector<parda::Addr>& trace,
-           std::uint64_t trz_version = 2,
-           std::uint64_t chunk_refs = parda::kDefaultTrzChunkRefs) {
+           std::uint64_t chunk_refs) {
   if (ends_with(path, ".txt")) {
     parda::write_trace_text(path, trace);
   } else if (ends_with(path, ".trz")) {
-    if (trz_version == 1) {
-      parda::write_trace_compressed(path, trace);
-    } else {
-      parda::write_trace_chunked(path, trace, chunk_refs);
-    }
+    parda::write_trace_chunked(path, trace, chunk_refs);
   } else {
     parda::write_trace_binary(path, trace);
   }
 }
 
-/// Validates the .trz output knobs for the writing commands (gen and
-/// convert). The flags only mean something for a .trz output, and
-/// --chunk-refs only for the chunked v2 layout.
-void check_trz_flags(const parda::CliParser& cli, const char* command,
-                     const std::string& out_path, std::uint64_t trz_version,
-                     std::uint64_t chunk_refs) {
+/// Validates --chunk-refs for the writing commands (gen and convert): it
+/// must be positive, and it means something only for a .trz output.
+void check_chunk_refs(const parda::CliParser& cli, const char* command,
+                      const std::string& out_path, std::uint64_t chunk_refs) {
   using parda::usage_error;
-  if (trz_version != 1 && trz_version != 2) {
-    usage_error("%s: bad --trz-version %llu (expected 1 or 2)", command,
-                static_cast<unsigned long long>(trz_version));
-  }
   if (chunk_refs == 0) {
     usage_error("%s: --chunk-refs must be positive", command);
   }
-  if (!ends_with(out_path, ".trz")) {
-    if (cli.was_set("trz-version")) {
-      usage_error("%s: --trz-version applies only to .trz outputs", command);
-    }
-    if (cli.was_set("chunk-refs")) {
-      usage_error("%s: --chunk-refs applies only to .trz outputs", command);
-    }
-  }
-  if (trz_version == 1 && cli.was_set("chunk-refs")) {
-    usage_error("%s: --chunk-refs needs --trz-version=2 (a v1 archive is one "
-                "whole-file stream)",
-                command);
+  if (!ends_with(out_path, ".trz") && cli.was_set("chunk-refs")) {
+    usage_error("%s: --chunk-refs applies only to .trz outputs", command);
   }
 }
 
@@ -253,7 +233,6 @@ int run_tool(int argc, char** argv) {
   std::string ingest_text;
   std::uint64_t chunk = 1 << 16;
   std::uint64_t pipe_words = 1 << 20;
-  std::uint64_t trz_version = 2;
   std::uint64_t chunk_refs = kDefaultTrzChunkRefs;
   std::string fault_plan_spec;
   std::uint64_t watchdog_ms = 0;
@@ -294,11 +273,8 @@ int run_tool(int argc, char** argv) {
                "analyze, pipe ingest: per-rank chunk size C");
   cli.add_flag("pipe", &pipe_words,
                "analyze, pipe ingest: pipe capacity in words");
-  cli.add_flag("trz-version", &trz_version,
-               "gen/convert: .trz archive version: 2 (chunked, default) | 1 "
-               "(whole-file stream)");
   cli.add_flag("chunk-refs", &chunk_refs,
-               "gen/convert: references per chunk for v2 .trz outputs");
+               "gen/convert: references per chunk for .trz outputs");
   cli.add_flag("fault-plan", &fault_plan_spec,
                "fault injection plan (see DESIGN.md; also $PARDA_FAULT_PLAN)");
   cli.add_flag("watchdog-ms", &watchdog_ms,
@@ -444,7 +420,7 @@ int run_tool(int argc, char** argv) {
 
   if (command == "gen") {
     if (refs == 0) usage_error("gen: --refs must be positive");
-    check_trz_flags(cli, "gen", out, trz_version, chunk_refs);
+    check_chunk_refs(cli, "gen", out, chunk_refs);
     // Accept either a bare Table IV profile name ("mcf") or a full
     // workload spec string ("zipf:m=100000,a=0.9", "mix:...", "spec:mcf").
     std::unique_ptr<Workload> w;
@@ -454,7 +430,7 @@ int run_tool(int argc, char** argv) {
       w = parse_workload(workload_name, seed);
     }
     const auto trace = generate_trace(*w, refs);
-    store(out, trace, trz_version, chunk_refs);
+    store(out, trace, chunk_refs);
     std::printf("wrote %s references of %s to %s\n",
                 with_commas(refs).c_str(), w->name().c_str(), out.c_str());
     return 0;
@@ -614,10 +590,9 @@ int run_tool(int argc, char** argv) {
     if (cli.positionals().size() < 2) {
       usage_error("convert: need input and output paths");
     }
-    check_trz_flags(cli, "convert", cli.positionals()[1], trz_version,
-                    chunk_refs);
+    check_chunk_refs(cli, "convert", cli.positionals()[1], chunk_refs);
     const auto trace = load(cli.positionals()[0]);
-    store(cli.positionals()[1], trace, trz_version, chunk_refs);
+    store(cli.positionals()[1], trace, chunk_refs);
     std::printf("converted %zu references\n", trace.size());
     return 0;
   }

@@ -5,8 +5,13 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
+
+#include "../tests/trace/trz_v1_writer.hpp"
+#include "trace/trace_io.hpp"
 
 namespace {
 
@@ -24,6 +29,11 @@ int run_env(const std::string& env, const std::string& args) {
                           " " + args + " >/dev/null 2>&1";
   const int status = std::system(cmd.c_str());
   return WEXITSTATUS(status);
+}
+
+std::string slurp(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
 }
 
 class TraceToolCliTest : public ::testing::Test {
@@ -312,32 +322,34 @@ TEST_F(TraceToolCliTest, ConvertWritesChunkedV2ByDefault) {
 }
 
 TEST_F(TraceToolCliTest, V1ArchivesStillReadableButNotChunkIngestable) {
-  ASSERT_EQ(run("convert trace_cli_test.trc trace_cli_v1.trz "
-                "--trz-version=1"),
-            0);
+  parda::write_trz_v1("trace_cli_v1.trz",
+                      parda::read_trace_binary("trace_cli_test.trc"));
+  EXPECT_EQ(run("analyze trace_cli_v1.trz --engine=lru"), 0);
   // Chunked ingest, the default for .trz, demands v2; the error names the
   // convert command below.
   EXPECT_EQ(run("analyze trace_cli_v1.trz --procs=2"), 1);
   EXPECT_EQ(run("analyze trace_cli_v1.trz --procs=2 --ingest=trz"), 1);
-  // The upgrade path named in that error actually works.
-  ASSERT_EQ(run("convert trace_cli_v1.trz trace_cli_v2.trz "
-                "--trz-version=2"),
-            0);
+  // The upgrade path named in that error actually works, and writes the
+  // archive a conversion of the original trace writes.
+  ASSERT_EQ(run("convert trace_cli_v1.trz trace_cli_v2.trz"), 0);
   EXPECT_EQ(run("analyze trace_cli_v2.trz --procs=2 --ingest=trz"), 0);
+  ASSERT_EQ(run("convert trace_cli_test.trc trace_cli_direct.trz"), 0);
+  EXPECT_EQ(slurp("trace_cli_v2.trz"), slurp("trace_cli_direct.trz"));
 }
 
 TEST_F(TraceToolCliTest, TrzFlagValidation) {
-  // .trz knobs on a non-.trz output.
+  // --chunk-refs on a non-.trz output, and a degenerate chunk size.
   EXPECT_EQ(run("convert trace_cli_test.trc plain.trc --chunk-refs=64"), 2);
-  EXPECT_EQ(run("convert trace_cli_test.trc plain.trc --trz-version=2"), 2);
-  // Version out of range; chunking a v1 stream; degenerate chunk size.
-  EXPECT_EQ(run("convert trace_cli_test.trc x.trz --trz-version=3"), 2);
-  EXPECT_EQ(run("convert trace_cli_test.trc x.trz --trz-version=1 "
-                "--chunk-refs=64"),
-            2);
   EXPECT_EQ(run("convert trace_cli_test.trc x.trz --chunk-refs=0"), 2);
-  // gen validates the same knobs.
+  // gen validates the same knob.
   EXPECT_EQ(run("gen --refs=100 --out=x.trc --chunk-refs=64"), 2);
+  // gen and convert write one .trz layout, so there is no version flag.
+  for (const char* version : {"1", "2", "3"}) {
+    EXPECT_EQ(run(std::string("convert trace_cli_test.trc x.trz "
+                              "--trz-version=") +
+                  version),
+              2);
+  }
 }
 
 TEST_F(TraceToolCliTest, GenWritesChunkedTrzDirectly) {

@@ -29,51 +29,6 @@ void decayed_fold(Histogram& aggregate, const Histogram& window,
   aggregate = std::move(next);
 }
 
-OnlineMrcMonitor::OnlineMrcMonitor(std::uint64_t bound, std::uint64_t window,
-                                   double decay)
-    : analyzer_(bound), window_(window), decay_(decay) {
-  PARDA_CHECK(bound >= 1);
-  PARDA_CHECK(window >= 1);
-  PARDA_CHECK(decay > 0.0 && decay <= 1.0);
-}
-
-void OnlineMrcMonitor::access(Addr a) {
-  current_.record(analyzer_.access(a));
-  ++seen_;
-  if (seen_ % window_ == 0) roll_window();
-}
-
-void OnlineMrcMonitor::feed(std::span<const Addr> refs) {
-  while (!refs.empty()) {
-    // Slice at the window boundary so rolls happen exactly where the
-    // per-reference loop would roll them.
-    const std::uint64_t room = window_ - (seen_ % window_);
-    const std::size_t take = static_cast<std::size_t>(
-        std::min<std::uint64_t>(room, refs.size()));
-    analyzer_.access_block(refs.first(take), current_);
-    seen_ += take;
-    refs = refs.subspan(take);
-    if (seen_ % window_ == 0) roll_window();
-  }
-}
-
-void OnlineMrcMonitor::roll_window() {
-  decayed_fold(aggregate_, current_, decay_);
-  current_.clear();
-  ++windows_;
-}
-
-Histogram OnlineMrcMonitor::snapshot() const {
-  Histogram combined = aggregate_;
-  combined.merge(current_);
-  return combined;
-}
-
-double OnlineMrcMonitor::miss_ratio(std::uint64_t cache_size) const {
-  const Histogram combined = snapshot();
-  return parda::miss_ratio(combined, cache_size);
-}
-
 namespace {
 
 PardaOptions windowed_options(std::uint64_t bound, int num_procs) {

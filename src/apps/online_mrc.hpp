@@ -4,10 +4,11 @@
 // references as they happen and reads off a fresh, recency-weighted MRC
 // at any moment.
 //
-// The monitor runs a bounded Olken engine (Algorithm 7's structure, so state
-// stays O(bound)) and folds each completed window's histogram into a
-// decayed aggregate: aggregate = decay * aggregate + window. decay = 1
-// remembers everything; smaller values track phase changes faster.
+// The monitor analyzes each window of references with the bounded parallel
+// engine (Algorithm 7's structure, so state stays O(bound)) and folds each
+// completed window's histogram into a decayed aggregate:
+// aggregate = decay * aggregate + window. decay = 1 remembers everything;
+// smaller values track phase changes faster.
 #pragma once
 
 #include <cstdint>
@@ -16,68 +17,32 @@
 
 #include "core/runtime.hpp"
 #include "hist/histogram.hpp"
-#include "seq/olken.hpp"
 #include "util/types.hpp"
 
 namespace parda {
 
 /// Folds a completed window into the decayed aggregate:
 /// aggregate = round(decay * aggregate) + window, bin by bin (decay == 1
-/// degenerates to a plain merge). Shared by both monitor flavors.
+/// degenerates to a plain merge). Shared by WindowedMrcMonitor and the
+/// serving layer's tenants.
 void decayed_fold(Histogram& aggregate, const Histogram& window, double decay);
 
-class OnlineMrcMonitor {
- public:
-  /// bound: largest cache size of interest (analysis state stays O(bound));
-  /// window: references per aggregation step; decay in (0, 1].
-  OnlineMrcMonitor(std::uint64_t bound, std::uint64_t window, double decay);
-
-  /// Feeds one reference.
-  void access(Addr a);
-
-  /// Feeds a batch of references: identical tallies and window rolls to
-  /// calling access() per reference, but each full window segment goes
-  /// through the engine's prefetched process_block path.
-  void feed(std::span<const Addr> refs);
-
-  /// Recency-weighted miss ratio at the given cache size (<= bound).
-  /// Includes the partially filled current window.
-  double miss_ratio(std::uint64_t cache_size) const;
-
-  /// The decayed histogram (counts are scaled by the decay schedule).
-  Histogram snapshot() const;
-
-  std::uint64_t references_seen() const noexcept { return seen_; }
-  std::uint64_t windows_completed() const noexcept { return windows_; }
-  std::uint64_t bound() const noexcept { return analyzer_.bound(); }
-
- private:
-  void roll_window();
-
-  OlkenAnalyzer analyzer_;
-  std::uint64_t window_;
-  double decay_;
-  Histogram current_;    // in-progress window
-  Histogram aggregate_;  // decayed sum of completed windows (scaled)
-  std::uint64_t seen_ = 0;
-  std::uint64_t windows_ = 0;
-};
-
-/// The runtime-backed monitor: instead of analyzing inline on the feeding
-/// thread, it buffers each window and analyzes completed windows with the
-/// parallel bounded engine on a shared PardaRuntime — every window reuses
-/// the runtime's parked workers and cached World rather than spawning a
-/// full thread set per window. Windows are analyzed independently (each
-/// starts cold), so its histogram equals folding per-window parda_analyze
-/// results exactly; cross-window reuses surface as infinities, which the
-/// decayed aggregate treats as cold misses.
+/// The runtime-backed monitor: it buffers each window and analyzes
+/// completed windows with the parallel bounded engine on a shared
+/// PardaRuntime — every window reuses the runtime's parked workers and
+/// cached World rather than spawning a full thread set per window.
+/// Windows are analyzed independently (each starts cold), so its histogram
+/// equals folding per-window parda_analyze results exactly; cross-window
+/// reuses surface as infinities, which the decayed aggregate treats as
+/// cold misses.
 ///
 /// The runtime must outlive the monitor. Feeding is single-threaded, but
 /// several monitors may share one runtime: window jobs multiplex its pool.
 class WindowedMrcMonitor {
  public:
-  /// bound/window/decay as OnlineMrcMonitor; num_procs is the rank count
-  /// of each per-window analysis job.
+  /// bound: largest cache size of interest (analysis state stays O(bound));
+  /// window: references per aggregation step; decay in (0, 1]; num_procs:
+  /// the rank count of each per-window analysis job.
   WindowedMrcMonitor(core::PardaRuntime& runtime, std::uint64_t bound,
                      std::uint64_t window, double decay, int num_procs = 2);
 

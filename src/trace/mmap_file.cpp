@@ -1,8 +1,6 @@
 #include "trace/mmap_file.hpp"
 
 #include <cerrno>
-#include <cstring>
-#include <stdexcept>
 #include <utility>
 
 #include <fcntl.h>
@@ -10,31 +8,26 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include "trace/trace_io.hpp"
+
 namespace parda {
 
-namespace {
-
-[[noreturn]] void fail(const std::string& what, const std::string& path) {
-  throw std::runtime_error(what + ": " + path + " (" +
-                           std::strerror(errno) + ")");
-}
-
-}  // namespace
+using detail::io_fail;
 
 MappedFile::MappedFile(const std::string& path) {
   const int fd = ::open(path.c_str(), O_RDONLY);
-  if (fd < 0) fail("cannot open trace for mapping", path);
+  if (fd < 0) io_fail("cannot open trace for mapping", path, errno);
   struct stat st{};
   if (::fstat(fd, &st) != 0) {
     ::close(fd);
-    fail("cannot stat trace", path);
+    io_fail("cannot stat trace", path, errno);
   }
   size_ = static_cast<std::size_t>(st.st_size);
   if (size_ != 0) {
     void* map = ::mmap(nullptr, size_, PROT_READ, MAP_PRIVATE, fd, 0);
     if (map == MAP_FAILED) {
       ::close(fd);
-      fail("cannot mmap trace", path);
+      io_fail("cannot mmap trace", path, errno);
     }
     data_ = static_cast<const std::uint8_t*>(map);
   }

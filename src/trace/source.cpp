@@ -1,25 +1,12 @@
 #include "trace/source.hpp"
 
 #include <algorithm>
-#include <cinttypes>
-#include <cstdio>
-#include <cstring>
 
 #include "obs/metrics.hpp"
 #include "obs/span_tracer.hpp"
 #include "util/check.hpp"
 
 namespace parda {
-
-namespace {
-
-[[noreturn]] void format_fail(const std::string& path, std::uint64_t offset,
-                              const std::string& what) {
-  throw TraceFormatError(what + " at byte offset " + std::to_string(offset) +
-                         ": " + path);
-}
-
-}  // namespace
 
 const char* ingest_mode_name(IngestMode mode) noexcept {
   switch (mode) {
@@ -85,36 +72,9 @@ std::span<const Addr> SpanTraceSource::rank_view(int rank) {
 // --- MmapTraceSource --------------------------------------------------------
 
 MmapTraceSource::MmapTraceSource(const std::string& path) : map_(path) {
-  // Same validation ladder (and byte-offset diagnostics) as
-  // BinaryTraceReader, against the mapping instead of a FILE.
-  if (map_.size() < sizeof(kTraceMagic)) {
-    format_fail(path, 0, "trace shorter than the 8-byte magic");
-  }
-  if (std::memcmp(map_.data(), kTraceMagic, sizeof(kTraceMagic)) != 0) {
-    format_fail(path, 0, "bad trace magic");
-  }
-  if (map_.size() < kTraceHeaderBytes) {
-    format_fail(path, map_.size(), "trace shorter than the 24-byte header");
-  }
-  std::uint64_t version = 0;
-  std::memcpy(&version, map_.data() + 8, sizeof(version));
-  if (version != kTraceVersion) {
-    format_fail(path, 8,
-                "unsupported trace version " + std::to_string(version) +
-                    " (expected " + std::to_string(kTraceVersion) + ")");
-  }
-  std::uint64_t total = 0;
-  std::memcpy(&total, map_.data() + 16, sizeof(total));
-  const std::uint64_t body_bytes = map_.size() - kTraceHeaderBytes;
-  const std::uint64_t actual_words = body_bytes / sizeof(Addr);
-  if (body_bytes % sizeof(Addr) != 0 || actual_words != total) {
-    format_fail(path, kTraceHeaderBytes,
-                "trace body size mismatch: header declares " +
-                    std::to_string(total) + " references but the file "
-                    "holds " +
-                    std::to_string(body_bytes) + " body bytes (" +
-                    std::to_string(actual_words) + " whole references)");
-  }
+  const std::uint64_t total = check_trace_header(
+      {map_.data(), std::min<std::size_t>(map_.size(), kTraceHeaderBytes)},
+      map_.size(), path);
   // The 24-byte header keeps the body 8-aligned, so the view is a plain
   // reinterpretation of the mapping — this is the zero-copy property.
   static_assert(kTraceHeaderBytes % sizeof(Addr) == 0);

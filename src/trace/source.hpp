@@ -145,8 +145,8 @@ class SpanTraceSource : public TraceSource {
 /// disjoint view straight into it.
 class MmapTraceSource final : public SpanTraceSource {
  public:
-  /// Maps and validates the trace header (same checks and byte-offset
-  /// TraceFormatErrors as BinaryTraceReader).
+  /// Maps the trace and validates its header with check_trace_header, the
+  /// check BinaryTraceReader runs.
   explicit MmapTraceSource(const std::string& path);
 
   /// The mapped byte range, exposed so tests can prove rank views alias

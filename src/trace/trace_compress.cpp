@@ -1,17 +1,17 @@
 #include "trace/trace_compress.hpp"
 
 #include <array>
-#include <cinttypes>
 #include <cstdio>
 #include <cstring>
-#include <memory>
-#include <stdexcept>
+#include <utility>
 
-#include "obs/metrics.hpp"
-#include "obs/span_tracer.hpp"
 #include "util/check.hpp"
 
 namespace parda {
+
+using detail::FilePtr;
+using detail::format_fail;
+using detail::io_fail;
 
 namespace {
 
@@ -40,18 +40,6 @@ void put_varint(std::vector<std::uint8_t>& out, std::uint64_t v) {
 /// validation uses this to reject payload lengths no delta stream of the
 /// declared count could occupy.
 constexpr std::uint64_t kMaxVarintBytes = 10;
-
-[[noreturn]] void io_fail(const std::string& what, const std::string& path) {
-  throw std::runtime_error(what + ": " + path);
-}
-
-/// Malformed input: the typed error every reader throws, formatted like
-/// BinaryTraceReader's ("<what> at byte offset <off>: <path>").
-[[noreturn]] void format_fail(const std::string& path, std::uint64_t offset,
-                              const std::string& what) {
-  throw TraceFormatError(what + " at byte offset " + std::to_string(offset) +
-                         ": " + path);
-}
 
 inline std::uint64_t load_u64(const std::uint8_t* p) noexcept {
   std::uint64_t v = 0;
@@ -95,13 +83,6 @@ std::size_t decode_deltas(std::span<const std::uint8_t> bytes,
   return at;
 }
 
-struct FileCloser {
-  void operator()(std::FILE* f) const noexcept {
-    if (f != nullptr) std::fclose(f);
-  }
-};
-using FilePtr = std::unique_ptr<std::FILE, FileCloser>;
-
 /// Encodes trace[1..] as deltas seeded by trace[0] (the chunk base, which
 /// the index stores verbatim), appending to `out`.
 void compress_chunk_tail(std::span<const Addr> chunk,
@@ -120,8 +101,30 @@ std::uint32_t crc_of_chunk(Addr base, std::span<const std::uint8_t> payload) {
   return trz_crc32(payload, trz_crc32(base_le));
 }
 
-/// Decodes a whole mapped v1 archive (header already validated up to the
-/// version field).
+/// The one .trz magic and version check: returns the archive's version,
+/// 1 or 2.
+std::uint64_t archive_version(const MappedFile& map,
+                              const std::string& path) {
+  if (map.size() < sizeof(kCompressedTraceMagic)) {
+    format_fail(path, 0, "trz shorter than the 8-byte magic");
+  }
+  if (std::memcmp(map.data(), kCompressedTraceMagic,
+                  sizeof(kCompressedTraceMagic)) != 0) {
+    format_fail(path, 0, "bad trz magic");
+  }
+  if (map.size() < 16) {
+    format_fail(path, 8, "trz shorter than its version field");
+  }
+  const std::uint64_t version = load_u64(map.data() + 8);
+  if (version != 1 && version != 2) {
+    format_fail(path, 8,
+                "unsupported trz version " + std::to_string(version) +
+                    " (expected 1 or 2)");
+  }
+  return version;
+}
+
+/// Decodes a whole mapped v1 archive (magic and version already checked).
 std::vector<Addr> read_whole_v1(const MappedFile& map,
                                 const std::string& path) {
   if (map.size() < kTrzV1HeaderBytes) {
@@ -141,6 +144,15 @@ std::vector<Addr> read_whole_v1(const MappedFile& map,
     format_fail(path, kTrzV1HeaderBytes + payload_bytes,
                 "trailing bytes after the declared trz payload");
   }
+  // Every delta takes at least one payload byte: a larger count cannot
+  // decode, and must not size the reservation below.
+  if (count > payload_bytes) {
+    format_fail(path, 16,
+                "count/payload mismatch: header declares " +
+                    std::to_string(count) +
+                    " references but the payload holds " +
+                    std::to_string(payload_bytes) + " bytes");
+  }
   std::vector<Addr> trace;
   trace.reserve(count);
   const std::span<const std::uint8_t> payload(map.data() + kTrzV1HeaderBytes,
@@ -153,9 +165,6 @@ std::vector<Addr> read_whole_v1(const MappedFile& map,
                     " references decoded with " +
                     std::to_string(payload.size() - used) +
                     " payload bytes left over");
-  }
-  if (obs::enabled()) {
-    obs::registry().counter("trace.bytes_decompressed").add(payload_bytes);
   }
   return trace;
 }
@@ -182,64 +191,6 @@ std::uint32_t trz_crc32(std::span<const std::uint8_t> bytes,
     crc = table[(crc ^ b) & 0xFF] ^ (crc >> 8);
   }
   return crc ^ 0xFFFFFFFFu;
-}
-
-std::vector<std::uint8_t> compress_trace(std::span<const Addr> trace) {
-  std::vector<std::uint8_t> out;
-  out.reserve(trace.size() * 2);
-  Addr prev = 0;
-  for (Addr a : trace) {
-    const auto delta = static_cast<std::int64_t>(a - prev);
-    put_varint(out, zigzag_encode(delta));
-    prev = a;
-  }
-  return out;
-}
-
-std::vector<Addr> decompress_trace(std::span<const std::uint8_t> bytes,
-                                   std::size_t expected_count) {
-  const std::int64_t t0 = obs::enabled() ? obs::tracer().now_ns() : -1;
-  static const std::string kMemory = "<memory>";
-  std::vector<Addr> trace;
-  trace.reserve(expected_count);
-  const std::size_t used =
-      decode_deltas(bytes, expected_count, 0, trace, 0, kMemory);
-  if (used != bytes.size()) {
-    format_fail(kMemory, used,
-                "count/payload mismatch: " + std::to_string(expected_count) +
-                    " references decoded with " +
-                    std::to_string(bytes.size() - used) +
-                    " payload bytes left over");
-  }
-  if (t0 >= 0) {
-    auto& reg = obs::registry();
-    reg.counter("trace.bytes_decompressed").add(bytes.size());
-    reg.timer("trace.decompress").record_ns(
-        static_cast<std::uint64_t>(obs::tracer().now_ns() - t0));
-  }
-  return trace;
-}
-
-void write_trace_compressed(const std::string& path,
-                            std::span<const Addr> trace) {
-  const std::vector<std::uint8_t> payload = compress_trace(trace);
-  FilePtr f(std::fopen(path.c_str(), "wb"));
-  if (!f) io_fail("cannot open trace for writing", path);
-  const std::uint64_t version = 1;
-  const std::uint64_t count = trace.size();
-  const std::uint64_t bytes = payload.size();
-  if (std::fwrite(kCompressedTraceMagic, 1, sizeof(kCompressedTraceMagic),
-                  f.get()) != sizeof(kCompressedTraceMagic) ||
-      std::fwrite(&version, sizeof(version), 1, f.get()) != 1 ||
-      std::fwrite(&count, sizeof(count), 1, f.get()) != 1 ||
-      std::fwrite(&bytes, sizeof(bytes), 1, f.get()) != 1) {
-    io_fail("short write on compressed trace header", path);
-  }
-  if (!payload.empty() &&
-      std::fwrite(payload.data(), 1, payload.size(), f.get()) !=
-          payload.size()) {
-    io_fail("short write on compressed trace payload", path);
-  }
 }
 
 void write_trace_chunked(const std::string& path, std::span<const Addr> trace,
@@ -298,25 +249,9 @@ void write_trace_chunked(const std::string& path, std::span<const Addr> trace,
 
 std::vector<Addr> read_trace_compressed(const std::string& path) {
   MappedFile map(path);
-  if (map.size() < sizeof(kCompressedTraceMagic)) {
-    format_fail(path, 0, "trz shorter than the 8-byte magic");
-  }
-  if (std::memcmp(map.data(), kCompressedTraceMagic,
-                  sizeof(kCompressedTraceMagic)) != 0) {
-    format_fail(path, 0, "bad trz magic");
-  }
-  if (map.size() < 16) {
-    format_fail(path, 8, "trz shorter than its version field");
-  }
-  const std::uint64_t version = load_u64(map.data() + 8);
-  if (version == 1) return read_whole_v1(map, path);
-  if (version != 2) {
-    format_fail(path, 8,
-                "unsupported trz version " + std::to_string(version) +
-                    " (expected 1 or 2)");
-  }
+  if (archive_version(map, path) == 1) return read_whole_v1(map, path);
   // v2: decode every chunk in order through the validated index.
-  ChunkedTrzFile file(path);
+  const ChunkedTrzFile file(path, std::move(map));
   std::vector<Addr> trace;
   trace.reserve(file.total_references());
   for (std::size_t c = 0; c < file.num_chunks(); ++c) {
@@ -326,28 +261,15 @@ std::vector<Addr> read_trace_compressed(const std::string& path) {
 }
 
 ChunkedTrzFile::ChunkedTrzFile(const std::string& path)
-    : path_(path), map_(path) {
-  if (map_.size() < sizeof(kCompressedTraceMagic)) {
-    format_fail(path_, 0, "trz shorter than the 8-byte magic");
-  }
-  if (std::memcmp(map_.data(), kCompressedTraceMagic,
-                  sizeof(kCompressedTraceMagic)) != 0) {
-    format_fail(path_, 0, "bad trz magic");
-  }
-  if (map_.size() < 16) {
-    format_fail(path_, 8, "trz shorter than its version field");
-  }
-  const std::uint64_t version = load_u64(map_.data() + 8);
-  if (version == 1) {
+    : ChunkedTrzFile(path, MappedFile(path)) {}
+
+ChunkedTrzFile::ChunkedTrzFile(const std::string& path, MappedFile map)
+    : path_(path), map_(std::move(map)) {
+  if (archive_version(map_, path_) == 1) {
     format_fail(path_, 8,
                 "chunked ingest needs a v2 .trz archive (this file is the "
                 "whole-file v1 layout; upgrade it with `trace_tool convert "
-                "in.trz out.trz --trz-version=2`)");
-  }
-  if (version != 2) {
-    format_fail(path_, 8,
-                "unsupported trz version " + std::to_string(version) +
-                    " (expected 1 or 2)");
+                "in.trz out.trz`)");
   }
   if (map_.size() < kTrzV2HeaderBytes) {
     format_fail(path_, map_.size(),
@@ -359,8 +281,10 @@ ChunkedTrzFile::ChunkedTrzFile(const std::string& path)
   if (chunk_refs_ == 0 && total_ != 0) {
     format_fail(path_, 24, "zero refs-per-chunk with a nonzero trace");
   }
+  // Rounded up without total_ + chunk_refs_ - 1, which can wrap.
   const std::uint64_t expected_chunks =
-      total_ == 0 ? 0 : (total_ + chunk_refs_ - 1) / chunk_refs_;
+      total_ == 0 ? 0
+                  : total_ / chunk_refs_ + (total_ % chunk_refs_ != 0 ? 1 : 0);
   if (num_chunks != expected_chunks) {
     format_fail(path_, 32,
                 "chunk count mismatch: header declares " +

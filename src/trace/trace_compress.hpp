@@ -9,7 +9,9 @@
 //
 //   v1 (legacy, whole-file): magic, u64 version=1, u64 reference count,
 //   u64 payload bytes, then one delta stream for the entire trace. Must be
-//   decoded serially from the front.
+//   decoded serially from the front. Archives on disk may still be v1, so
+//   read_trace_compressed reads it (and `trace_tool convert` upgrades it),
+//   but nothing writes it.
 //
 //   v2 (chunked, the fast path): magic, u64 version=2, u64 reference
 //   count, u64 refs-per-chunk, u64 chunk count, then a seekable index of
@@ -20,9 +22,9 @@
 //   and in parallel — ChunkedTrzSource assigns contiguous chunk runs to
 //   ranks and each rank decodes its own into a reused arena.
 //
-// Every malformed input is a typed parda::TraceFormatError naming the file
-// and the byte offset (matching BinaryTraceReader), never a crash or a
-// silent short read.
+// Each layout has one parser here. Every malformed input is a typed
+// parda::TraceFormatError naming the file and the byte offset (as the .trc
+// readers report theirs), never a crash or a silent short read.
 #pragma once
 
 #include <cstdint>
@@ -48,29 +50,19 @@ inline constexpr std::uint64_t kTrzIndexEntryBytes = 24;
 /// rank-sized unit of decode work (64–512KB of payload).
 inline constexpr std::uint64_t kDefaultTrzChunkRefs = std::uint64_t{1} << 16;
 
-/// In-memory codec (exposed for tests and for pipe-level compression).
-/// decompress_trace throws TraceFormatError on truncated input, varint
-/// overrun, or payload bytes left over after the declared count.
-std::vector<std::uint8_t> compress_trace(std::span<const Addr> trace);
-std::vector<Addr> decompress_trace(std::span<const std::uint8_t> bytes,
-                                   std::size_t expected_count);
-
 /// CRC-32 (IEEE, reflected) over `bytes`, continuing from `seed` (pass the
 /// previous return value to checksum discontiguous pieces). Exposed so
 /// tests can craft corrupt-but-recomputed chunk indexes.
 std::uint32_t trz_crc32(std::span<const std::uint8_t> bytes,
                         std::uint32_t seed = 0) noexcept;
 
-/// Writes the legacy v1 whole-file layout.
-void write_trace_compressed(const std::string& path,
-                            std::span<const Addr> trace);
-
 /// Writes the chunked v2 layout with fixed `chunk_refs` references per
 /// chunk (the last chunk may be short). chunk_refs must be positive.
 void write_trace_chunked(const std::string& path, std::span<const Addr> trace,
                          std::uint64_t chunk_refs = kDefaultTrzChunkRefs);
 
-/// Reads either layout (dispatching on the header version) into memory.
+/// Reads either layout (dispatching on the header version) into memory,
+/// mapping the file once.
 std::vector<Addr> read_trace_compressed(const std::string& path);
 
 /// One chunk of a v2 archive, as described by the index.
@@ -91,6 +83,8 @@ struct TrzChunk {
 class ChunkedTrzFile {
  public:
   explicit ChunkedTrzFile(const std::string& path);
+  /// Validates `map`, an archive already mapped from `path`.
+  ChunkedTrzFile(const std::string& path, MappedFile map);
 
   ChunkedTrzFile(ChunkedTrzFile&&) noexcept = default;
   ChunkedTrzFile& operator=(ChunkedTrzFile&&) noexcept = default;

@@ -1,86 +1,116 @@
 #include "trace/trace_io.hpp"
 
 #include <algorithm>
+#include <cerrno>
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <memory>
-#include <stdexcept>
 
-#if defined(__unix__) || defined(__APPLE__)
 #include <fcntl.h>  // posix_fadvise
-#endif
-
-#include "obs/metrics.hpp"
-#include "obs/span_tracer.hpp"
-#include "util/check.hpp"
+#include <sys/stat.h>
 
 namespace parda {
 
-namespace {
+namespace detail {
 
-[[noreturn]] void fail(const std::string& what, const std::string& path) {
-  throw std::runtime_error(what + ": " + path);
+void io_fail(const std::string& what, const std::string& path, int err) {
+  std::string msg = what + ": " + path;
+  if (err != 0) msg += std::string(" (") + std::strerror(err) + ")";
+  throw std::runtime_error(msg);
 }
 
-struct FileCloser {
-  void operator()(std::FILE* f) const noexcept {
-    if (f != nullptr) std::fclose(f);
-  }
-};
-using FilePtr = std::unique_ptr<std::FILE, FileCloser>;
+void format_fail(const std::string& path, std::uint64_t offset,
+                 const std::string& what) {
+  throw TraceFormatError(what + " at byte offset " + std::to_string(offset) +
+                         ": " + path);
+}
 
-}  // namespace
+}  // namespace detail
+
+using detail::FilePtr;
+using detail::format_fail;
+using detail::io_fail;
+
+std::uint64_t check_trace_header(std::span<const std::uint8_t> header,
+                                 std::uint64_t file_bytes,
+                                 const std::string& path) {
+  if (header.size() < sizeof(kTraceMagic)) {
+    format_fail(path, 0, "trace shorter than the 8-byte magic");
+  }
+  if (std::memcmp(header.data(), kTraceMagic, sizeof(kTraceMagic)) != 0) {
+    format_fail(path, 0, "bad trace magic");
+  }
+  if (header.size() < kTraceHeaderBytes) {
+    format_fail(path, header.size(), "trace shorter than the 24-byte header");
+  }
+  std::uint64_t version = 0;
+  std::uint64_t total = 0;
+  std::memcpy(&version, header.data() + 8, sizeof(version));
+  std::memcpy(&total, header.data() + 16, sizeof(total));
+  if (version != kTraceVersion) {
+    format_fail(path, 8,
+                "unsupported trace version " + std::to_string(version) +
+                    " (expected " + std::to_string(kTraceVersion) + ")");
+  }
+  const std::uint64_t body_bytes = file_bytes - kTraceHeaderBytes;
+  const std::uint64_t actual_words = body_bytes / sizeof(Addr);
+  if (body_bytes % sizeof(Addr) != 0 || actual_words != total) {
+    char msg[192];
+    std::snprintf(msg, sizeof(msg),
+                  "trace body size mismatch at byte offset %" PRIu64
+                  ": header declares %" PRIu64 " references (%" PRIu64
+                  " bytes) but the file holds %" PRIu64 " bytes (%" PRIu64
+                  " whole references)",
+                  kTraceHeaderBytes, total,
+                  total * static_cast<std::uint64_t>(sizeof(Addr)),
+                  body_bytes, actual_words);
+    throw TraceFormatError(std::string(msg) + ": " + path);
+  }
+  return total;
+}
 
 void write_trace_binary(const std::string& path,
                         std::span<const Addr> trace) {
   FilePtr f(std::fopen(path.c_str(), "wb"));
-  if (!f) fail("cannot open trace for writing", path);
+  if (!f) io_fail("cannot open trace for writing", path);
   const std::uint64_t version = kTraceVersion;
   const std::uint64_t count = trace.size();
   if (std::fwrite(kTraceMagic, 1, sizeof(kTraceMagic), f.get()) !=
           sizeof(kTraceMagic) ||
       std::fwrite(&version, sizeof(version), 1, f.get()) != 1 ||
       std::fwrite(&count, sizeof(count), 1, f.get()) != 1) {
-    fail("short write on trace header", path);
+    io_fail("short write on trace header", path);
   }
   if (!trace.empty() &&
       std::fwrite(trace.data(), sizeof(Addr), trace.size(), f.get()) !=
           trace.size()) {
-    fail("short write on trace body", path);
+    io_fail("short write on trace body", path);
   }
 }
 
 std::vector<Addr> read_trace_binary(const std::string& path) {
   BinaryTraceReader reader(path);
-  std::vector<Addr> trace;
-  trace.reserve(reader.total_references());
-  while (true) {
-    std::vector<Addr> block = reader.read_words(1 << 20);
-    if (block.empty()) break;
-    trace.insert(trace.end(), block.begin(), block.end());
-  }
-  return trace;
+  return reader.read_words(reader.total_references());
 }
 
 void write_trace_text(const std::string& path, std::span<const Addr> trace) {
   FilePtr f(std::fopen(path.c_str(), "w"));
-  if (!f) fail("cannot open trace for writing", path);
+  if (!f) io_fail("cannot open trace for writing", path);
   std::fprintf(f.get(), "# parda text trace, %zu references\n", trace.size());
   for (Addr a : trace) std::fprintf(f.get(), "%" PRIu64 "\n", a);
 }
 
 std::vector<Addr> read_trace_text(const std::string& path) {
   FilePtr f(std::fopen(path.c_str(), "r"));
-  if (!f) fail("cannot open trace for reading", path);
+  if (!f) io_fail("cannot open trace for reading", path);
   std::vector<Addr> trace;
   char line[256];
   while (std::fgets(line, sizeof(line), f.get()) != nullptr) {
     if (line[0] == '#' || line[0] == '\n' || line[0] == '\0') continue;
     char* end = nullptr;
     const Addr a = std::strtoull(line, &end, 0);
-    if (end == line) fail("malformed trace line", path);
+    if (end == line) io_fail("malformed trace line", path);
     trace.push_back(a);
   }
   return trace;
@@ -88,87 +118,34 @@ std::vector<Addr> read_trace_text(const std::string& path) {
 
 BinaryTraceReader::BinaryTraceReader(const std::string& path)
     : file_(std::fopen(path.c_str(), "rb")), path_(path) {
-  if (file_ == nullptr) fail("cannot open trace for reading", path);
+  if (!file_) io_fail("cannot open trace for reading", path);
   // Traces are consumed front to back in large chunks: widen stdio's
   // buffer (must happen before the first read) and tell the kernel the
   // access pattern so readahead stays aggressive.
-  std::setvbuf(file_, nullptr, _IOFBF, std::size_t{1} << 20);
+  std::setvbuf(file_.get(), nullptr, _IOFBF, std::size_t{1} << 20);
 #if defined(POSIX_FADV_SEQUENTIAL)
-  posix_fadvise(fileno(file_), 0, 0, POSIX_FADV_SEQUENTIAL);
+  posix_fadvise(fileno(file_.get()), 0, 0, POSIX_FADV_SEQUENTIAL);
 #endif
-  const auto reject = [&](const std::string& what) {
-    std::fclose(file_);
-    file_ = nullptr;
-    throw TraceFormatError(what + ": " + path);
-  };
+  struct stat st{};
+  if (::fstat(fileno(file_.get()), &st) != 0) {
+    io_fail("cannot stat trace", path, errno);
+  }
   // Header and size validation up front: a truncated or corrupt trace must
   // be rejected here, not silently short-read during the analysis.
-  char magic[8];
-  std::uint64_t version = 0;
-  if (std::fread(magic, 1, sizeof(magic), file_) != sizeof(magic)) {
-    reject("trace shorter than the 8-byte magic");
-  }
-  if (std::memcmp(magic, kTraceMagic, sizeof(magic)) != 0) {
-    reject("bad trace magic at byte offset 0");
-  }
-  if (std::fread(&version, sizeof(version), 1, file_) != 1 ||
-      std::fread(&total_, sizeof(total_), 1, file_) != 1) {
-    reject("trace shorter than the 24-byte header");
-  }
-  if (version != kTraceVersion) {
-    char msg[128];
-    std::snprintf(msg, sizeof(msg),
-                  "unsupported trace version %" PRIu64 " (expected %" PRIu64
-                  ") at byte offset 8",
-                  version, kTraceVersion);
-    reject(msg);
-  }
-  // Declared count vs actual file size.
-  const long data_start = std::ftell(file_);
-  if (data_start != static_cast<long>(kTraceHeaderBytes) ||
-      std::fseek(file_, 0, SEEK_END) != 0) {
-    reject("cannot determine trace file size");
-  }
-  const long file_size = std::ftell(file_);
-  if (std::fseek(file_, data_start, SEEK_SET) != 0) {
-    reject("cannot seek back to trace body");
-  }
-  const std::uint64_t body_bytes =
-      static_cast<std::uint64_t>(file_size) - kTraceHeaderBytes;
-  const std::uint64_t actual_words = body_bytes / sizeof(Addr);
-  if (body_bytes % sizeof(Addr) != 0 || actual_words != total_) {
-    char msg[192];
-    std::snprintf(msg, sizeof(msg),
-                  "trace body size mismatch at byte offset %" PRIu64
-                  ": header declares %" PRIu64 " references (%" PRIu64
-                  " bytes) but the file holds %" PRIu64 " bytes (%" PRIu64
-                  " whole references)",
-                  kTraceHeaderBytes, total_,
-                  total_ * static_cast<std::uint64_t>(sizeof(Addr)),
-                  body_bytes, actual_words);
-    reject(msg);
-  }
-}
-
-BinaryTraceReader::~BinaryTraceReader() {
-  if (file_ != nullptr) std::fclose(file_);
+  std::uint8_t header[kTraceHeaderBytes];
+  const std::size_t got = std::fread(header, 1, sizeof(header), file_.get());
+  total_ = check_trace_header({header, got},
+                              static_cast<std::uint64_t>(st.st_size), path);
 }
 
 std::vector<Addr> BinaryTraceReader::read_words(std::size_t max_words) {
   const std::uint64_t remaining = total_ - consumed_;
   const std::size_t want =
       static_cast<std::size_t>(std::min<std::uint64_t>(max_words, remaining));
-  std::vector<Addr> block(want);
   if (want == 0) return {};
-  const std::int64_t t0 = obs::enabled() ? obs::tracer().now_ns() : -1;
+  std::vector<Addr> block(want);
   const std::size_t got =
-      std::fread(block.data(), sizeof(Addr), want, file_);
-  if (t0 >= 0) {
-    auto& reg = obs::registry();
-    reg.counter("trace.bytes_read").add(got * sizeof(Addr));
-    reg.timer("trace.read").record_ns(
-        static_cast<std::uint64_t>(obs::tracer().now_ns() - t0));
-  }
+      std::fread(block.data(), sizeof(Addr), want, file_.get());
   if (got != want) {
     // The constructor validated the size, so a short read here means the
     // file shrank underneath us (or the medium failed). Name the spot.

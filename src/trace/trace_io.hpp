@@ -4,6 +4,8 @@
 #pragma once
 
 #include <cstdint>
+#include <cstdio>
+#include <memory>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -29,6 +31,39 @@ class TraceFormatError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
+namespace detail {
+
+/// Throws std::runtime_error("<what>: <path>"), followed by
+/// " (<strerror(err)>)" when err is nonzero: a trace file that cannot be
+/// opened, mapped or written.
+[[noreturn]] void io_fail(const std::string& what, const std::string& path,
+                          int err = 0);
+
+/// Throws TraceFormatError("<what> at byte offset <offset>: <path>"): the
+/// malformed-input error of every trace container reader.
+[[noreturn]] void format_fail(const std::string& path, std::uint64_t offset,
+                              const std::string& what);
+
+struct FileCloser {
+  void operator()(std::FILE* f) const noexcept {
+    if (f != nullptr) std::fclose(f);
+  }
+};
+using FilePtr = std::unique_ptr<std::FILE, FileCloser>;
+
+}  // namespace detail
+
+/// The one .trc header check, shared by BinaryTraceReader and
+/// MmapTraceSource. `header` holds the file's first bytes, up to
+/// kTraceHeaderBytes (fewer only when the file is shorter), and
+/// `file_bytes` is the file's size. Returns the declared reference count,
+/// or throws a TraceFormatError naming `path` and the byte offset for a
+/// short file, a bad magic or version, or a count that disagrees with the
+/// body size.
+std::uint64_t check_trace_header(std::span<const std::uint8_t> header,
+                                 std::uint64_t file_bytes,
+                                 const std::string& path);
+
 void write_trace_binary(const std::string& path, std::span<const Addr> trace);
 std::vector<Addr> read_trace_binary(const std::string& path);
 
@@ -36,16 +71,12 @@ void write_trace_text(const std::string& path, std::span<const Addr> trace);
 std::vector<Addr> read_trace_text(const std::string& path);
 
 /// Streaming binary reader for traces too large to hold in memory.
-/// The constructor validates magic, version, and the declared reference
-/// count against the actual file size; a truncated or corrupt trace throws
-/// TraceFormatError up front instead of silently short-reading later.
+/// The constructor validates the header (check_trace_header); a truncated
+/// or corrupt trace throws TraceFormatError up front instead of silently
+/// short-reading later.
 class BinaryTraceReader {
  public:
   explicit BinaryTraceReader(const std::string& path);
-  ~BinaryTraceReader();
-
-  BinaryTraceReader(const BinaryTraceReader&) = delete;
-  BinaryTraceReader& operator=(const BinaryTraceReader&) = delete;
 
   std::uint64_t total_references() const noexcept { return total_; }
 
@@ -53,7 +84,7 @@ class BinaryTraceReader {
   std::vector<Addr> read_words(std::size_t max_words);
 
  private:
-  std::FILE* file_;
+  detail::FilePtr file_;
   std::string path_;
   std::uint64_t total_ = 0;
   std::uint64_t consumed_ = 0;

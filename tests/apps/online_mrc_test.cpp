@@ -1,97 +1,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <memory>
 #include <span>
 #include <vector>
 
 #include "apps/online_mrc.hpp"
 #include "core/parda.hpp"
 #include "core/runtime.hpp"
-#include "hist/mrc.hpp"
-#include "seq/bounded.hpp"
 #include "workload/generators.hpp"
 
 namespace parda {
 namespace {
-
-TEST(OnlineMrcTest, NoDecayMatchesBoundedAnalysis) {
-  ZipfWorkload w(300, 0.9, 3);
-  const auto trace = generate_trace(w, 20000);
-  OnlineMrcMonitor monitor(/*bound=*/256, /*window=*/1000, /*decay=*/1.0);
-  for (Addr a : trace) monitor.access(a);
-  const Histogram reference = bounded_analysis(trace, 256);
-  EXPECT_TRUE(monitor.snapshot() == reference);
-  for (std::uint64_t c : {1u, 16u, 128u, 256u}) {
-    EXPECT_DOUBLE_EQ(monitor.miss_ratio(c), miss_ratio(reference, c));
-  }
-  EXPECT_EQ(monitor.references_seen(), trace.size());
-  EXPECT_EQ(monitor.windows_completed(), trace.size() / 1000);
-}
-
-TEST(OnlineMrcTest, BatchedFeedMatchesPerReferenceLoop) {
-  ZipfWorkload w(300, 0.9, 13);
-  const auto trace = generate_trace(w, 23500);  // not a window multiple
-  OnlineMrcMonitor batched(256, 1000, 0.75);
-  // Feed in awkward batch sizes so segments straddle window boundaries.
-  std::span<const Addr> rest(trace);
-  for (std::size_t take = 1; !rest.empty(); take = take * 2 + 1) {
-    const std::size_t n = std::min(take, rest.size());
-    batched.feed(rest.first(n));
-    rest = rest.subspan(n);
-  }
-  OnlineMrcMonitor looped(256, 1000, 0.75);
-  for (Addr a : trace) looped.access(a);
-  EXPECT_TRUE(batched.snapshot() == looped.snapshot());
-  EXPECT_EQ(batched.references_seen(), looped.references_seen());
-  EXPECT_EQ(batched.windows_completed(), looped.windows_completed());
-}
-
-TEST(OnlineMrcTest, DecayTracksPhaseChange) {
-  // Phase 1: tiny hot set (low miss ratio at C=64). Phase 2: huge uniform
-  // (high miss ratio). A decaying monitor converges to phase 2's regime;
-  // a non-decaying one stays anchored to the long phase-1 history.
-  std::vector<std::unique_ptr<Workload>> kids;
-  kids.push_back(std::make_unique<ZipfWorkload>(32, 1.2, 5, 0));
-  kids.push_back(std::make_unique<UniformRandomWorkload>(100000, 7, 1));
-  PhasedWorkload w(std::move(kids), 50000);
-  const auto trace = generate_trace(w, 100000);
-
-  OnlineMrcMonitor decaying(1024, 2000, 0.5);
-  OnlineMrcMonitor cumulative(1024, 2000, 1.0);
-  for (Addr a : trace) {
-    decaying.access(a);
-    cumulative.access(a);
-  }
-  const double fresh = decaying.miss_ratio(64);
-  const double stale = cumulative.miss_ratio(64);
-  // Phase 2 misses virtually everything at C=64.
-  EXPECT_GT(fresh, 0.9);
-  // The cumulative monitor still averages in the hit-heavy first phase.
-  EXPECT_LT(stale, 0.7);
-}
-
-TEST(OnlineMrcTest, PartialWindowIsVisibleImmediately) {
-  OnlineMrcMonitor monitor(64, 1000000, 1.0);  // window never completes
-  monitor.access(1);
-  monitor.access(1);
-  EXPECT_EQ(monitor.references_seen(), 2u);
-  EXPECT_EQ(monitor.windows_completed(), 0u);
-  // One infinity + one distance-0 hit: miss ratio at C=1 is 0.5.
-  EXPECT_DOUBLE_EQ(monitor.miss_ratio(1), 0.5);
-}
-
-TEST(OnlineMrcTest, StateStaysBounded) {
-  OnlineMrcMonitor monitor(128, 512, 0.9);
-  UniformRandomWorkload w(50000, 9);
-  const auto trace = generate_trace(w, 30000);
-  for (Addr a : trace) monitor.access(a);
-  EXPECT_EQ(monitor.bound(), 128u);
-  // Everything beyond the bound is folded into infinities: no finite
-  // distance can reach the bound.
-  EXPECT_LT(monitor.snapshot().max_distance(), 128u);
-  EXPECT_GT(monitor.snapshot().infinities(), 0u);
-}
 
 TEST(WindowedMrcTest, MatchesPerWindowColdAnalysisExactly) {
   // The runtime-backed monitor analyzes each completed window on the shared
@@ -146,25 +65,6 @@ TEST(WindowedMrcTest, BatchedFeedMatchesPerReferenceLoop) {
   for (Addr a : trace) looped.access(a);
   EXPECT_TRUE(batched.snapshot() == looped.snapshot());
   EXPECT_EQ(batched.windows_completed(), looped.windows_completed());
-}
-
-TEST(WindowedMrcTest, MissRatioAgreesWithInlineMonitorOnWindowMultiples) {
-  // With decay=1 and window-aligned feeds, the windowed monitor differs
-  // from the inline one only by cross-window reuses becoming infinities —
-  // both count every reference exactly once.
-  ZipfWorkload w(200, 1.0, 13);
-  const auto trace = generate_trace(w, 8000);
-  core::PardaRuntime runtime;
-  WindowedMrcMonitor windowed(runtime, 128, 2000, 1.0, /*num_procs=*/2);
-  OnlineMrcMonitor inline_monitor(128, 2000, 1.0);
-  for (Addr a : trace) {
-    windowed.access(a);
-    inline_monitor.access(a);
-  }
-  const Histogram ws = windowed.snapshot();
-  const Histogram is = inline_monitor.snapshot();
-  EXPECT_EQ(ws.total(), is.total());
-  EXPECT_GE(ws.infinities(), is.infinities());
 }
 
 }  // namespace

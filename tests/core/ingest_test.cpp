@@ -9,8 +9,6 @@
 // asan preset).
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
 #include <algorithm>
 #include <cstdio>
 #include <memory>
@@ -300,25 +298,6 @@ TEST_F(IngestTest, OfflineSourceRejectsStreamingInterface) {
   EXPECT_THROW(in_memory.pipe_words(), CheckError);
   EXPECT_THROW(in_memory.produce(pipe), CheckError);
   EXPECT_THROW(in_memory.rank_view(0), CheckError);  // before partition()
-}
-
-TEST_F(IngestTest, MmapRejectsMalformedTraces) {
-  // The mmap reader mirrors BinaryTraceReader's validation ladder.
-  EXPECT_THROW(MmapTraceSource{*trz_path_}, TraceFormatError);  // wrong magic
-  EXPECT_THROW(MmapTraceSource(temp_path("nope.trc")), std::runtime_error);
-  const std::string truncated = temp_path("ingest_truncated.trc");
-  write_trace_binary(truncated, *trace_);
-  std::FILE* f = std::fopen(truncated.c_str(), "rb+");
-  ASSERT_NE(f, nullptr);
-  // Chop the last reference in half: body size mismatch vs the header.
-  const long size = [&] {
-    std::fseek(f, 0, SEEK_END);
-    return std::ftell(f);
-  }();
-  std::fclose(f);
-  ASSERT_EQ(::truncate(truncated.c_str(), size - 4), 0);
-  EXPECT_THROW(MmapTraceSource{truncated}, TraceFormatError);
-  std::remove(truncated.c_str());
 }
 
 }  // namespace

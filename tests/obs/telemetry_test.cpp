@@ -581,7 +581,13 @@ TEST(TelemetryServer, ScrapesConcurrentWithStreamingAnalysis) {
     while (!done.load(std::memory_order_relaxed) || scrapes < 3) {
       const std::string m = http_get(runtime.serve_port(), "/metrics");
       EXPECT_NE(m.find("HTTP/1.1 200"), std::string::npos);
-      EXPECT_TRUE(validate_prometheus(http_body(m)).empty());
+      const std::string body = http_body(m);
+      const std::vector<std::string> problems = validate_prometheus(body);
+      std::string report;
+      for (const std::string& p : problems) report += "\n  " + p;
+      EXPECT_TRUE(problems.empty())
+          << "the " << body.size() << "-byte /metrics scrape is invalid:"
+          << report;
       parse_ok(http_body(http_get(runtime.serve_port(), "/metrics.json")));
       parse_ok(http_body(http_get(runtime.serve_port(), "/healthz")));
       ++scrapes;

@@ -1,24 +1,30 @@
 // Failure-path tests for trace I/O and the streaming pipeline: corrupt
-// trace fixtures (truncated, bad magic, bad version, count mismatch),
-// TracePipe poisoning from both sides, the analysis driver's producer
-// protocol when either side of the pipe fails, and deterministic producer
-// faults through parda_analyze_file_on. These run under TSAN and ASan in
-// CI.
+// trace fixtures (truncated, bad magic, bad version, count mismatch) and
+// hostile bytes through both .trc readers, TracePipe poisoning from both
+// sides, the analysis driver's producer protocol when either side of the
+// pipe fails, and deterministic producer faults through
+// parda_analyze_file_on. These run under TSAN and ASan in CI.
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
-#include <functional>
+#include <fstream>
+#include <iterator>
+#include <optional>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "comm/fault.hpp"
 #include "core/file_analysis.hpp"
 #include "core/parda.hpp"
+#include "mutations.hpp"
+#include "trace/source.hpp"
 #include "trace/trace_io.hpp"
 #include "trace/trace_pipe.hpp"
 #include "util/check.hpp"
@@ -64,85 +70,87 @@ std::string write_fixture(const std::string& name, const char magic[8],
   return path;
 }
 
-std::string what_of(const std::function<void()>& fn) {
-  try {
-    fn();
-  } catch (const std::exception& e) {
-    return e.what();
-  }
-  return "";
+/// The trace as MmapTraceSource's one-rank view holds it; BinaryTraceReader
+/// returns it through read_trace_binary.
+std::vector<Addr> via_mmap(const std::string& path) {
+  MmapTraceSource source(path);
+  source.partition(1);
+  const std::span<const Addr> view = source.rank_view(0);
+  return {view.begin(), view.end()};
 }
 
-// --- BinaryTraceReader constructor validation. ---
+/// Both .trc readers must reject `path` with a TraceFormatError whose
+/// message holds every one of `pins`.
+void expect_rejected(const std::string& path,
+                     std::initializer_list<const char*> pins) {
+  for (const auto& [reader, read] :
+       {std::pair{"BinaryTraceReader", &read_trace_binary},
+        std::pair{"MmapTraceSource", &via_mmap}}) {
+    try {
+      read(path);
+      ADD_FAILURE() << reader << " accepted " << path;
+    } catch (const TraceFormatError& e) {
+      for (const char* pin : pins) {
+        EXPECT_NE(std::string(e.what()).find(pin), std::string::npos)
+            << reader << ": " << e.what();
+      }
+    }
+  }
+}
+
+// --- Header validation, the same in both readers. ---
 
 TEST(TraceFormatTest, FileShorterThanMagicThrows) {
   const std::string path = temp_path("tiny.trc");
   write_raw(path, "PAR", 3);
-  const std::string what =
-      what_of([&] { BinaryTraceReader reader(path); });
-  EXPECT_NE(what.find("shorter than the 8-byte magic"), std::string::npos)
-      << what;
+  expect_rejected(path, {"shorter than the 8-byte magic"});
 }
 
 TEST(TraceFormatTest, BadMagicNamesByteOffsetZero) {
   const char bad_magic[8] = {'N', 'O', 'T', 'A', 'T', 'R', 'C', '!'};
   const std::string path =
       write_fixture("badmagic.trc", bad_magic, kTraceVersion, 0, {});
-  EXPECT_THROW(read_trace_binary(path), TraceFormatError);
-  const std::string what = what_of([&] { BinaryTraceReader reader(path); });
-  EXPECT_NE(what.find("bad trace magic at byte offset 0"), std::string::npos)
-      << what;
+  expect_rejected(path, {"bad trace magic at byte offset 0"});
 }
 
 TEST(TraceFormatTest, TruncatedHeaderThrows) {
   const std::string path = temp_path("shorthdr.trc");
   write_raw(path, kTraceMagic, sizeof(kTraceMagic));  // magic only
-  const std::string what = what_of([&] { BinaryTraceReader reader(path); });
-  EXPECT_NE(what.find("shorter than the 24-byte header"), std::string::npos)
-      << what;
+  expect_rejected(path, {"shorter than the 24-byte header"});
 }
 
 TEST(TraceFormatTest, UnsupportedVersionNamesByteOffsetEight) {
   const std::string path =
       write_fixture("badver.trc", kTraceMagic, kTraceVersion + 41, 0, {});
-  const std::string what = what_of([&] { BinaryTraceReader reader(path); });
-  EXPECT_NE(what.find("unsupported trace version 42"), std::string::npos)
-      << what;
-  EXPECT_NE(what.find("at byte offset 8"), std::string::npos) << what;
+  expect_rejected(path, {"unsupported trace version 42", "at byte offset 8"});
 }
 
 TEST(TraceFormatTest, DeclaredCountLargerThanBodyThrows) {
   // Header declares 10 references, body holds 5.
   const std::string path = write_fixture("truncbody.trc", kTraceMagic,
                                          kTraceVersion, 10, {1, 2, 3, 4, 5});
-  const std::string what = what_of([&] { BinaryTraceReader reader(path); });
-  EXPECT_NE(what.find("trace body size mismatch at byte offset 24"),
-            std::string::npos)
-      << what;
-  EXPECT_NE(what.find("header declares 10 references (80 bytes)"),
-            std::string::npos)
-      << what;
-  EXPECT_NE(what.find("the file holds 40 bytes (5 whole references)"),
-            std::string::npos)
-      << what;
+  expect_rejected(path, {"trace body size mismatch at byte offset 24",
+                         "header declares 10 references (80 bytes)",
+                         "the file holds 40 bytes (5 whole references)"});
 }
 
 TEST(TraceFormatTest, DeclaredCountSmallerThanBodyThrows) {
   const std::string path = write_fixture("extrabody.trc", kTraceMagic,
                                          kTraceVersion, 2, {1, 2, 3, 4});
-  EXPECT_THROW(read_trace_binary(path), TraceFormatError);
+  expect_rejected(path, {"trace body size mismatch"});
 }
 
 TEST(TraceFormatTest, RaggedBodyThrows) {
   // Body is not a whole number of 8-byte references.
   const std::string path = write_fixture("ragged.trc", kTraceMagic,
                                          kTraceVersion, 1, {7}, 5);
-  EXPECT_THROW(read_trace_binary(path), TraceFormatError);
+  expect_rejected(path, {"trace body size mismatch"});
 }
 
 TEST(TraceFormatTest, MissingFileThrows) {
-  EXPECT_THROW(read_trace_binary(temp_path("does-not-exist.trc")),
-               std::runtime_error);
+  const std::string path = temp_path("does-not-exist.trc");
+  EXPECT_THROW(read_trace_binary(path), std::runtime_error);
+  EXPECT_THROW(MmapTraceSource{path}, std::runtime_error);
 }
 
 TEST(TraceFormatTest, ValidTraceStillRoundTrips) {
@@ -153,6 +161,36 @@ TEST(TraceFormatTest, ValidTraceStillRoundTrips) {
   BinaryTraceReader reader(path);
   EXPECT_EQ(reader.total_references(), trace.size());
   EXPECT_EQ(read_trace_binary(path), trace);
+  EXPECT_EQ(via_mmap(path), trace);
+}
+
+TEST(TraceFormatTest, HostileBytesThrowOrReadBack) {
+  // Every truncation, a one-byte extension and every bit flip of a
+  // 100-reference trace, through both readers. The raw format has no
+  // checksum: a flip in the body reads back as that flipped trace, and
+  // every other mutation must throw TraceFormatError.
+  std::vector<Addr> trace(100);
+  for (std::size_t i = 0; i < trace.size(); ++i) trace[i] = i * 4099 + 7;
+  const std::string path = temp_path("hostile.trc");
+  write_trace_binary(path, trace);
+  std::ifstream in(path, std::ios::binary);
+  const std::vector<std::uint8_t> clean{std::istreambuf_iterator<char>(in),
+                                        std::istreambuf_iterator<char>()};
+  ASSERT_EQ(clean.size(), kTraceHeaderBytes + trace.size() * sizeof(Addr));
+  for_each_mutation(clean, [&](const Mutation& m) {
+    write_raw(path, m.bytes.data(), m.bytes.size());
+    std::optional<std::vector<Addr>> want;
+    if (m.flipped_byte && *m.flipped_byte >= kTraceHeaderBytes) {
+      want = trace;
+      std::memcpy(want->data(), m.bytes.data() + kTraceHeaderBytes,
+                  trace.size() * sizeof(Addr));
+    }
+    EXPECT_TRUE(outcome([&] { return read_trace_binary(path); }, m.label) ==
+                want)
+        << "BinaryTraceReader, " << m.label;
+    EXPECT_TRUE(outcome([&] { return via_mmap(path); }, m.label) == want)
+        << "MmapTraceSource, " << m.label;
+  });
 }
 
 // --- TracePipe poisoning. ---

@@ -8,6 +8,7 @@
 #include "trace/trace_compress.hpp"
 #include "trace/trace_io.hpp"
 #include "trace/trace_pipe.hpp"
+#include "trz_v1_writer.hpp"
 #include "util/prng.hpp"
 
 namespace parda {
@@ -15,6 +16,16 @@ namespace {
 
 std::string temp_path(const std::string& name) {
   return std::string(::testing::TempDir()) + "/" + name;
+}
+
+long file_size(const std::string& path) {
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  EXPECT_NE(f, nullptr) << path;
+  if (f == nullptr) return -1;
+  std::fseek(f, 0, SEEK_END);
+  const long size = std::ftell(f);
+  std::fclose(f);
+  return size;
 }
 
 TEST(TracePipeTest, SingleBlockRoundTrip) {
@@ -151,34 +162,23 @@ TEST(TraceCompressTest, RoundTripRandom) {
   Xoshiro256 rng(9);
   std::vector<Addr> trace(20000);
   for (Addr& a : trace) a = rng();
-  const auto bytes = compress_trace(trace);
-  EXPECT_EQ(decompress_trace(bytes, trace.size()), trace);
-}
-
-TEST(TraceCompressTest, RoundTripEmpty) {
-  EXPECT_TRUE(decompress_trace(compress_trace({}), 0).empty());
+  const std::string path = temp_path("random.trz");
+  write_trace_chunked(path, trace, 4096);
+  EXPECT_EQ(read_trace_compressed(path), trace);
+  std::remove(path.c_str());
 }
 
 TEST(TraceCompressTest, SequentialTraceCompressesToOneBytePerRef) {
   std::vector<Addr> trace(10000);
   for (std::size_t i = 0; i < trace.size(); ++i) trace[i] = 4096 + i;
-  const auto bytes = compress_trace(trace);
-  // delta = +1 everywhere after the first: 1 varint byte each.
-  EXPECT_LE(bytes.size(), trace.size() + 8);
-  EXPECT_EQ(decompress_trace(bytes, trace.size()), trace);
-}
-
-TEST(TraceCompressTest, ExtremeValues) {
-  const std::vector<Addr> trace{0, ~0ULL, 0, 1ULL << 63, 42};
-  const auto bytes = compress_trace(trace);
-  EXPECT_EQ(decompress_trace(bytes, trace.size()), trace);
-}
-
-TEST(TraceCompressTest, TruncatedPayloadThrows) {
-  const std::vector<Addr> trace{1, 2, 3, 1000000};
-  auto bytes = compress_trace(trace);
-  bytes.pop_back();
-  EXPECT_THROW(decompress_trace(bytes, trace.size()), std::runtime_error);
+  const std::string path = temp_path("sequential.trz");
+  write_trace_chunked(path, trace);  // one chunk
+  EXPECT_EQ(read_trace_compressed(path), trace);
+  // The base sits in the index; every later delta is +1, one varint byte.
+  EXPECT_EQ(file_size(path),
+            static_cast<long>(kTrzV2HeaderBytes + kTrzIndexEntryBytes +
+                              trace.size() - 1));
+  std::remove(path.c_str());
 }
 
 TEST(TraceCompressTest, FileRoundTrip) {
@@ -189,16 +189,12 @@ TEST(TraceCompressTest, FileRoundTrip) {
     walk += rng.below(64);
     a = walk;
   }
+  // A legacy v1 archive still reads back.
   const std::string path = temp_path("roundtrip.trz");
-  write_trace_compressed(path, trace);
+  write_trz_v1(path, trace);
   EXPECT_EQ(read_trace_compressed(path), trace);
   // Ascending small deltas: far below 8 bytes per reference.
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  ASSERT_NE(f, nullptr);
-  std::fseek(f, 0, SEEK_END);
-  const long size = std::ftell(f);
-  std::fclose(f);
-  EXPECT_LT(size, static_cast<long>(trace.size() * 3));
+  EXPECT_LT(file_size(path), static_cast<long>(trace.size() * 3));
   std::remove(path.c_str());
 }
 

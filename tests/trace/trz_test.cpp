@@ -9,11 +9,16 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
+#include "mutations.hpp"
+#include "trace/source.hpp"
 #include "trace/trace_compress.hpp"
 #include "trace/trace_io.hpp"
+#include "trz_v1_writer.hpp"
 #include "util/prng.hpp"
 
 namespace parda {
@@ -122,25 +127,32 @@ TEST(TrzChunkedTest, RoundTripExtremeAddresses) {
   const std::string path = temp_path("rt_extreme.trz");
   write_trace_chunked(path, trace, 3);
   EXPECT_EQ(read_trace_compressed(path), trace);
+
+  // Neighbours up to 2^64 - 1 apart: the deltas wrap mod 2^64 and keep the
+  // zigzag bytes of their two's-complement values: -1, INT64_MIN + 1 and
+  // INT64_MIN + 42, after the base 0 in the index.
+  const std::vector<Addr> head{0, ~0ULL, 1ULL << 63, 42};
+  const Archive a = make_v2("rt_extreme_head.trz", head, head.size());
+  const std::vector<std::uint8_t> expected{
+      0x01, 0xFD, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF,
+      0x01, 0xAB, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01};
+  const std::size_t payload_at = kTrzV2HeaderBytes + kTrzIndexEntryBytes;
+  EXPECT_EQ(get_u64(a.bytes, kTrzV2HeaderBytes), 0u);  // the base
+  EXPECT_EQ(std::vector<std::uint8_t>(a.bytes.begin() + payload_at,
+                                      a.bytes.end()),
+            expected);
+  EXPECT_EQ(read_trace_compressed(a.path), head);
   std::remove(path.c_str());
+  std::remove(a.path.c_str());
 }
 
 TEST(TrzV1CodingTest, RoundTripExtremeAddresses) {
   // Neighbours up to 2^64 - 1 apart: the deltas wrap mod 2^64.
   const std::vector<Addr> trace{0, ~0ULL, 0, 1ULL << 63, 42, 1, ~0ULL - 1};
   const std::string path = temp_path("rt_extreme_v1.trz");
-  write_trace_compressed(path, trace);
+  write_trz_v1(path, trace);
   EXPECT_EQ(read_trace_compressed(path), trace);
   std::remove(path.c_str());
-
-  // The wrapped deltas keep the zigzag bytes of their two's-complement
-  // values: -1, INT64_MIN + 1 and INT64_MIN + 42.
-  const std::vector<std::uint8_t> expected{
-      0x00, 0x01, 0xFD, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF,
-      0x01, 0xAB, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01};
-  const std::vector<Addr> head{0, ~0ULL, 1ULL << 63, 42};
-  EXPECT_EQ(compress_trace(head), expected);
-  EXPECT_EQ(decompress_trace(expected, head.size()), head);
 }
 
 TEST(TrzChunkedTest, IndexDescribesChunks) {
@@ -348,13 +360,13 @@ TEST_F(TrzCorruptionTest, ResealedVarintOverrun) {
 
 TEST_F(TrzCorruptionTest, V1ArchiveRejectedByChunkedReaderWithUpgradeHint) {
   const std::string v1 = temp_path("still_v1.trz");
-  write_trace_compressed(v1, trace_);
+  write_trz_v1(v1, trace_);
   EXPECT_EQ(read_trace_compressed(v1), trace_);  // plain reader: fine
   try {
     ChunkedTrzFile file(v1);
     FAIL() << "expected TraceFormatError";
   } catch (const TraceFormatError& e) {
-    EXPECT_NE(std::string(e.what()).find("trace_tool convert"),
+    EXPECT_NE(std::string(e.what()).find("`trace_tool convert in.trz out.trz`"),
               std::string::npos)
         << "actual: " << e.what();
   }
@@ -368,7 +380,7 @@ class TrzV1Test : public ::testing::Test {
   void SetUp() override {
     trace_ = walk_trace(300, 6);
     path_ = temp_path("v1.trz");
-    write_trace_compressed(path_, trace_);
+    write_trz_v1(path_, trace_);
     bytes_ = slurp(path_);
   }
   void TearDown() override { std::remove(path_.c_str()); }
@@ -413,19 +425,89 @@ TEST_F(TrzV1Test, CountSmallerThanPayloadLeavesBytesOver) {
   expect_format_error(path_, "payload bytes left over");
 }
 
-TEST_F(TrzV1Test, InMemoryDecompressorThrowsTypedErrors) {
-  const auto payload = compress_trace(trace_);
-  // Truncation and count mismatch surface as the same typed errors even
-  // without a file behind the bytes.
-  EXPECT_THROW(decompress_trace({payload.data(), payload.size() - 1},
-                                trace_.size()),
-               TraceFormatError);
-  EXPECT_THROW(decompress_trace(payload, trace_.size() + 1),
-               TraceFormatError);
-  EXPECT_THROW(decompress_trace(payload, trace_.size() - 1),
-               TraceFormatError);
-  const std::vector<std::uint8_t> overrun(10, 0x80);
-  EXPECT_THROW(decompress_trace(overrun, 1), TraceFormatError);
+TEST_F(TrzV1Test, CountBeyondThePayloadIsRejectedBeforeDecoding) {
+  // Every delta takes at least one payload byte, so these counts cannot
+  // decode. They must fail as the typed error before they size an
+  // allocation, which would throw bad_alloc or length_error instead.
+  for (const std::uint64_t count :
+       {std::uint64_t{1} << 32, std::uint64_t{1} << 40,
+        std::uint64_t{1} << 63}) {
+    auto bytes = bytes_;
+    put_u64(bytes, 16, count);
+    spit(path_, bytes);
+    expect_format_error(path_, "count/payload mismatch");
+    expect_format_error(path_, "at byte offset 16");
+  }
+}
+
+TEST(TrzHostileBytesTest, V1ThrowsOrReadsTheSameLength) {
+  // Every truncation, a one-byte extension and every bit flip of a
+  // 100-reference v1 archive. v1 has no checksum: a payload flip may
+  // decode to another trace of the same length, and every other mutation
+  // must throw TraceFormatError.
+  const std::vector<Addr> trace = walk_trace(100, 8);
+  const std::string path = temp_path("hostile_v1.trz");
+  const std::vector<std::uint8_t> clean = trz_v1_bytes(trace);
+  std::size_t decoded = 0;
+  for_each_mutation(clean, [&](const Mutation& m) {
+    spit(path, m.bytes);
+    const auto got =
+        outcome([&] { return read_trace_compressed(path); }, m.label);
+    if (m.flipped_byte && *m.flipped_byte >= kTrzV1HeaderBytes && got) {
+      EXPECT_EQ(got->size(), trace.size()) << m.label;
+      ++decoded;
+    } else {
+      EXPECT_FALSE(got.has_value()) << m.label;
+    }
+  });
+  EXPECT_GT(decoded, 0u);  // the sweep reached the decoder
+  std::remove(path.c_str());
+}
+
+TEST(TrzHostileBytesTest, V2ThrowsOnEveryMutation) {
+  // The same sweep over a 4-chunk v2 archive, through the whole-file
+  // reader and through ChunkedTrzSource's rank views. The CRC covers each
+  // chunk's base and payload and the header and index are cross-checked,
+  // so every mutation must throw TraceFormatError.
+  const std::vector<Addr> trace = walk_trace(100, 9);
+  const Archive a = make_v2("hostile_v2.trz", trace, 25);
+  const auto via_ranks = [&] {
+    ChunkedTrzSource source(a.path);
+    source.partition(2);
+    std::vector<Addr> all;
+    for (int r = 0; r < 2; ++r) {
+      const std::span<const Addr> view = source.rank_view(r);
+      all.insert(all.end(), view.begin(), view.end());
+    }
+    return all;
+  };
+  ASSERT_EQ(via_ranks(), trace);
+  for_each_mutation(a.bytes, [&](const Mutation& m) {
+    spit(a.path, m.bytes);
+    EXPECT_FALSE(
+        outcome([&] { return read_trace_compressed(a.path); }, m.label))
+        << "read_trace_compressed, " << m.label;
+    EXPECT_FALSE(outcome(via_ranks, m.label))
+        << "ChunkedTrzSource, " << m.label;
+  });
+  std::remove(a.path.c_str());
+}
+
+TEST(TrzHostileBytesTest, V2CountThatWrapsTheChunkCountIsRejected) {
+  // 2^64 - 1 references at 2 per chunk need 2^63 chunks, not the 0 that
+  // rounding up as (count + 1) / 2 gives after the sum wraps; an empty
+  // index must not pass for such a count.
+  std::vector<std::uint8_t> bytes(kTrzV2HeaderBytes);
+  std::memcpy(bytes.data(), kCompressedTraceMagic, 8);
+  put_u64(bytes, 8, 2);
+  put_u64(bytes, 16, ~std::uint64_t{0});
+  put_u64(bytes, 24, 2);
+  put_u64(bytes, 32, 0);
+  const std::string path = temp_path("wrapping_count.trz");
+  spit(path, bytes);
+  expect_format_error(path, "chunk count mismatch");
+  EXPECT_THROW(ChunkedTrzSource{path}, TraceFormatError);
+  std::remove(path.c_str());
 }
 
 TEST_F(TrzV1Test, Crc32KnownAnswer) {
