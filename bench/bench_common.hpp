@@ -30,6 +30,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <optional>
 #include <span>
 #include <string>
 #include <thread>
@@ -44,16 +45,28 @@
 #include "trace/source.hpp"
 #include "trace/trace_pipe.hpp"
 #include "tree/order_stat_tree.hpp"
+#include "util/cli.hpp"
 #include "util/json.hpp"
+#include "util/parse.hpp"
 #include "util/timer.hpp"
 #include "workload/spec.hpp"
 
 namespace parda::bench {
 
+/// An unsigned environment setting (util/parse.hpp's grammar), or
+/// `fallback` when unset or empty. A malformed value is a usage error
+/// (kExitUsage), not a silently different configuration.
 inline std::uint64_t env_u64(const char* name, std::uint64_t fallback) {
   const char* value = std::getenv(name);
   if (value == nullptr || *value == '\0') return fallback;
-  return std::strtoull(value, nullptr, 0);
+  const std::optional<std::uint64_t> v = parse_u64(value);
+  if (!v) {
+    std::fprintf(stderr, "bad $%s '%s' (expected a decimal or 0x-hex "
+                         "unsigned integer)\n",
+                 name, value);
+    std::exit(kExitUsage);
+  }
+  return *v;
 }
 
 inline std::string env_str(const char* name, const char* fallback) {

@@ -19,7 +19,7 @@ int main(int argc, char** argv) {
 
   std::string workload_name = "sphinx3";
   std::uint64_t refs = 150000;
-  std::uint64_t procs = 4;
+  int procs = 4;
   std::uint64_t ways = 8;
   std::uint64_t scale = kDefaultSpecScale;
 
@@ -37,7 +37,7 @@ int main(int argc, char** argv) {
   const auto trace = generate_trace(*workload, refs);
 
   PardaOptions options;
-  options.num_procs = static_cast<int>(procs);
+  options.num_procs = procs;
   const Histogram hist = parda_analyze(trace, options).hist;
 
   std::vector<std::uint64_t> sizes;

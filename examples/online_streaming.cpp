@@ -23,7 +23,7 @@ int main(int argc, char** argv) {
   std::string program_name = "matmul";
   std::uint64_t n = 48;
   std::uint64_t rounds = 4;
-  std::uint64_t procs = 4;
+  int procs = 4;
   std::uint64_t chunk = 4096;
   std::uint64_t pipe_words = 1 << 16;
   std::uint64_t bound = 0;
@@ -70,7 +70,7 @@ int main(int argc, char** argv) {
   });
 
   PardaOptions options;
-  options.num_procs = static_cast<int>(procs);
+  options.num_procs = procs;
   options.chunk_words = chunk;
   options.bound = bound;
   if (watchdog_ms > 0) {
@@ -93,8 +93,7 @@ int main(int argc, char** argv) {
               with_commas(hist.total()).c_str());
   const std::string bound_note =
       bound == 0 ? "" : ", bound " + words_human(bound);
-  std::printf("analysis: %llu ranks, chunk %s, pipe %s%s\n",
-              static_cast<unsigned long long>(procs),
+  std::printf("analysis: %d ranks, chunk %s, pipe %s%s\n", procs,
               words_human(chunk).c_str(), words_human(pipe_words).c_str(),
               bound_note.c_str());
   std::printf("wall time %.3fs; busiest rank %.3fs; %s messages, %s bytes\n\n",

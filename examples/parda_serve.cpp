@@ -44,7 +44,7 @@ int run_server(int argc, char** argv) {
   using namespace parda;
 
   std::uint64_t port = 0;
-  std::uint64_t procs = 2;
+  int procs = 2;
   std::uint64_t bound = 1 << 16;
   std::uint64_t window = 1 << 14;
   double decay = 1.0;
@@ -141,7 +141,7 @@ int run_server(int argc, char** argv) {
   config.tenant_defaults.bound = bound;
   config.tenant_defaults.window = window;
   config.tenant_defaults.decay = decay;
-  config.tenant_defaults.num_procs = static_cast<int>(procs);
+  config.tenant_defaults.num_procs = procs;
   config.tenant_defaults.quotas.max_refs_per_sec = rate_limit;
   config.tenant_defaults.quotas.memory_quota_bytes = memory_quota;
   config.tenant_defaults.quotas.sampler_tracked =

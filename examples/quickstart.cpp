@@ -17,7 +17,7 @@ int main(int argc, char** argv) {
 
   std::string workload_name = "mcf";
   std::uint64_t refs = 200000;
-  std::uint64_t procs = 4;
+  int procs = 4;
   std::uint64_t bound = 0;
   std::uint64_t scale = kDefaultSpecScale;
 
@@ -36,7 +36,7 @@ int main(int argc, char** argv) {
   const auto trace = generate_trace(*workload, refs);
 
   PardaOptions options;
-  options.num_procs = static_cast<int>(procs);
+  options.num_procs = procs;
   options.bound = bound;
   const PardaResult result = parda_analyze(trace, options);
   const Histogram& hist = result.hist;

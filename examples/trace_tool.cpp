@@ -18,9 +18,10 @@
 //   ./trace_tool convert lbm.trc lbm.trz --chunk-refs=65536
 //   ./trace_tool convert old.trz new.trz                  # v1 -> chunked v2
 //
-// The transport, ingest path, and log level all resolve through the
-// layered config rule: the CLI flag beats the environment variable
-// ($PARDA_TRANSPORT / $PARDA_INGEST / $PARDA_LOG_LEVEL) beats the default.
+// The transport, ingest path, log level and fault plan all resolve through
+// the layered config rule: the CLI flag beats the environment variable
+// ($PARDA_TRANSPORT / $PARDA_INGEST / $PARDA_LOG_LEVEL / $PARDA_FAULT_PLAN)
+// beats the default.
 // The default ingest path comes from the trace container: .trz archives
 // are decoded per rank (trz), anything else is mapped (mmap), and --stream
 // is the pipe. The parallel engine therefore needs a .trc/.bin file or a
@@ -33,7 +34,6 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <exception>
 #include <optional>
@@ -56,6 +56,7 @@
 #include "util/check.hpp"
 #include "util/cli.hpp"
 #include "util/config.hpp"
+#include "util/parse.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
 #include "workload/parse.hpp"
@@ -63,22 +64,17 @@
 
 namespace {
 
-bool ends_with(const std::string& s, const std::string& suffix) {
-  return s.size() >= suffix.size() &&
-         s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
-}
-
 std::vector<parda::Addr> load(const std::string& path) {
-  if (ends_with(path, ".txt")) return parda::read_trace_text(path);
-  if (ends_with(path, ".trz")) return parda::read_trace_compressed(path);
+  if (path.ends_with(".txt")) return parda::read_trace_text(path);
+  if (path.ends_with(".trz")) return parda::read_trace_compressed(path);
   return parda::read_trace_binary(path);
 }
 
 void store(const std::string& path, const std::vector<parda::Addr>& trace,
            std::uint64_t chunk_refs) {
-  if (ends_with(path, ".txt")) {
+  if (path.ends_with(".txt")) {
     parda::write_trace_text(path, trace);
-  } else if (ends_with(path, ".trz")) {
+  } else if (path.ends_with(".trz")) {
     parda::write_trace_chunked(path, trace, chunk_refs);
   } else {
     parda::write_trace_binary(path, trace);
@@ -93,7 +89,7 @@ void check_chunk_refs(const parda::CliParser& cli, const char* command,
   if (chunk_refs == 0) {
     usage_error("%s: --chunk-refs must be positive", command);
   }
-  if (!ends_with(out_path, ".trz") && cli.was_set("chunk-refs")) {
+  if (!out_path.ends_with(".trz") && cli.was_set("chunk-refs")) {
     usage_error("%s: --chunk-refs applies only to .trz outputs", command);
   }
 }
@@ -136,10 +132,10 @@ parda::Histogram run_seq_engine(const std::string& engine,
 /// before any runtime state exists.
 parda::comm::TransportSpec resolve_transport(const parda::CliParser& cli,
                                              const std::string& transport_text,
-                                             std::uint64_t rank,
+                                             int rank,
                                              const std::string& peers,
                                              const std::string& segment,
-                                             std::uint64_t procs) {
+                                             int procs) {
   using parda::comm::TransportKind;
   using parda::comm::TransportSpec;
   const parda::config::Resolved resolved = parda::config::resolve_flag(
@@ -165,16 +161,11 @@ parda::comm::TransportSpec resolve_transport(const parda::CliParser& cli,
     // Accept ',' between endpoints on the command line (the one-string
     // spec grammar uses '+' because ',' separates its key=val pairs).
     spec.peers.clear();
-    std::string cur;
-    for (const char c : peers) {
-      if (c == ',' || c == '+') {
-        if (!cur.empty()) spec.peers.push_back(cur);
-        cur.clear();
-      } else {
-        cur += c;
+    for (const std::string_view list : parda::split(peers, ',')) {
+      for (const std::string_view peer : parda::split(list, '+')) {
+        if (!peer.empty()) spec.peers.emplace_back(peer);
       }
     }
-    if (!cur.empty()) spec.peers.push_back(cur);
     if (spec.peers.empty()) {
       parda::usage_error("--peers needs at least one host:port endpoint");
     }
@@ -185,10 +176,10 @@ parda::comm::TransportSpec resolve_transport(const parda::CliParser& cli,
           "--rank needs a cross-process transport (--transport=shm with "
           "--segment, or --transport=tcp with --peers)");
     }
-    spec.local_rank = static_cast<int>(rank);
+    spec.local_rank = rank;
   }
   try {
-    spec.validate(static_cast<int>(procs));
+    spec.validate(procs);
   } catch (const parda::CheckError& e) {
     parda::usage_error("bad transport configuration: %s", e.what());
   }
@@ -226,7 +217,7 @@ int run_tool(int argc, char** argv) {
   std::uint64_t seed = 1;
   std::uint64_t scale = kDefaultSpecScale;
   std::string out = "trace.trc";
-  std::uint64_t procs = 4;
+  int procs = 4;
   std::uint64_t bound = 0;
   std::string engine = "parda";
   bool stream = false;
@@ -245,7 +236,7 @@ int run_tool(int argc, char** argv) {
   std::string report_json;
   std::string log_level_name;
   std::string transport_text;
-  std::uint64_t rank = 0;
+  int rank = 0;
   std::string peers;
   std::string segment;
   std::string flight_recorder;
@@ -370,7 +361,7 @@ int run_tool(int argc, char** argv) {
   // The file-ingest path, through the same layered rule as the transport:
   // --ingest beats $PARDA_INGEST beats the trace container's own path.
   IngestMode ingest =
-      !cli.positionals().empty() && ends_with(cli.positionals()[0], ".trz")
+      !cli.positionals().empty() && cli.positionals()[0].ends_with(".trz")
           ? IngestMode::kTrz
           : IngestMode::kMmap;
   const config::Resolved ingest_resolved =
@@ -403,12 +394,9 @@ int run_tool(int argc, char** argv) {
 
   std::optional<std::uint16_t> serve_port;
   if (!serve.empty()) {
-    char* end = nullptr;
-    const unsigned long port = std::strtoul(serve.c_str(), &end, 10);
-    if (end == nullptr || *end != '\0' || port > 65535) {
-      usage_error("bad --serve port '%s'", serve.c_str());
-    }
-    serve_port = static_cast<std::uint16_t>(port);
+    const std::optional<std::uint64_t> port = parse_u64(serve, 65535);
+    if (!port) usage_error("bad --serve port '%s'", serve.c_str());
+    serve_port = static_cast<std::uint16_t>(*port);
   }
 
   // Observability is compiled in but off; any telemetry output flag turns
@@ -471,9 +459,11 @@ int run_tool(int argc, char** argv) {
         }
       }
     } else {
-      comm::FaultPlan plan = fault_plan_spec.empty()
-                                 ? comm::FaultPlan::from_env()
-                                 : comm::FaultPlan::parse(fault_plan_spec);
+      comm::FaultPlan plan =
+          comm::FaultPlan::parse(config::resolve_flag(cli, "fault-plan",
+                                                      fault_plan_spec,
+                                                      "PARDA_FAULT_PLAN", "")
+                                     .value);
       if (transport.distributed()) {
         // One process = one rank: the pool, the watchdog's shared rank
         // board, and warm --repeat reuse are all single-process machinery.
@@ -488,7 +478,7 @@ int run_tool(int argc, char** argv) {
         }
       }
       PardaOptions options;
-      options.num_procs = static_cast<int>(procs);
+      options.num_procs = procs;
       options.bound = bound;
       options.chunk_words = chunk;
       options.run_options.transport = transport;

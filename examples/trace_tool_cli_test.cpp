@@ -1,7 +1,10 @@
 // CLI contract tests for trace_tool, run against the real binary (path
 // injected by CMake): strict flag handling must distinguish usage errors
 // (exit 2) from runtime failures (exit 1) and success (exit 0).
+#include <fcntl.h>
 #include <gtest/gtest.h>
+#include <sys/mman.h>
+#include <unistd.h>
 
 #include <cstdio>
 #include <cstdlib>
@@ -29,6 +32,26 @@ int run_env(const std::string& env, const std::string& args) {
                           " " + args + " >/dev/null 2>&1";
   const int status = std::system(cmd.c_str());
   return WEXITSTATUS(status);
+}
+
+/// Runs trace_tool and returns its stdout and stderr.
+std::string output_of(const std::string& args) {
+  const std::string cmd =
+      std::string(PARDA_TRACE_TOOL_PATH) + " " + args + " 2>&1";
+  std::string out;
+  std::FILE* pipe = popen(cmd.c_str(), "r");
+  if (pipe == nullptr) return out;
+  char buf[4096];
+  std::size_t got = 0;
+  while ((got = std::fread(buf, 1, sizeof(buf), pipe)) > 0) {
+    out.append(buf, got);
+  }
+  pclose(pipe);
+  return out;
+}
+
+void write_text(const std::string& path, const std::string& text) {
+  std::ofstream(path, std::ios::binary) << text;
 }
 
 std::string slurp(const std::string& path) {
@@ -357,6 +380,94 @@ TEST_F(TraceToolCliTest, GenWritesChunkedTrzDirectly) {
                 "--out=trace_cli_gen.trz --chunk-refs=512"),
             0);
   EXPECT_EQ(run("analyze trace_cli_gen.trz --procs=2 --ingest=trz"), 0);
+}
+
+// --- Numbers in text: util/parse.hpp's grammar -------------------------------
+
+TEST_F(TraceToolCliTest, NumericFlagsAreStrict) {
+  EXPECT_EQ(run("gen --refs=+1000 --out=trace_cli_num.trc"), 2);
+  EXPECT_EQ(run("gen \"--refs= 1000\" --out=trace_cli_num.trc"), 2);
+  EXPECT_EQ(run("gen --refs=1e3 --out=trace_cli_num.trc"), 2);
+  // Leading zeros are decimal: 010 is ten references, not eight.
+  ASSERT_EQ(run("gen --refs=010 --out=trace_cli_num.trc"), 0);
+  EXPECT_EQ(parda::read_trace_binary("trace_cli_num.trc").size(), 10u);
+  // An int flag above INT_MAX is a usage error, not one rank.
+  EXPECT_EQ(run("analyze trace_cli_test.trc --procs=4294967297"), 2);
+  EXPECT_EQ(run("analyze trace_cli_test.trc --stream --serve=+0"), 2);
+}
+
+TEST_F(TraceToolCliTest, MalformedSpecsFailBeforeAnyWork) {
+  // A list item that used to read as 0.
+  EXPECT_EQ(run("gen --workload='stackdist:d=1/x,w=0.5/zz' "
+                "--out=trace_cli_num.trc"),
+            1);
+  // n=-1 used to wrap to 2^64 - 1, a point that never fires.
+  EXPECT_EQ(run("analyze trace_cli_test.trc --procs=2 "
+                "--fault-plan=rank=0,op=recv,n=-1"),
+            1);
+  const std::string out = output_of(
+      "analyze trace_cli_test.trc --procs=2 "
+      "--fault-plan=rank=4294967296,op=recv,n=0");
+  EXPECT_NE(out.find("bad number '4294967296'"), std::string::npos) << out;
+}
+
+TEST_F(TraceToolCliTest, TextTracesRejectMalformedLines) {
+  write_text("trace_cli_bad.txt",
+             "1\n2x\n-1\n12345678901234567890123\n" +
+                 std::string(299, '0') + "7\n");
+  std::string out = output_of("analyze trace_cli_bad.txt --engine=lru");
+  EXPECT_NE(out.find("malformed address on line 2 at byte offset 2"),
+            std::string::npos)
+      << out;
+  EXPECT_EQ(run("analyze trace_cli_bad.txt --engine=lru"), 1);
+  write_text("trace_cli_bad.txt", "7fff0000\n7fff0008\n7fff0000\n");
+  out = output_of("analyze trace_cli_bad.txt --engine=lru");
+  EXPECT_NE(out.find("line 1 at byte offset 0"), std::string::npos) << out;
+  write_text("trace_cli_lead.txt", "0123\n123\n");
+  out = output_of("analyze trace_cli_lead.txt --engine=lru");
+  EXPECT_NE(out.find("2 references, 1 distinct"), std::string::npos) << out;
+}
+
+TEST_F(TraceToolCliTest, TextTraceAnalyzesLikeItsBinary) {
+  ASSERT_EQ(run("convert trace_cli_test.trc trace_cli_same.txt"), 0);
+  const std::string text =
+      output_of("analyze trace_cli_same.txt --engine=olken");
+  EXPECT_NE(text.find("20,000 references"), std::string::npos) << text;
+  EXPECT_EQ(text, output_of("analyze trace_cli_test.trc --engine=olken"));
+}
+
+// --- Fault plan: --fault-plan > $PARDA_FAULT_PLAN > none ---------------------
+
+TEST_F(TraceToolCliTest, FaultPlanResolvesCliOverEnvOverDefault) {
+  const std::string analyze =
+      "analyze trace_cli_test.trc --procs=2 --timeout-ms=5000";
+  // The environment alone injects the fault...
+  EXPECT_EQ(run_env("PARDA_FAULT_PLAN=rank=0,op=recv,n=0", analyze), 1);
+  // ...the command line beats it with a point the run never reaches...
+  EXPECT_EQ(run_env("PARDA_FAULT_PLAN=rank=0,op=recv,n=0",
+                    analyze + " --fault-plan=rank=0,op=recv,n=1000000"),
+            0);
+  // ...and an empty variable counts as unset.
+  EXPECT_EQ(run_env("PARDA_FAULT_PLAN=", analyze), 0);
+}
+
+// --- A World that fails to build ---------------------------------------------
+
+TEST_F(TraceToolCliTest, ShmSegmentCollisionFailsInsteadOfHanging) {
+  const std::string name = "/parda-cli-collide-" + std::to_string(getpid());
+  const int fd = shm_open(name.c_str(), O_CREAT | O_EXCL | O_RDWR, 0600);
+  ASSERT_GE(fd, 0);
+  close(fd);
+  // Under timeout, like the distributed cases: a run that never exits
+  // reads 124 instead of hanging the suite.
+  const std::string cmd = "timeout -k 5 20 " +
+                          std::string(PARDA_TRACE_TOOL_PATH) +
+                          " analyze trace_cli_test.trc --procs=2 "
+                          "--transport=shm:segment=" +
+                          name + " >/dev/null 2>&1";
+  const int status = std::system(cmd.c_str());
+  shm_unlink(name.c_str());
+  EXPECT_EQ(WEXITSTATUS(status), 1);
 }
 
 }  // namespace

@@ -25,7 +25,7 @@ int main(int argc, char** argv) {
   std::string program_name = "bubble_sort";
   std::uint64_t n = 128;
   std::uint64_t rounds = 4;
-  std::uint64_t procs = 4;
+  int procs = 4;
   std::uint64_t bound = 0;
 
   CliParser cli(
@@ -68,7 +68,7 @@ int main(int argc, char** argv) {
   });
 
   PardaOptions options;
-  options.num_procs = static_cast<int>(procs);
+  options.num_procs = procs;
   options.bound = bound;
   options.chunk_words = 4096;
   const PardaResult result = parda_analyze(source, options);

@@ -1,8 +1,9 @@
 #include "comm/fault.hpp"
 
-#include <cstdlib>
+#include <climits>
 
 #include "util/check.hpp"
+#include "util/parse.hpp"
 
 namespace parda::comm {
 
@@ -16,13 +17,12 @@ std::uint64_t splitmix64(std::uint64_t& state) {
   return z ^ (z >> 31);
 }
 
-std::uint64_t parse_u64(const std::string& value, const std::string& clause) {
-  char* end = nullptr;
-  const std::uint64_t v = std::strtoull(value.c_str(), &end, 0);
-  PARDA_CHECK_MSG(end != value.c_str() && *end == '\0',
-                  "bad number '%s' in fault clause '%s'", value.c_str(),
-                  clause.c_str());
-  return v;
+std::uint64_t parse_number(const std::string& value, const std::string& clause,
+                           std::uint64_t max = UINT64_MAX) {
+  const std::optional<std::uint64_t> v = parse_u64(value, max);
+  PARDA_CHECK_MSG(v.has_value(), "bad number '%s' in fault clause '%s'",
+                  value.c_str(), clause.c_str());
+  return *v;
 }
 
 }  // namespace
@@ -55,33 +55,25 @@ std::string FaultPoint::describe() const {
 
 FaultPlan FaultPlan::parse(const std::string& spec) {
   FaultPlan plan;
-  std::size_t pos = 0;
-  while (pos <= spec.size()) {
-    std::size_t semi = spec.find(';', pos);
-    if (semi == std::string::npos) semi = spec.size();
-    const std::string clause = spec.substr(pos, semi - pos);
-    pos = semi + 1;
-    if (clause.empty()) continue;
+  for (const std::string_view clause_view : split(spec, ';')) {
+    if (clause_view.empty()) continue;
+    const std::string clause(clause_view);
 
     FaultPoint pt;
     bool have_rank = false;
     bool have_op = false;
     bool have_ms = false;
-    std::size_t cpos = 0;
-    while (cpos <= clause.size()) {
-      std::size_t comma = clause.find(',', cpos);
-      if (comma == std::string::npos) comma = clause.size();
-      const std::string kv = clause.substr(cpos, comma - cpos);
-      cpos = comma + 1;
+    for (const std::string_view kv : split(clause, ',')) {
       if (kv.empty()) continue;
       const std::size_t eq = kv.find('=');
-      PARDA_CHECK_MSG(eq != std::string::npos,
+      PARDA_CHECK_MSG(eq != std::string_view::npos,
                       "fault clause '%s' has key without '=value'",
                       clause.c_str());
-      const std::string key = kv.substr(0, eq);
-      const std::string value = kv.substr(eq + 1);
+      const std::string key(kv.substr(0, eq));
+      const std::string value(kv.substr(eq + 1));
       if (key == "rank") {
-        pt.rank = static_cast<int>(parse_u64(value, clause));
+        pt.rank = static_cast<int>(
+            parse_number(value, clause, INT_MAX));
         have_rank = true;
       } else if (key == "op") {
         have_op = true;
@@ -98,7 +90,7 @@ FaultPlan FaultPlan::parse(const std::string& spec) {
                           value.c_str(), clause.c_str());
         }
       } else if (key == "n") {
-        pt.n = parse_u64(value, clause);
+        pt.n = parse_number(value, clause);
       } else if (key == "action") {
         if (value == "throw") {
           pt.action = FaultPoint::Action::kThrow;
@@ -109,10 +101,10 @@ FaultPlan FaultPlan::parse(const std::string& spec) {
                           value.c_str(), clause.c_str());
         }
       } else if (key == "ms") {
-        pt.delay_ms = parse_u64(value, clause);
+        pt.delay_ms = parse_number(value, clause);
         have_ms = true;
       } else if (key == "after_words") {
-        pt.after_words = parse_u64(value, clause);
+        pt.after_words = parse_number(value, clause);
       } else {
         PARDA_CHECK_MSG(false, "unknown key '%s' in fault clause '%s'",
                         key.c_str(), clause.c_str());
@@ -128,12 +120,6 @@ FaultPlan FaultPlan::parse(const std::string& spec) {
     plan.points_.push_back(pt);
   }
   return plan;
-}
-
-FaultPlan FaultPlan::from_env() {
-  const char* spec = std::getenv("PARDA_FAULT_PLAN");
-  if (spec == nullptr || spec[0] == '\0') return {};
-  return parse(spec);
 }
 
 FaultPlan FaultPlan::random(std::uint64_t seed, int np, std::uint64_t max_n) {

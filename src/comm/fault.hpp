@@ -10,10 +10,11 @@
 // into a per-rank diagnostic dump.
 //
 // FaultPlan is the deterministic fault-injection companion: a parsed spec
-// (env/CLI-configurable) naming exact points — "throw in rank 1 at recv #3",
-// "delay rank 0's send #2 by 50ms", "fail the trace producer after 10000
-// words" — used by the fault-injection test suite to prove that every
-// injected fault produces a clean, attributed error on all ranks.
+// (--fault-plan or $PARDA_FAULT_PLAN, through config::resolve_flag) naming
+// exact points — "throw in rank 1 at recv #3", "delay rank 0's send #2 by
+// 50ms", "fail the trace producer after 10000 words" — used by the
+// fault-injection test suite to prove that every injected fault produces
+// a clean, attributed error on all ranks.
 #pragma once
 
 #include <cstdint>
@@ -86,12 +87,13 @@ struct FaultPoint {
 /// Grammar (clauses separated by ';', keys by ','):
 ///   plan     := clause (';' clause)*
 ///   clause   := key '=' value (',' key '=' value)*
-///   keys     : rank   (int, required for send/recv/barrier)
+///   keys     : rank   (at most INT_MAX; required for send/recv/barrier)
 ///              op     (send | recv | barrier | producer)
 ///              n      (0-based op index on that rank; default 0)
 ///              action (throw | delay; default throw)
 ///              ms     (delay milliseconds; required for action=delay)
 ///              after_words (producer: fail after this many words)
+///   numbers  : util/parse.hpp's grammar, decimal or 0x hex, unsigned
 /// Examples:
 ///   "rank=1,op=recv,n=3"
 ///   "rank=0,op=send,n=2,action=delay,ms=50;rank=2,op=barrier"
@@ -101,10 +103,8 @@ class FaultPlan {
   FaultPlan() = default;
 
   /// Parses the grammar above; throws parda::CheckError on malformed specs.
+  /// An empty spec is the empty plan.
   static FaultPlan parse(const std::string& spec);
-
-  /// Parses $PARDA_FAULT_PLAN, or returns an empty plan when unset.
-  static FaultPlan from_env();
 
   /// A deterministic pseudo-random single-point plan for seed-matrix
   /// testing: the seed picks a rank in [0, np), an op among

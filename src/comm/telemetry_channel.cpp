@@ -11,6 +11,7 @@
 #include "obs/metrics.hpp"
 #include "obs/runtime.hpp"
 #include "obs/span_tracer.hpp"
+#include "util/parse.hpp"
 
 namespace parda::comm::detail {
 
@@ -20,13 +21,11 @@ namespace {
 /// scrapes, production leaves the default 250 ms (~4 frames/s/process).
 std::chrono::milliseconds interval_from_env() {
   const char* raw = std::getenv("PARDA_TELEMETRY_INTERVAL_MS");
-  if (raw == nullptr || *raw == '\0') return std::chrono::milliseconds(250);
-  char* end = nullptr;
-  const long ms = std::strtol(raw, &end, 10);
-  if (end == raw || *end != '\0' || ms < 1) {
-    return std::chrono::milliseconds(250);
-  }
-  return std::chrono::milliseconds(ms);
+  const std::optional<std::uint64_t> ms =
+      raw != nullptr ? parse_u64(raw, std::numeric_limits<std::int32_t>::max())
+                     : std::nullopt;
+  if (!ms || *ms < 1) return std::chrono::milliseconds(250);
+  return std::chrono::milliseconds(*ms);
 }
 
 bool read_i64(const Payload& p, std::int64_t& out) {

@@ -12,6 +12,8 @@
 #include <cstring>
 #include <thread>
 
+#include "comm/transport/spec.hpp"
+
 namespace parda::comm::transport {
 
 namespace {
@@ -167,9 +169,9 @@ std::size_t ShmSegment::segment_size(int np, std::size_t ring_bytes) {
 ShmSegment ShmSegment::create(int np, std::size_t ring_bytes,
                               const std::string& name) {
   PARDA_CHECK_MSG(np >= 1, "shm segment needs np >= 1, got %d", np);
-  PARDA_CHECK_MSG(ring_bytes >= 256,
-                  "shm ring of %zu bytes is below the 256-byte minimum",
-                  ring_bytes);
+  PARDA_CHECK_MSG(ring_bytes >= kMinRingBytes && ring_bytes <= kMaxRingBytes,
+                  "shm ring of %zu bytes is outside [%zu, %zu]", ring_bytes,
+                  kMinRingBytes, kMaxRingBytes);
   ShmSegment seg;
   seg.np_ = np;
   seg.ring_bytes_ = align_up(ring_bytes);

@@ -1,47 +1,30 @@
 #include "comm/transport/spec.hpp"
 
-#include <cstdlib>
-
 #include "util/check.hpp"
+#include "util/parse.hpp"
 
 namespace parda::comm {
 
 namespace {
 
-std::vector<std::string> split(const std::string& s, char sep) {
-  std::vector<std::string> out;
-  std::size_t start = 0;
-  while (start <= s.size()) {
-    const std::size_t end = s.find(sep, start);
-    if (end == std::string::npos) {
-      out.push_back(s.substr(start));
-      break;
-    }
-    out.push_back(s.substr(start, end - start));
-    start = end + 1;
-  }
-  return out;
-}
-
-std::size_t parse_bytes(const std::string& key, const std::string& value) {
-  PARDA_CHECK_MSG(!value.empty(), "transport spec: %s needs a value",
-                  key.c_str());
-  char* end = nullptr;
-  const unsigned long long n = std::strtoull(value.c_str(), &end, 10);
+/// A byte count in [min, max], with an optional binary k/K or m/M suffix.
+std::size_t parse_bytes(const std::string& key, const std::string& value,
+                        std::size_t min, std::size_t max) {
+  std::string_view digits = value;
   std::size_t scale = 1;
-  if (end != nullptr && *end != '\0') {
-    const std::string suffix(end);
-    if (suffix == "k" || suffix == "K") {
-      scale = 1024;
-    } else if (suffix == "m" || suffix == "M") {
-      scale = 1024 * 1024;
-    } else {
-      PARDA_CHECK_MSG(false, "transport spec: bad %s value '%s'", key.c_str(),
-                      value.c_str());
-    }
+  if (!digits.empty()) {
+    const char suffix = digits.back();
+    if (suffix == 'k' || suffix == 'K') scale = std::size_t{1} << 10;
+    if (suffix == 'm' || suffix == 'M') scale = std::size_t{1} << 20;
   }
-  PARDA_CHECK_MSG(n > 0, "transport spec: %s must be positive", key.c_str());
-  return static_cast<std::size_t>(n) * scale;
+  if (scale != 1) digits.remove_suffix(1);
+  // At most max / scale, so the suffix product cannot wrap.
+  const std::optional<std::uint64_t> n = parse_u64(digits, max / scale);
+  PARDA_CHECK_MSG(n && *n * scale >= min,
+                  "transport spec: bad %s value '%s' (bytes in [%zu, %zu], "
+                  "with an optional k or M suffix)",
+                  key.c_str(), value.c_str(), min, max);
+  return *n * scale;
 }
 
 }  // namespace
@@ -71,8 +54,10 @@ TransportSpec TransportSpec::parse(const std::string& text) {
                     kind.c_str());
   }
   if (colon == std::string::npos) return spec;
-  for (const std::string& clause : split(text.substr(colon + 1), ',')) {
-    if (clause.empty()) continue;
+  for (const std::string_view part :
+       split(std::string_view(text).substr(colon + 1), ',')) {
+    if (part.empty()) continue;
+    const std::string clause(part);
     const std::size_t eq = clause.find('=');
     PARDA_CHECK_MSG(eq != std::string::npos,
                     "transport spec: clause '%s' is not key=value",
@@ -80,19 +65,21 @@ TransportSpec TransportSpec::parse(const std::string& text) {
     const std::string key = clause.substr(0, eq);
     const std::string value = clause.substr(eq + 1);
     if (key == "ring" && spec.kind == TransportKind::kShm) {
-      spec.ring_bytes = parse_bytes(key, value);
+      spec.ring_bytes = parse_bytes(key, value, kMinRingBytes, kMaxRingBytes);
     } else if (key == "segment" && spec.kind == TransportKind::kShm) {
       spec.segment = value;
     } else if (key == "peers" && spec.kind == TransportKind::kTcp) {
-      spec.peers = split(value, '+');
+      const std::vector<std::string_view> peers = split(value, '+');
+      spec.peers.assign(peers.begin(), peers.end());
     } else if (key == "sendq" && spec.kind == TransportKind::kTcp) {
-      spec.sendq_bytes = parse_bytes(key, value);
+      spec.sendq_bytes =
+          parse_bytes(key, value, 1, std::numeric_limits<std::size_t>::max());
     } else if (key == "rank") {
-      char* end = nullptr;
-      const long r = std::strtol(value.c_str(), &end, 10);
-      PARDA_CHECK_MSG(end != nullptr && *end == '\0' && r >= 0,
-                      "transport spec: bad rank '%s'", value.c_str());
-      spec.local_rank = static_cast<int>(r);
+      const std::optional<std::uint64_t> r =
+          parse_u64(value, std::numeric_limits<int>::max());
+      PARDA_CHECK_MSG(r.has_value(), "transport spec: bad rank '%s'",
+                      value.c_str());
+      spec.local_rank = static_cast<int>(*r);
     } else {
       PARDA_CHECK_MSG(false, "transport spec: unknown key '%s' for %s",
                       key.c_str(), transport_kind_name(spec.kind));

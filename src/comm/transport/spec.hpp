@@ -36,6 +36,11 @@ namespace parda::comm {
 /// local_rank value meaning "all np ranks live in this process".
 inline constexpr int kAllRanksLocal = -1;
 
+/// Bounds on ring_bytes, checked by parse() and ShmSegment::create. The cap
+/// keeps the 64-byte alignment and np * np rings from wrapping size_t.
+inline constexpr std::size_t kMinRingBytes = 256;
+inline constexpr std::size_t kMaxRingBytes = std::size_t{1} << 30;
+
 enum class TransportKind : int {
   kThreads = 0,
   kShm = 1,
@@ -71,8 +76,9 @@ struct TransportSpec {
   bool zero_copy() const noexcept { return kind == TransportKind::kThreads; }
 
   /// Parses `kind[:key=val,...]`; keys: ring, segment (shm); peers, sendq
-  /// (tcp; peers separated by '+'). Throws parda::CheckError on unknown
-  /// kinds/keys or malformed values.
+  /// (tcp; peers separated by '+'); rank (at most INT_MAX). ring and sendq
+  /// take a k or M suffix. Throws parda::CheckError on unknown kinds/keys
+  /// or malformed (util/parse.hpp) or out-of-range values.
   static TransportSpec parse(const std::string& text);
 
   /// Canonical round-trippable spelling (parse(describe()) == *this, minus

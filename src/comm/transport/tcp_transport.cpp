@@ -24,7 +24,6 @@
 #include <cerrno>
 #include <chrono>
 #include <condition_variable>
-#include <cstdlib>
 #include <cstring>
 #include <deque>
 #include <exception>
@@ -36,6 +35,7 @@
 #include "comm/transport/ring.hpp"
 #include "comm/transport/transport.hpp"
 #include "util/check.hpp"
+#include "util/parse.hpp"
 
 namespace parda::comm::transport {
 
@@ -91,11 +91,11 @@ HostPort split_host_port(const std::string& endpoint) {
   const std::size_t colon = endpoint.rfind(':');
   PARDA_CHECK_MSG(colon != std::string::npos && colon + 1 < endpoint.size(),
                   "tcp peer '%s' is not host:port", endpoint.c_str());
-  char* end = nullptr;
-  const long port = std::strtol(endpoint.c_str() + colon + 1, &end, 10);
-  PARDA_CHECK_MSG(end != nullptr && *end == '\0' && port > 0 && port < 65536,
-                  "tcp peer '%s' has a bad port", endpoint.c_str());
-  return {endpoint.substr(0, colon), static_cast<std::uint16_t>(port)};
+  const std::optional<std::uint64_t> port =
+      parse_u64(std::string_view(endpoint).substr(colon + 1), 65535);
+  PARDA_CHECK_MSG(port && *port > 0, "tcp peer '%s' has a bad port",
+                  endpoint.c_str());
+  return {endpoint.substr(0, colon), static_cast<std::uint16_t>(*port)};
 }
 
 class TcpTransport final : public Transport {

@@ -176,16 +176,23 @@ RunStats WorkerPool::run_job(int np, const std::function<void(Comm&)>& fn,
   // --- FIFO admission: one job owns the pool at a time. -------------------
   const bool timed = obs::enabled();
   const auto admit_t0 = std::chrono::steady_clock::now();
-  detail::World* world = nullptr;
   {
     std::unique_lock lock(admit_mu_);
     const std::uint64_t ticket = next_ticket_++;
     admit_cv_.wait(lock, [&] { return serving_ == ticket; });
-    // Workers and the world cache are touched only by the serving ticket,
-    // so this mutation needs no further locking.
-    ensure_workers(np);
-    world = &acquire_world(np, options.transport);
   }
+  // Released on every exit, including a World that fails to build.
+  const Finally release_slot([&] {
+    {
+      std::lock_guard lock(admit_mu_);
+      ++serving_;
+    }
+    admit_cv_.notify_all();
+  });
+  // Workers and the world cache are touched only by the serving ticket, so
+  // they need no lock.
+  ensure_workers(np);
+  detail::World* const world = &acquire_world(np, options.transport);
   if (timed) {
     auto& c = pool_counters();
     c.admission_wait.record_ns(elapsed_ns(admit_t0));
@@ -194,13 +201,6 @@ RunStats WorkerPool::run_job(int np, const std::function<void(Comm&)>& fn,
         static_cast<std::uint64_t>(capacity_.load(std::memory_order_acquire)));
     c.world_generation.set(world->generation());
   }
-  const Finally release_slot([&] {
-    {
-      std::lock_guard lock(admit_mu_);
-      ++serving_;
-    }
-    admit_cv_.notify_all();
-  });
 
   // --- Publish the job and wake its rank slots. ---------------------------
   RunStats stats;

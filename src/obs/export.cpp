@@ -12,6 +12,7 @@
 #include <utility>
 
 #include "obs/telemetry.hpp"
+#include "util/parse.hpp"
 
 namespace parda::obs {
 
@@ -132,13 +133,7 @@ LabeledName split_name(std::string_view name) {
   out.base = std::string(name.substr(0, brace));
   const std::string_view inner =
       name.substr(brace + 1, name.size() - brace - 2);
-  std::size_t pos = 0;
-  while (pos < inner.size()) {
-    const std::size_t comma = inner.find(',', pos);
-    const std::string_view pair = inner.substr(
-        pos, comma == std::string_view::npos ? std::string_view::npos
-                                             : comma - pos);
-    pos = comma == std::string_view::npos ? inner.size() : comma + 1;
+  for (const std::string_view pair : split(inner, ',')) {
     const std::size_t eq = pair.find('=');
     if (eq == std::string_view::npos) continue;  // malformed pair: dropped
     if (!out.labels.empty()) out.labels += ',';
@@ -434,14 +429,8 @@ std::vector<std::string> validate_prometheus(std::string_view text) {
   std::vector<Sample> samples;
 
   std::size_t line_no = 0;
-  std::size_t pos = 0;
-  while (pos < text.size()) {
+  for (const std::string_view line : split(text, '\n')) {
     ++line_no;
-    const std::size_t eol = text.find('\n', pos);
-    const std::string_view line =
-        text.substr(pos, eol == std::string_view::npos ? std::string_view::npos
-                                                       : eol - pos);
-    pos = eol == std::string_view::npos ? text.size() : eol + 1;
     if (line.empty()) continue;
 
     if (line[0] == '#') {

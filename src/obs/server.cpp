@@ -16,6 +16,7 @@
 #include "obs/span_tracer.hpp"
 #include "obs/telemetry.hpp"
 #include "util/json.hpp"
+#include "util/parse.hpp"
 
 namespace parda::obs {
 
@@ -79,14 +80,7 @@ std::optional<std::string> find_header(std::string_view head,
     const std::size_t colon = line.find(':');
     if (colon != std::string_view::npos &&
         iequals(line.substr(0, colon), name)) {
-      std::string_view v = line.substr(colon + 1);
-      while (!v.empty() && (v.front() == ' ' || v.front() == '\t')) {
-        v.remove_prefix(1);
-      }
-      while (!v.empty() && (v.back() == ' ' || v.back() == '\r')) {
-        v.remove_suffix(1);
-      }
-      return std::string(v);
+      return std::string(trim(line.substr(colon + 1)));
     }
     pos = end;
   }
@@ -212,23 +206,14 @@ void TelemetryServer::serve_one(int client_fd) const {
   Request parsed;
   bool dispatch = false;
 
-  const std::size_t line_end = req.find("\r\n");
-  const std::string_view line =
-      std::string_view(req).substr(0, line_end == std::string::npos
-                                          ? req.size()
-                                          : line_end);
-  const std::size_t sp1 = line.find(' ');
-  const std::size_t sp2 =
-      sp1 == std::string_view::npos ? sp1 : line.find(' ', sp1 + 1);
-  if (head_end == std::string::npos || sp1 == std::string_view::npos ||
-      sp2 == std::string_view::npos) {
+  // Request line: METHOD SP PATH[?QUERY] SP VERSION.
+  const std::vector<std::string_view> words =
+      split(std::string_view(req).substr(0, req.find("\r\n")), ' ');
+  if (head_end == std::string::npos || words.size() < 3) {
     resp = Response{400, "text/plain", "bad request line\n"};
   } else {
-    parsed.method = std::string(line.substr(0, sp1));
-    std::string_view path = line.substr(sp1 + 1, sp2 - sp1 - 1);
-    if (const std::size_t q = path.find('?'); q != std::string_view::npos)
-      path = path.substr(0, q);
-    parsed.path = std::string(path);
+    parsed.method = std::string(words[0]);
+    parsed.path = std::string(words[1].substr(0, words[1].find('?')));
 
     if (parsed.method != "GET" && parsed.method != "POST") {
       resp = Response{405, "text/plain", "only GET and POST are supported\n"};
@@ -237,18 +222,17 @@ void TelemetryServer::serve_one(int client_fd) const {
       if (const auto ct = find_header(head, "Content-Type")) {
         parsed.content_type = *ct;
       }
-      std::size_t content_length = 0;
-      bool have_length = false;
-      if (const auto cl = find_header(head, "Content-Length")) {
-        char* end = nullptr;
-        content_length = std::strtoul(cl->c_str(), &end, 10);
-        have_length = end != nullptr && *end == '\0';
-      }
-      // A POST without Content-Length is an empty-body request (curl -X
-      // POST); only a chunked body, which this server does not speak, is
-      // answered 411.
-      if (parsed.method == "POST" && !have_length &&
-          find_header(head, "Transfer-Encoding").has_value()) {
+      const std::optional<std::string> cl = find_header(head, "Content-Length");
+      const std::optional<std::uint64_t> length =
+          cl ? parse_u64(*cl) : std::optional<std::uint64_t>(0);
+      const std::uint64_t content_length = length.value_or(0);
+      if (!length) {
+        resp = Response{400, "text/plain", "malformed Content-Length\n"};
+      } else if (parsed.method == "POST" && !cl &&
+                 find_header(head, "Transfer-Encoding").has_value()) {
+        // A POST without Content-Length is an empty-body request (curl -X
+        // POST); only a chunked body, which this server does not speak, is
+        // answered 411.
         resp = Response{411, "text/plain",
                         "chunked bodies are not supported; send "
                         "Content-Length\n"};

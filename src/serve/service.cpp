@@ -1,10 +1,10 @@
 #include "serve/service.hpp"
 
-#include <charconv>
 #include <cstring>
 
 #include "util/check.hpp"
 #include "util/json.hpp"
+#include "util/parse.hpp"
 
 namespace parda::serve {
 
@@ -22,30 +22,6 @@ bool valid_tenant_name(std::string_view name) noexcept {
                     (c >= '0' && c <= '9') || c == '_' || c == '-';
     if (!ok) return false;
   }
-  return true;
-}
-
-std::string_view trim(std::string_view s) noexcept {
-  while (!s.empty() && (s.front() == ' ' || s.front() == '\t'))
-    s.remove_prefix(1);
-  while (!s.empty() && (s.back() == ' ' || s.back() == '\t'))
-    s.remove_suffix(1);
-  return s;
-}
-
-bool parse_addr(std::string_view token, Addr& out) noexcept {
-  int base = 10;
-  if (token.size() > 2 && token[0] == '0' &&
-      (token[1] == 'x' || token[1] == 'X')) {
-    base = 16;
-    token.remove_prefix(2);
-  }
-  if (token.empty()) return false;
-  std::uint64_t v = 0;
-  const auto [ptr, ec] =
-      std::from_chars(token.data(), token.data() + token.size(), v, base);
-  if (ec != std::errc{} || ptr != token.data() + token.size()) return false;
-  out = static_cast<Addr>(v);
   return true;
 }
 
@@ -82,8 +58,11 @@ bool parse_tenant_config(std::string_view body, TenantConfig& cfg) {
     if (const auto* f = v.find("bound")) cfg.bound = f->as_u64();
     if (const auto* f = v.find("window")) cfg.window = f->as_u64();
     if (const auto* f = v.find("decay")) cfg.decay = f->as_double();
-    if (const auto* f = v.find("num_procs"))
-      cfg.num_procs = static_cast<int>(f->as_i64());
+    if (const auto* f = v.find("num_procs")) {
+      const std::int64_t np = f->as_i64();
+      if (np < 1 || np > 64) return false;
+      cfg.num_procs = static_cast<int>(np);
+    }
     if (const auto* q = v.find("quotas")) {
       if (!q->is_object()) return false;
       if (const auto* f = q->find("max_refs_per_sec"))
@@ -167,12 +146,8 @@ int http_status(Admission a) noexcept {
 bool parse_frame(std::string_view content_type, std::string_view body,
                  std::vector<Addr>& out) {
   out.clear();
-  std::string_view ct = content_type;
-  if (const auto semi = ct.find(';'); semi != std::string_view::npos) {
-    ct = ct.substr(0, semi);
-  }
-  ct = trim(ct);
-  if (ct == "application/octet-stream") {
+  if (trim(content_type.substr(0, content_type.find(';'))) ==
+      "application/octet-stream") {
     if (body.size() % 8 != 0) return false;
     out.reserve(body.size() / 8);
     for (std::size_t i = 0; i + 8 <= body.size(); i += 8) {
@@ -182,22 +157,8 @@ bool parse_frame(std::string_view content_type, std::string_view body,
     }
     return true;
   }
-  // Text: one address per line.
-  std::size_t pos = 0;
-  while (pos <= body.size()) {
-    if (pos == body.size()) break;
-    auto nl = body.find('\n', pos);
-    if (nl == std::string_view::npos) nl = body.size();
-    std::string_view line = body.substr(pos, nl - pos);
-    pos = nl + 1;
-    if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
-    line = trim(line);
-    if (line.empty()) continue;
-    Addr a = 0;
-    if (!parse_addr(line, a)) return false;
-    out.push_back(a);
-  }
-  return true;
+  // Text: one address per line, read like a .txt trace.
+  return !read_address_lines(body, out).has_value();
 }
 
 MrcService::MrcService(core::PardaRuntime& runtime, Config config)

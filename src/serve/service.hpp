@@ -215,9 +215,10 @@ class MrcService {
 
 /// Parses an ingest frame body into addresses. content_type selects the
 /// codec: "application/octet-stream" = little-endian u64s (length must be
-/// a multiple of 8), anything else = text, one decimal or 0x-hex address
-/// per line (blank lines and trailing newline allowed). Returns false on
-/// malformed input (the caller quarantines the tenant).
+/// a multiple of 8), anything else = text, read by read_address_lines
+/// (util/parse.hpp) like a .txt trace: one decimal or 0x-hex address per
+/// line, blank and '#' comment lines skipped. Returns false on malformed
+/// input (the caller quarantines the tenant).
 bool parse_frame(std::string_view content_type, std::string_view body,
                  std::vector<Addr>& out);
 

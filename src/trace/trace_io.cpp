@@ -4,11 +4,13 @@
 #include <cerrno>
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 
 #include <fcntl.h>  // posix_fadvise
 #include <sys/stat.h>
+
+#include "trace/mmap_file.hpp"
+#include "util/parse.hpp"
 
 namespace parda {
 
@@ -102,16 +104,14 @@ void write_trace_text(const std::string& path, std::span<const Addr> trace) {
 }
 
 std::vector<Addr> read_trace_text(const std::string& path) {
-  FilePtr f(std::fopen(path.c_str(), "r"));
-  if (!f) io_fail("cannot open trace for reading", path);
+  const MappedFile file(path);
+  const std::string_view text(reinterpret_cast<const char*>(file.data()),
+                              file.size());
   std::vector<Addr> trace;
-  char line[256];
-  while (std::fgets(line, sizeof(line), f.get()) != nullptr) {
-    if (line[0] == '#' || line[0] == '\n' || line[0] == '\0') continue;
-    char* end = nullptr;
-    const Addr a = std::strtoull(line, &end, 0);
-    if (end == line) io_fail("malformed trace line", path);
-    trace.push_back(a);
+  if (const std::optional<std::size_t> bad = read_address_lines(text, trace)) {
+    const auto line = std::count(text.begin(), text.begin() + *bad, '\n') + 1;
+    format_fail(path, *bad,
+                "malformed address on line " + std::to_string(line));
   }
   return trace;
 }

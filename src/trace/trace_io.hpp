@@ -68,6 +68,8 @@ void write_trace_binary(const std::string& path, std::span<const Addr> trace);
 std::vector<Addr> read_trace_binary(const std::string& path);
 
 void write_trace_text(const std::string& path, std::span<const Addr> trace);
+/// Reads a text trace with read_address_lines (util/parse.hpp); a bad line
+/// throws TraceFormatError at its byte offset, naming its line number.
 std::vector<Addr> read_trace_text(const std::string& path);
 
 /// Streaming binary reader for traces too large to hold in memory.

@@ -1,8 +1,11 @@
 #include "util/cli.hpp"
 
+#include <climits>
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
+
+#include "util/parse.hpp"
 
 namespace parda {
 
@@ -27,6 +30,11 @@ void CliParser::add_flag(const std::string& name, std::string* value,
 void CliParser::add_flag(const std::string& name, std::uint64_t* value,
                          const std::string& help) {
   flags_.push_back({name, Kind::kUint, value, help});
+}
+
+void CliParser::add_flag(const std::string& name, int* value,
+                         const std::string& help) {
+  flags_.push_back({name, Kind::kInt, value, help});
 }
 
 void CliParser::add_flag(const std::string& name, double* value,
@@ -63,36 +71,40 @@ const CliParser::Flag* CliParser::find(const std::string& name) const {
 }
 
 void CliParser::assign(const Flag& flag, const std::string& value) const {
-  char* end = nullptr;
   switch (flag.kind) {
     case Kind::kString:
       *static_cast<std::string*>(flag.target) = value;
       break;
     case Kind::kUint:
-      // strtoull silently wraps negatives; reject them (and any trailing
-      // garbage) so "--procs=-4" is a usage error, not 2^64-4 ranks.
-      if (value.empty() || value[0] == '-') {
-        std::fprintf(stderr, "flag --%s needs a non-negative integer, got "
-                             "'%s'\n",
-                     flag.name.c_str(), value.c_str());
+    case Kind::kInt: {
+      const bool is_int = flag.kind == Kind::kInt;
+      const std::optional<std::uint64_t> v =
+          parse_u64(value, is_int ? INT_MAX : UINT64_MAX);
+      if (!v) {
+        std::fprintf(stderr,
+                     "flag --%s needs an integer (non-negative, decimal or "
+                     "0x hex, at most %s), got '%s'\n",
+                     flag.name.c_str(), is_int ? "2147483647" : "2^64 - 1",
+                     value.c_str());
         usage_and_exit(kExitUsage);
       }
-      *static_cast<std::uint64_t*>(flag.target) =
-          std::strtoull(value.c_str(), &end, 0);
-      if (end == value.c_str() || *end != '\0') {
-        std::fprintf(stderr, "flag --%s needs an integer, got '%s'\n",
-                     flag.name.c_str(), value.c_str());
-        usage_and_exit(kExitUsage);
+      if (is_int) {
+        *static_cast<int*>(flag.target) = static_cast<int>(*v);
+      } else {
+        *static_cast<std::uint64_t*>(flag.target) = *v;
       }
       break;
-    case Kind::kDouble:
-      *static_cast<double*>(flag.target) = std::strtod(value.c_str(), &end);
-      if (end == value.c_str() || *end != '\0') {
+    }
+    case Kind::kDouble: {
+      const std::optional<double> v = parse_f64(value);
+      if (!v) {
         std::fprintf(stderr, "flag --%s needs a number, got '%s'\n",
                      flag.name.c_str(), value.c_str());
         usage_and_exit(kExitUsage);
       }
+      *static_cast<double*>(flag.target) = *v;
       break;
+    }
     case Kind::kBool:
       if (value.empty() || value == "1" || value == "true" || value == "yes") {
         *static_cast<bool*>(flag.target) = true;

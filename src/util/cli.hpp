@@ -1,6 +1,7 @@
 // A minimal command-line flag parser for the examples and bench harnesses.
 //
 // Flags take the form --name=value or --name value; bare --name sets a bool.
+// Numeric values follow util/parse.hpp (an int flag: 0 to INT_MAX).
 // Unrecognized flags, malformed values, and missing required values exit
 // with kExitUsage and a one-line diagnostic plus the usage listing.
 //
@@ -39,6 +40,8 @@ class CliParser {
                 const std::string& help);
   void add_flag(const std::string& name, std::uint64_t* value,
                 const std::string& help);
+  void add_flag(const std::string& name, int* value,
+                const std::string& help);
   void add_flag(const std::string& name, double* value,
                 const std::string& help);
   void add_flag(const std::string& name, bool* value, const std::string& help);
@@ -57,7 +60,7 @@ class CliParser {
   bool was_set(const std::string& name) const;
 
  private:
-  enum class Kind { kString, kUint, kDouble, kBool };
+  enum class Kind { kString, kUint, kInt, kDouble, kBool };
   struct Flag {
     std::string name;
     Kind kind;

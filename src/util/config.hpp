@@ -3,22 +3,22 @@
 //
 //   command line  >  environment variable  >  compiled-in default
 //
-// Historically each tool hand-rolled this (log level read $PARDA_LOG_LEVEL
-// inside obs/log.cpp on first use, the fault plan read $PARDA_FAULT_PLAN
-// inside FaultPlan::from_env, and the two disagreed on whether an empty
-// env var counted as "set"). resolve() is the single choke point: it
-// reports both the winning value and WHERE it came from, so tools can say
-// "transport tcp (from $PARDA_TRANSPORT)" in diagnostics and tests can
-// assert the precedence order directly.
+// resolve() is the single choke point: it reports both the winning value
+// and WHERE it came from, so tools can say "transport tcp (from
+// $PARDA_TRANSPORT)" in diagnostics and tests can assert the precedence
+// order directly.
 //
-// Settings routed through this layer:
-//   --transport   / $PARDA_TRANSPORT   (comm::TransportSpec grammar)
-//   --log-level   / $PARDA_LOG_LEVEL   (trace|debug|info|warn|error|off)
-//   --fault-plan  / $PARDA_FAULT_PLAN  (comm::FaultPlan grammar)
+// Settings routed through this layer (trace_tool):
+//   --transport       / $PARDA_TRANSPORT        (comm::TransportSpec)
+//   --log-level       / $PARDA_LOG_LEVEL        (trace|debug|...|off)
+//   --fault-plan      / $PARDA_FAULT_PLAN       (comm::FaultPlan)
+//   --ingest          / $PARDA_INGEST           (pipe|mmap|trz)
+//   --flight-recorder / $PARDA_FLIGHT_RECORDER  (dump path)
 //
 // An environment variable set to the empty string counts as UNSET (so
 // `PARDA_TRANSPORT= ./trace_tool ...` falls back to the default instead
-// of failing to parse ""), matching FaultPlan::from_env's behavior.
+// of failing to parse ""). Numbers in a resolved value go through
+// util/parse.hpp.
 #pragma once
 
 #include <optional>

@@ -3,7 +3,8 @@
 #include <cctype>
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
+
+#include "util/parse.hpp"
 
 namespace parda::json {
 
@@ -141,18 +142,21 @@ const Value& Value::at(std::string_view key) const {
 }
 
 std::uint64_t Value::as_u64() const {
-  if (kind != Kind::kNumber) throw JsonError("JSON value is not a number");
-  return std::strtoull(text.c_str(), nullptr, 10);
+  const auto v = kind == Kind::kNumber ? parse_u64(text) : std::nullopt;
+  if (!v) throw JsonError("JSON value is not an unsigned 64-bit integer");
+  return *v;
 }
 
 std::int64_t Value::as_i64() const {
-  if (kind != Kind::kNumber) throw JsonError("JSON value is not a number");
-  return std::strtoll(text.c_str(), nullptr, 10);
+  const auto v = kind == Kind::kNumber ? parse_i64(text) : std::nullopt;
+  if (!v) throw JsonError("JSON value is not a signed 64-bit integer");
+  return *v;
 }
 
 double Value::as_double() const {
-  if (kind != Kind::kNumber) throw JsonError("JSON value is not a number");
-  return std::strtod(text.c_str(), nullptr);
+  const auto v = kind == Kind::kNumber ? parse_f64(text) : std::nullopt;
+  if (!v) throw JsonError("JSON value is not a finite number");
+  return *v;
 }
 
 const std::string& Value::as_string() const {

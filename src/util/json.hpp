@@ -74,6 +74,8 @@ struct Value {
   /// Object member access; throws JsonError if absent.
   const Value& at(std::string_view key) const;
 
+  /// Numbers read through util/parse.hpp: an integer token in range, or a
+  /// finite double; anything else throws JsonError.
   std::uint64_t as_u64() const;
   std::int64_t as_i64() const;
   double as_double() const;

@@ -2,19 +2,16 @@
 
 #include <cctype>
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <stdexcept>
 #include <unordered_map>
 #include <vector>
 
+#include "util/parse.hpp"
+
 namespace parda::vm {
 
 namespace {
-
-struct Token {
-  std::string text;
-};
 
 [[noreturn]] void fail(std::size_t line, const std::string& why) {
   throw std::invalid_argument("asm line " + std::to_string(line) + ": " +
@@ -41,26 +38,16 @@ std::vector<std::string> tokenize(std::string_view line) {
   return tokens;
 }
 
-bool is_integer(const std::string& s) {
-  if (s.empty()) return false;
-  std::size_t at = (s[0] == '-' || s[0] == '+') ? 1 : 0;
-  if (at == s.size()) return false;
-  for (; at < s.size(); ++at) {
-    if (!std::isdigit(static_cast<unsigned char>(s[at]))) return false;
-  }
-  return true;
-}
-
 std::uint8_t parse_reg(const std::string& token, std::size_t line) {
-  if (token.size() < 2 || (token[0] != 'r' && token[0] != 'R') ||
-      !is_integer(token.substr(1))) {
-    fail(line, "expected register, got '" + token + "'");
-  }
-  const long n = std::strtol(token.c_str() + 1, nullptr, 10);
-  if (n < 0 || n >= kNumRegs) {
+  const std::optional<std::uint64_t> n =
+      !token.empty() && (token[0] == 'r' || token[0] == 'R')
+          ? parse_u64(std::string_view(token).substr(1))
+          : std::nullopt;
+  if (!n) fail(line, "expected register, got '" + token + "'");
+  if (*n >= static_cast<std::uint64_t>(kNumRegs)) {
     fail(line, "register out of range: '" + token + "'");
   }
-  return static_cast<std::uint8_t>(n);
+  return static_cast<std::uint8_t>(*n);
 }
 
 struct PendingLabel {
@@ -103,12 +90,7 @@ Program assemble(std::string_view source) {
   std::vector<PendingLabel> pending;
 
   std::size_t line_no = 0;
-  std::size_t at = 0;
-  while (at <= source.size()) {
-    const std::size_t end = source.find('\n', at);
-    std::string_view line = source.substr(
-        at, end == std::string_view::npos ? source.size() - at : end - at);
-    at = end == std::string_view::npos ? source.size() + 1 : end + 1;
+  for (const std::string_view line : split(source, '\n')) {
     ++line_no;
 
     std::vector<std::string> tokens = tokenize(line);
@@ -132,19 +114,19 @@ Program assemble(std::string_view source) {
       continue;
     }
     if (head == ".mem") {
-      if (tokens.size() != 2 || !is_integer(tokens[1])) {
-        fail(line_no, ".mem takes one integer");
-      }
-      program.memory_words = std::strtoull(tokens[1].c_str(), nullptr, 10);
+      const std::optional<std::uint64_t> words =
+          tokens.size() == 2 ? parse_u64(tokens[1]) : std::nullopt;
+      if (!words) fail(line_no, ".mem takes one non-negative integer");
+      program.memory_words = *words;
       continue;
     }
     if (head == ".data") {
       for (std::size_t i = 1; i < tokens.size(); ++i) {
-        if (!is_integer(tokens[i])) {
+        const std::optional<std::int64_t> word = parse_i64(tokens[i]);
+        if (!word) {
           fail(line_no, ".data takes integers, got '" + tokens[i] + "'");
         }
-        program.initial_memory.push_back(
-            std::strtoll(tokens[i].c_str(), nullptr, 10));
+        program.initial_memory.push_back(*word);
       }
       continue;
     }
@@ -171,8 +153,8 @@ Program assemble(std::string_view source) {
     }
     if (spec.has_imm) {
       const std::string& imm = tokens.back();
-      if (is_integer(imm)) {
-        instr.imm = std::strtoll(imm.c_str(), nullptr, 10);
+      if (const std::optional<std::int64_t> value = parse_i64(imm)) {
+        instr.imm = *value;
       } else if (spec.imm_is_target) {
         pending.push_back(PendingLabel{program.code.size(), imm, line_no});
       } else {

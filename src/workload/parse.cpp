@@ -1,11 +1,11 @@
 #include "workload/parse.hpp"
 
-#include <cstdlib>
 #include <stdexcept>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
+#include "util/parse.hpp"
 #include "workload/generators.hpp"
 #include "workload/spec.hpp"
 
@@ -16,20 +16,6 @@ namespace {
 [[noreturn]] void bad(std::string_view spec, const std::string& why) {
   throw std::invalid_argument("workload spec '" + std::string(spec) +
                               "': " + why);
-}
-
-std::vector<std::string_view> split(std::string_view s, char sep) {
-  std::vector<std::string_view> parts;
-  std::size_t at = 0;
-  while (true) {
-    const std::size_t next = s.find(sep, at);
-    if (next == std::string_view::npos) {
-      parts.push_back(s.substr(at));
-      return parts;
-    }
-    parts.push_back(s.substr(at, next - at));
-    at = next + 1;
-  }
 }
 
 /// key=value arguments after the generator name.
@@ -46,23 +32,13 @@ struct Args {
       if (required) bad(spec, "missing required argument '" + key + "'");
       return fallback;
     }
-    char* end = nullptr;
-    const std::uint64_t v = std::strtoull(it->second.c_str(), &end, 0);
-    if (end == it->second.c_str() || *end != '\0') {
-      bad(spec, "argument '" + key + "' is not a number");
-    }
-    return v;
+    return number(key, parse_u64(it->second));
   }
 
   double f64(const std::string& key, double fallback) const {
     const auto it = kv.find(key);
     if (it == kv.end()) return fallback;
-    char* end = nullptr;
-    const double v = std::strtod(it->second.c_str(), &end);
-    if (end == it->second.c_str() || *end != '\0') {
-      bad(spec, "argument '" + key + "' is not a number");
-    }
-    return v;
+    return number(key, parse_f64(it->second));
   }
 
   std::vector<double> f64_list(const std::string& key) const {
@@ -70,7 +46,7 @@ struct Args {
     const auto it = kv.find(key);
     if (it == kv.end()) return out;
     for (std::string_view part : split(it->second, '/')) {
-      out.push_back(std::strtod(std::string(part).c_str(), nullptr));
+      out.push_back(number(key, parse_f64(part)));
     }
     return out;
   }
@@ -80,9 +56,15 @@ struct Args {
     const auto it = kv.find(key);
     if (it == kv.end()) return out;
     for (std::string_view part : split(it->second, '/')) {
-      out.push_back(std::strtoull(std::string(part).c_str(), nullptr, 0));
+      out.push_back(number(key, parse_u64(part)));
     }
     return out;
+  }
+
+  template <typename T>
+  T number(const std::string& key, const std::optional<T>& v) const {
+    if (!v) bad(spec, "argument '" + key + "' is not a number");
+    return *v;
   }
 };
 
@@ -187,20 +169,17 @@ std::unique_ptr<Workload> parse_one(std::string_view spec, std::uint64_t seed,
   if (name == "spec") {
     // "spec:mcf,scale=8000" — first bare token is the profile name. Must
     // be handled before generic argument parsing (the name has no '=').
-    const auto parts = split(body, ',');
-    if (parts.empty() || parts[0].empty() ||
-        parts[0].find('=') != std::string_view::npos) {
+    const std::size_t comma = body.find(',');
+    const std::string_view profile_name = body.substr(0, comma);
+    if (profile_name.empty() ||
+        profile_name.find('=') != std::string_view::npos) {
       bad(spec, "spec needs a profile name, e.g. spec:mcf");
     }
-    std::string rest;
-    for (std::size_t i = 1; i < parts.size(); ++i) {
-      if (i != 1) rest += ',';
-      rest += std::string(parts[i]);
-    }
-    const Args spec_args = parse_args(spec, rest);
-    const SpecProfile* profile = find_spec_profile(parts[0]);
+    const Args spec_args = parse_args(
+        spec, comma == std::string_view::npos ? "" : body.substr(comma + 1));
+    const SpecProfile* profile = find_spec_profile(profile_name);
     if (profile == nullptr) {
-      bad(spec, "unknown SPEC profile '" + std::string(parts[0]) + "'");
+      bad(spec, "unknown SPEC profile '" + std::string(profile_name) + "'");
     }
     return make_spec_workload(*profile,
                               spec_args.u64("scale", kDefaultSpecScale),
@@ -258,17 +237,6 @@ std::unique_ptr<Workload> parse_workload(std::string_view spec,
     throw std::invalid_argument("workload spec is empty");
   }
   return parse_one(spec, seed, /*region=*/0);
-}
-
-bool workload_spec_valid(std::string_view spec) {
-  try {
-    parse_workload(spec);
-    return true;
-  } catch (const std::invalid_argument&) {
-    return false;
-  } catch (...) {
-    return false;
-  }
 }
 
 }  // namespace parda

@@ -28,7 +28,4 @@ namespace parda {
 std::unique_ptr<Workload> parse_workload(std::string_view spec,
                                          std::uint64_t seed = 1);
 
-/// True if the spec parses (no throw); for CLI validation.
-bool workload_spec_valid(std::string_view spec);
-
 }  // namespace parda

@@ -15,6 +15,7 @@
 #include <thread>
 #include <vector>
 
+#include "../util/number_tokens.hpp"
 #include "comm/comm.hpp"
 #include "comm/fault.hpp"
 #include "util/check.hpp"
@@ -105,14 +106,38 @@ TEST(FaultPlanTest, RejectsMalformedSpecs) {
   EXPECT_THROW(FaultPlan::parse("rank=1,op=recv,bogus=1"), CheckError);
 }
 
-TEST(FaultPlanTest, FromEnvReadsPardaFaultPlan) {
-  ::setenv("PARDA_FAULT_PLAN", "rank=2,op=barrier,n=1", 1);
-  const FaultPlan plan = FaultPlan::from_env();
-  ::unsetenv("PARDA_FAULT_PLAN");
-  ASSERT_EQ(plan.points().size(), 1u);
-  EXPECT_EQ(plan.points()[0].rank, 2);
-  EXPECT_EQ(plan.points()[0].op, FaultOp::kBarrier);
-  EXPECT_TRUE(FaultPlan::from_env().empty());
+TEST(FaultPlanTest, EveryNumberRejectsHostileTokens) {
+  for (const std::string& token : test::hostile_integer_tokens()) {
+    for (const std::string& spec :
+         {"rank=" + token + ",op=recv", "rank=0,op=recv,n=" + token,
+          "rank=0,op=send,action=delay,ms=" + token,
+          "op=producer,after_words=" + token}) {
+      EXPECT_THROW(FaultPlan::parse(spec), CheckError) << spec;
+    }
+  }
+  // A rank above INT_MAX is an error naming the value, not rank 0.
+  try {
+    FaultPlan::parse("rank=4294967296,op=recv,n=0");
+    ADD_FAILURE() << "rank=4294967296 parsed";
+  } catch (const CheckError& e) {
+    EXPECT_NE(std::string(e.what()).find("'4294967296'"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_THROW(FaultPlan::parse("rank=2147483648,op=recv"), CheckError);
+  EXPECT_EQ(FaultPlan::parse("rank=2147483647,op=recv").points()[0].rank,
+            2147483647);
+}
+
+TEST(FaultPlanTest, ValidNumbersReadBack) {
+  for (const auto& [token, value] : test::valid_integer_tokens()) {
+    const FaultPlan plan = FaultPlan::parse(
+        "rank=0,op=recv,n=" + token + ";op=producer,after_words=" + token);
+    EXPECT_EQ(plan.points()[0].n, value) << token;
+    EXPECT_EQ(*plan.producer_fail_after(), value) << token;
+  }
+  EXPECT_EQ(FaultPlan::parse("rank=010,op=recv").points()[0].rank, 10);
+  EXPECT_EQ(FaultPlan::parse("rank=0x1F,op=recv").points()[0].rank, 31);
+  EXPECT_TRUE(FaultPlan::parse("").empty());
 }
 
 TEST(FaultPlanTest, RandomPlansAreDeterministic) {

@@ -3,6 +3,9 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <future>
 #include <numeric>
 #include <stdexcept>
 #include <thread>
@@ -10,6 +13,7 @@
 
 #include "comm/fault.hpp"
 #include "comm/worker_pool.hpp"
+#include "util/check.hpp"
 
 namespace parda::comm {
 namespace {
@@ -179,6 +183,34 @@ TEST(WorkerPoolTest, ConcurrentSubmittersSerializeFifo) {
   for (const std::uint64_t sum : sums) EXPECT_EQ(sum, kJobsEach);
   EXPECT_EQ(pool.jobs_run(),
             static_cast<std::uint64_t>(kSubmitters) * kJobsEach + 1);
+}
+
+TEST(WorkerPoolTest, WorldThatFailsToBuildLeavesThePoolUsable) {
+  // A ring below the shm segment's minimum, set directly so parse() cannot
+  // reject it: building the World throws. The pool must still release the
+  // job's admission ticket, or the next job and ~WorkerPool wait forever.
+  // The scenario runs on its own thread so a leaked ticket fails within
+  // seconds instead of at the test timeout.
+  std::promise<void> finished;
+  std::future<void> done = finished.get_future();
+  std::thread scenario([&finished] {
+    {
+      WorkerPool pool;
+      RunOptions options;
+      options.transport.kind = TransportKind::kShm;
+      options.transport.ring_bytes = 128;
+      EXPECT_THROW(pool.run_job(2, [](Comm&) {}, options), CheckError);
+      EXPECT_EQ(gather_sum(pool, 2), 3u);
+    }
+    finished.set_value();
+  });
+  if (done.wait_for(std::chrono::seconds(10)) != std::future_status::ready) {
+    std::fprintf(stderr,
+                 "FAILED: run_job or ~WorkerPool still blocked after 10 s; "
+                 "the failed job kept its admission ticket\n");
+    std::_Exit(1);
+  }
+  scenario.join();
 }
 
 TEST(WorkerPoolTest, BackCompatRunStillWorks) {

@@ -17,6 +17,7 @@
 #include <thread>
 #include <vector>
 
+#include "../util/number_tokens.hpp"
 #include "comm/comm.hpp"
 #include "comm/fault.hpp"
 #include "comm/transport/frame.hpp"
@@ -100,6 +101,50 @@ TEST(TransportSpecTest, RejectsMalformedSpecs) {
   EXPECT_THROW(TransportSpec::parse("shm:ring=4q"), CheckError);
   EXPECT_THROW(TransportSpec::parse("shm:rank=-1"), CheckError);
   EXPECT_THROW(TransportSpec::parse("shm:segment"), CheckError);  // no '='
+}
+
+TEST(TransportSpecTest, EveryNumberRejectsHostileTokens) {
+  for (const std::string& token : test::hostile_integer_tokens()) {
+    for (const std::string& text :
+         {"shm:ring=" + token, "shm:ring=" + token + "k",
+          "tcp:sendq=" + token, "tcp:sendq=" + token + "M",
+          "tcp:rank=" + token}) {
+      EXPECT_THROW(TransportSpec::parse(text), CheckError) << text;
+    }
+  }
+  // Out of range: a rank above INT_MAX (no longer rank 0 or 1), a ring
+  // below the segment's minimum or above the cap (including a k product
+  // that wraps to 0), a negative send queue.
+  for (const char* text :
+       {"tcp:rank=4294967296", "tcp:rank=4294967297", "shm:ring=-1",
+        "shm:ring=18446744073709551615", "shm:ring=18014398509481984k",
+        "shm:ring=128", "shm:ring=255", "shm:ring=1073741825",
+        "shm:ring=1025M", "tcp:sendq=-1", "tcp:sendq=0",
+        "tcp:sendq=17592186044416M"}) {
+    EXPECT_THROW(TransportSpec::parse(text), CheckError) << text;
+  }
+}
+
+TEST(TransportSpecTest, ValidNumbersReadBack) {
+  for (const auto& [token, value] : test::valid_integer_tokens()) {
+    if (value > 0) {
+      EXPECT_EQ(TransportSpec::parse("tcp:sendq=" + token).sendq_bytes,
+                value)
+          << token;
+    }
+    if (value <= 2147483647u) {
+      EXPECT_EQ(TransportSpec::parse("tcp:rank=" + token).local_rank,
+                static_cast<int>(value))
+          << token;
+    }
+  }
+  EXPECT_EQ(TransportSpec::parse("shm:ring=256").ring_bytes, kMinRingBytes);
+  EXPECT_EQ(TransportSpec::parse("shm:ring=0x100").ring_bytes, 256u);
+  EXPECT_EQ(TransportSpec::parse("shm:ring=1024M").ring_bytes, kMaxRingBytes);
+  EXPECT_EQ(TransportSpec::parse("shm:ring=1048576k").ring_bytes,
+            kMaxRingBytes);
+  EXPECT_EQ(TransportSpec::parse("tcp:rank=2147483647").local_rank,
+            2147483647);
 }
 
 TEST(TransportSpecTest, SignatureExcludesEndpointNoise) {

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
+#include "../util/number_tokens.hpp"
 #include "hist/histogram.hpp"
 #include "hist/mrc.hpp"
 #include "util/json.hpp"
@@ -53,6 +55,29 @@ TEST(HistogramJsonTest, RejectsMalformedAndMismatchedDocuments) {
       Histogram::from_json(
           R"({"schema":"parda.histogram.v1","total":9,"infinities":1,"finite":[[2,3]]})"),
       json::JsonError);
+}
+
+TEST(HistogramJsonTest, CountsAndDistancesAreStrictIntegers) {
+  const auto doc = [](const std::string& d, const std::string& count,
+                      const std::string& total) {
+    return R"({"schema":"parda.histogram.v1","total":)" + total +
+           R"(,"infinities":1,"finite":[[)" + d + "," + count + "]]}";
+  };
+  EXPECT_EQ(Histogram::from_json(doc("007", "2", "3")).at(7), 2u);
+  for (const std::string& token : test::hostile_integer_tokens()) {
+    if (test::whitespace_or_empty(token)) continue;  // JSON whitespace
+    EXPECT_THROW(Histogram::from_json(doc(token, "2", "3")), json::JsonError)
+        << token;
+    EXPECT_THROW(Histogram::from_json(doc("7", token, "3")), json::JsonError)
+        << token;
+    EXPECT_THROW(Histogram::from_json(doc("7", "2", token)), json::JsonError)
+        << token;
+  }
+  // Misreads before the parser: a count of -1 passed the totals check by
+  // wrapping (2^64 - 1 + 1 == 0); distances 1.9 and 1e1 read as 1.
+  EXPECT_THROW(Histogram::from_json(doc("7", "-1", "0")), json::JsonError);
+  EXPECT_THROW(Histogram::from_json(doc("1.9", "2", "3")), json::JsonError);
+  EXPECT_THROW(Histogram::from_json(doc("1e1", "2", "3")), json::JsonError);
 }
 
 TEST(HistogramTest, EmptyHistogram) {

@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "../util/number_tokens.hpp"
 #include "apps/online_mrc.hpp"
 #include "comm/fault.hpp"
 #include "core/runtime.hpp"
@@ -396,6 +397,58 @@ TEST(ParseFrameTest, TextAndBinary) {
   EXPECT_EQ(out, (std::vector<Addr>{1, 2}));
   EXPECT_FALSE(parse_frame("application/octet-stream",
                            std::string_view(bytes, 15), out));
+}
+
+TEST(ParseFrameTest, TextFramesReadLikeTxtTraces) {
+  std::vector<Addr> out;
+  // '#' comment lines, as in a .txt trace.
+  EXPECT_TRUE(parse_frame("text/plain", "# window 1\n1\n  # note\n2\n", out));
+  EXPECT_EQ(out, (std::vector<Addr>{1, 2}));
+  for (const auto& [token, value] : test::valid_integer_tokens()) {
+    EXPECT_TRUE(parse_frame("text/plain", token + "\n", out)) << token;
+    EXPECT_EQ(out, (std::vector<Addr>{value})) << token;
+  }
+  EXPECT_TRUE(parse_frame("text/plain", "010\n", out));
+  EXPECT_EQ(out, (std::vector<Addr>{10}));
+  for (const std::string& token : test::hostile_integer_tokens()) {
+    // Lines are trimmed and blank lines skipped, so padded tokens read as 1.
+    EXPECT_EQ(parse_frame("text/plain", "5\n" + token + "\n", out),
+              test::whitespace_or_empty(token))
+        << "'" << token << "'";
+  }
+}
+
+TEST(MrcServiceRouteTest, TenantConfigNumbersAreStrict) {
+  core::PardaRuntime runtime;
+  MrcService service(runtime);
+  const auto rejected = [&](const std::string& body) {
+    const auto r = service.route(post("/tenants/t", body));
+    return r.has_value() && r->status == 400 && !service.status("t");
+  };
+  for (const std::string& token : test::hostile_integer_tokens()) {
+    if (test::whitespace_or_empty(token)) continue;  // JSON whitespace
+    for (const char* key : {"bound", "window", "num_procs"}) {
+      const std::string body =
+          std::string("{\"") + key + "\": " + token + "}";
+      EXPECT_TRUE(rejected(body)) << body;
+    }
+    const std::string quota =
+        "{\"quotas\": {\"max_batch_refs\": " + token + "}}";
+    EXPECT_TRUE(rejected(quota)) << quota;
+  }
+  // Misreads before the parser: -1 wrapped to 2^64 - 1 (a 500 from
+  // reserve), the rest truncated to 1, 2 and 1.
+  for (const char* body :
+       {"{\"window\": -1}", "{\"num_procs\": 4294967297}",
+        "{\"bound\": 2.5}", "{\"window\": 1e9}", "{\"decay\": 1e400}"}) {
+    EXPECT_TRUE(rejected(body)) << body;
+  }
+  ASSERT_EQ(service.route(post("/tenants/t", "{\"window\": 16, "
+                                             "\"num_procs\": 007}"))
+                ->status,
+            200);
+  EXPECT_EQ(service.status("t")->name, "t");
+  EXPECT_EQ(service.tenant_count(), 1u);
 }
 
 }  // namespace

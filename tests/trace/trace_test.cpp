@@ -5,6 +5,7 @@
 #include <thread>
 #include <vector>
 
+#include "../util/number_tokens.hpp"
 #include "trace/trace_compress.hpp"
 #include "trace/trace_io.hpp"
 #include "trace/trace_pipe.hpp"
@@ -128,6 +129,57 @@ TEST(TraceIoTest, TextRoundTrip) {
   write_trace_text(path, trace);
   EXPECT_EQ(read_trace_text(path), trace);
   std::remove(path.c_str());
+}
+
+void write_file(const std::string& path, const std::string& text) {
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  ASSERT_NE(f, nullptr) << path;
+  std::fwrite(text.data(), 1, text.size(), f);
+  std::fclose(f);
+}
+
+/// The TraceFormatError message of reading `text` as a .txt trace, or ""
+/// when it reads.
+std::string text_trace_error(const std::string& text) {
+  const std::string path = temp_path("lines.txt");
+  write_file(path, text);
+  std::string what;
+  try {
+    read_trace_text(path);
+  } catch (const TraceFormatError& e) {
+    what = e.what();
+  }
+  std::remove(path.c_str());
+  return what;
+}
+
+TEST(TraceIoTest, TextReadsDecimalHexAndLongLines) {
+  const std::string path = temp_path("lines.txt");
+  write_file(path, "# comment\n1\n\n 0x10 \r\n007\n  # indented note\n" +
+                       std::string(300, '0') + "7\n0123\n123");
+  EXPECT_EQ(read_trace_text(path), (std::vector<Addr>{1, 16, 7, 7, 123, 123}));
+  std::remove(path.c_str());
+}
+
+TEST(TraceIoTest, TextRejectsMalformedLinesAtTheirOffset) {
+  // A 23-digit number and a 300-character line used to wrap and split.
+  const std::string what = text_trace_error(
+      "1\n2x\n-1\n12345678901234567890123\n" + std::string(299, '0') + "7\n");
+  EXPECT_NE(what.find("line 2 at byte offset 2:"), std::string::npos) << what;
+  // Bare hex without 0x used to read each line as its leading digits.
+  EXPECT_NE(text_trace_error("7fff0000\n7fff0008\n7fff0000\n")
+                .find("line 1 at byte offset 0:"),
+            std::string::npos);
+  for (const std::string& token : test::hostile_integer_tokens()) {
+    const std::string error = text_trace_error("5\n" + token + "\n");
+    // Lines are trimmed and blank lines skipped.
+    EXPECT_EQ(error.empty(), test::whitespace_or_empty(token))
+        << "'" << token << "'";
+    if (!error.empty()) {
+      EXPECT_NE(error.find("line 2 at byte offset 2:"), std::string::npos)
+          << error;
+    }
+  }
 }
 
 TEST(TraceIoTest, StreamingReaderChunks) {

@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <climits>
 #include <string>
 #include <vector>
 
+#include "number_tokens.hpp"
 #include "util/cli.hpp"
 #include "util/table.hpp"
 
@@ -100,6 +102,79 @@ TEST(CliParserTest, NegativeUnsignedExitsUsage) {
   auto argv = make_argv(args);
   EXPECT_EXIT(cli.parse(static_cast<int>(argv.size()), argv.data()),
               ::testing::ExitedWithCode(kExitUsage), "non-negative");
+}
+
+TEST(CliParserTest, EveryHostileIntegerExitsUsage) {
+  for (const std::string& token : test::hostile_integer_tokens()) {
+    std::uint64_t count = 0;
+    CliParser cli("test");
+    cli.add_flag("count", &count, "a count");
+    std::vector<std::string> args{"prog", "--count=" + token};
+    auto argv = make_argv(args);
+    EXPECT_EXIT(cli.parse(static_cast<int>(argv.size()), argv.data()),
+                ::testing::ExitedWithCode(kExitUsage), "needs an integer")
+        << "'" << token << "'";
+  }
+}
+
+TEST(CliParserTest, ValidIntegersReadBack) {
+  for (const auto& [token, value] : test::valid_integer_tokens()) {
+    std::uint64_t count = 0;
+    CliParser cli("test");
+    cli.add_flag("count", &count, "a count");
+    std::vector<std::string> args{"prog", "--count", token};
+    auto argv = make_argv(args);
+    cli.parse(static_cast<int>(argv.size()), argv.data());
+    EXPECT_EQ(count, value) << token;
+  }
+}
+
+TEST(CliParserTest, IntFlagsStayInRange) {
+  int procs = 0;
+  CliParser cli("test");
+  cli.add_flag("procs", &procs, "ranks");
+  std::vector<std::string> args{"prog", "--procs=2147483647"};
+  auto argv = make_argv(args);
+  cli.parse(static_cast<int>(argv.size()), argv.data());
+  EXPECT_EQ(procs, INT_MAX);
+  // Values above INT_MAX are rejected, not truncated (4294967297 would
+  // otherwise run as one rank).
+  for (const char* token : {"2147483648", "4294967297", "-1"}) {
+    int ranks = 0;
+    CliParser range_cli("test");
+    range_cli.add_flag("procs", &ranks, "ranks");
+    std::vector<std::string> range_args{"prog",
+                                        std::string("--procs=") + token};
+    auto range_argv = make_argv(range_args);
+    EXPECT_EXIT(range_cli.parse(static_cast<int>(range_argv.size()),
+                                range_argv.data()),
+                ::testing::ExitedWithCode(kExitUsage), "at most 2147483647")
+        << token;
+  }
+}
+
+TEST(CliParserTest, DoubleFlagsReadOneFiniteNumber) {
+  for (const auto& [token, value] :
+       std::vector<std::pair<std::string, double>>{
+           {"2.5", 2.5}, {"1e3", 1000.0}, {"007", 7.0}, {"-0.5", -0.5}}) {
+    double rate = 0.0;
+    CliParser cli("test");
+    cli.add_flag("rate", &rate, "a rate");
+    std::vector<std::string> args{"prog", "--rate=" + token};
+    auto argv = make_argv(args);
+    cli.parse(static_cast<int>(argv.size()), argv.data());
+    EXPECT_EQ(rate, value) << token;
+  }
+  for (const char* token : {"", "+1", " 1", "1 ", "1x", "inf", "nan"}) {
+    double rate = 0.0;
+    CliParser cli("test");
+    cli.add_flag("rate", &rate, "a rate");
+    std::vector<std::string> args{"prog", std::string("--rate=") + token};
+    auto argv = make_argv(args);
+    EXPECT_EXIT(cli.parse(static_cast<int>(argv.size()), argv.data()),
+                ::testing::ExitedWithCode(kExitUsage), "needs a number")
+        << "'" << token << "'";
+  }
 }
 
 TEST(CliParserTest, MalformedBoolExitsUsage) {

@@ -1,9 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
 #include <set>
+#include <string>
 #include <vector>
 
+#include "number_tokens.hpp"
+#include "util/parse.hpp"
 #include "util/prng.hpp"
 #include "util/stats.hpp"
 #include "util/types.hpp"
@@ -165,6 +169,126 @@ TEST(StatsTest, WordsHuman) {
 TEST(TypesTest, Sentinels) {
   EXPECT_EQ(kInfiniteDistance, ~0ULL);
   EXPECT_EQ(kNoTimestamp, ~0ULL);
+}
+
+constexpr std::int64_t kI64Min = std::numeric_limits<std::int64_t>::min();
+constexpr std::int64_t kI64Max = std::numeric_limits<std::int64_t>::max();
+
+TEST(ParseNumberTest, U64RejectsEveryHostileToken) {
+  for (const std::string& token : test::hostile_integer_tokens()) {
+    EXPECT_FALSE(parse_u64(token).has_value()) << "'" << token << "'";
+  }
+  EXPECT_FALSE(parse_u64("0X").has_value());
+  EXPECT_FALSE(parse_u64("0x0x1").has_value());
+  EXPECT_FALSE(parse_u64("0x-1").has_value());
+  EXPECT_FALSE(parse_u64("0x10000000000000000").has_value());
+}
+
+TEST(ParseNumberTest, U64ReadsValidTokens) {
+  for (const auto& [token, value] : test::valid_integer_tokens()) {
+    EXPECT_EQ(parse_u64(token), value) << token;
+  }
+  EXPECT_EQ(parse_u64("010"), 10u);  // leading zeros are decimal
+  EXPECT_EQ(parse_u64("0X1f"), 31u);
+  EXPECT_EQ(parse_u64("0xFFFFFFFFFFFFFFFF"), ~0ULL);
+  EXPECT_EQ(parse_u64(std::string(300, '0') + "7"), 7u);
+}
+
+TEST(ParseNumberTest, U64HonoursItsMaximum) {
+  EXPECT_EQ(parse_u64("255", 255), 255u);
+  EXPECT_FALSE(parse_u64("256", 255).has_value());
+  EXPECT_FALSE(parse_u64("0x100", 255).has_value());
+  EXPECT_EQ(parse_u64("0", 0), 0u);
+}
+
+TEST(ParseNumberTest, I64RejectsHostileTokensAndReadsNegatives) {
+  for (const std::string& token : test::hostile_integer_tokens()) {
+    if (token == "-1") continue;  // a valid signed token
+    EXPECT_FALSE(parse_i64(token, kI64Min, kI64Max).has_value())
+        << "'" << token << "'";
+  }
+  for (const auto& [token, value] : test::valid_integer_tokens()) {
+    if (value > static_cast<std::uint64_t>(kI64Max)) {
+      EXPECT_FALSE(parse_i64(token, kI64Min, kI64Max).has_value()) << token;
+    } else {
+      EXPECT_EQ(parse_i64(token, kI64Min, kI64Max),
+                static_cast<std::int64_t>(value))
+          << token;
+    }
+  }
+  EXPECT_EQ(parse_i64("-1", kI64Min, kI64Max), -1);
+  EXPECT_EQ(parse_i64("-0x10", kI64Min, kI64Max), -16);
+  EXPECT_EQ(parse_i64("-0", kI64Min, kI64Max), 0);
+  EXPECT_EQ(parse_i64("-9223372036854775808", kI64Min, kI64Max), kI64Min);
+  EXPECT_EQ(parse_i64("9223372036854775807", kI64Min, kI64Max), kI64Max);
+  EXPECT_FALSE(parse_i64("-9223372036854775809", kI64Min, kI64Max));
+  EXPECT_FALSE(parse_i64("9223372036854775808", kI64Min, kI64Max));
+  EXPECT_FALSE(parse_i64("-", kI64Min, kI64Max));
+  EXPECT_FALSE(parse_i64("--1", kI64Min, kI64Max));
+  EXPECT_FALSE(parse_i64("- 1", kI64Min, kI64Max));
+}
+
+TEST(ParseNumberTest, I64HonoursItsRange) {
+  EXPECT_EQ(parse_i64("-3", -3, 3), -3);
+  EXPECT_EQ(parse_i64("3", -3, 3), 3);
+  EXPECT_FALSE(parse_i64("-4", -3, 3));
+  EXPECT_FALSE(parse_i64("4", -3, 3));
+  EXPECT_FALSE(parse_i64("-1", 0, 10));
+}
+
+TEST(ParseNumberTest, F64ReadsOneFiniteValue) {
+  EXPECT_EQ(parse_f64("0.5"), 0.5);
+  EXPECT_EQ(parse_f64("1e3"), 1000.0);
+  EXPECT_EQ(parse_f64("-2"), -2.0);
+  EXPECT_EQ(parse_f64("007"), 7.0);
+  EXPECT_EQ(parse_f64("1.5"), 1.5);
+  for (const char* token :
+       {"", "+1", " 1", "1 ", "1x", "0x1p3", "inf", "-inf", "nan", "1e400",
+        "1,5", ".", "e3"}) {
+    EXPECT_FALSE(parse_f64(token).has_value()) << "'" << token << "'";
+  }
+}
+
+TEST(ParseNumberTest, SplitKeepsEmptyParts) {
+  EXPECT_EQ(split("a,,b", ','),
+            (std::vector<std::string_view>{"a", "", "b"}));
+  EXPECT_EQ(split("", ','), (std::vector<std::string_view>{""}));
+  EXPECT_EQ(split("a,", ','), (std::vector<std::string_view>{"a", ""}));
+  EXPECT_EQ(split("abc", ','), (std::vector<std::string_view>{"abc"}));
+}
+
+TEST(ParseNumberTest, TrimStripsSpacesTabsAndCarriageReturns) {
+  EXPECT_EQ(trim(" \t 12 \r"), "12");
+  EXPECT_EQ(trim(" \t\r "), "");
+  EXPECT_EQ(trim("a b"), "a b");
+}
+
+TEST(AddressLinesTest, ReadsOneAddressPerLine) {
+  std::vector<Addr> out;
+  const std::string text = "# header\n1\n\n  0x10\t\r\n007\n   # note\n" +
+                           std::string(300, '0') + "7\n18446744073709551615";
+  EXPECT_FALSE(read_address_lines(text, out).has_value());
+  EXPECT_EQ(out, (std::vector<Addr>{1, 16, 7, 7, ~0ULL}));
+}
+
+TEST(AddressLinesTest, ReturnsTheFirstBadLineOffset) {
+  std::vector<Addr> out;
+  EXPECT_EQ(read_address_lines("1\n2x\n-1\n", out), 2u);
+  EXPECT_EQ(out, (std::vector<Addr>{1}));
+}
+
+TEST(AddressLinesTest, EveryHostileTokenIsABadLine) {
+  for (const std::string& token : test::hostile_integer_tokens()) {
+    std::vector<Addr> out;
+    const std::optional<std::size_t> bad =
+        read_address_lines("5\n" + token + "\n6\n", out);
+    if (test::whitespace_or_empty(token)) {
+      // Lines are trimmed and blank lines skipped.
+      EXPECT_FALSE(bad.has_value()) << "'" << token << "'";
+      continue;
+    }
+    EXPECT_EQ(bad, 2u) << "'" << token << "'";
+  }
 }
 
 }  // namespace

@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
+#include "../util/number_tokens.hpp"
 #include "vm/assembler.hpp"
 #include "vm/machine.hpp"
 #include "vm/programs.hpp"
@@ -125,6 +128,38 @@ TEST(AssemblerTest, SyntaxErrors) {
   EXPECT_THROW(assemble(".mem lots\n"), std::invalid_argument);
   EXPECT_THROW(assemble(".weird 1\n"), std::invalid_argument);
   EXPECT_THROW(assemble("movi r1, label\n"), std::invalid_argument);
+}
+
+TEST(AssemblerTest, EveryNumberRejectsHostileTokens) {
+  for (const std::string& token : test::hostile_integer_tokens()) {
+    // Operands are split at whitespace and commas, so a padded token is
+    // just 1.
+    if (test::whitespace_or_empty(token)) continue;
+    for (const std::string& source :
+         {"movi r" + token + ", 1\n", ".mem " + token + "\n"}) {
+      EXPECT_THROW(assemble(source), std::invalid_argument) << source;
+    }
+    if (token == "-1") continue;  // a valid immediate and data word
+    for (const std::string& source :
+         {"movi r1, " + token + "\n", ".data 1 " + token + "\n"}) {
+      EXPECT_THROW(assemble(source), std::invalid_argument) << source;
+    }
+  }
+  EXPECT_THROW(assemble("movi r16, 1\n"), std::invalid_argument);
+  EXPECT_THROW(assemble("addi r1, r1, +3\n"), std::invalid_argument);
+}
+
+TEST(AssemblerTest, ValidNumbersReadBack) {
+  for (const auto& [token, value] : test::valid_integer_tokens()) {
+    const Program p = assemble(".mem " + token + "\nhalt\n");
+    EXPECT_EQ(p.memory_words, value) << token;
+  }
+  const Program p = assemble(
+      ".data 010 -0x10 -9223372036854775808\nmovi r0x1, 007\nhalt\n");
+  EXPECT_EQ(p.initial_memory,
+            (std::vector<std::int64_t>{10, -16, INT64_MIN}));
+  EXPECT_EQ(p.code[0].a, 1);
+  EXPECT_EQ(p.code[0].imm, 7);
 }
 
 TEST(AssemblerTest, ErrorMessagesCarryLineNumbers) {

@@ -3,6 +3,7 @@
 #include <stdexcept>
 #include <unordered_set>
 
+#include "../util/number_tokens.hpp"
 #include "seq/olken.hpp"
 #include "workload/generators.hpp"
 #include "workload/parse.hpp"
@@ -106,8 +107,44 @@ TEST(ParseWorkloadTest, Errors) {
                std::invalid_argument);
   EXPECT_THROW(parse_workload("stackdist:d=1,w=0.5/0.5"),
                std::invalid_argument);  // length mismatch
-  EXPECT_FALSE(workload_spec_valid("???"));
-  EXPECT_TRUE(workload_spec_valid("seq:m=10"));
+  EXPECT_THROW(parse_workload("???"), std::invalid_argument);
+  EXPECT_NO_THROW(parse_workload("seq:m=10"));
+}
+
+TEST(ParseWorkloadTest, EveryNumberRejectsHostileTokens) {
+  for (const std::string& token : test::hostile_integer_tokens()) {
+    for (const std::string& spec :
+         {"seq:m=" + token, "spec:mcf,scale=" + token,
+          "stackdist:d=1/" + token + ",w=0.5/0.5",
+          "phased:seq:m=4|seq:m=8,len=" + token}) {
+      EXPECT_THROW(parse_workload(spec), std::invalid_argument) << spec;
+    }
+  }
+  // Real-valued arguments: the hostile tokens that are not reals.
+  for (const char* token : {"", "+1", " 1", "1 ", "1x", "0x1F", "inf"}) {
+    for (const std::string& spec :
+         {std::string("zipf:m=10,a=") + token,
+          std::string("stackdist:d=1/2,w=0.5/") + token,
+          std::string("mix:seq:m=5|seq:m=5,w=1/") + token}) {
+      EXPECT_THROW(parse_workload(spec), std::invalid_argument) << spec;
+    }
+  }
+  // List items used to read garbage as 0 with no end check.
+  EXPECT_THROW(parse_workload("stackdist:d=1/x,w=0.5/zz"),
+               std::invalid_argument);
+}
+
+TEST(ParseWorkloadTest, ValidNumbersReadBack) {
+  for (const auto& [token, value] : test::valid_integer_tokens()) {
+    if (value == 0 || value > 4096) continue;  // m sizes the workload
+    EXPECT_EQ(parse_workload("seq:m=" + token)->name(),
+              SequentialWorkload(value).name())
+        << token;
+  }
+  EXPECT_EQ(parse_workload("seq:m=010")->name(),
+            SequentialWorkload(10).name());
+  EXPECT_EQ(parse_workload("zipf:m=1000,a=5e-1", 7)->name(),
+            ZipfWorkload(1000, 0.5, 7).name());
 }
 
 }  // namespace
