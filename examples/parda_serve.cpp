@@ -99,7 +99,10 @@ int run_server(int argc, char** argv) {
                                 static_cast<unsigned long long>(port));
   if (procs == 0) usage_error("--procs must be positive");
   if (bound == 0) usage_error("--bound must be positive");
-  if (window == 0) usage_error("--window must be positive");
+  if (window == 0 || window > serve::kMaxTenantWindow) {
+    usage_error("--window must be in [1, %llu]",
+                static_cast<unsigned long long>(serve::kMaxTenantWindow));
+  }
   if (decay <= 0.0 || decay > 1.0) usage_error("--decay must be in (0, 1]");
   if (max_tenants == 0) usage_error("--max-tenants must be positive");
   if (sampler_tracked == 0) usage_error("--sampler-tracked must be positive");

@@ -29,29 +29,17 @@ void decayed_fold(Histogram& aggregate, const Histogram& window,
   aggregate = std::move(next);
 }
 
-namespace {
-
-PardaOptions windowed_options(std::uint64_t bound, int num_procs) {
-  PardaOptions options;
-  options.num_procs = num_procs;
-  options.bound = bound;
-  options.space_optimized = true;
-  return options;
-}
-
-}  // namespace
-
 WindowedMrcMonitor::WindowedMrcMonitor(core::PardaRuntime& runtime,
                                        std::uint64_t bound,
                                        std::uint64_t window, double decay,
                                        int num_procs)
-    : session_(runtime.session(windowed_options(bound, num_procs))),
-      window_(window),
-      decay_(decay) {
+    : session_(runtime.session()), window_(window), decay_(decay) {
   PARDA_CHECK(bound >= 1);
   PARDA_CHECK(window >= 1);
   PARDA_CHECK(decay > 0.0 && decay <= 1.0);
   PARDA_CHECK(num_procs >= 1);
+  session_.options().num_procs = num_procs;
+  session_.options().bound = bound;
   pending_.reserve(window);
 }
 

@@ -98,7 +98,7 @@ void offline_rank_body(comm::Comm& comm, TraceSource& source,
     obs::SpanScope span("ingest");
     view = source.rank_view(comm.rank());
   }
-  RankState state(options.bound, options.space_optimized);
+  RankState state(options.bound);
   RankProfile profile;
 
   {
@@ -143,7 +143,7 @@ void stream_rank_body(comm::Comm& comm, TracePipe& pipe,
                       const PardaOptions& options, PardaResult& result) {
   const int np = comm.size();
   const std::size_t chunk = options.chunk_words;
-  RankState state(options.bound, /*space_optimized=*/true);
+  RankState state(options.bound);
   RankProfile profile;
   const int me = comm.rank();
   bool reversed = false;  // virtual<->physical map flips every phase
@@ -301,7 +301,6 @@ PardaResult parda_analyze_source_on(comm::WorkerPool& pool,
                       SIZE_MAX / static_cast<std::size_t>(np),
                   "chunk_words %zu times %d ranks overflows a phase length",
                   options.chunk_words, np);
-  PARDA_CHECK(options.space_optimized);
 
   TracePipe pipe(source.pipe_words());
   std::exception_ptr producer_error;

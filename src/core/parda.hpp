@@ -37,9 +37,6 @@ struct PardaOptions {
   /// Cache bound B of Algorithm 7 in distinct elements; kUnbounded for the
   /// exact full-depth analysis.
   std::uint64_t bound = kUnbounded;
-  /// Use the space-optimized local-infinity processing (Algorithm 4).
-  /// Bounded and streaming modes require it.
-  bool space_optimized = true;
   /// Streaming only: per-rank chunk size C; each phase consumes np*C
   /// references (Algorithm 5), which must fit in a size_t.
   std::size_t chunk_words = 1 << 16;
@@ -74,14 +71,13 @@ Histogram reduce_histogram(comm::Comm& comm, const Histogram& mine, int root);
 /// The analysis driver, on a caller-owned WorkerPool: the only place an
 /// analysis job is submitted. Offline sources run Algorithm 3 over their
 /// rank views; streaming sources run the multi-phase pipe algorithm
-/// (Algorithms 5-6, which need the space optimization: the state reduction
-/// relies on the disjoint-residency property of Algorithm 4), fed by their
-/// producer. The result equals the sequential analysis exactly
-/// (unbounded), or the bounded sequential analysis when options.bound is
-/// set. The source must stay alive for the call (rank views alias its
-/// storage) and may be reused across calls — ChunkedTrzSource keeps its
-/// per-rank decode arenas warm, and a PipeTraceSource runs its producer
-/// again.
+/// (Algorithms 5-6, whose state reduction relies on the disjoint residency
+/// that Algorithm 4's merge leaves), fed by their producer. The result
+/// equals the sequential analysis exactly (unbounded), or the bounded
+/// sequential analysis when options.bound is set. The source must stay
+/// alive for the call (rank views alias its storage) and may be reused
+/// across calls — ChunkedTrzSource keeps its per-rank decode arenas warm,
+/// and a PipeTraceSource runs its producer again.
 ///
 /// A streaming source gets a fresh pipe, and its producer runs on a thread
 /// of its own in the process that hosts rank 0 (the pipe's only reader).

@@ -7,17 +7,16 @@
 // machine drives the offline, phased, and test harnesses.
 //
 // Keys: the OlkenStack (seq/olken.hpp) keys each resident address by its
-// own clock, not by its global trace position. Own-chunk references, and
-// the incoming records that unoptimized Algorithm 3 replays, are newer than
-// everything resident and take the next tick; state imported by the phase
-// holder (Algorithm 6), one part at a time and the newest part first, is
-// older than everything resident and takes the ticks just below the oldest
-// key. Key order is therefore time order, and the index performs the
-// operations it would perform keyed by global time. No global time is
-// kept: records leave the rank as bare addresses in key order. The rank
-// bounds the stack's dead keys with a slack of min(block, kKeySlack), so
-// the index window stays O(resident + slack) however long the chunk or the
-// stream.
+// own clock, not by its global trace position. Own-chunk references are
+// newer than everything resident and take the next tick; state imported by
+// the phase holder (Algorithm 6), one part at a time and the newest part
+// first, is older than everything resident and takes the ticks just below
+// the oldest key; incoming records only remove keys. Key order is
+// therefore time order, and the index performs the operations it would
+// perform keyed by global time. No global time is kept: records leave the
+// rank as bare addresses in key order. The rank bounds the stack's dead
+// keys with a slack of min(block, kKeySlack), so the index window stays
+// O(resident + slack) however long the chunk or the stream.
 //
 // Bounded-mode semantics (one deliberate tightening over the paper, see
 // DESIGN.md): with bound B, the final histogram is exact for all d < B and
@@ -45,13 +44,7 @@ namespace parda {
 class RankState {
  public:
   /// bound: kUnbounded, or the cache bound B of Algorithm 7.
-  /// space_optimized: use Algorithm 4 for incoming infinities. Bounded mode
-  /// requires it (the paper's evaluated configuration).
-  explicit RankState(std::uint64_t bound = kUnbounded,
-                     bool space_optimized = true)
-      : bound_(bound), space_optimized_(space_optimized) {
-    PARDA_CHECK(bound_ == kUnbounded || space_optimized_);
-  }
+  explicit RankState(std::uint64_t bound = kUnbounded) : bound_(bound) {}
 
   /// Processes one reference of this rank's own chunk (Algorithm 3 /
   /// Algorithm 7 main loop).
@@ -101,26 +94,20 @@ class RankState {
   }
 
   /// Processes a received local-infinity list (one merge round), oldest
-  /// first. Survivors (still-unresolved references) are appended to the
-  /// outgoing queue.
+  /// first, with the space-optimized merge of Algorithm 4: a hit leaves the
+  /// stack, so each address ends on exactly one rank. Survivors
+  /// (still-unresolved references) are appended to the outgoing queue.
   void process_incoming(std::span<const Addr> records) {
     constexpr std::size_t kAhead = 8;
     const std::size_t n = records.size();
     for (std::size_t i = 0; i < n; ++i) {
       if (i + kAhead < n) stack_.prefetch(records[i + kAhead]);
       const Addr z = records[i];
-      if (!space_optimized_) {
-        // Unoptimized Algorithm 3: the incoming reference is replayed like
-        // a normal trace entry (it is newer than everything here), so the
-        // stack itself accounts for every suffix element and no offset
-        // applies.
-        process_own(z);
-        stack_.bound_key_span(kKeySlack);
-      } else if (const Distance newer = stack_.remove(z);
-                 newer != kInfiniteDistance) {
-        // Algorithm 4: offset by infinities received so far — distinct
-        // elements of the right-hand suffix that are (by design) absent
-        // from this rank's stack.
+      if (const Distance newer = stack_.remove(z);
+          newer != kInfiniteDistance) {
+        // Offset by infinities received so far — distinct elements of the
+        // right-hand suffix that are (by design) absent from this rank's
+        // stack.
         record(newer + received_count_);
       } else {
         loc_inf_.push_back(z);
@@ -163,8 +150,8 @@ class RankState {
   /// than everything resident: virtual-rank order is time order, and the
   /// phase holder imports the parts newest first. Its addresses take the
   /// keys just below this rank's oldest key, in order, so no resident entry
-  /// is re-keyed and the hash table sees one insert per address. With space
-  /// optimization the address sets are disjoint (paper Section IV-C), so no
+  /// is re-keyed and the hash table sees one insert per address. Algorithm
+  /// 4 leaves the address sets disjoint (paper Section IV-C), so no
   /// duplicate check is needed — PARDA_DCHECK guards that claim in debug
   /// builds. Under a bound only the part's newest B − resident() addresses
   /// are keyed (none once the rank holds B): anything older has at least B
@@ -209,7 +196,6 @@ class RankState {
   }
 
   std::uint64_t bound_;
-  bool space_optimized_;
   OlkenStack stack_;
   Histogram hist_;
   std::vector<Addr> loc_inf_;

@@ -1,6 +1,7 @@
 #include "hist/histogram.hpp"
 
 #include <algorithm>
+#include <limits>
 
 #include "util/check.hpp"
 #include "util/json.hpp"
@@ -153,15 +154,26 @@ Histogram Histogram::from_json(std::string_view text) {
     throw json::JsonError("histogram: missing/unknown schema");
   }
   Histogram h;
+  // A count whose sum with the total wraps would pass the totals check.
+  const auto add = [&h](Distance d, std::uint64_t count) {
+    if (count > std::numeric_limits<std::uint64_t>::max() - h.total_) {
+      throw json::JsonError("histogram: counts overflow the 64-bit total");
+    }
+    h.record(d, count);
+  };
   const json::Value& finite = doc.at("finite");
   if (!finite.is_array()) throw json::JsonError("histogram: finite not array");
   for (const json::Value& pair : finite.array) {
     if (!pair.is_array() || pair.array.size() != 2) {
       throw json::JsonError("histogram: finite entry not a [d, count] pair");
     }
-    h.record(pair.array[0].as_u64(), pair.array[1].as_u64());
+    const Distance d = pair.array[0].as_u64();
+    if (d >= kMaxJsonDistance) {
+      throw json::JsonError("histogram: finite distance out of range");
+    }
+    add(d, pair.array[1].as_u64());
   }
-  h.record(kInfiniteDistance, doc.at("infinities").as_u64());
+  add(kInfiniteDistance, doc.at("infinities").as_u64());
   if (h.total_ != doc.at("total").as_u64()) {
     throw json::JsonError("histogram: total does not match finite+infinities");
   }

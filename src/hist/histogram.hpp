@@ -15,6 +15,11 @@
 
 namespace parda {
 
+/// from_json rejects a finite distance at or above 2^28: beyond the
+/// footprint of any trace analyzed here, below record's 2^48 guard, and the
+/// dense counts vector for a distance just under it (2 GiB) fits in memory.
+inline constexpr Distance kMaxJsonDistance = Distance{1} << 28;
+
 class Histogram {
  public:
   Histogram() = default;
@@ -69,8 +74,10 @@ class Histogram {
   /// THE interchange format — the metrics snapshot and hist/report tooling
   /// both use it; the CSV emitters remain for plotting only.
   std::string to_json() const;
-  /// Inverse of to_json(). Throws json::JsonError on malformed input or a
-  /// schema/total mismatch.
+  /// Inverse of to_json(). Throws json::JsonError on malformed input, a
+  /// schema/total mismatch, a finite distance at or above
+  /// kMaxJsonDistance (kInfiniteDistance included), or counts whose sum
+  /// overflows the 64-bit total.
   static Histogram from_json(std::string_view text);
 
  private:

@@ -81,7 +81,8 @@ bool parse_tenant_config(std::string_view body, TenantConfig& cfg) {
   } catch (const json::JsonError&) {
     return false;
   }
-  return cfg.bound >= 1 && cfg.window >= 1 && cfg.decay > 0.0 &&
+  return cfg.bound >= 1 && cfg.window >= 1 &&
+         cfg.window <= kMaxTenantWindow && cfg.decay > 0.0 &&
          cfg.decay <= 1.0 && cfg.num_procs >= 1 && cfg.num_procs <= 64 &&
          cfg.quotas.sampler_tracked >= 1;
 }
@@ -170,6 +171,8 @@ MrcService::MrcService(core::PardaRuntime& runtime, Config config)
       rejected_total_(&obs::registry().counter("serve.rejected")),
       tenants_gauge_(&obs::registry().gauge("serve.tenants")) {
   PARDA_CHECK(config_.max_tenants >= 1);
+  PARDA_CHECK_MSG(config_.tenant_defaults.window <= kMaxTenantWindow,
+                  "tenant_defaults.window is above kMaxTenantWindow");
 }
 
 MrcService::~MrcService() {

@@ -57,10 +57,15 @@ struct TenantQuotas {
   std::uint64_t max_aborts = 1;
 };
 
+/// The largest tenant window, in references: 2^24. The exact monitor
+/// reserves its whole window up front, 8 bytes a reference, so a window at
+/// the limit reserves 128 MiB.
+inline constexpr std::uint64_t kMaxTenantWindow = std::uint64_t{1} << 24;
+
 /// Per-tenant analysis configuration (the shape of its MRC monitor).
 struct TenantConfig {
   std::uint64_t bound = std::uint64_t{1} << 16;
-  std::uint64_t window = std::uint64_t{1} << 14;
+  std::uint64_t window = std::uint64_t{1} << 14;  // at most kMaxTenantWindow
   double decay = 1.0;
   int num_procs = 2;
   TenantQuotas quotas;

@@ -1,6 +1,6 @@
 // Property tests for the parallel algorithm: Parda must equal the
-// sequential analysis exactly, for every rank count, chunking, bound, and
-// with or without the space optimization (paper Section IV-B).
+// sequential analysis exactly, for every rank count, chunking and bound
+// (paper Section IV-B).
 #include <gtest/gtest.h>
 
 #include <string>
@@ -26,31 +26,25 @@ std::vector<Addr> mixed_trace(std::size_t n, std::uint64_t seed) {
   return generate_trace(mix, n);
 }
 
-class PardaEquivalenceTest
-    : public ::testing::TestWithParam<std::tuple<int, bool>> {};
+class PardaEquivalenceTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(PardaEquivalenceTest, MatchesSequentialUnbounded) {
-  const auto [np, space_opt] = GetParam();
+  const int np = GetParam();
   const auto trace = mixed_trace(6000, 42);
   const Histogram expected = olken_analysis(trace);
 
   PardaOptions options;
   options.num_procs = np;
-  options.space_optimized = space_opt;
   const PardaResult result = parda_analyze(trace, options);
-  EXPECT_TRUE(result.hist == expected)
-      << "np=" << np << " space_opt=" << space_opt;
+  EXPECT_TRUE(result.hist == expected) << "np=" << np;
   EXPECT_EQ(result.stats.ranks.size(), static_cast<std::size_t>(np));
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    RankAndOptimization, PardaEquivalenceTest,
-    ::testing::Combine(::testing::Values(1, 2, 3, 4, 5, 7, 8, 16),
-                       ::testing::Bool()),
-    [](const auto& info) {
-      return "np" + std::to_string(std::get<0>(info.param)) +
-             (std::get<1>(info.param) ? "_spaceopt" : "_plain");
-    });
+INSTANTIATE_TEST_SUITE_P(Ranks, PardaEquivalenceTest,
+                         ::testing::Values(1, 2, 3, 4, 5, 7, 8, 16),
+                         [](const auto& info) {
+                           return "np" + std::to_string(info.param);
+                         });
 
 class PardaBoundedTest
     : public ::testing::TestWithParam<std::tuple<int, std::uint64_t>> {};
@@ -177,7 +171,7 @@ TEST(RankStateTest, LocalInfinityPerDistinctElement) {
 }
 
 TEST(RankStateTest, SpaceOptimizedDeletesResolvedEntries) {
-  RankState state;  // space-optimized by default
+  RankState state;
   state.process_own(1);
   state.process_own(2);
   EXPECT_EQ(state.resident(), 2u);
@@ -186,18 +180,6 @@ TEST(RankStateTest, SpaceOptimizedDeletesResolvedEntries) {
   EXPECT_EQ(state.resident_addrs(), (std::vector<Addr>{2}));
   EXPECT_EQ(state.received_count(), 1u);
   EXPECT_EQ(state.hist().at(1), 1u);  // one distinct element (2) intervened
-}
-
-TEST(RankStateTest, UnoptimizedKeepsAndReplaysEntries) {
-  RankState state(kUnbounded, /*space_optimized=*/false);
-  state.process_own(1);
-  state.process_own(2);
-  state.take_local_infinities();
-  state.process_incoming(std::vector<Addr>{1, 3});
-  // Hit re-inserted as the newest, miss inserted after it.
-  EXPECT_EQ(state.resident_addrs(), (std::vector<Addr>{2, 1, 3}));
-  EXPECT_EQ(state.hist().at(1), 1u);
-  EXPECT_EQ(state.take_local_infinities(), (std::vector<Addr>{3}));
 }
 
 TEST(RankStateTest, CountOffsetsIncomingDistances) {
@@ -232,7 +214,7 @@ TEST(RankStateTest, ExportImportRoundTrip) {
 
 TEST(RankStateTest, BoundedImportKeepsNewest) {
   {
-    RankState state(/*bound=*/2, /*space_optimized=*/true);
+    RankState state(/*bound=*/2);
     state.import_state(std::vector<Addr>{1, 2, 3});
     EXPECT_EQ(state.resident_addrs(), (std::vector<Addr>{2, 3}));
     // Address 1 (oldest) was never keyed: a reuse of it misses.
@@ -243,7 +225,7 @@ TEST(RankStateTest, BoundedImportKeepsNewest) {
   {
     // A holder with two own entries under B = 3 has room for one more:
     // the newest of the first part. The older part gets none.
-    RankState holder(/*bound=*/3, /*space_optimized=*/true);
+    RankState holder(/*bound=*/3);
     holder.process_own(50);
     holder.process_own(60);
     holder.take_local_infinities();

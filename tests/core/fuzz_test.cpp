@@ -1,18 +1,20 @@
 // Randomized cross-engine equivalence sweep: for a battery of seeds and
 // workload shapes, every exact engine in the repository must produce the
 // naive stack's histogram — Olken, Bennett-Kruskal, the interval engine,
-// offline Parda (both merge variants, several rank counts), and streaming
-// Parda — and the bounded variants must equal both the bounded sequential
-// analysis and the naive histogram folded at B. The naive stack shares no
-// code with the Olken stack that the sequential engines and every Parda
-// rank run on. Every unbounded Parda run must also forward and receive
-// exactly the records Property 4.3 predicts, and every bounded one must
-// keep each rank within B.
+// offline Parda (several rank counts, read from a mapped .trc and from a
+// chunked .trz), and streaming Parda — and the bounded variants must equal
+// both the bounded sequential analysis and the naive histogram folded at
+// B. The naive stack shares no code with the Olken stack that the
+// sequential engines and every Parda rank run on. Every unbounded Parda
+// run must also forward and receive exactly the records Property 4.3
+// predicts, and every bounded one must keep each rank within B.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <memory>
 #include <span>
+#include <string>
 #include <unordered_set>
 #include <vector>
 
@@ -24,6 +26,9 @@
 #include "seq/naive.hpp"
 #include "seq/olken.hpp"
 #include "seq/opt.hpp"
+#include "trace/source.hpp"
+#include "trace/trace_compress.hpp"
+#include "trace/trace_io.hpp"
 #include "trace/trace_pipe.hpp"
 #include "util/prng.hpp"
 #include "workload/generators.hpp"
@@ -105,19 +110,20 @@ std::vector<std::uint64_t> distinct_suffix(std::span<const Addr> refs) {
 /// Property 4.3 as record counts, offline and unbounded: rank p >= 1
 /// forwards one record per distinct address of the trace from its view to
 /// the end, and rank 0 forwards none; rank p < np - 1 receives what rank
-/// p + 1 forwards, and the last rank receives none. Both merge variants
-/// obey it, since no address reaches a rank twice.
+/// p + 1 forwards, and the last rank receives none. `source` is the one
+/// the analysis read, still partitioned for np: its views tile the trace
+/// in rank order, so each view starts where the ones before it end.
 void expect_offline_record_counts(const std::vector<Addr>& trace,
+                                  TraceSource& source,
                                   const PardaResult& result, int np) {
-  SpanTraceSource split(trace);
-  split.partition(np);
   const std::vector<std::uint64_t> suffix = distinct_suffix(trace);
   std::vector<std::uint64_t> from_view(static_cast<std::size_t>(np) + 1, 0);
+  std::size_t begin = 0;
   for (int p = 0; p < np; ++p) {
-    const auto begin =
-        static_cast<std::size_t>(split.rank_view(p).data() - trace.data());
     from_view[static_cast<std::size_t>(p)] = suffix[begin];
+    begin += source.rank_view(p).size();
   }
+  ASSERT_EQ(begin, trace.size());
   ASSERT_EQ(result.profiles.size(), static_cast<std::size_t>(np));
   for (int p = 0; p < np; ++p) {
     const auto r = static_cast<std::size_t>(p);
@@ -184,21 +190,38 @@ TEST_P(FuzzEquivalenceTest, AllExactEnginesAgree) {
 }
 
 TEST_P(FuzzEquivalenceTest, ParallelMatchesSequential) {
+  // Each seed's trace goes through both on-disk offline ingest paths: the
+  // mapped .trc splits it by references, the .trz by whole chunks. The
+  // drawn chunk length leaves the runs uneven at np = 5, and from 1000
+  // references on (four chunks or fewer) a rank there gets no chunk.
   const std::uint64_t seed = GetParam();
   const auto trace = cocktail_trace(seed, 4000);
   const Histogram expected = naive_stack_analysis(trace);
+  Xoshiro256 rng(seed ^ 0x1265);
+  const std::uint64_t chunk_refs = 300 + rng.below(1500);
+  const std::string stem = std::string(::testing::TempDir()) +
+                           "/core_fuzz_seed" + std::to_string(seed);
+  const std::string trc = stem + ".trc";
+  const std::string trz = stem + ".trz";
+  write_trace_binary(trc, trace);
+  write_trace_chunked(trz, trace, chunk_refs);
+  MmapTraceSource mmap(trc);
+  ChunkedTrzSource chunked(trz);
+  TraceSource* const sources[] = {&mmap, &chunked};
   for (const int np : {1, 2, 5}) {
-    for (const bool space_opt : {false, true}) {
-      SCOPED_TRACE(::testing::Message() << "np=" << np << " opt="
-                                        << space_opt);
+    for (TraceSource* source : sources) {
+      SCOPED_TRACE(::testing::Message()
+                   << "np=" << np << (source == &mmap ? " mmap" : " trz")
+                   << " chunk_refs=" << chunk_refs);
       PardaOptions options;
       options.num_procs = np;
-      options.space_optimized = space_opt;
-      const PardaResult result = parda_analyze(trace, options);
+      const PardaResult result = parda_analyze(*source, options);
       EXPECT_TRUE(result.hist == expected);
-      expect_offline_record_counts(trace, result, np);
+      expect_offline_record_counts(trace, *source, result, np);
     }
   }
+  std::remove(trc.c_str());
+  std::remove(trz.c_str());
 }
 
 TEST_P(FuzzEquivalenceTest, BoundedEnginesAgree) {
@@ -327,17 +350,14 @@ TEST(LongChunkTest, OfflineRanksRenumberTheirKeys) {
     trace.push_back(a % 257);
   }
   const Histogram expected = olken_analysis(trace);
+  SpanTraceSource source(trace);
   for (const int np : {1, 2}) {
-    for (const bool space_opt : {false, true}) {
-      SCOPED_TRACE(::testing::Message() << "np=" << np << " opt="
-                                        << space_opt);
-      PardaOptions options;
-      options.num_procs = np;
-      options.space_optimized = space_opt;
-      const PardaResult result = parda_analyze(trace, options);
-      EXPECT_TRUE(result.hist == expected);
-      expect_offline_record_counts(trace, result, np);
-    }
+    SCOPED_TRACE(::testing::Message() << "np=" << np);
+    PardaOptions options;
+    options.num_procs = np;
+    const PardaResult result = parda_analyze(source, options);
+    EXPECT_TRUE(result.hist == expected);
+    expect_offline_record_counts(trace, source, result, np);
   }
 }
 

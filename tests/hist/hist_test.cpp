@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <exception>
 #include <string>
 #include <vector>
 
+#include "../util/mutations.hpp"
 #include "../util/number_tokens.hpp"
 #include "hist/histogram.hpp"
 #include "hist/mrc.hpp"
@@ -78,6 +81,64 @@ TEST(HistogramJsonTest, CountsAndDistancesAreStrictIntegers) {
   EXPECT_THROW(Histogram::from_json(doc("7", "-1", "0")), json::JsonError);
   EXPECT_THROW(Histogram::from_json(doc("1.9", "2", "3")), json::JsonError);
   EXPECT_THROW(Histogram::from_json(doc("1e1", "2", "3")), json::JsonError);
+}
+
+TEST(HistogramJsonTest, RejectsOutOfRangeDistancesAndWrappingCounts) {
+  const auto doc = [](const std::string& d, const std::string& count,
+                      const std::string& infinities,
+                      const std::string& total) {
+    return R"({"schema":"parda.histogram.v1","finite":[[)" + d + "," +
+           count + R"(]],"infinities":)" + infinities + R"(,"total":)" +
+           total + "}";
+  };
+  for (const std::uint64_t d : {
+           kMaxJsonDistance,
+           std::uint64_t{1} << 40,   // was bad_alloc from the dense resize
+           std::uint64_t{1} << 48,   // was an abort in record's guard
+           kInfiniteDistance - 1,    // likewise
+           kInfiniteDistance,        // was counted as an infinity
+       }) {
+    EXPECT_THROW(Histogram::from_json(doc(std::to_string(d), "1", "0", "1")),
+                 json::JsonError)
+        << d;
+  }
+  // The counts summed to 2^64 + 1, which wrapped to the stated total.
+  EXPECT_THROW(Histogram::from_json(
+                   doc("1", std::to_string(~std::uint64_t{0}), "2", "1")),
+               json::JsonError);
+  EXPECT_THROW(
+      Histogram::from_json(
+          R"({"schema":"parda.histogram.v1","finite":[[1,9223372036854775808],)"
+          R"([2,9223372036854775808]],"infinities":0,"total":0})"),
+      json::JsonError);
+}
+
+TEST(HistogramJsonTest, HostileBytesThrowOrRoundTrip) {
+  // Every truncation, a one-byte extension and every bit flip of a small
+  // document either throws JsonError or reads as a histogram that
+  // round-trips through to_json.
+  Histogram h;
+  h.record(0, 3);
+  h.record(7, 2);
+  h.record(300, 1);
+  h.record(kInfiniteDistance, 5);
+  const std::string text = h.to_json();
+  std::size_t read = 0;
+  for_each_mutation(
+      std::vector<std::uint8_t>(text.begin(), text.end()),
+      [&](const Mutation& m) {
+        try {
+          const Histogram back = Histogram::from_json(
+              std::string(m.bytes.begin(), m.bytes.end()));
+          ++read;
+          EXPECT_TRUE(Histogram::from_json(back.to_json()) == back)
+              << m.label;
+        } catch (const json::JsonError&) {
+        } catch (const std::exception& e) {
+          ADD_FAILURE() << m.label << ": not a JsonError: " << e.what();
+        }
+      });
+  EXPECT_GT(read, 0u);  // e.g. a flipped distance digit reads back
 }
 
 TEST(HistogramTest, EmptyHistogram) {

@@ -12,6 +12,7 @@
 #include "comm/fault.hpp"
 #include "core/runtime.hpp"
 #include "hist/histogram.hpp"
+#include "util/check.hpp"
 #include "workload/generators.hpp"
 
 namespace parda::serve {
@@ -449,6 +450,34 @@ TEST(MrcServiceRouteTest, TenantConfigNumbersAreStrict) {
             200);
   EXPECT_EQ(service.status("t")->name, "t");
   EXPECT_EQ(service.tenant_count(), 1u);
+}
+
+TEST(MrcServiceRouteTest, OversizedWindowIsMalformed) {
+  // The monitor reserves its window up front: 2^40 references threw
+  // bad_alloc and 2^64 - 1 threw from reserve, both a 500.
+  core::PardaRuntime runtime;
+  MrcService service(runtime);
+  for (const std::uint64_t window :
+       {kMaxTenantWindow + 1, std::uint64_t{1} << 40,
+        std::uint64_t{18446744073709551615u}}) {
+    const std::string body = "{\"window\": " + std::to_string(window) + "}";
+    const auto r = service.route(post("/tenants/t", body));
+    ASSERT_TRUE(r.has_value()) << body;
+    EXPECT_EQ(r->status, 400) << body;
+    EXPECT_NE(r->body.find("malformed"), std::string::npos) << body;
+    EXPECT_FALSE(service.status("t")) << body;
+  }
+  EXPECT_EQ(service.tenant_count(), 0u);
+  const std::string at_limit =
+      "{\"window\": " + std::to_string(kMaxTenantWindow) + "}";
+  EXPECT_EQ(service.route(post("/tenants/t", at_limit))->status, 200);
+  EXPECT_EQ(service.tenant_count(), 1u);
+
+  // Defaults apply to every body-less registration, so the service
+  // refuses oversized ones up front.
+  MrcService::Config config;
+  config.tenant_defaults.window = kMaxTenantWindow + 1;
+  EXPECT_THROW(MrcService rejected(runtime, config), CheckError);
 }
 
 }  // namespace

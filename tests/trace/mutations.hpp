@@ -1,50 +1,20 @@
-// Hostile bytes for the trace container parsers: every truncation, a
-// one-byte extension and every single-bit flip of a well-formed file. The
-// sweeps run each mutation through each reader of its container; a reader
-// may return a trace or throw TraceFormatError, and nothing else.
+// Hostile bytes for the trace container parsers: the sweeps run each
+// mutation of ../util/mutations.hpp through each reader of its container;
+// a reader may return a trace or throw TraceFormatError, and nothing else.
 #pragma once
 
 #include <gtest/gtest.h>
 
-#include <cstdint>
 #include <exception>
 #include <optional>
 #include <string>
 #include <vector>
 
+#include "../util/mutations.hpp"
 #include "trace/trace_io.hpp"
 #include "util/types.hpp"
 
 namespace parda {
-
-struct Mutation {
-  std::string label;
-  std::vector<std::uint8_t> bytes;
-  /// The byte holding the flipped bit; nullopt for a truncation or the
-  /// extension, which change the length.
-  std::optional<std::size_t> flipped_byte;
-};
-
-/// Calls fn(const Mutation&) for every truncation of `clean` to a shorter
-/// length, for `clean` plus one zero byte, and for every single-bit flip.
-template <class Fn>
-void for_each_mutation(const std::vector<std::uint8_t>& clean, Fn&& fn) {
-  for (std::size_t n = 0; n < clean.size(); ++n) {
-    fn(Mutation{"truncated to " + std::to_string(n) + " bytes",
-                {clean.begin(), clean.begin() + static_cast<long>(n)},
-                std::nullopt});
-  }
-  std::vector<std::uint8_t> longer = clean;
-  longer.push_back(0);
-  fn(Mutation{"extended by one byte", longer, std::nullopt});
-  for (std::size_t bit = 0; bit < clean.size() * 8; ++bit) {
-    std::vector<std::uint8_t> flipped = clean;
-    flipped[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
-    fn(Mutation{"bit " + std::to_string(bit % 8) + " of byte " +
-                    std::to_string(bit / 8) + " flipped",
-                std::move(flipped), bit / 8});
-  }
-}
 
 /// How a reader ended: the trace it returned, or nullopt when it threw
 /// TraceFormatError. Any other exception fails the test, naming `label`.

@@ -6,18 +6,12 @@
 
 #include "cachesim/lru_cache.hpp"
 #include "cachesim/set_assoc_cache.hpp"
-#include "core/rank_state.hpp"
 #include "hist/histogram.hpp"
 #include "trace/trace_pipe.hpp"
 #include "util/check.hpp"
 
 namespace parda {
 namespace {
-
-TEST(DeathTest, BoundedRankStateRequiresSpaceOptimization) {
-  EXPECT_DEATH(RankState(/*bound=*/16, /*space_optimized=*/false),
-               "PARDA_CHECK");
-}
 
 TEST(DeathTest, TracePipeRejectsZeroCapacity) {
   EXPECT_DEATH(TracePipe pipe(0), "PARDA_CHECK");
