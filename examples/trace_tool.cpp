@@ -12,21 +12,20 @@
 //   ./trace_tool analyze lbm.trc --transport=tcp --rank=0
 //                --peers=host0:7000,host1:7000            # distributed
 //   ./trace_tool analyze lbm.trz --procs=8           # parallel .trz decode
-//   ./trace_tool analyze lbm.trc --ingest=pipe       # = --stream
 //   ./trace_tool checkmetrics scrape.prom
 //   ./trace_tool convert lbm.trc lbm.txt
 //   ./trace_tool convert lbm.trc lbm.trz --chunk-refs=65536
 //   ./trace_tool convert old.trz new.trz                  # v1 -> chunked v2
 //
-// The transport, ingest path, log level and fault plan all resolve through
-// the layered config rule: the CLI flag beats the environment variable
-// ($PARDA_TRANSPORT / $PARDA_INGEST / $PARDA_LOG_LEVEL / $PARDA_FAULT_PLAN)
-// beats the default.
-// The default ingest path comes from the trace container: .trz archives
-// are decoded per rank (trz), anything else is mapped (mmap), and --stream
-// is the pipe. The parallel engine therefore needs a .trc/.bin file or a
-// chunked v2 .trz; convert .txt traces and v1 archives first. gen and
-// convert write every .trz as a chunked v2 archive.
+// The transport, log level and fault plan all resolve through the layered
+// config rule: the CLI flag beats the environment variable
+// ($PARDA_TRANSPORT / $PARDA_LOG_LEVEL / $PARDA_FAULT_PLAN) beats the
+// default.
+// The trace container picks how the file reaches the ranks: .trz archives
+// are decoded per rank, anything else is mapped, and --stream streams the
+// file through a pipe. The parallel engine therefore needs a .trc/.bin
+// file or a chunked v2 .trz; convert .txt traces and v1 archives first.
+// gen and convert write every .trz as a chunked v2 archive.
 //
 // Exit codes: 0 success, 1 runtime failure (missing/corrupt trace, aborted
 // analysis, invalid exposition format), 2 usage error (bad flag or
@@ -36,6 +35,7 @@
 #include <cstdio>
 #include <cstring>
 #include <exception>
+#include <memory>
 #include <optional>
 #include <string>
 
@@ -44,7 +44,6 @@
 #include "core/file_analysis.hpp"
 #include "core/parda.hpp"
 #include "core/runtime.hpp"
-#include "seq/bennett_kruskal.hpp"
 #include "seq/lru_chain.hpp"
 #include "seq/olken.hpp"
 #include "hist/mrc.hpp"
@@ -94,10 +93,10 @@ void check_chunk_refs(const parda::CliParser& cli, const char* command,
   }
 }
 
-constexpr const char* kEngineNames = "parda|lru|olken|fenwick";
+constexpr const char* kEngineNames = "parda|lru|olken";
 
 bool is_known_engine(const std::string& e) {
-  return e == "parda" || e == "lru" || e == "olken" || e == "fenwick";
+  return e == "parda" || e == "lru" || e == "olken";
 }
 
 /// Runs a whole trace through a sequential engine and publishes its
@@ -117,12 +116,7 @@ parda::Histogram run_seq_engine(const std::string& engine,
                                 std::uint64_t bound) {
   using namespace parda;
   if (engine == "lru") return run_seq(LruChainAnalyzer(bound), trace);
-  if (engine == "olken") return run_seq(OlkenAnalyzer(bound), trace);
-  if (bound != 0) {
-    usage_error("analyze: --engine=%s does not support --bound",
-                engine.c_str());
-  }
-  return run_seq(BennettKruskalAnalyzer(), trace);  // "fenwick"
+  return run_seq(OlkenAnalyzer(bound), trace);  // "olken"
 }
 
 /// Resolves the transport configuration: the --transport spec string
@@ -221,7 +215,6 @@ int run_tool(int argc, char** argv) {
   std::uint64_t bound = 0;
   std::string engine = "parda";
   bool stream = false;
-  std::string ingest_text;
   std::uint64_t chunk = 1 << 16;
   std::uint64_t pipe_words = 1 << 20;
   std::uint64_t chunk_refs = kDefaultTrzChunkRefs;
@@ -252,18 +245,12 @@ int run_tool(int argc, char** argv) {
   cli.add_flag("bound", &bound, "analyze: cache bound (0 = unbounded)");
   cli.add_flag("engine", &engine,
                "analyze: parda (parallel, default) or a sequential engine: "
-               "lru|olken|fenwick");
+               "lru|olken");
   cli.add_flag("stream", &stream,
                "analyze: stream the file through a bounded pipe");
-  cli.add_flag("ingest", &ingest_text,
-               "analyze: file ingest path: pipe (stream through a bounded "
-               "pipe) | mmap (zero-copy map of a .trc) | trz (parallel "
-               "chunked decode of a v2 .trz); also $PARDA_INGEST; default "
-               "trz for .trz, else mmap");
-  cli.add_flag("chunk", &chunk,
-               "analyze, pipe ingest: per-rank chunk size C");
+  cli.add_flag("chunk", &chunk, "analyze --stream: per-rank chunk size C");
   cli.add_flag("pipe", &pipe_words,
-               "analyze, pipe ingest: pipe capacity in words");
+               "analyze --stream: pipe capacity in words");
   cli.add_flag("chunk-refs", &chunk_refs,
                "gen/convert: references per chunk for .trz outputs");
   cli.add_flag("fault-plan", &fault_plan_spec,
@@ -308,7 +295,7 @@ int run_tool(int argc, char** argv) {
   cli.parse(argc - 1, argv + 1);
 
   if (engine == "interval" || engine == "naive" || engine == "splay" ||
-      engine == "avl" || engine == "treap") {
+      engine == "avl" || engine == "treap" || engine == "fenwick") {
     usage_error("--engine=%s is no longer a trace_tool engine; it remains "
                 "in the tests and benches (--engine=olken runs Olken's "
                 "algorithm)",
@@ -358,40 +345,6 @@ int run_tool(int argc, char** argv) {
                 comm::transport_kind_name(transport.kind));
   }
 
-  // The file-ingest path, through the same layered rule as the transport:
-  // --ingest beats $PARDA_INGEST beats the trace container's own path.
-  IngestMode ingest =
-      !cli.positionals().empty() && cli.positionals()[0].ends_with(".trz")
-          ? IngestMode::kTrz
-          : IngestMode::kMmap;
-  const config::Resolved ingest_resolved =
-      config::resolve_flag(cli, "ingest", ingest_text, "PARDA_INGEST",
-                           ingest_mode_name(ingest));
-  if (const std::optional<IngestMode> parsed =
-          parse_ingest_mode(ingest_resolved.value)) {
-    ingest = *parsed;
-  } else if (ingest_resolved.from_cli()) {
-    usage_error("bad --ingest '%s' (expected pipe|mmap|trz)",
-                ingest_resolved.value.c_str());
-  } else {
-    std::fprintf(stderr, "trace_tool: ignoring bad $PARDA_INGEST '%s'\n",
-                 ingest_resolved.value.c_str());
-  }
-  if (stream) {
-    // --stream IS pipe ingest. A contradictory CLI --ingest is a usage
-    // error; a contradictory environment is tolerated, like --transport.
-    if (ingest != IngestMode::kPipe && ingest_resolved.from_cli()) {
-      usage_error("analyze: --stream streams through the pipe; drop it or "
-                  "use --ingest=%s without --stream",
-                  ingest_mode_name(ingest));
-    }
-    ingest = IngestMode::kPipe;
-  }
-  if (engine != "parda" && cli.was_set("ingest")) {
-    usage_error("--ingest requires --engine=parda (sequential engines load "
-                "the whole trace in memory)");
-  }
-
   std::optional<std::uint16_t> serve_port;
   if (!serve.empty()) {
     const std::optional<std::uint64_t> port = parse_u64(serve, 65535);
@@ -426,7 +379,7 @@ int run_tool(int argc, char** argv) {
   if (command == "analyze") {
     if (cli.positionals().empty()) usage_error("analyze: missing trace path");
     if (procs == 0) usage_error("analyze: --procs must be positive");
-    if (engine == "parda" && ingest == IngestMode::kPipe) {
+    if (stream) {
       if (chunk == 0) usage_error("analyze: --chunk must be positive");
       if (chunk > SIZE_MAX / procs) {
         usage_error("analyze: --chunk times --procs overflows a phase");
@@ -510,8 +463,16 @@ int run_tool(int argc, char** argv) {
         std::fflush(stdout);
       }
       auto session = runtime.session(options);
+      const std::string& path = cli.positionals()[0];
+      std::unique_ptr<TraceSource> source;
+      if (!stream) {
+        source = open_offline_source(path, path.ends_with(".trz")
+                                               ? IngestMode::kTrz
+                                               : IngestMode::kMmap);
+      }
       for (std::uint64_t i = 0; i < repeat; ++i) {
-        result = session.analyze_file(cli.positionals()[0], pipe_words, ingest);
+        result = stream ? session.analyze_file(path, pipe_words)
+                        : session.analyze(*source);
         if (repeat > 1) {
           std::printf("iteration %llu: %.3f ms wall\n",
                       static_cast<unsigned long long>(i + 1),

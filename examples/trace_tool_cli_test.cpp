@@ -82,22 +82,18 @@ TEST_F(TraceToolCliTest, SequentialEngineRuns) {
   EXPECT_EQ(run("analyze trace_cli_test.trc --engine=lru --bound=256"), 0);
   EXPECT_EQ(run("analyze trace_cli_test.trc --engine=olken"), 0);
   EXPECT_EQ(run("analyze trace_cli_test.trc --engine=olken --bound=256"), 0);
-  EXPECT_EQ(run("analyze trace_cli_test.trc --engine=fenwick"), 0);
 }
 
 TEST_F(TraceToolCliTest, SequentialEngineWithStreamIsUsageError) {
   EXPECT_EQ(run("analyze trace_cli_test.trc --engine=lru --stream"), 2);
 }
 
-TEST_F(TraceToolCliTest, BoundOnUnboundedOnlyEngineIsUsageError) {
-  EXPECT_EQ(run("analyze trace_cli_test.trc --engine=fenwick --bound=64"), 2);
-  EXPECT_EQ(run("analyze trace_cli_test.trc --engine=naive --bound=64"), 2);
-}
-
 TEST_F(TraceToolCliTest, OracleEnginesAreNotToolEngines) {
-  // The naive and interval engines remain test/bench oracles only, and the
-  // pointer trees bench ablations: --engine=olken runs on the ranks' stack.
+  // The naive, interval and Bennett-Kruskal (fenwick) engines remain
+  // test/bench oracles only, and the pointer trees bench ablations:
+  // --engine=olken runs on the ranks' stack.
   EXPECT_EQ(run("analyze trace_cli_test.trc --engine=naive"), 2);
+  EXPECT_EQ(run("analyze trace_cli_test.trc --engine=fenwick"), 2);
   EXPECT_EQ(run("analyze trace_cli_test.trc --engine=interval"), 2);
   EXPECT_EQ(run("analyze trace_cli_test.trc --engine=splay"), 2);
   EXPECT_EQ(run("analyze trace_cli_test.trc --engine=avl"), 2);
@@ -251,111 +247,60 @@ TEST_F(TraceToolCliTest, DistributedStreamEndsOnEveryProcess) {
             (std::vector<int>{0, 0}));
 }
 
-// --- Ingest flag matrix (DESIGN.md "Ingest") --------------------------------
+// --- Ingest: the container, or --stream (DESIGN.md "Ingest") ---------------
 
-TEST_F(TraceToolCliTest, EveryIngestModeAnalyzes) {
+TEST_F(TraceToolCliTest, TheContainerPicksTheIngestPath) {
   ASSERT_EQ(run("convert trace_cli_test.trc trace_cli_test.trz"), 0);
-  EXPECT_EQ(run("analyze trace_cli_test.trc --procs=2 --ingest=pipe"), 0);
-  EXPECT_EQ(run("analyze trace_cli_test.trc --procs=2 --ingest=mmap"), 0);
-  EXPECT_EQ(run("analyze trace_cli_test.trz --procs=2 --ingest=trz"), 0);
-}
-
-TEST_F(TraceToolCliTest, BadIngestModeIsUsageError) {
-  EXPECT_EQ(run("analyze trace_cli_test.trc --ingest=carrier-pigeon"), 2);
-}
-
-TEST_F(TraceToolCliTest, PipeIngestNeedsPositiveChunkAndPipe) {
-  // Keyed on the resolved ingest, not on --stream: every way of choosing
-  // the pipe rejects a degenerate phase or pipe size up front.
-  EXPECT_EQ(run("analyze trace_cli_test.trc --stream --chunk=0"), 2);
-  EXPECT_EQ(run("analyze trace_cli_test.trc --stream --pipe=0"), 2);
-  EXPECT_EQ(run("analyze trace_cli_test.trc --ingest=pipe --chunk=0"), 2);
-  EXPECT_EQ(run("analyze trace_cli_test.trc --ingest=pipe --pipe=0"), 2);
-  EXPECT_EQ(run_env("PARDA_INGEST=pipe",
-                    "analyze trace_cli_test.trc --chunk=0"),
-            2);
-  EXPECT_EQ(run_env("PARDA_INGEST=pipe",
-                    "analyze trace_cli_test.trc --pipe=0"),
-            2);
-  // A phase of np * C references that overflows is as degenerate as C = 0.
-  EXPECT_EQ(run("analyze trace_cli_test.trc --ingest=pipe --procs=2 "
-                "--chunk=9223372036854775808"),
-            2);
-}
-
-TEST_F(TraceToolCliTest, StreamContradictsOfflineIngest) {
-  // --stream IS pipe ingest: saying both is fine, an offline mode is not.
-  EXPECT_EQ(run("analyze trace_cli_test.trc --stream --ingest=pipe"), 0);
-  EXPECT_EQ(run("analyze trace_cli_test.trc --stream --ingest=mmap"), 2);
-  EXPECT_EQ(run("analyze trace_cli_test.trc --stream --ingest=trz"), 2);
-  // A process-wide $PARDA_INGEST yields to an explicit --stream.
-  EXPECT_EQ(run_env("PARDA_INGEST=mmap",
-                    "analyze trace_cli_test.trc --stream"),
-            0);
-}
-
-TEST_F(TraceToolCliTest, SequentialEngineRejectsExplicitIngest) {
-  EXPECT_EQ(run("analyze trace_cli_test.trc --engine=lru --ingest=mmap"), 2);
-  // ... but tolerates the environment, like --transport.
-  EXPECT_EQ(run_env("PARDA_INGEST=mmap",
-                    "analyze trace_cli_test.trc --engine=lru"),
-            0);
-}
-
-TEST_F(TraceToolCliTest, IngestResolvesCliOverEnvOverDefault) {
-  // A valid env value selects the path with no flag at all...
-  EXPECT_EQ(run_env("PARDA_INGEST=mmap",
-                    "analyze trace_cli_test.trc --procs=2"),
-            0);
-  // ...the command line beats it...
-  EXPECT_EQ(run_env("PARDA_INGEST=trz",
-                    "analyze trace_cli_test.trc --procs=2 --ingest=mmap"),
-            0);
-  // ...and a malformed env value falls back to the container's default
-  // with a warning (unlike a bad --ingest).
-  EXPECT_EQ(run_env("PARDA_INGEST=carrier-pigeon",
-                    "analyze trace_cli_test.trc --procs=2"),
-            0);
-}
-
-TEST_F(TraceToolCliTest, DefaultIngestFollowsTheContainer) {
-  ASSERT_EQ(run("convert trace_cli_test.trc trace_cli_test.trz"), 0);
-  EXPECT_EQ(run("analyze trace_cli_test.trz --procs=2"), 0);
+  EXPECT_EQ(run("analyze trace_cli_test.trc --procs=2"), 0);  // mapped
+  EXPECT_EQ(run("analyze trace_cli_test.trz --procs=2"), 0);  // decoded
+  EXPECT_EQ(run("analyze trace_cli_test.trc --procs=2 --stream"), 0);
+  // Only a binary trace streams, and only a *.trz is read as an archive.
+  EXPECT_EQ(run("analyze trace_cli_test.trz --procs=2 --stream"), 1);
+  write_text("trace_cli_test.dat", slurp("trace_cli_test.trz"));
+  const std::string out = output_of("analyze trace_cli_test.dat --procs=2");
+  EXPECT_NE(out.find("bad trace magic"), std::string::npos) << out;
+  EXPECT_EQ(run("analyze trace_cli_test.dat --procs=2"), 1);
   // A text trace has no parallel ingest path: convert it first.
   ASSERT_EQ(run("convert trace_cli_test.trc trace_cli_test.txt"), 0);
   EXPECT_EQ(run("analyze trace_cli_test.txt --procs=2"), 1);
   EXPECT_EQ(run("analyze trace_cli_test.txt --engine=lru"), 0);
 }
 
-TEST_F(TraceToolCliTest, WrongContainerForIngestIsRuntimeError) {
-  ASSERT_EQ(run("convert trace_cli_test.trc trace_cli_test.trz"), 0);
-  EXPECT_EQ(run("analyze trace_cli_test.trc --ingest=trz"), 1);
-  EXPECT_EQ(run("analyze trace_cli_test.trz --ingest=mmap"), 1);
+TEST_F(TraceToolCliTest, StreamNeedsPositiveChunkAndPipe) {
+  EXPECT_EQ(run("analyze trace_cli_test.trc --stream --chunk=0"), 2);
+  EXPECT_EQ(run("analyze trace_cli_test.trc --stream --pipe=0"), 2);
+  // A phase of np * C references that overflows is as degenerate as C = 0.
+  EXPECT_EQ(run("analyze trace_cli_test.trc --stream --procs=2 "
+                "--chunk=9223372036854775808"),
+            2);
+}
+
+TEST_F(TraceToolCliTest, IngestIsNotAFlag) {
+  EXPECT_EQ(run("analyze trace_cli_test.trc --procs=2 --ingest=pipe"), 2);
 }
 
 // --- convert: .trz versions and chunking ------------------------------------
 
 TEST_F(TraceToolCliTest, ConvertWritesChunkedV2ByDefault) {
   ASSERT_EQ(run("convert trace_cli_test.trc trace_cli_conv.trz"), 0);
-  EXPECT_EQ(run("analyze trace_cli_conv.trz --procs=2 --ingest=trz"), 0);
+  EXPECT_EQ(run("analyze trace_cli_conv.trz --procs=2"), 0);
   ASSERT_EQ(run("convert trace_cli_test.trc trace_cli_conv.trz "
                 "--chunk-refs=1024"),
             0);
-  EXPECT_EQ(run("analyze trace_cli_conv.trz --procs=2 --ingest=trz"), 0);
+  EXPECT_EQ(run("analyze trace_cli_conv.trz --procs=2"), 0);
 }
 
 TEST_F(TraceToolCliTest, V1ArchivesStillReadableButNotChunkIngestable) {
   parda::write_trz_v1("trace_cli_v1.trz",
                       parda::read_trace_binary("trace_cli_test.trc"));
   EXPECT_EQ(run("analyze trace_cli_v1.trz --engine=lru"), 0);
-  // Chunked ingest, the default for .trz, demands v2; the error names the
+  // Chunked ingest, the path of every .trz, demands v2; the error names the
   // convert command below.
   EXPECT_EQ(run("analyze trace_cli_v1.trz --procs=2"), 1);
-  EXPECT_EQ(run("analyze trace_cli_v1.trz --procs=2 --ingest=trz"), 1);
   // The upgrade path named in that error actually works, and writes the
   // archive a conversion of the original trace writes.
   ASSERT_EQ(run("convert trace_cli_v1.trz trace_cli_v2.trz"), 0);
-  EXPECT_EQ(run("analyze trace_cli_v2.trz --procs=2 --ingest=trz"), 0);
+  EXPECT_EQ(run("analyze trace_cli_v2.trz --procs=2"), 0);
   ASSERT_EQ(run("convert trace_cli_test.trc trace_cli_direct.trz"), 0);
   EXPECT_EQ(slurp("trace_cli_v2.trz"), slurp("trace_cli_direct.trz"));
 }
@@ -379,7 +324,7 @@ TEST_F(TraceToolCliTest, GenWritesChunkedTrzDirectly) {
   ASSERT_EQ(run("gen --workload=zipf:m=200,a=0.8 --refs=5000 "
                 "--out=trace_cli_gen.trz --chunk-refs=512"),
             0);
-  EXPECT_EQ(run("analyze trace_cli_gen.trz --procs=2 --ingest=trz"), 0);
+  EXPECT_EQ(run("analyze trace_cli_gen.trz --procs=2"), 0);
 }
 
 // --- Numbers in text: util/parse.hpp's grammar -------------------------------

@@ -1,6 +1,5 @@
 #include "core/file_analysis.hpp"
 
-#include <memory>
 #include <optional>
 
 #include "comm/fault.hpp"
@@ -13,14 +12,7 @@ namespace parda {
 PardaResult parda_analyze_file_on(comm::WorkerPool& pool,
                                   const std::string& path,
                                   const PardaOptions& options,
-                                  std::size_t pipe_words,
-                                  IngestMode ingest) {
-  if (ingest != IngestMode::kPipe) {
-    const std::unique_ptr<TraceSource> source =
-        open_offline_source(path, ingest);
-    return parda_analyze_source_on(pool, *source, options);
-  }
-
+                                  std::size_t pipe_words) {
   BinaryTraceReader reader(path);
 
   // Deterministic producer fault, if the run's FaultPlan asks for one.

@@ -10,10 +10,10 @@
 //    optimization, reproducing the Figure 3 framework: producer -> pipe ->
 //    rank 0 -> scatter -> ranks -> merge -> reduce.
 // parda_analyze wraps the driver in a transient pool; parda_analyze_file_on
-// (core/file_analysis.hpp) and core::AnalysisSession build the source for
-// on-disk traces and persistent runtimes. Every rank runs a RankState
-// (core/rank_state.hpp) on a FenwickIndex; the rank bodies live in
-// parda.cpp.
+// (core/file_analysis.hpp) streams an on-disk trace through a pipe source,
+// and core::AnalysisSession runs the driver on a persistent runtime. Every
+// rank runs a RankState (core/rank_state.hpp) on a FenwickIndex; the rank
+// bodies live in parda.cpp.
 //
 // Every run returns the histogram plus per-rank work statistics (used for
 // critical-path scaling reports).

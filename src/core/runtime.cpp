@@ -67,11 +67,9 @@ PardaResult AnalysisSession::analyze(std::span<const Addr> trace) {
 }
 
 PardaResult AnalysisSession::analyze_file(const std::string& path,
-                                          std::size_t pipe_words,
-                                          IngestMode ingest) {
+                                          std::size_t pipe_words) {
   PendingJobGuard pending(runtime_->pending_jobs_, runtime_->pending_gauge_);
-  return parda_analyze_file_on(runtime_->pool(), path, options_, pipe_words,
-                               ingest);
+  return parda_analyze_file_on(runtime_->pool(), path, options_, pipe_words);
 }
 
 }  // namespace parda::core

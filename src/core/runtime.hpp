@@ -8,7 +8,7 @@
 // Every session call ends in the one analysis driver,
 // parda_analyze_source_on (core/parda.hpp): analyze() takes a TraceSource
 // or wraps an in-memory trace in a SpanTraceSource, and analyze_file()
-// builds the source for an on-disk trace.
+// streams an on-disk trace through a PipeTraceSource.
 //
 // Concurrency model: sessions are cheap value handles; any number of them
 // (on any threads) may call analyze()/analyze_file() concurrently. Jobs
@@ -47,12 +47,10 @@ class AnalysisSession {
   PardaResult analyze(TraceSource& source);
   /// Offline analysis of an in-memory trace (Algorithm 3).
   PardaResult analyze(std::span<const Addr> trace);
-  /// Analysis of an on-disk trace through the chosen ingest path
-  /// (pipe producer, mmap view, or chunked .trz decode — see
-  /// core/file_analysis.hpp). pipe_words only applies to kPipe.
+  /// Streamed analysis of an on-disk binary trace: a file producer feeds
+  /// a pipe of pipe_words (core/file_analysis.hpp).
   PardaResult analyze_file(const std::string& path,
-                           std::size_t pipe_words = 1 << 20,
-                           IngestMode ingest = IngestMode::kPipe);
+                           std::size_t pipe_words = 1 << 20);
 
   PardaOptions& options() noexcept { return options_; }
   const PardaOptions& options() const noexcept { return options_; }

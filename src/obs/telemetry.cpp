@@ -30,6 +30,20 @@ ClockSync parse_clock(const json::Value& v) {
   return clock;
 }
 
+/// A remote span time `t` rebased onto rank 0's clock, t + offset, with the
+/// add checked: a sum that overflows or leaves the span time range throws.
+std::int64_t rebase_span_time(std::int64_t t, std::int64_t offset) {
+  std::int64_t rebased = 0;
+  if (__builtin_add_overflow(t, offset, &rebased) ||
+      rebased < -kSpanTimeLimitNs || rebased >= kSpanTimeLimitNs) {
+    throw std::runtime_error("telemetry frame: span time " +
+                             std::to_string(t) + " + clock offset " +
+                             std::to_string(offset) +
+                             " ns is outside [-2^62, 2^62) ns");
+  }
+  return rebased;
+}
+
 std::vector<std::uint64_t> parse_u64_array(const json::Value& v) {
   std::vector<std::uint64_t> out;
   out.reserve(v.array.size());
@@ -205,8 +219,8 @@ TelemetryHub::Ingest TelemetryHub::ingest_frame(std::string_view frame_json,
   std::lock_guard lock(mu_);
   for (const json::Value& s : frame.at("spans").array) {
     SpanEvent e;
-    e.t_start_ns = s.at("t0").as_i64() + offset;
-    e.t_end_ns = s.at("t1").as_i64() + offset;
+    e.t_start_ns = rebase_span_time(s.at("t0").as_i64(), offset);
+    e.t_end_ns = rebase_span_time(s.at("t1").as_i64(), offset);
     e.op = intern(s.at("op").as_string());
     const json::Value* phase = s.find("phase");
     e.phase = phase != nullptr ? static_cast<std::uint32_t>(phase->as_u64())

@@ -50,6 +50,11 @@ struct ClockSync {
   int samples = 0;
 };
 
+/// The range [-2^62, 2^62) ns that every remote span's rebased start and
+/// end must fall in. Within it, the difference of any two span times, which
+/// the span report and the chrome renderer take, fits in an int64.
+inline constexpr std::int64_t kSpanTimeLimitNs = std::int64_t{1} << 62;
+
 /// Renders one parda.telemetry.v1 frame: the process id, a per-sender
 /// sequence number, the final-flush marker, the sender's clock estimate,
 /// an embedded parda.metrics.v1 snapshot, and the last `max_spans` span
@@ -108,8 +113,10 @@ class TelemetryHub {
   /// Parses and stores one parda.telemetry.v1 frame from rank `sender`,
   /// replacing that process's previous snapshot (frames are cumulative,
   /// not deltas). Throws json::JsonError / std::runtime_error, storing
-  /// nothing, on a malformed frame or one whose process is not `sender` or
-  /// is 0 (this hub's own process).
+  /// nothing, on a malformed frame, on one whose process is not `sender`
+  /// or is 0 (this hub's own process), and on one with a span whose
+  /// rebased start or end falls outside [-kSpanTimeLimitNs,
+  /// kSpanTimeLimitNs).
   Ingest ingest_frame(std::string_view frame_json, int sender);
 
   /// True when no remote process has ever reported.

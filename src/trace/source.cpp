@@ -8,22 +8,6 @@
 
 namespace parda {
 
-const char* ingest_mode_name(IngestMode mode) noexcept {
-  switch (mode) {
-    case IngestMode::kPipe: return "pipe";
-    case IngestMode::kMmap: return "mmap";
-    case IngestMode::kTrz: return "trz";
-  }
-  return "?";
-}
-
-std::optional<IngestMode> parse_ingest_mode(std::string_view text) noexcept {
-  if (text == "pipe") return IngestMode::kPipe;
-  if (text == "mmap") return IngestMode::kMmap;
-  if (text == "trz") return IngestMode::kTrz;
-  return std::nullopt;
-}
-
 // --- TraceSource defaults ---------------------------------------------------
 // Each capability is optional; asking a source for the other family's
 // interface is a programming error, reported as a CheckError naming the
@@ -154,15 +138,8 @@ std::pair<std::uint64_t, std::uint64_t> ChunkedTrzSource::assigned_chunks(
 
 std::unique_ptr<TraceSource> open_offline_source(const std::string& path,
                                                  IngestMode mode) {
-  switch (mode) {
-    case IngestMode::kMmap:
-      return std::make_unique<MmapTraceSource>(path);
-    case IngestMode::kTrz:
-      return std::make_unique<ChunkedTrzSource>(path);
-    case IngestMode::kPipe: break;
-  }
-  PARDA_CHECK_MSG(false,
-                  "open_offline_source: pipe ingest has no offline source");
+  if (mode == IngestMode::kTrz) return std::make_unique<ChunkedTrzSource>(path);
+  return std::make_unique<MmapTraceSource>(path);
 }
 
 }  // namespace parda

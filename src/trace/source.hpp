@@ -43,10 +43,8 @@
 
 #include <functional>
 #include <memory>
-#include <optional>
 #include <span>
 #include <string>
-#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -58,13 +56,9 @@
 
 namespace parda {
 
-/// The on-disk ingest path of parda_analyze_file_on (trace_tool resolves
-/// it as --ingest > $PARDA_INGEST > the trace container's own path).
-enum class IngestMode { kPipe, kMmap, kTrz };
-
-const char* ingest_mode_name(IngestMode mode) noexcept;
-/// Parses "pipe" | "mmap" | "trz"; nullopt for anything else.
-std::optional<IngestMode> parse_ingest_mode(std::string_view text) noexcept;
+/// The two offline containers of an on-disk trace: a binary .trc/.bin
+/// file, mapped, or a chunked v2 .trz archive, decoded per rank.
+enum class IngestMode { kMmap, kTrz };
 
 class TraceSource {
  public:
@@ -190,9 +184,8 @@ class ChunkedTrzSource final : public TraceSource {
   std::vector<std::vector<Addr>> arenas_;  // one per rank, reused
 };
 
-/// Opens the offline source for `mode` (kMmap or kTrz) over `path`.
-/// kPipe has no offline source (it streams through a PipeTraceSource);
-/// asking for it is a CheckError.
+/// Opens the offline source for the container `mode` over `path`: an
+/// MmapTraceSource for kMmap, a ChunkedTrzSource for kTrz.
 std::unique_ptr<TraceSource> open_offline_source(const std::string& path,
                                                  IngestMode mode);
 

@@ -12,7 +12,6 @@
 //   --transport       / $PARDA_TRANSPORT        (comm::TransportSpec)
 //   --log-level       / $PARDA_LOG_LEVEL        (trace|debug|...|off)
 //   --fault-plan      / $PARDA_FAULT_PLAN       (comm::FaultPlan)
-//   --ingest          / $PARDA_INGEST           (pipe|mmap|trz)
 //   --flight-recorder / $PARDA_FLIGHT_RECORDER  (dump path)
 //
 // An environment variable set to the empty string counts as UNSET (so

@@ -70,12 +70,20 @@ class IngestTest : public ::testing::Test {
     return options;
   }
 
-  static PardaResult analyze(IngestMode mode, int np, std::uint64_t bound) {
-    const std::string& path =
-        mode == IngestMode::kTrz ? *trz_path_ : *trc_path_;
+  /// The .trc streamed through a pipe.
+  static PardaResult analyze_streamed(int np, std::uint64_t bound) {
     comm::WorkerPool pool(np);
-    return parda_analyze_file_on(pool, path, options_for(np, bound), 1 << 12,
-                                 mode);
+    return parda_analyze_file_on(pool, *trc_path_, options_for(np, bound),
+                                 1 << 12);
+  }
+
+  /// The offline container `mode` of the trace.
+  static PardaResult analyze_offline(IngestMode mode, int np,
+                                     std::uint64_t bound) {
+    const std::unique_ptr<TraceSource> source = open_offline_source(
+        mode == IngestMode::kTrz ? *trz_path_ : *trc_path_, mode);
+    comm::WorkerPool pool(np);
+    return parda_analyze_source_on(pool, *source, options_for(np, bound));
   }
 
   /// Partitions `source` at several rank counts and checks that the rank
@@ -130,9 +138,9 @@ TEST_P(IngestEquivalenceTest, AllSourcesBitIdentical) {
   const auto [np, bound] = GetParam();
   SpanTraceSource in_memory(*trace_);
   const PardaResult span = parda_analyze(in_memory, options_for(np, bound));
-  const PardaResult pipe = analyze(IngestMode::kPipe, np, bound);
-  const PardaResult mmap = analyze(IngestMode::kMmap, np, bound);
-  const PardaResult trz = analyze(IngestMode::kTrz, np, bound);
+  const PardaResult pipe = analyze_streamed(np, bound);
+  const PardaResult mmap = analyze_offline(IngestMode::kMmap, np, bound);
+  const PardaResult trz = analyze_offline(IngestMode::kTrz, np, bound);
 
   const Histogram expected = bound == 0 ? olken_analysis(*trace_)
                                         : bounded_analysis(*trace_, bound);
@@ -234,10 +242,9 @@ TEST_F(IngestTest, SessionAnalyzeAndAnalyzeFileAgree) {
   auto session = runtime.session(options);
   MmapTraceSource source(*trc_path_);
   const PardaResult via_source = session.analyze(source);
-  const PardaResult via_file =
-      session.analyze_file(*trc_path_, 1 << 12, IngestMode::kMmap);
-  const PardaResult via_trz =
-      session.analyze_file(*trz_path_, 1 << 12, IngestMode::kTrz);
+  const PardaResult via_file = session.analyze_file(*trc_path_, 1 << 12);
+  ChunkedTrzSource trz(*trz_path_);
+  const PardaResult via_trz = session.analyze(trz);
   EXPECT_TRUE(via_source.hist == via_file.hist);
   EXPECT_TRUE(via_source.hist == via_trz.hist);
   EXPECT_TRUE(via_source.hist == session.analyze(*trace_).hist);
@@ -248,19 +255,19 @@ TEST_F(IngestTest, ZeroCopyProofInMetrics) {
   auto& reg = obs::registry();
 
   reg.reset_values();
-  analyze(IngestMode::kMmap, 4, 0);
+  analyze_offline(IngestMode::kMmap, 4, 0);
   EXPECT_EQ(reg.counter_total("ingest.bytes_copied"), 0u);
   EXPECT_GE(reg.counter_total("ingest.bytes_mapped"),
             trace_->size() * sizeof(Addr));
 
   reg.reset_values();
-  analyze(IngestMode::kTrz, 4, 0);
+  analyze_offline(IngestMode::kTrz, 4, 0);
   EXPECT_EQ(reg.counter_total("ingest.bytes_copied"), 0u);
   EXPECT_EQ(reg.counter_total("ingest.chunks_assigned"), 12u);
   EXPECT_GT(reg.counter_total("ingest.bytes_decoded"), 0u);
 
   reg.reset_values();
-  analyze(IngestMode::kPipe, 4, 0);
+  analyze_streamed(4, 0);
   EXPECT_EQ(reg.counter_total("ingest.bytes_copied"),
             trace_->size() * sizeof(Addr));
 
@@ -279,7 +286,7 @@ TEST_F(IngestTest, OfflineAnalysisCopiesNoCommBytes) {
                    " bound=" + std::to_string(bound));
       const PardaResult span = parda_analyze(*trace_, options_for(np, bound));
       EXPECT_EQ(span.stats.total_bytes_copied(), 0u);
-      const PardaResult mmap = analyze(IngestMode::kMmap, np, bound);
+      const PardaResult mmap = analyze_offline(IngestMode::kMmap, np, bound);
       EXPECT_EQ(mmap.stats.total_bytes_copied(), 0u);
     }
   }

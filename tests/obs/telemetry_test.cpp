@@ -22,6 +22,7 @@
 #include <thread>
 #include <vector>
 
+#include "../util/mutations.hpp"
 #include "comm/fault.hpp"
 #include "comm/transport/spec.hpp"
 #include "core/parda.hpp"
@@ -696,13 +697,25 @@ TEST(TelemetryFrame, RoundTripsThroughTheHub) {
 }
 
 /// A hand-written parda.telemetry.v1 frame from process 1 around the
-/// counters/gauges/timers members of its metrics object.
-std::string raw_frame(const std::string& metrics) {
+/// counters/gauges/timers members of its metrics object, its clock offset
+/// and the members of its spans array.
+std::string raw_frame(const std::string& metrics,
+                      const std::string& offset_ns = "0",
+                      const std::string& spans = "") {
   return R"({"schema":"parda.telemetry.v1","process":1,"seq":1,)"
-         R"("final":false,"clock":{"offset_ns":0,"uncertainty_ns":0,)"
-         R"("valid":false,"samples":0},"metrics":{"schema":)"
-         R"("parda.metrics.v1",)" +
-         metrics + R"(},"spans":[],"spans_dropped":0})";
+         R"("final":false,"clock":{"offset_ns":)" +
+         offset_ns +
+         R"(,"uncertainty_ns":0,"valid":false,"samples":0},)"
+         R"("metrics":{"schema":"parda.metrics.v1",)" +
+         metrics + R"(},"spans":[)" + spans + R"(],"spans_dropped":0})";
+}
+
+/// A frame with no metrics, clock offset `offset_ns` and one span t0..t1.
+std::string span_frame(const std::string& offset_ns, const std::string& t0,
+                       const std::string& t1) {
+  return raw_frame(R"("counters":{},"gauges":{},"timers":{})", offset_ns,
+                   R"({"t0":)" + t0 + R"(,"t1":)" + t1 +
+                       R"(,"op":"analyze","rank":1})");
 }
 
 TEST(TelemetryFrame, HubRejectsMalformedFrames) {
@@ -724,6 +737,16 @@ TEST(TelemetryFrame, HubRejectsMalformedFrames) {
                 R"("sum_ns":1,"log2_ns":[)" +
                 buckets + "]}}"),
       1));
+  // Rebased span times must stay in [-2^62, 2^62), where the differences
+  // the span report takes fit in an int64: an offset that overflows the
+  // rebase, a span whose length does not fit, and the first time past
+  // the range.
+  EXPECT_ANY_THROW(local_hub.ingest_frame(
+      span_frame("9223372036854775807", "100", "200"), 1));
+  EXPECT_ANY_THROW(local_hub.ingest_frame(
+      span_frame("0", "-9223372036854775800", "9223372036854775800"), 1));
+  EXPECT_ANY_THROW(local_hub.ingest_frame(
+      span_frame("-1", "0", "4611686018427387905"), 1));
   EXPECT_TRUE(local_hub.empty());  // nothing was stored
 
   // The same shapes, well-formed, are accepted.
@@ -733,6 +756,57 @@ TEST(TelemetryFrame, HubRejectsMalformedFrames) {
                 R"("per_rank":[1],"last_unattributed":0,"last":[1]}})"),
       1);
   EXPECT_FALSE(local_hub.empty());
+  // A span across the whole range reports its full length.
+  local_hub.ingest_frame(
+      span_frame("-1", "-4611686018427387903", "4611686018427387904"), 1);
+  const SpanReport report =
+      SpanReport::from_events(local_hub.merged_events(SpanTracer(1)));
+  EXPECT_EQ(report.wall_ns(), (std::uint64_t{1} << 63) - 1);
+}
+
+TEST(TelemetryFrame, HubSurvivesEveryMutationOfAFrame) {
+  ScopedEnable on;
+  Registry reg;
+  SpanTracer spans(16);
+  reg.counter("dist.bytes").add_for_rank(0, 77);
+  reg.gauge("dist.depth").set_for_rank(0, 5);
+  reg.timer("dist.wait").record_ns(1000);
+  spans.record(100, 200, "analyze", 3);
+  spans.record(120, 180, "recv-wait", 3);
+  ClockSync clock;
+  clock.offset_ns = 5'000'000;
+  clock.uncertainty_ns = 1200;
+  clock.valid = true;
+  clock.samples = 8;
+  const std::string frame = make_telemetry_frame(1, 1, true, clock, reg, spans);
+  const SpanTracer local(16);
+
+  // Every mutation is either refused, leaving the hub empty, or stored and
+  // rendered by every renderer; anything else fails the test.
+  std::size_t stored = 0;
+  std::size_t refused = 0;
+  for_each_mutation(
+      std::vector<std::uint8_t>(frame.begin(), frame.end()),
+      [&](const Mutation& m) {
+        TelemetryHub hub;
+        try {
+          hub.ingest_frame(std::string(m.bytes.begin(), m.bytes.end()), 1);
+        } catch (const std::runtime_error&) {  // json::JsonError is one
+          EXPECT_TRUE(hub.empty()) << m.label;
+          ++refused;
+          return;
+        }
+        ++stored;
+        EXPECT_FALSE(to_prometheus(reg, local, hub).empty()) << m.label;
+        parse_ok(hub.merged_chrome_json(local));
+        parse_ok(hub.merged_metrics_json(reg));
+        const SpanReport report = SpanReport::from_events(
+            hub.merged_events(local), hub.merged_dropped(local));
+        EXPECT_FALSE(report.to_table().empty()) << m.label;
+        parse_ok(report.to_json());
+      });
+  EXPECT_GT(stored, 0u);
+  EXPECT_GT(refused, 0u);
 }
 
 TEST(TelemetryFrame, HubRejectsFramesNotFromTheirProcess) {

@@ -3,16 +3,20 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cstdint>
 #include <cstring>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "../util/mutations.hpp"
 #include "../util/number_tokens.hpp"
 #include "apps/online_mrc.hpp"
 #include "comm/fault.hpp"
 #include "core/runtime.hpp"
 #include "hist/histogram.hpp"
 #include "util/check.hpp"
+#include "util/json.hpp"
 #include "workload/generators.hpp"
 
 namespace parda::serve {
@@ -450,6 +454,40 @@ TEST(MrcServiceRouteTest, TenantConfigNumbersAreStrict) {
             200);
   EXPECT_EQ(service.status("t")->name, "t");
   EXPECT_EQ(service.tenant_count(), 1u);
+}
+
+TEST(MrcServiceRouteTest, TenantConfigSurvivesEveryMutation) {
+  // A registration body that sets every client-settable field.
+  const std::string body =
+      R"({"bound": 4096, "window": 1024, "decay": 0.5, "num_procs": 2, )"
+      R"("quotas": {"max_refs_per_sec": 100000, "max_batch_refs": 4096, )"
+      R"("max_queued_bytes": 65536, "memory_quota_bytes": 1048576, )"
+      R"("sampler_tracked": 256, "max_aborts": 3}})";
+  core::PardaRuntime runtime;
+  std::size_t registered = 0;
+  for_each_mutation(
+      std::vector<std::uint8_t>(body.begin(), body.end()),
+      [&](const Mutation& m) {
+        MrcService service(runtime);
+        std::optional<obs::TelemetryServer::Response> r;
+        try {
+          r = service.route(
+              post("/tenants/t", std::string(m.bytes.begin(), m.bytes.end())));
+        } catch (const std::exception& e) {
+          ADD_FAILURE() << m.label << ": threw " << e.what();
+          return;
+        }
+        ASSERT_TRUE(r.has_value()) << m.label;
+        if (r->status == 400) return;
+        ASSERT_EQ(r->status, 200) << m.label << ": " << r->body;
+        ++registered;
+        const auto status = service.route(get("/tenants/t"));
+        ASSERT_TRUE(status.has_value()) << m.label;
+        EXPECT_EQ(status->status, 200) << m.label;
+        EXPECT_NO_THROW(json::parse(status->body))
+            << m.label << ": " << status->body;
+      });
+  EXPECT_GT(registered, 0u);
 }
 
 TEST(MrcServiceRouteTest, OversizedWindowIsMalformed) {
