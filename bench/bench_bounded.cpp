@@ -7,7 +7,8 @@
 
 #include "bench_common.hpp"
 #include "core/parda.hpp"
-#include "tree/splay_tree.hpp"
+#include "reference/splay_tree.hpp"
+#include "reference/tree_olken.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
 #include "util/timer.hpp"

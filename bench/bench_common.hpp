@@ -38,13 +38,10 @@
 #include <vector>
 
 #include "core/parda.hpp"
-#include "hash/addr_map.hpp"
 #include "hist/report.hpp"
 #include "obs/obs.hpp"
-#include "seq/olken.hpp"
 #include "trace/source.hpp"
 #include "trace/trace_pipe.hpp"
-#include "tree/order_stat_tree.hpp"
 #include "util/cli.hpp"
 #include "util/json.hpp"
 #include "util/parse.hpp"
@@ -104,26 +101,6 @@ inline double measure_orig(Workload& w, std::uint64_t n) {
                            std::min<std::uint64_t>(block.size(), n - at)));
   }
   return t.seconds();
-}
-
-/// Olken's Algorithm 1 as the paper and its Olken81 baseline ran it: one
-/// olken_step per reference on a pointer tree (the paper's is SplayTree),
-/// keyed by trace position, with access_block's hash prefetch. The
-/// library's OlkenAnalyzer runs the same step on the renumbered
-/// FenwickIndex stack; this loop keeps the paper's configuration timed for
-/// the A1 tree ablation, the A3 bound sweep and Table IV.
-template <OrderStatTree Tree>
-Histogram tree_olken_analysis(std::span<const Addr> trace,
-                              std::uint64_t bound = kUnbounded) {
-  constexpr std::size_t kAhead = 8;
-  Tree tree;
-  AddrMap table;
-  Histogram hist;
-  for (std::size_t i = 0; i < trace.size(); ++i) {
-    if (i + kAhead < trace.size()) table.prefetch(trace[i + kAhead]);
-    hist.record(olken_step(tree, table, trace[i], i, bound).distance);
-  }
-  return hist;
 }
 
 /// A streaming source whose producer writes `trace` into a pipe of

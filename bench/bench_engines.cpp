@@ -18,8 +18,9 @@
 // best rep of each path is reported; parda reports its best rep),
 // PARDA_BENCH_SCALE (SPEC footprint divisor), PARDA_BENCH_JSON.
 //
-// The google-benchmark registrations below the suite remain for ad-hoc
-// `--benchmark_filter=` runs of the slow baselines (naive, OPT stack).
+// The only google-benchmark registrations time the two slow baselines the
+// suite leaves out, the OPT stack and the naive stack, for ad-hoc
+// `--benchmark_filter=` runs; `--benchmark_filter=NONE` skips them.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -33,10 +34,10 @@
 
 #include "bench_common.hpp"
 #include "core/parda.hpp"
+#include "reference/interval_analyzer.hpp"
+#include "reference/naive.hpp"
 #include "seq/bennett_kruskal.hpp"
-#include "seq/interval_analyzer.hpp"
 #include "seq/lru_chain.hpp"
-#include "seq/naive.hpp"
 #include "seq/olken.hpp"
 #include "seq/opt.hpp"
 #include "util/timer.hpp"
@@ -150,64 +151,6 @@ void run_engines_suite() {
 // ---------------------------------------------------------------------------
 // google-benchmark registrations (ad-hoc runs; not part of the artifact).
 // ---------------------------------------------------------------------------
-
-void BM_PardaEngine(benchmark::State& state) {
-  const auto& trace = shared_trace();
-  PardaOptions options;
-  options.num_procs = static_cast<int>(state.range(0));
-  for (auto _ : state) {
-    const PardaResult r = parda_analyze(trace, options);
-    benchmark::DoNotOptimize(r.hist.total());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(trace.size()));
-}
-
-BENCHMARK(BM_PardaEngine)->Arg(4)->UseRealTime();
-
-void BM_LruChain(benchmark::State& state) {
-  const auto& trace = shared_trace();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(lru_chain_analysis(trace).total());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(trace.size()));
-}
-
-BENCHMARK(BM_LruChain);
-
-void BM_SequentialOlken(benchmark::State& state) {
-  const auto& trace = shared_trace();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(olken_analysis(trace).total());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(trace.size()));
-}
-
-BENCHMARK(BM_SequentialOlken);
-
-void BM_IntervalAnalyzer(benchmark::State& state) {
-  const auto& trace = shared_trace();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(interval_analysis(trace).total());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(trace.size()));
-}
-
-BENCHMARK(BM_IntervalAnalyzer);
-
-void BM_BennettKruskal(benchmark::State& state) {
-  const auto& trace = shared_trace();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(bennett_kruskal_analysis(trace).total());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(trace.size()));
-}
-
-BENCHMARK(BM_BennettKruskal);
 
 void BM_OptStack(benchmark::State& state) {
   // OPT stack distances (linear-stack percolation): run on a prefix — the

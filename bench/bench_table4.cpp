@@ -3,7 +3,7 @@
 //   Orig    the program alone (trace generation into a scratch buffer)
 //   Pin     + per-access instrumentation callback (mini-Pin hook)
 //   Pipe    + transfer through the bounded pipe, no analysis
-//   Olken81 sequential splay-tree analysis [13] (the bench loop,
+//   Olken81 sequential splay-tree analysis [13] (the reference loop,
 //           tree_olken_analysis over SplayTree)
 //   Parda   the parallel bounded online analysis (np ranks, bound 2Mw/scale)
 // and prints measured M, N, absolute seconds, and the slowdown factors the
@@ -19,8 +19,9 @@
 #include "core/parda.hpp"
 #include "hist/mrc.hpp"
 #include "hist/report.hpp"
+#include "reference/splay_tree.hpp"
+#include "reference/tree_olken.hpp"
 #include "trace/trace_pipe.hpp"
-#include "tree/splay_tree.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
 #include "util/timer.hpp"

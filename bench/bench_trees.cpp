@@ -7,13 +7,11 @@
 // with PARDA_BENCH_JSON): olken_zipf_* points sweep the footprint m on a
 // zipf trace, olken_stream_* hit the splay tree's sequential worst case,
 // churn_* measure raw insert/count/erase cycles at a fixed resident size.
-// The pointer trees' olken points run the bench loop
-// (bench::tree_olken_analysis); fenwick's run the library's OlkenAnalyzer,
-// the FenwickIndex on its renumbered clock.
+// The pointer trees' olken points run the reference loop
+// (tree_olken_analysis); fenwick's run the library's OlkenAnalyzer, the
+// FenwickIndex on its renumbered clock.
 // Environment: PARDA_BENCH_TREE_REFS (trace length, default 64K),
 // PARDA_BENCH_TREE_REPS (default 3; median rep reported).
-//
-// The google-benchmark registrations remain for ad-hoc filtered runs.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -27,11 +25,12 @@
 #include <vector>
 
 #include "bench_common.hpp"
+#include "reference/avl_tree.hpp"
+#include "reference/splay_tree.hpp"
+#include "reference/treap.hpp"
+#include "reference/tree_olken.hpp"
 #include "seq/olken.hpp"
-#include "tree/avl_tree.hpp"
 #include "tree/fenwick.hpp"
-#include "tree/splay_tree.hpp"
-#include "tree/treap.hpp"
 #include "util/timer.hpp"
 #include "workload/generators.hpp"
 
@@ -43,20 +42,16 @@ double median(std::vector<double> v) {
   return v[v.size() / 2];
 }
 
-/// Olken's algorithm on Tree: the bench loop for a pointer tree, the
+/// Olken's algorithm on Tree: the reference loop for a pointer tree, the
 /// library's OlkenAnalyzer for the FenwickIndex it runs on.
 template <typename Tree>
 Histogram olken_on(std::span<const Addr> trace) {
   if constexpr (std::is_same_v<Tree, FenwickIndex>) {
     return olken_analysis(trace);
   } else {
-    return bench::tree_olken_analysis<Tree>(trace);
+    return tree_olken_analysis<Tree>(trace);
   }
 }
-
-// ---------------------------------------------------------------------------
-// The parda.bench.v1 artifact suite.
-// ---------------------------------------------------------------------------
 
 template <typename Fn>
 bench::BenchPoint measure(std::string name, std::uint64_t m,
@@ -140,71 +135,10 @@ void run_trees_suite() {
   bench::write_bench_json(json_path, "trees", points);
 }
 
-// ---------------------------------------------------------------------------
-// google-benchmark registrations (ad-hoc runs; not part of the artifact).
-// ---------------------------------------------------------------------------
-
-template <typename Tree>
-void BM_OlkenEngine_Zipf(benchmark::State& state) {
-  ZipfWorkload w(static_cast<std::uint64_t>(state.range(0)), 0.9, 7);
-  const auto trace = generate_trace(w, 1 << 16);
-  for (auto _ : state) {
-    const Histogram h = olken_on<Tree>(trace);
-    benchmark::DoNotOptimize(h.total());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(trace.size()));
-}
-
-BENCHMARK_TEMPLATE(BM_OlkenEngine_Zipf, SplayTree)->Arg(1 << 10)->Arg(1 << 14);
-BENCHMARK_TEMPLATE(BM_OlkenEngine_Zipf, AvlTree)->Arg(1 << 10)->Arg(1 << 14);
-BENCHMARK_TEMPLATE(BM_OlkenEngine_Zipf, Treap)->Arg(1 << 10)->Arg(1 << 14);
-
-template <typename Tree>
-void BM_OlkenEngine_Streaming(benchmark::State& state) {
-  SequentialWorkload w(static_cast<std::uint64_t>(state.range(0)));
-  const auto trace = generate_trace(w, 1 << 16);
-  for (auto _ : state) {
-    const Histogram h = olken_on<Tree>(trace);
-    benchmark::DoNotOptimize(h.total());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(trace.size()));
-}
-
-BENCHMARK_TEMPLATE(BM_OlkenEngine_Streaming, SplayTree)->Arg(1 << 12);
-BENCHMARK_TEMPLATE(BM_OlkenEngine_Streaming, AvlTree)->Arg(1 << 12);
-BENCHMARK_TEMPLATE(BM_OlkenEngine_Streaming, Treap)->Arg(1 << 12);
-
-template <typename Tree>
-void BM_TreeChurn(benchmark::State& state) {
-  const std::uint64_t window = static_cast<std::uint64_t>(state.range(0));
-  for (auto _ : state) {
-    Tree tree;
-    for (Timestamp ts = 0; ts < 4 * window; ++ts) {
-      tree.insert(ts, ts);
-      if (ts >= window) {
-        benchmark::DoNotOptimize(tree.count_greater(ts - window));
-        tree.erase(ts - window);
-      }
-    }
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 4 *
-                          static_cast<std::int64_t>(window));
-}
-
-BENCHMARK_TEMPLATE(BM_TreeChurn, SplayTree)->Arg(1 << 12);
-BENCHMARK_TEMPLATE(BM_TreeChurn, AvlTree)->Arg(1 << 12);
-BENCHMARK_TEMPLATE(BM_TreeChurn, Treap)->Arg(1 << 12);
-
 }  // namespace
 }  // namespace parda
 
-int main(int argc, char** argv) {
+int main() {
   parda::run_trees_suite();
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
   return 0;
 }

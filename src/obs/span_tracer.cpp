@@ -1,6 +1,7 @@
 #include "obs/span_tracer.hpp"
 
 #include <algorithm>
+#include <memory>
 
 #include "util/json.hpp"
 
@@ -8,17 +9,29 @@ namespace parda::obs {
 
 SpanTracer::SpanTracer(std::size_t capacity_per_rank)
     : epoch_(std::chrono::steady_clock::now()),
-      capacity_(std::max<std::size_t>(capacity_per_rank, 16)) {
-  rings_.reserve(kShards);
-  for (int i = 0; i < kShards; ++i) {
-    rings_.push_back(std::make_unique<Ring>(capacity_));
+      capacity_(std::max<std::size_t>(capacity_per_rank, 16)) {}
+
+SpanTracer::~SpanTracer() {
+  for (auto& shard : rings_) delete shard.load(std::memory_order_acquire);
+}
+
+SpanTracer::Ring& SpanTracer::ring_for(int shard) {
+  std::atomic<Ring*>& published = rings_[static_cast<std::size_t>(shard)];
+  Ring* ring = published.load(std::memory_order_acquire);
+  if (ring != nullptr) return *ring;
+  auto fresh = std::make_unique<Ring>(capacity_);
+  if (published.compare_exchange_strong(ring, fresh.get(),
+                                        std::memory_order_acq_rel,
+                                        std::memory_order_acquire)) {
+    return *fresh.release();
   }
+  return *ring;  // another writer published first; `fresh` is freed
 }
 
 void SpanTracer::record(std::int64_t t_start_ns, std::int64_t t_end_ns,
                         const char* op, std::uint32_t phase) noexcept {
   if (!enabled()) return;
-  Ring& ring = *rings_[static_cast<std::size_t>(thread_shard())];
+  Ring& ring = ring_for(thread_shard());
   // Claim an index with one relaxed RMW: rank shards have a single writer
   // (the rank's own thread); the unattributed shard may have several, and
   // the claim keeps their writes disjoint.
@@ -46,7 +59,9 @@ void SpanTracer::record(std::int64_t t_start_ns, std::int64_t t_end_ns,
 
 std::vector<SpanEvent> SpanTracer::events() const {
   std::vector<SpanEvent> out;
-  for (const auto& ring : rings_) {
+  for (const auto& shard : rings_) {
+    const Ring* ring = shard.load(std::memory_order_acquire);
+    if (ring == nullptr) continue;
     const std::uint64_t n = ring->n.load(std::memory_order_acquire);
     const std::uint64_t kept = std::min<std::uint64_t>(n, capacity_);
     for (std::uint64_t i = n - kept; i < n; ++i) {
@@ -79,9 +94,7 @@ std::vector<SpanEvent> SpanTracer::events_for_rank(int rank) const {
 
 std::uint64_t SpanTracer::dropped() const noexcept {
   std::uint64_t d = 0;
-  for (const auto& ring : rings_) {
-    d += ring->dropped.load(std::memory_order_relaxed);
-  }
+  for (const std::uint64_t shard : dropped_per_shard()) d += shard;
   return d;
 }
 
@@ -89,15 +102,19 @@ std::array<std::uint64_t, kShards> SpanTracer::dropped_per_shard()
     const noexcept {
   std::array<std::uint64_t, kShards> out{};
   for (std::size_t i = 0; i < rings_.size(); ++i) {
-    out[i] = rings_[i]->dropped.load(std::memory_order_relaxed);
+    if (const Ring* ring = rings_[i].load(std::memory_order_acquire)) {
+      out[i] = ring->dropped.load(std::memory_order_relaxed);
+    }
   }
   return out;
 }
 
 void SpanTracer::clear() noexcept {
-  for (auto& ring : rings_) {
-    ring->n.store(0, std::memory_order_relaxed);
-    ring->dropped.store(0, std::memory_order_relaxed);
+  for (auto& shard : rings_) {
+    if (Ring* ring = shard.load(std::memory_order_acquire)) {
+      ring->n.store(0, std::memory_order_relaxed);
+      ring->dropped.store(0, std::memory_order_relaxed);
+    }
   }
 }
 

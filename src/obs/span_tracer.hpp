@@ -15,7 +15,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -59,8 +58,13 @@ std::string chrome_json(const std::vector<ProcessSpans>& processes,
 class SpanTracer {
  public:
   /// capacity_per_rank events are kept per shard; older events are
-  /// overwritten once a shard wraps (dropped() counts overwrites).
+  /// overwritten once a shard wraps (dropped() counts overwrites). A
+  /// shard's ring is allocated by its first record(), so a run pays only
+  /// for the shards its ranks use.
   explicit SpanTracer(std::size_t capacity_per_rank = std::size_t{1} << 15);
+  ~SpanTracer();
+  SpanTracer(const SpanTracer&) = delete;
+  SpanTracer& operator=(const SpanTracer&) = delete;
 
   /// Nanoseconds since the tracer's epoch (steady clock).
   std::int64_t now_ns() const noexcept {
@@ -120,9 +124,15 @@ class SpanTracer {
     std::atomic<std::uint64_t> dropped{0};  // overwrites after wrap
   };
 
+  /// The shard's ring, allocated on first use. Concurrent first writers
+  /// (possible on the unattributed shard) settle by compare-and-swap.
+  Ring& ring_for(int shard);
+
   std::chrono::steady_clock::time_point epoch_;
   std::size_t capacity_;
-  std::vector<std::unique_ptr<Ring>> rings_;  // one per shard
+  // One ring per shard, null until the shard first records; published
+  // with release, read with acquire, freed by the destructor.
+  std::array<std::atomic<Ring*>, kShards> rings_{};
 };
 
 /// The process-global tracer used by the wired-in spans.

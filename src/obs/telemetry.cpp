@@ -1,8 +1,12 @@
 #include "obs/telemetry.hpp"
 
 #include <algorithm>
+#include <set>
 #include <stdexcept>
+#include <string>
+#include <string_view>
 #include <utility>
+#include <vector>
 
 #include "util/json.hpp"
 
@@ -140,13 +144,26 @@ std::string make_telemetry_frame(int process, std::uint64_t seq,
   return w.take();
 }
 
-const char* TelemetryHub::intern(std::string_view op) {
-  auto it = op_index_.find(op);
-  if (it != op_index_.end()) return it->second;
-  op_storage_.emplace_back(op);
-  const char* stable = op_storage_.back().c_str();
-  op_index_.emplace(op_storage_.back(), stable);
-  return stable;
+void TelemetryHub::intern_ops(std::vector<SpanEvent>& spans,
+                              const std::vector<std::string_view>& ops) {
+  std::set<std::string_view> fresh;
+  for (const std::string_view op : ops) {
+    if (!op_index_.contains(op) && fresh.insert(op).second &&
+        op_index_.size() + fresh.size() > kMaxSpanOps) {
+      throw std::runtime_error("telemetry frame: more than " +
+                               std::to_string(kMaxSpanOps) +
+                               " distinct span ops");
+    }
+  }
+  for (std::size_t i = 0; i < spans.size(); ++i) {
+    auto it = op_index_.find(ops[i]);
+    if (it == op_index_.end()) {
+      op_storage_.emplace_back(ops[i]);
+      it = op_index_.emplace(op_storage_.back(), op_storage_.back().c_str())
+               .first;
+    }
+    spans[i].op = it->second;
+  }
 }
 
 TelemetryHub::Ingest TelemetryHub::ingest_frame(std::string_view frame_json,
@@ -214,20 +231,31 @@ TelemetryHub::Ingest TelemetryHub::ingest_frame(std::string_view frame_json,
     pt.metrics_json = w.take();
   }
 
+  // Every span is checked before any op is interned: interned ops are
+  // never freed, so a refused frame must leave none behind.
   const std::int64_t offset = pt.clock.offset_ns;
-  pt.last_ingest_ns = tracer().now_ns();
-  std::lock_guard lock(mu_);
+  std::vector<std::string_view> ops;
   for (const json::Value& s : frame.at("spans").array) {
     SpanEvent e;
     e.t_start_ns = rebase_span_time(s.at("t0").as_i64(), offset);
     e.t_end_ns = rebase_span_time(s.at("t1").as_i64(), offset);
-    e.op = intern(s.at("op").as_string());
+    const std::string& op = s.at("op").as_string();
+    if (op.size() > kMaxSpanOpBytes) {
+      throw std::runtime_error("telemetry frame: span op of " +
+                               std::to_string(op.size()) +
+                               " bytes, more than " +
+                               std::to_string(kMaxSpanOpBytes));
+    }
+    ops.push_back(op);
     const json::Value* phase = s.find("phase");
     e.phase = phase != nullptr ? static_cast<std::uint32_t>(phase->as_u64())
                                : kNoPhase;
     e.rank = static_cast<std::int32_t>(s.at("rank").as_i64());
     pt.spans.push_back(e);
   }
+  pt.last_ingest_ns = tracer().now_ns();
+  std::lock_guard lock(mu_);
+  intern_ops(pt.spans, ops);
   std::stable_sort(pt.spans.begin(), pt.spans.end(), span_order);
 
   ProcessTelemetry& slot = processes_[pt.process];

@@ -26,6 +26,7 @@
 // process labels, freshness families or process_name rows.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <map>
@@ -54,6 +55,13 @@ struct ClockSync {
 /// end must fall in. Within it, the difference of any two span times, which
 /// the span report and the chrome renderer take, fits in an int64.
 inline constexpr std::int64_t kSpanTimeLimitNs = std::int64_t{1} << 62;
+
+/// The most distinct span ops a hub interns, and the longest op it takes.
+/// Interned ops are never freed, because SpanEvent::op pointers outlive a
+/// snapshot, so these bound what remote frames can make rank 0 keep. The
+/// library records 8 ops; the longest, "infinity-pipeline", is 17 bytes.
+inline constexpr std::size_t kMaxSpanOps = 256;
+inline constexpr std::size_t kMaxSpanOpBytes = 64;
 
 /// Renders one parda.telemetry.v1 frame: the process id, a per-sender
 /// sequence number, the final-flush marker, the sender's clock estimate,
@@ -100,7 +108,8 @@ struct ProcessTelemetry {
 
 /// Rank 0's aggregation point. Thread-safe: the comm drainer ingests while
 /// the TelemetryServer's accept pool renders. Ops of remote spans are
-/// interned in a deque so SpanEvent's `const char*` contract holds.
+/// interned in a deque so SpanEvent's `const char*` contract holds; only
+/// accepted frames intern, up to kMaxSpanOps ops over the hub's lifetime.
 class TelemetryHub {
  public:
   /// What ingest_frame learned about the sender — the comm drainer uses
@@ -114,9 +123,10 @@ class TelemetryHub {
   /// replacing that process's previous snapshot (frames are cumulative,
   /// not deltas). Throws json::JsonError / std::runtime_error, storing
   /// nothing, on a malformed frame, on one whose process is not `sender`
-  /// or is 0 (this hub's own process), and on one with a span whose
-  /// rebased start or end falls outside [-kSpanTimeLimitNs,
-  /// kSpanTimeLimitNs).
+  /// or is 0 (this hub's own process), on one with a span whose rebased
+  /// start or end falls outside [-kSpanTimeLimitNs, kSpanTimeLimitNs), and
+  /// on one with an op longer than kMaxSpanOpBytes or with ops the hub has
+  /// not interned yet that would take it past kMaxSpanOps.
   Ingest ingest_frame(std::string_view frame_json, int sender);
 
   /// True when no remote process has ever reported.
@@ -151,7 +161,11 @@ class TelemetryHub {
   void clear();
 
  private:
-  const char* intern(std::string_view op);
+  /// Points spans[i].op at the interned copy of ops[i]. Throws, interning
+  /// nothing, when the ops not yet interned would take the table past
+  /// kMaxSpanOps. Caller holds mu_.
+  void intern_ops(std::vector<SpanEvent>& spans,
+                  const std::vector<std::string_view>& ops);
 
   mutable std::mutex mu_;
   std::map<int, ProcessTelemetry> processes_;

@@ -15,8 +15,8 @@
 #include "core/rank_state.hpp"    // IWYU pragma: export
 
 // Sequential engines and the unified ReuseAnalyzer API. The oracle engines
-// (seq/naive.hpp, seq/interval_analyzer.hpp) are test/bench references and
-// are not exported here.
+// (the naive stack, the interval engine and the pointer trees) live in the
+// reference library under reference/, which only bench/ and tests/ link.
 #include "seq/analyzer.hpp"           // IWYU pragma: export
 #include "seq/bennett_kruskal.hpp"    // IWYU pragma: export
 #include "seq/bounded.hpp"            // IWYU pragma: export

@@ -1,8 +1,9 @@
-// The unified sequential-engine API: every reuse distance engine — Naive,
-// Olken (bounded or not), BennettKruskal, FixedSizeSampler, Interval,
-// LruChain — conforms to the ReuseAnalyzer concept below (checked by
-// static_asserts at the bottom of each engine header), so drivers, benches,
-// and the observability layer talk to all six through one shape:
+// The unified sequential-engine API: every reuse distance engine — Olken
+// (bounded or not), BennettKruskal, FixedSizeSampler and LruChain here,
+// and the reference library's Naive and Interval oracles (reference/) —
+// conforms to the ReuseAnalyzer concept below (checked by static_asserts
+// at the bottom of each engine header), so drivers, benches, tests and
+// the observability layer talk to all six through one shape:
 //
 //   analyzer.process(addr);   // one reference (may defer work, e.g. B&K)
 //   analyzer.finish();        // flush deferred work; idempotent

@@ -7,7 +7,8 @@
 // index work. The index is OlkenStack's: a FenwickIndex over a dense clock
 // that the stack renumbers, the same stack every Parda rank (RankState)
 // runs on. The paper's splay tree, and the AVL tree and treap, stay
-// measurable through olken_step, which bench/ runs over them.
+// measurable through olken_step, which the reference library
+// (reference/tree_olken.hpp) runs over them for bench/ and tests/.
 //
 // With a bound B (kUnbounded = none), the stack holds at most B entries —
 // the B most recently referenced distinct addresses — evicting LRU like a
@@ -38,12 +39,12 @@ struct OlkenStep {
   bool evicted;       // the miss found `bound` entries and evicted the oldest
 };
 
-/// One step of Algorithm 1, shared by OlkenStack and the pointer-tree
-/// loops of bench/: references z at key `now`, which must exceed every key
-/// in `tree`. A hit's distance is the number of keys newer than z's
-/// previous one, each the last reference of a distinct address. Under a
-/// bound (kUnbounded = none), a miss with `bound` entries resident first
-/// evicts the least recently referenced one.
+/// One step of Algorithm 1, shared by OlkenStack and the reference
+/// library's pointer-tree loop: references z at key `now`, which must
+/// exceed every key in `tree`. A hit's distance is the number of keys
+/// newer than z's previous one, each the last reference of a distinct
+/// address. Under a bound (kUnbounded = none), a miss with `bound` entries
+/// resident first evicts the least recently referenced one.
 template <OrderStatTree Tree>
 OlkenStep olken_step(Tree& tree, AddrMap& table, Addr z, Timestamp now,
                      std::uint64_t bound) {

@@ -25,8 +25,9 @@ struct TreeEntry {
 };
 
 /// Concept satisfied by FenwickIndex (which needs dense keys, see
-/// tree/fenwick.hpp), the index of the Olken stack, and by SplayTree,
-/// AvlTree and Treap, which bench/ runs olken_step over.
+/// tree/fenwick.hpp), the index of the Olken stack, and by the reference
+/// library's pointer trees (reference/), which its tree_olken_analysis
+/// runs olken_step over for bench/ and tests/.
 ///
 /// Semantics:
 ///  - insert(ts, addr): ts must not already be present.

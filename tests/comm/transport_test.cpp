@@ -11,18 +11,22 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <cstring>
 #include <memory>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "../util/mutations.hpp"
 #include "../util/number_tokens.hpp"
 #include "comm/comm.hpp"
 #include "comm/fault.hpp"
 #include "comm/transport/frame.hpp"
 #include "comm/transport/ring.hpp"
 #include "comm/transport/spec.hpp"
+#include "comm/transport/transport.hpp"
 #include "comm/worker_pool.hpp"
 #include "core/parda.hpp"
 #include "trace/trace_pipe.hpp"
@@ -460,6 +464,80 @@ TEST(HostileFrameTest, SpoofedSrcAborts) {
     // Rank 1's ring or connection carries a frame claiming rank 0 sent it.
     expect_forged_frame_aborts(wire, /*src=*/0, /*origin=*/1);
   }
+}
+
+TEST(HostileFrameTest, ReaderSurvivesEveryMutationOfAStream) {
+  // Rank 1 of a 3-rank World streams rank 0 a data frame with an 8-word
+  // payload, then an empty data frame: 96 + 32 = 128 bytes.
+  transport::FrameHeader full;
+  full.src = 1;
+  full.origin = 1;
+  full.tag = 5;
+  const std::vector<std::uint64_t> words{1, 2, 3, 4, 5, 6, 7, 8};
+  full.payload_bytes = sizeof(std::uint64_t) * words.size();
+  transport::FrameHeader empty = full;
+  empty.tag = 6;
+  empty.payload_bytes = 0;
+  std::vector<std::uint8_t> clean;
+  for (const std::vector<std::byte>& frame :
+       {transport::encode_frame(full, std::as_bytes(std::span(words))),
+        transport::encode_frame(empty, {})}) {
+    for (const std::byte b : frame) {
+      clean.push_back(static_cast<std::uint8_t>(b));
+    }
+  }
+  ASSERT_EQ(clean.size(), 128u);
+
+  // Each mutation must be refused with CheckError, poison the World (an
+  // abort frame), deliver frames whose envelopes passed the checks, or
+  // leave the reader waiting for bytes it was not given.
+  std::size_t refused = 0;
+  std::size_t poisoned = 0;
+  std::size_t delivered = 0;
+  std::size_t waiting = 0;
+  for_each_mutation(clean, [&](const Mutation& m) {
+    detail::World world(3, TransportSpec::parse("threads"));
+    transport::FrameReader reader;
+    std::size_t at = 0;
+    const auto pull = [&](std::byte* dst, std::size_t max) {
+      const std::size_t n = std::min(max, m.bytes.size() - at);
+      if (n != 0) std::memcpy(dst, m.bytes.data() + at, n);
+      at += n;
+      return n;
+    };
+    std::vector<transport::FrameHeader> pushed;
+    std::size_t consumed = 0;
+    try {
+      consumed = reader.drain(pull, [&](const transport::FrameHeader& h,
+                                        std::vector<std::byte>&& payload) {
+        const std::size_t depth = world.mailbox(0).depth();
+        transport::deliver_frame(world, 1, 0, h, std::move(payload));
+        if (world.mailbox(0).depth() > depth) pushed.push_back(h);
+      });
+    } catch (const CheckError&) {
+      ++refused;
+      return;
+    }
+    EXPECT_EQ(consumed, m.bytes.size()) << m.label;
+    for (const transport::FrameHeader& h : pushed) {
+      EXPECT_EQ(h.kind, 0u) << m.label;
+      EXPECT_EQ(h.src, 1) << m.label;
+      EXPECT_TRUE(h.origin >= 0 && h.origin < 3) << m.label;
+      EXPECT_EQ(h.generation, world.generation()) << m.label;
+    }
+    if (world.aborted()) {
+      ++poisoned;
+    } else if (!pushed.empty()) {
+      ++delivered;
+    } else {
+      ++waiting;
+    }
+  });
+  EXPECT_EQ(refused + poisoned + delivered + waiting, 128u + 1 + 128 * 8);
+  EXPECT_GT(refused, 0u);
+  EXPECT_GT(poisoned, 0u);
+  EXPECT_GT(delivered, 0u);
+  EXPECT_GT(waiting, 0u);
 }
 
 // --- The equality suite: bit-identical histograms ---------------------------

@@ -20,10 +20,10 @@
 
 #include "core/parda.hpp"
 #include "core/rank_state.hpp"
+#include "reference/interval_analyzer.hpp"
+#include "reference/naive.hpp"
 #include "seq/bennett_kruskal.hpp"
 #include "seq/bounded.hpp"
-#include "seq/interval_analyzer.hpp"
-#include "seq/naive.hpp"
 #include "seq/olken.hpp"
 #include "seq/opt.hpp"
 #include "trace/source.hpp"

@@ -12,8 +12,8 @@
 #include "core/parda.hpp"
 #include "core/rank_state.hpp"
 #include "hash/addr_map.hpp"
+#include "reference/splay_tree.hpp"
 #include "seq/olken.hpp"
-#include "tree/splay_tree.hpp"
 
 namespace parda {
 namespace {

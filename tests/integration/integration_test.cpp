@@ -13,7 +13,7 @@
 #include "core/parda.hpp"
 #include "obs/obs.hpp"
 #include "hist/mrc.hpp"
-#include "seq/naive.hpp"
+#include "reference/naive.hpp"
 #include "seq/olken.hpp"
 #include "trace/trace_io.hpp"
 #include "trace/trace_pipe.hpp"

@@ -4,8 +4,11 @@
 // and metrics JSON schema validation, and a disabled-overhead guard.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <chrono>
 #include <cstdint>
+#include <cstdio>
 #include <string>
 #include <thread>
 #include <vector>
@@ -271,6 +274,36 @@ TEST(ObsSpans, RingWrapCountsDroppedEvents) {
   ASSERT_EQ(kept.size(), 16u);
   EXPECT_EQ(kept.front().t_start_ns, 5);  // oldest five were overwritten
   EXPECT_EQ(kept.back().t_start_ns, 20);
+}
+
+/// This process's resident memory in bytes, from /proc/self/statm.
+std::int64_t resident_bytes() {
+  std::FILE* statm = std::fopen("/proc/self/statm", "r");
+  if (statm == nullptr) return -1;
+  long long size_pages = 0;
+  long long resident_pages = -1;
+  const int read = std::fscanf(statm, "%lld %lld", &size_pages,
+                               &resident_pages);
+  std::fclose(statm);
+  return read == 2 ? resident_pages * sysconf(_SC_PAGESIZE) : -1;
+}
+
+TEST(ObsSpans, ShardRingsAreAllocatedByTheirFirstRecord) {
+  // A run at np ranks records into np + 1 of the kShards rings. At the
+  // default capacity a ring is 2^15 slots of 40 bytes, so a tracer that
+  // allocated every ring up front would grow by all 65, about 81 MiB.
+  ScopedEnable on;
+  const std::int64_t before = resident_bytes();
+  ASSERT_GE(before, 0);
+  SpanTracer t;
+  for (const int rank : {0, 1, 2}) {
+    ScopedThreadRank scoped(rank);
+    t.record(rank, rank + 1, "analyze");
+  }
+  const std::int64_t grown = resident_bytes() - before;
+  EXPECT_EQ(t.events().size(), 3u);
+  EXPECT_EQ(t.dropped(), 0u);
+  EXPECT_LT(grown, std::int64_t{20} << 20) << "16 rings' worth";
 }
 
 TEST(ObsSpans, SpanScopeRecordsOnlyWhileEnabled) {

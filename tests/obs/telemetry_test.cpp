@@ -718,6 +718,16 @@ std::string span_frame(const std::string& offset_ns, const std::string& t0,
                        R"(,"op":"analyze","rank":1})");
 }
 
+/// One span entry of `op` on rank 1, from 0 to t1 ns on the sender's clock.
+std::string span_json(const std::string& op, const std::string& t1 = "1") {
+  return R"({"t0":0,"t1":)" + t1 + R"(,"op":")" + op + R"(","rank":1})";
+}
+
+/// A frame with no metrics, no clock offset and the span entries `spans`.
+std::string spans_frame(const std::string& spans) {
+  return raw_frame(R"("counters":{},"gauges":{},"timers":{})", "0", spans);
+}
+
 TEST(TelemetryFrame, HubRejectsMalformedFrames) {
   TelemetryHub local_hub;
   EXPECT_ANY_THROW(local_hub.ingest_frame("{", 1));
@@ -747,6 +757,15 @@ TEST(TelemetryFrame, HubRejectsMalformedFrames) {
       span_frame("0", "-9223372036854775800", "9223372036854775800"), 1));
   EXPECT_ANY_THROW(local_hub.ingest_frame(
       span_frame("-1", "0", "4611686018427387905"), 1));
+  // Interned ops are never freed: an op longer than kMaxSpanOpBytes, and a
+  // frame naming more than kMaxSpanOps distinct ops.
+  EXPECT_ANY_THROW(local_hub.ingest_frame(
+      spans_frame(span_json(std::string(kMaxSpanOpBytes + 1, 'o'))), 1));
+  std::string too_many = span_json("op0");
+  for (std::size_t i = 1; i <= kMaxSpanOps; ++i) {
+    too_many += "," + span_json("op" + std::to_string(i));
+  }
+  EXPECT_ANY_THROW(local_hub.ingest_frame(spans_frame(too_many), 1));
   EXPECT_TRUE(local_hub.empty());  // nothing was stored
 
   // The same shapes, well-formed, are accepted.
@@ -762,6 +781,36 @@ TEST(TelemetryFrame, HubRejectsMalformedFrames) {
   const SpanReport report =
       SpanReport::from_events(local_hub.merged_events(SpanTracer(1)));
   EXPECT_EQ(report.wall_ns(), (std::uint64_t{1} << 63) - 1);
+}
+
+TEST(TelemetryFrame, HubInternsOnlyTheOpsOfAcceptedFrames) {
+  TelemetryHub local_hub;
+  // kMaxSpanOps + 1 frames, each naming a fresh op in its first span and
+  // refused at its second, which ends past the span time range.
+  for (std::size_t i = 0; i <= kMaxSpanOps; ++i) {
+    EXPECT_ANY_THROW(local_hub.ingest_frame(
+        spans_frame(span_json("refused" + std::to_string(i)) + "," +
+                    span_json("analyze", "4611686018427387905")),
+        1));
+  }
+  EXPECT_TRUE(local_hub.empty());
+  // None of their ops was interned, so a frame naming kMaxSpanOps fresh
+  // ops, the first kMaxSpanOpBytes long, is accepted.
+  const std::string longest(kMaxSpanOpBytes, 'o');
+  std::string full = span_json(longest);
+  for (std::size_t i = 1; i < kMaxSpanOps; ++i) {
+    full += "," + span_json("op" + std::to_string(i));
+  }
+  local_hub.ingest_frame(spans_frame(full), 1);
+  const std::vector<ProcessTelemetry> stored = local_hub.snapshot();
+  ASSERT_EQ(stored.size(), 1u);
+  ASSERT_EQ(stored[0].spans.size(), kMaxSpanOps);
+  EXPECT_EQ(stored[0].spans[0].op, longest);
+  // The table is full: ops it holds are still accepted, a fresh one is not.
+  local_hub.ingest_frame(spans_frame(span_json("op1")), 1);
+  EXPECT_ANY_THROW(
+      local_hub.ingest_frame(spans_frame(span_json("one-more")), 1));
+  EXPECT_EQ(local_hub.snapshot()[0].spans.size(), 1u);
 }
 
 TEST(TelemetryFrame, HubSurvivesEveryMutationOfAFrame) {

@@ -1,9 +1,9 @@
 // Header self-containment: the real check is the generated per-header TUs
 // compiled into the parda_header_selfcontain object library this test
-// depends on (see tests/CMakeLists.txt) — each src/**/*.hpp is included
-// first (and twice, catching missing include guards) in its own TU. This
-// TU additionally proves the umbrella header is includable on its own and
-// idempotent.
+// depends on (see tests/CMakeLists.txt) — each src/**/*.hpp and
+// reference/*.hpp is included first (and twice, catching missing include
+// guards) in its own TU. This TU additionally proves the umbrella header
+// is includable on its own and idempotent.
 #include "parda.hpp"
 #include "parda.hpp"  // include-guard check
 

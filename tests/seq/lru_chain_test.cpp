@@ -9,11 +9,11 @@
 #include <string>
 #include <vector>
 
+#include "reference/interval_analyzer.hpp"
+#include "reference/naive.hpp"
 #include "seq/bennett_kruskal.hpp"
 #include "seq/bounded.hpp"
-#include "seq/interval_analyzer.hpp"
 #include "seq/lru_chain.hpp"
-#include "seq/naive.hpp"
 #include "seq/olken.hpp"
 #include "util/prng.hpp"
 #include "workload/generators.hpp"

@@ -5,14 +5,14 @@
 #include <span>
 #include <vector>
 
-#include "hash/addr_map.hpp"
+#include "reference/avl_tree.hpp"
+#include "reference/naive.hpp"
+#include "reference/splay_tree.hpp"
+#include "reference/treap.hpp"
+#include "reference/tree_olken.hpp"
 #include "seq/bennett_kruskal.hpp"
 #include "seq/bounded.hpp"
-#include "seq/naive.hpp"
 #include "seq/olken.hpp"
-#include "tree/avl_tree.hpp"
-#include "tree/splay_tree.hpp"
-#include "tree/treap.hpp"
 #include "util/prng.hpp"
 #include "workload/generators.hpp"
 #include "workload/spec.hpp"
@@ -248,9 +248,9 @@ TEST(BoundedSemanticsTest, BoundOneOnlyCountsImmediateReuse) {
 
 // --- The paper's pointer trees ------------------------------------------------
 // bench/ times Olken's algorithm on the splay tree (the paper's
-// configuration), the AVL tree and the treap with a loop of olken_step
-// keyed by trace position. The same loop here checks the histograms those
-// numbers come from against naive.
+// configuration), the AVL tree and the treap with tree_olken_analysis, a
+// loop of olken_step keyed by trace position. Here the same loop's
+// histograms are checked against naive.
 
 template <typename Tree>
 class PointerTreeOlkenTest : public ::testing::Test {};
@@ -258,24 +258,13 @@ class PointerTreeOlkenTest : public ::testing::Test {};
 using PointerTrees = ::testing::Types<SplayTree, AvlTree, Treap>;
 TYPED_TEST_SUITE(PointerTreeOlkenTest, PointerTrees);
 
-template <typename Tree>
-Histogram tree_olken(std::span<const Addr> trace, std::uint64_t bound) {
-  Tree tree;
-  AddrMap table;
-  Histogram hist;
-  for (std::size_t i = 0; i < trace.size(); ++i) {
-    hist.record(olken_step(tree, table, trace[i], i, bound).distance);
-  }
-  return hist;
-}
-
 TYPED_TEST(PointerTreeOlkenTest, MatchesNaive) {
   for (const std::uint64_t seed : {1u, 2u, 3u}) {
     ZipfWorkload w(400, 0.8, seed);
     const auto trace = generate_trace(w, 6000);
     const std::uint64_t bounds[] = {kUnbounded, 1, 17, 128};
     for (const std::uint64_t bound : bounds) {
-      EXPECT_TRUE(tree_olken<TypeParam>(trace, bound) ==
+      EXPECT_TRUE(tree_olken_analysis<TypeParam>(trace, bound) ==
                   naive_stack_analysis(trace, bound))
           << "seed " << seed << " B=" << bound;
     }

@@ -3,9 +3,9 @@
 #include <set>
 #include <vector>
 
-#include "seq/interval_analyzer.hpp"
+#include "reference/interval_analyzer.hpp"
+#include "reference/interval_set.hpp"
 #include "seq/olken.hpp"
-#include "tree/interval_set.hpp"
 #include "util/prng.hpp"
 #include "workload/generators.hpp"
 

@@ -5,13 +5,13 @@
 #include <algorithm>
 #include <vector>
 
-#include "tree/avl_tree.hpp"
+#include "reference/avl_tree.hpp"
+#include "reference/splay_tree.hpp"
+#include "reference/treap.hpp"
+#include "reference/vector_tree.hpp"
 #include "tree/fenwick.hpp"
 #include "tree/order_stat_tree.hpp"
-#include "tree/splay_tree.hpp"
-#include "tree/treap.hpp"
 #include "util/prng.hpp"
-#include "vector_tree.hpp"
 
 namespace parda {
 namespace {
