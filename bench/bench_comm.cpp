@@ -80,18 +80,24 @@ void BM_Barrier(benchmark::State& state) {
 BENCHMARK(BM_Barrier)->Arg(2)->Arg(8)->UseRealTime();
 
 void BM_ReduceSum(benchmark::State& state) {
-  // reduce_histogram (the reduce_sum of Algorithm 3) over histograms with
-  // range(1) populated distance bins.
+  // reduce_results (the reduce_sum of Algorithm 3, which carries every
+  // rank's profile with the histograms) over histograms with range(1)
+  // populated distance bins.
   const auto np = static_cast<int>(state.range(0));
   Histogram mine;
   for (std::int64_t d = 0; d < state.range(1); ++d) {
     mine.record(static_cast<Distance>(d));
   }
+  RankProfile profile;
+  profile.chunk_refs = mine.total();
+  profile.hits_resolved = mine.finite_total();
   const int rounds = 50;
   for (auto _ : state) {
+    PardaResult result;
     run(np, [&](Comm& comm) {
       for (int i = 0; i < rounds; ++i) {
-        benchmark::DoNotOptimize(reduce_histogram(comm, mine, 0));
+        reduce_results(comm, mine, profile, result);
+        if (comm.rank() == 0) benchmark::DoNotOptimize(result);
       }
     });
   }

@@ -173,7 +173,6 @@ void World::barrier(int rank, const OpDeadline& deadline) {
     const int from = (rank - step + np_) % np_;
     Message signal;
     signal.src = rank;
-    signal.origin = rank;
     signal.tag = kReservedTagBase + k;
     route(rank, to, std::move(signal));
     Message in;
@@ -221,7 +220,7 @@ void World::abort_impl(int origin, const std::string& cause, bool broadcast) {
   // in-process transports). A frame that arrives back carrying this abort
   // hits the first-wins check above and is ignored.
   if (broadcast && transport_ != nullptr) {
-    transport_->broadcast_abort(origin, cause);
+    transport_->broadcast_abort(cause);
   }
 }
 

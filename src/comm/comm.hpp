@@ -3,14 +3,14 @@
 //
 // The original Parda runs on MVAPICH over Infiniband; this repository
 // substitutes a runtime with the same programming model — ranks, two-sided
-// tagged send/recv, barrier, gather/broadcast/scatter collectives — so the
+// tagged send/recv, barrier, broadcast/scatter collectives — so the
 // algorithm code reads like the paper's pseudocode (Send(x, p-1),
 // S <- Recv(p+1), reduce_sum(hist)) while running portably on a laptop.
 // The surface is exactly what the Parda rank bodies send: move-in send,
-// recv / recv_view, gather (the profile collection), broadcast and
-// scatterv_view (the streaming phase intake), and barrier (the
-// distributed completion barrier). reduce_sum(hist) is reduce_histogram
-// (core/parda.hpp), a binomial tree of point-to-point sends.
+// recv / recv_view, broadcast and scatterv_view (the streaming phase
+// intake), and barrier (the distributed completion barrier).
+// reduce_sum(hist) is reduce_results (core/parda.hpp), a binomial tree of
+// point-to-point sends that carries the rank profiles with the histogram.
 //
 // The data plane is selected by RunOptions::transport (comm/transport/,
 // DESIGN.md "Transports"):
@@ -33,8 +33,8 @@
 //    caller that keeps its data sends an explicit copy.
 //  - Collectives publish ONE refcounted immutable block (a shared buffer)
 //    and transport offset/length views of it: scatterv_view hands every
-//    rank a View<T> aliasing the root's block, and the binomial
-//    broadcast/gather trees forward payload handles, never bytes.
+//    rank a View<T> aliasing the root's block, and the binomial broadcast
+//    tree forwards payload handles, never bytes.
 //  - recv_view<T> reinterprets any payload in place when size and alignment
 //    permit, falling back to a single counted copy otherwise.
 // RankStats separates bytes_copied (actually memcpy'd) from bytes_shared
@@ -205,12 +205,9 @@ class View {
   std::span<const T> span_;
 };
 
-/// Raw message envelope. `origin` is the rank that contributed the payload;
-/// it equals `src` for point-to-point traffic and is preserved across the
-/// relay hops of the binomial collectives (matching stays on (src, tag)).
+/// Raw message envelope: the sending rank and the tag recv matches on.
 struct Message {
   int src = 0;
-  int origin = 0;
   int tag = 0;
   Payload payload;
 };
@@ -338,8 +335,8 @@ class World {
   /// ranks do the same. Idempotent; later calls are ignored.
   void abort(int origin, const std::string& cause);
   /// Abort on behalf of a remote rank, recorded by a transport pump when
-  /// an abort control frame arrives: poisons locally, never re-broadcasts
-  /// (the frame's origin already told everyone).
+  /// an abort control frame arrives from it: poisons locally, never
+  /// re-broadcasts (the origin's own broadcast already told everyone).
   void abort_remote(int origin, const std::string& cause);
   bool aborted() const noexcept {
     return aborted_.load(std::memory_order_acquire);
@@ -479,7 +476,7 @@ class Comm {
   void send(int dest, int tag, std::vector<T>&& data) {
     Payload p = Payload::own(std::move(data));
     note_transfer(p.size_bytes());
-    post(dest, tag, std::move(p), rank_);
+    post(dest, tag, std::move(p));
   }
 
   template <Trivial T>
@@ -520,22 +517,6 @@ class Comm {
     } else {
       world_.barrier(rank_, deadline_from(timeout));
     }
-  }
-
-  /// Gathers each rank's buffer at root via a log-depth binomial tree;
-  /// returns per-rank buffers at root (indexed by rank), empty elsewhere.
-  /// Relay hops forward payload handles and the root moves each buffer
-  /// out, so on the threads transport the gather is zero-copy end to end.
-  template <Trivial T>
-  std::vector<std::vector<T>> gather(std::vector<T>&& mine, int root,
-                                     int tag) {
-    std::vector<Payload> payloads =
-        gather_payloads(Payload::own(std::move(mine)), root, tag);
-    if (rank_ != root) return {};
-    std::vector<std::vector<T>> all;
-    all.reserve(payloads.size());
-    for (Payload& p : payloads) all.push_back(materialize<T>(std::move(p)));
-    return all;
   }
 
   /// Broadcast root's buffer to all ranks; returns the buffer everywhere.
@@ -581,7 +562,7 @@ class Comm {
           holder, reinterpret_cast<const std::byte*>(base + off),
           static_cast<std::size_t>(cnt) * sizeof(T));
       note_transfer(p.size_bytes());
-      post(r, tag, std::move(p), rank_);
+      post(r, tag, std::move(p));
     }
     const auto [off, cnt] = slices[static_cast<std::size_t>(rank_)];
     return View<T>(std::move(holder),
@@ -664,7 +645,7 @@ class Comm {
   /// Stamps the envelope and routes it toward dest's mailbox through the
   /// world's transport. On serializing transports a cross-rank post is the
   /// one place the wire copy is counted.
-  void post(int dest, int tag, Payload p, int origin) {
+  void post(int dest, int tag, Payload p) {
     PARDA_CHECK_MSG(dest >= 0 && dest < size(),
                     "send from rank %d to invalid rank %d (np=%d)", rank_,
                     dest, size());
@@ -681,7 +662,6 @@ class Comm {
     if (!world_.zero_copy() && dest != rank_) note_copied(p.size_bytes());
     Message msg;
     msg.src = rank_;
-    msg.origin = origin;
     msg.tag = tag;
     msg.payload = std::move(p);
     world_.route(rank_, dest, std::move(msg));
@@ -689,9 +669,9 @@ class Comm {
 
   /// Relays an in-flight payload handle (collective hop): a refcount bump
   /// on the zero-copy transport, a wire copy otherwise.
-  void forward(int dest, int tag, Payload p, int origin) {
+  void forward(int dest, int tag, Payload p) {
     note_transfer(p.size_bytes());
-    post(dest, tag, std::move(p), origin);
+    post(dest, tag, std::move(p));
   }
 
   template <Trivial T>
@@ -745,44 +725,9 @@ class Comm {
     }
     for (unsigned step = start; step >= 1; step >>= 1) {
       const int child = me + static_cast<int>(step);
-      if (child < np) forward((child + root) % np, tag, p, root);
+      if (child < np) forward((child + root) % np, tag, p);
     }
     return p;
-  }
-
-  /// Binomial-tree gather of opaque payloads: at root, returns np payloads
-  /// indexed by contributing physical rank; empty elsewhere. Relay hops
-  /// move handles (origin preserved in the envelope), never bytes.
-  std::vector<Payload> gather_payloads(Payload mine, int root, int tag) {
-    const int np = size();
-    const int me = (rank_ - root + np) % np;
-    std::vector<std::pair<int, Payload>> collected;
-    collected.emplace_back(rank_, std::move(mine));
-    for (int step = 1; step < np; step <<= 1) {
-      if ((me & step) != 0) {
-        const int parent = ((me - step) + root) % np;
-        for (auto& [origin, p] : collected) {
-          forward(parent, tag, std::move(p), origin);
-        }
-        return {};
-      }
-      if (me + step < np) {
-        const int child_virt = me + step;
-        const int child_phys = (child_virt + root) % np;
-        // The child's binomial subtree spans virtual ranks
-        // [child_virt, child_virt + step), clipped to np.
-        const int subtree = std::min(step, np - child_virt);
-        for (int i = 0; i < subtree; ++i) {
-          Message msg = pop_checked(child_phys, tag);
-          collected.emplace_back(msg.origin, std::move(msg.payload));
-        }
-      }
-    }
-    std::vector<Payload> all(static_cast<std::size_t>(np));
-    for (auto& [origin, p] : collected) {
-      all[static_cast<std::size_t>(origin)] = std::move(p);
-    }
-    return all;
   }
 
   detail::World& world_;

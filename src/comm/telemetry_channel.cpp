@@ -38,7 +38,6 @@ bool read_i64(const Payload& p, std::int64_t& out) {
 Message make_control(int src, int tag, Payload payload) {
   Message msg;
   msg.src = src;
-  msg.origin = src;
   msg.tag = tag;
   msg.payload = std::move(payload);
   return msg;

@@ -2,12 +2,13 @@
 // (see DESIGN.md "Transports"). A frame is a fixed 32-byte header followed
 // by `payload_bytes` of payload:
 //
-//   u32 magic       'PDF1' — stream-desync tripwire
+//   u32 magic       'PDF2' — stream-desync tripwire; a peer speaking an
+//                   older layout fails on it instead of being misread
 //   u32 kind        0 = data, 1 = abort control
-//   i32 src         sending rank (envelope)
-//   i32 origin      contributing rank (preserved across collective relays)
-//   i32 tag         message tag; abort frames carry the abort origin here
-//   u32 generation  World generation that produced the frame; receivers
+//   i32 src         sending rank (envelope); an abort frame's src is the
+//                   rank whose failure it reports
+//   i32 tag         message tag (unused by abort frames)
+//   u64 generation  World generation that produced the frame; receivers
 //                   drop frames from earlier generations, so leftovers of
 //                   a finished job can never leak into a pooled World's
 //                   next job
@@ -21,13 +22,14 @@
 #include <cstdint>
 #include <cstring>
 #include <span>
+#include <type_traits>
 #include <vector>
 
 #include "util/check.hpp"
 
 namespace parda::comm::transport {
 
-inline constexpr std::uint32_t kFrameMagic = 0x31464450u;  // "PDF1"
+inline constexpr std::uint32_t kFrameMagic = 0x32464450u;  // "PDF2"
 
 enum class FrameKind : std::uint32_t {
   kData = 0,
@@ -38,13 +40,14 @@ struct FrameHeader {
   std::uint32_t magic = kFrameMagic;
   std::uint32_t kind = 0;
   std::int32_t src = 0;
-  std::int32_t origin = 0;
   std::int32_t tag = 0;
-  std::uint32_t generation = 0;
+  std::uint64_t generation = 0;
   std::uint64_t payload_bytes = 0;
 };
 static_assert(sizeof(FrameHeader) == 32);
 static_assert(std::is_trivially_copyable_v<FrameHeader>);
+// No padding: every byte of a header on the wire is a field.
+static_assert(std::has_unique_object_representations_v<FrameHeader>);
 
 /// Serializes header + payload into one contiguous buffer (the tcp send
 /// path; the shm path streams header and payload separately).

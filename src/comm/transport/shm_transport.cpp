@@ -39,9 +39,8 @@ class ShmTransport final : public Transport {
     FrameHeader header;
     header.kind = static_cast<std::uint32_t>(FrameKind::kData);
     header.src = msg.src;
-    header.origin = msg.origin;
     header.tag = msg.tag;
-    header.generation = static_cast<std::uint32_t>(world_.generation());
+    header.generation = world_.generation();
     const std::span<const std::byte> payload = msg.payload.bytes();
     header.payload_bytes = payload.size();
     // In a distributed world this process can have two producers on the
@@ -55,14 +54,12 @@ class ShmTransport final : public Transport {
     }
   }
 
-  void broadcast_abort(int origin, const std::string& cause) override {
+  void broadcast_abort(const std::string& cause) override {
     if (local_rank_ < 0) return;  // in-process: local poisoning reached all
     FrameHeader header;
     header.kind = static_cast<std::uint32_t>(FrameKind::kAbort);
-    header.src = local_rank_;
-    header.origin = origin;
-    header.tag = origin;  // abort frames carry the origin in the tag field
-    header.generation = static_cast<std::uint32_t>(world_.generation());
+    header.src = local_rank_;  // the origin: only the failing rank sends
+    header.generation = world_.generation();
     header.payload_bytes = cause.size();
     const auto* bytes = reinterpret_cast<const std::byte*>(cause.data());
     std::lock_guard lock(post_mu_);

@@ -131,9 +131,8 @@ class TcpTransport final : public Transport {
     FrameHeader header;
     header.kind = static_cast<std::uint32_t>(FrameKind::kData);
     header.src = msg.src;
-    header.origin = msg.origin;
     header.tag = msg.tag;
-    header.generation = static_cast<std::uint32_t>(world_.generation());
+    header.generation = world_.generation();
     header.payload_bytes = msg.payload.size_bytes();
     std::vector<std::byte> frame = encode_frame(header, msg.payload.bytes());
     {
@@ -156,14 +155,12 @@ class TcpTransport final : public Transport {
     wake_io();
   }
 
-  void broadcast_abort(int origin, const std::string& cause) override {
+  void broadcast_abort(const std::string& cause) override {
     if (local_rank_ < 0) return;  // in-process: local poisoning reached all
     FrameHeader header;
     header.kind = static_cast<std::uint32_t>(FrameKind::kAbort);
-    header.src = local_rank_;
-    header.origin = origin;
-    header.tag = origin;  // abort frames carry the origin in the tag field
-    header.generation = static_cast<std::uint32_t>(world_.generation());
+    header.src = local_rank_;  // the origin: only the failing rank sends
+    header.generation = world_.generation();
     header.payload_bytes = cause.size();
     const std::span<const std::byte> payload{
         reinterpret_cast<const std::byte*>(cause.data()), cause.size()};

@@ -5,10 +5,7 @@
 
 namespace parda::comm {
 
-void Transport::broadcast_abort(int origin, const std::string& cause) {
-  (void)origin;
-  (void)cause;
-}
+void Transport::broadcast_abort(const std::string& cause) { (void)cause; }
 
 void Transport::clear(bool aborted) { (void)aborted; }
 
@@ -17,25 +14,21 @@ namespace transport {
 void deliver_frame(detail::World& world, int from, int dst,
                    const FrameHeader& header,
                    std::vector<std::byte>&& payload) {
-  if (header.kind == static_cast<std::uint32_t>(FrameKind::kAbort)) {
-    world.abort_remote(
-        header.tag,
-        std::string(reinterpret_cast<const char*>(payload.data()),
-                    payload.size()));
-    return;
-  }
   PARDA_CHECK_MSG(header.src == from,
                   "transport frame: src %d on the wire from rank %d",
                   header.src, from);
-  PARDA_CHECK_MSG(header.origin >= 0 && header.origin < world.size(),
-                  "transport frame: origin %d outside [0, %d)",
-                  header.origin, world.size());
-  if (header.generation != static_cast<std::uint32_t>(world.generation())) {
+  if (header.kind == static_cast<std::uint32_t>(FrameKind::kAbort)) {
+    // An abort frame's sender is the failed rank.
+    world.abort_remote(
+        from, std::string(reinterpret_cast<const char*>(payload.data()),
+                          payload.size()));
+    return;
+  }
+  if (header.generation != world.generation()) {
     return;  // leftover of an earlier pooled job
   }
   Message msg;
   msg.src = header.src;
-  msg.origin = header.origin;
   msg.tag = header.tag;
   msg.payload = Payload::own(std::move(payload));
   world.mailbox(dst).push(std::move(msg));

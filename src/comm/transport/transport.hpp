@@ -49,9 +49,11 @@ class Transport {
   virtual void post(int src, int dst, Message&& msg) = 0;
 
   /// Distributed worlds: push an abort control frame to every remote rank
-  /// so their pumps poison their local mailboxes. In-process worlds have
-  /// no remotes; the default no-op is correct.
-  virtual void broadcast_abort(int origin, const std::string& cause);
+  /// so their pumps poison their local mailboxes. The frame's src, this
+  /// process's rank, is the origin of the abort: a distributed World only
+  /// ever aborts on behalf of the rank it hosts. In-process worlds have no
+  /// remotes; the default no-op is correct.
+  virtual void broadcast_abort(const std::string& cause);
 
   /// Starts/stops the transport's pump threads. stop() joins; after it
   /// returns the transport touches no World state.
@@ -75,11 +77,11 @@ namespace transport {
 /// The one consumer-side delivery of a decoded frame, shared by every
 /// serializing transport's pump. `from` is the rank that owns the sending
 /// end of the ring or connection the frame arrived on, `dst` the local
-/// rank it is for. Abort frames poison the world; data frames of an
-/// earlier pooled generation are dropped; any other data frame must name
-/// `from` as its src and a rank in [0, np) as its origin, or this throws
-/// CheckError (which the pump turns into a job abort) — a frame's envelope
-/// is never trusted as a mailbox bucket or gather slot index.
+/// rank it is for. Every frame must name `from` as its src, or this throws
+/// CheckError (which the pump turns into a job abort): a frame's envelope
+/// is never trusted as a mailbox bucket or as an abort's origin. An abort
+/// frame then poisons the world on behalf of `from`; a data frame of an
+/// earlier pooled generation is dropped.
 void deliver_frame(detail::World& world, int from, int dst,
                    const FrameHeader& header,
                    std::vector<std::byte>&& payload);

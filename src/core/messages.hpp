@@ -13,10 +13,9 @@ namespace parda {
 enum MsgTag : int {
   kTagInfinities = 1,  // local-infinity addresses, rank p -> p-1
   kTagState = 2,       // resident addresses for the phase reduce
-  kTagHistogram = 3,   // histogram reduction
+  kTagHistogram = 3,   // closing reduction: histogram + profiles
   kTagChunk = 4,       // trace chunk scatter from the pipe reader
   kTagControl = 5,     // per-phase reference counts
-  kTagProfile = 6,     // per-rank profile gathering
 };
 
 }  // namespace parda

@@ -1,7 +1,9 @@
 #include "core/parda.hpp"
 
 #include <algorithm>
+#include <cstring>
 #include <exception>
+#include <span>
 #include <thread>
 #include <type_traits>
 #include <utility>
@@ -70,21 +72,6 @@ void publish_rank_metrics(const RankProfile& profile,
   reg.gauge("engine.peak_resident").set_max(profile.peak_resident);
 }
 
-/// Gathers each rank's profile at rank 0 (physical order). Each profile
-/// travels as a moved one-element vector, so the gather copies no bytes.
-std::vector<RankProfile> gather_profiles(comm::Comm& comm,
-                                         const RankProfile& mine) {
-  static_assert(std::is_trivially_copyable_v<RankProfile>);
-  const auto pieces =
-      comm.gather(std::vector<RankProfile>{mine}, 0, kTagProfile);
-  std::vector<RankProfile> out;
-  out.reserve(pieces.size());
-  for (const auto& piece : pieces) {
-    if (!piece.empty()) out.push_back(piece[0]);
-  }
-  return out;
-}
-
 /// The per-rank body of the offline algorithm (Algorithm 3), one call per
 /// rank inside a comm job: the rank pulls its own disjoint view from the
 /// partitioned source (for ChunkedTrzSource that call IS the per-rank
@@ -118,17 +105,8 @@ void offline_rank_body(comm::Comm& comm, TraceSource& source,
   profile.peak_resident = state.peak_resident();
   publish_rank_metrics(profile, state);
 
-  std::vector<RankProfile> gathered;
-  Histogram reduced;
-  {
-    obs::SpanScope span("reduce");
-    gathered = gather_profiles(comm, profile);
-    reduced = reduce_histogram(comm, state.hist(), 0);
-  }
-  if (comm.rank() == 0) {
-    result.hist = std::move(reduced);
-    result.profiles = std::move(gathered);
-  }
+  obs::SpanScope span("reduce");
+  reduce_results(comm, state.hist(), profile, result);
 }
 
 /// The per-rank body of the streaming algorithm (Algorithms 5-6): phase
@@ -240,44 +218,84 @@ void stream_rank_body(comm::Comm& comm, TracePipe& pipe,
   profile.hits_resolved = state.hist().finite_total();
   profile.peak_resident = state.peak_resident();
   publish_rank_metrics(profile, state);
-  std::vector<RankProfile> gathered;
-  Histogram reduced;
-  {
-    obs::SpanScope span("final-reduce");
-    gathered = gather_profiles(comm, profile);
-    reduced = reduce_histogram(comm, state.hist(), 0);
-  }
-  if (me == 0) {
-    result.hist = std::move(reduced);
-    result.profiles = std::move(gathered);
-  }
+  obs::SpanScope span("final-reduce");
+  reduce_results(comm, state.hist(), profile, result);
 }
 
 }  // namespace
 
-Histogram reduce_histogram(comm::Comm& comm, const Histogram& mine,
-                           int root) {
-  // Binomial-tree merge in virtual rank space rooted at `root`, mirroring
-  // MPI_Reduce: ceil(log2(np)) rounds, each rank sends exactly once.
+void reduce_results(comm::Comm& comm, const Histogram& hist,
+                    const RankProfile& profile, PardaResult& result) {
+  // The profiles ride behind the histogram words as raw 64-bit words.
+  static_assert(std::is_trivially_copyable_v<RankProfile>);
+  static_assert(sizeof(RankProfile) % sizeof(std::uint64_t) == 0);
+  constexpr std::size_t kProfileWords =
+      sizeof(RankProfile) / sizeof(std::uint64_t);
+  // Binomial-tree merge onto rank 0, mirroring MPI_Reduce: ceil(log2(np))
+  // rounds, each rank sends exactly once, and rank me + step's subtree is
+  // ranks [me + step, me + 2 * step), clipped to np.
   const int np = comm.size();
-  const int me = (comm.rank() - root + np) % np;
-  Histogram acc = mine;
+  const int me = comm.rank();
+  Histogram acc = hist;
+  std::vector<RankProfile> profiles{profile};
   for (int step = 1; step < np; step <<= 1) {
     if ((me & step) != 0) {
-      const int dest = ((me - step) + root) % np;
-      // Move the serialized histogram into the message; the receiver's
-      // recv moves it back out, so the reduction never copies payloads.
-      comm.send(dest, kTagHistogram, acc.to_words());
-      return {};
+      // One allocation: the histogram reserves room for the trailer. The
+      // buffer moves into the message and the receiver's recv moves it
+      // back out, so the reduction never copies payloads.
+      const std::size_t trailer = profiles.size() * kProfileWords;
+      std::vector<std::uint64_t> words = acc.to_words(trailer);
+      const std::size_t at = words.size();
+      words.resize(at + trailer);
+      std::memcpy(words.data() + at, profiles.data(),
+                  trailer * sizeof(std::uint64_t));
+      comm.send(me - step, kTagHistogram, std::move(words));
+      return;
     }
     if (me + step < np) {
-      const int src = (me + step + root) % np;
+      const std::size_t subtree =
+          static_cast<std::size_t>(std::min(step, np - (me + step)));
+      const std::size_t trailer = subtree * kProfileWords;
       const std::vector<std::uint64_t> words =
-          comm.recv<std::uint64_t>(src, kTagHistogram);
-      acc.merge(Histogram::from_words(words));
+          comm.recv<std::uint64_t>(me + step, kTagHistogram);
+      PARDA_CHECK_MSG(words.size() >= trailer,
+                      "reduction message of %zu words from rank %d cannot "
+                      "hold its subtree's %zu profiles",
+                      words.size(), me + step, subtree);
+      const std::span<const std::uint64_t> all(words);
+      acc.merge(Histogram::from_words(all.first(all.size() - trailer)));
+      const std::size_t held = profiles.size();
+      profiles.resize(held + subtree);
+      std::memcpy(static_cast<void*>(profiles.data() + held),
+                  all.data() + all.size() - trailer,
+                  trailer * sizeof(std::uint64_t));
     }
   }
-  return acc;
+  // Rank 0 holds every profile: the analysis's mass must balance.
+  std::uint64_t refs = 0;
+  std::uint64_t hits = 0;
+  std::uint64_t forwarded = 0;
+  std::uint64_t received = 0;
+  for (const RankProfile& p : profiles) {
+    refs += p.chunk_refs;
+    hits += p.hits_resolved;
+    forwarded += p.records_forwarded;
+    received += p.records_received;
+  }
+  PARDA_CHECK_MSG(
+      refs == acc.total() && hits == acc.finite_total() &&
+          forwarded == received,
+      "analysis mass does not balance: %llu chunk references vs %llu "
+      "tallied, %llu hits resolved vs %llu finite, %llu records forwarded "
+      "vs %llu received",
+      static_cast<unsigned long long>(refs),
+      static_cast<unsigned long long>(acc.total()),
+      static_cast<unsigned long long>(hits),
+      static_cast<unsigned long long>(acc.finite_total()),
+      static_cast<unsigned long long>(forwarded),
+      static_cast<unsigned long long>(received));
+  result.hist = std::move(acc);
+  result.profiles = std::move(profiles);
 }
 
 PardaResult parda_analyze_source_on(comm::WorkerPool& pool,

@@ -63,10 +63,17 @@ struct PardaResult {
   std::vector<RankProfile> profiles;  // indexed by physical rank
 };
 
-/// Reduces each rank's histogram onto `root` with a binomial tree
-/// (the reduce_sum of Algorithm 3); returns the merged histogram at root
-/// and an empty histogram elsewhere.
-Histogram reduce_histogram(comm::Comm& comm, const Histogram& mine, int root);
+/// The closing reduction of every analysis (the reduce_sum of Algorithm
+/// 3): a binomial tree onto rank 0 in which each other rank sends one
+/// message, its subtree's merged histogram words followed by its subtree's
+/// profiles in rank order. Rank 0 stores the merged histogram and every
+/// rank's profile into `result`; other ranks leave it alone. Rank 0 throws
+/// CheckError on a malformed message, or when the profiles disagree with
+/// the histogram's mass: the chunk references must sum to its total, the
+/// resolved hits to its finite total, and the records forwarded to the
+/// records received.
+void reduce_results(comm::Comm& comm, const Histogram& hist,
+                    const RankProfile& profile, PardaResult& result);
 
 /// The analysis driver, on a caller-owned WorkerPool: the only place an
 /// analysis job is submitted. Offline sources run Algorithm 3 over their

@@ -107,10 +107,10 @@ Distance Histogram::finite_distance_percentile(double p) const noexcept {
   return max_distance();
 }
 
-std::vector<std::uint64_t> Histogram::to_words() const {
+std::vector<std::uint64_t> Histogram::to_words(std::size_t spare) const {
   const Distance top = counts_.empty() ? 0 : max_distance() + 1;
   std::vector<std::uint64_t> words;
-  words.reserve(3 + top);
+  words.reserve(3 + top + spare);
   words.push_back(infinities_);
   words.push_back(total_);
   words.push_back(top);
@@ -118,14 +118,29 @@ std::vector<std::uint64_t> Histogram::to_words() const {
   return words;
 }
 
-Histogram Histogram::from_words(const std::vector<std::uint64_t>& words) {
-  PARDA_CHECK(words.size() >= 3);
+Histogram Histogram::from_words(std::span<const std::uint64_t> words) {
+  PARDA_CHECK_MSG(words.size() >= 3 && words[2] == words.size() - 3,
+                  "histogram words: %zu words do not hold a header and "
+                  "the %llu counts it declares",
+                  words.size(),
+                  static_cast<unsigned long long>(
+                      words.size() >= 3 ? words[2] : 0));
   Histogram h;
   h.infinities_ = words[0];
   h.total_ = words[1];
-  const std::uint64_t n = words[2];
-  PARDA_CHECK(words.size() == 3 + n);
   h.counts_.assign(words.begin() + 3, words.end());
+  // A count whose sum wraps would pass the totals check.
+  std::uint64_t sum = h.infinities_;
+  for (const std::uint64_t count : h.counts_) {
+    PARDA_CHECK_MSG(count <= std::numeric_limits<std::uint64_t>::max() - sum,
+                    "histogram words: counts overflow the 64-bit total");
+    sum += count;
+  }
+  PARDA_CHECK_MSG(sum == h.total_,
+                  "histogram words: total %llu is not infinities plus "
+                  "counts (%llu)",
+                  static_cast<unsigned long long>(h.total_),
+                  static_cast<unsigned long long>(sum));
   return h;
 }
 

@@ -6,7 +6,9 @@
 // reduce_sum of Algorithm 3) and serializable for the comm runtime.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -65,9 +67,15 @@ class Histogram {
   /// *finite* references have distance <= d; 0 if no finite references.
   Distance finite_distance_percentile(double p) const noexcept;
 
-  /// Flat serialization: [infinities, total, n, counts[0..n)].
-  std::vector<std::uint64_t> to_words() const;
-  static Histogram from_words(const std::vector<std::uint64_t>& words);
+  /// Flat serialization: [infinities, total, n, counts[0..n)]. `spare`
+  /// reserves room for that many more words, so a caller can append a
+  /// trailer without a second allocation; it never changes the words.
+  std::vector<std::uint64_t> to_words(std::size_t spare = 0) const;
+  /// Inverse of to_words(). The words may come from another process, so
+  /// this throws CheckError when their length disagrees with n, when the
+  /// counts sum past 64 bits, or when total is not infinities plus the
+  /// counts.
+  static Histogram from_words(std::span<const std::uint64_t> words);
 
   /// JSON serialization ("parda.histogram.v1"): sparse finite counts as
   /// [[distance, count], ...] plus the infinity bin and totals. This is

@@ -82,15 +82,18 @@ TEST(CommStressTest, CollectivesInterleavedWithPointToPoint) {
       const auto got = comm.recv<int>(prev, 40 + round);
       EXPECT_EQ(got[0], prev);
       EXPECT_EQ(got[1], round);
-      // ...then collectives on the same communicator: gather one word per
-      // rank at a rotating root, which broadcasts their sum back.
+      // ...then a collective on the same communicator: every rank sends
+      // one word to a rotating root, which broadcasts their sum back.
       const int root = round % comm.size();
-      const auto all = comm.gather(std::vector<std::uint64_t>{1}, root,
-                                   1000 + round);
       std::vector<std::uint64_t> sum;
       if (comm.rank() == root) {
-        sum.push_back(0);
-        for (const auto& piece : all) sum[0] += piece.at(0);
+        sum.push_back(1);
+        for (int r = 0; r < comm.size(); ++r) {
+          if (r == root) continue;
+          sum[0] += comm.recv<std::uint64_t>(r, 1000 + round).at(0);
+        }
+      } else {
+        comm.send(root, 1000 + round, std::vector<std::uint64_t>{1});
       }
       sum = comm.broadcast(std::move(sum), root, 2000 + round);
       EXPECT_EQ(sum.at(0), 4u);

@@ -168,25 +168,6 @@ TEST(CommTest, RepeatedBarriers) {
   });
 }
 
-TEST(CommTest, GatherCollectsAllRanks) {
-  run(4, [](Comm& comm) {
-    std::vector<std::uint64_t> mine{
-        static_cast<std::uint64_t>(comm.rank()),
-        static_cast<std::uint64_t>(comm.rank() * 2)};
-    auto all = comm.gather(std::move(mine), 2, 11);
-    if (comm.rank() == 2) {
-      ASSERT_EQ(all.size(), 4u);
-      for (int r = 0; r < 4; ++r) {
-        ASSERT_EQ(all[r].size(), 2u);
-        EXPECT_EQ(all[r][0], static_cast<std::uint64_t>(r));
-        EXPECT_EQ(all[r][1], static_cast<std::uint64_t>(r * 2));
-      }
-    } else {
-      EXPECT_TRUE(all.empty());
-    }
-  });
-}
-
 TEST(CommTest, BroadcastReachesEveryone) {
   run(5, [](Comm& comm) {
     std::vector<int> data;

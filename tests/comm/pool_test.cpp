@@ -18,16 +18,19 @@
 namespace parda::comm {
 namespace {
 
-// A small gather-and-sum body used to check that a job on the pool behaves
+// A small send-and-sum body used to check that a job on the pool behaves
 // exactly like comm::run: every rank contributes its rank+1, rank 0 sums.
 std::uint64_t gather_sum(WorkerPool& pool, int np) {
   std::uint64_t sum = 0;
   pool.run_job(np, [&](Comm& comm) {
-    const auto pieces = comm.gather(
-        std::vector<std::uint64_t>{static_cast<std::uint64_t>(comm.rank()) + 1},
-        0, 3);
-    if (comm.rank() == 0) {
-      for (const auto& piece : pieces) sum += piece.at(0);
+    if (comm.rank() != 0) {
+      comm.send(0, 3, std::vector<std::uint64_t>{
+                          static_cast<std::uint64_t>(comm.rank()) + 1});
+      return;
+    }
+    sum = 1;
+    for (int r = 1; r < comm.size(); ++r) {
+      sum += comm.recv<std::uint64_t>(r, 3).at(0);
     }
   });
   return sum;

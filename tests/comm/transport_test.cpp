@@ -235,7 +235,6 @@ TEST(FrameReaderTest, ReassemblesFramesAcrossArbitraryFragmentation) {
   std::vector<std::byte> stream;
   transport::FrameHeader h1;
   h1.src = 1;
-  h1.origin = 1;
   h1.tag = 42;
   const std::string p1 = "hello, wire";
   h1.payload_bytes = p1.size();
@@ -433,36 +432,63 @@ TEST(CrossTransportTest, SharedViewsDegradeToCopiesOffThreads) {
 
 // --- Hostile frames: the envelope is checked before delivery ---------------
 
-/// Rank 1 posts one data frame with a forged envelope to rank 0 over
-/// `wire` while rank 0 gathers. The pump must reject the frame and abort
-/// the world, so rank 0 sees RankAbortedError: the forged fields never
-/// reach a mailbox bucket or a gather slot.
-void expect_forged_frame_aborts(const char* wire, int src, int origin) {
+/// Rank 1 posts one data frame with a forged src to rank 0 over `wire`
+/// while rank 0 waits for rank 1's message. The pump must reject the frame
+/// and abort the world, so rank 0 sees RankAbortedError: the forged src
+/// never reaches a mailbox bucket.
+void expect_forged_frame_aborts(const char* wire, int src) {
   detail::World world(2, TransportSpec::parse(wire));
   RankStats stats;
   Comm comm(world, 0, stats, nullptr, milliseconds(3000));
   Message forged;
   forged.src = src;
-  forged.origin = origin;
   forged.tag = 5;
   forged.payload = Payload::own(std::vector<std::uint64_t>{7});
   world.route(1, 0, std::move(forged));
-  EXPECT_THROW(comm.gather(std::vector<std::uint64_t>{1}, 0, 5),
-               RankAbortedError);
-}
-
-TEST(HostileFrameTest, OriginOutsideTheWorldAborts) {
-  for (const char* wire : {"shm", "tcp"}) {
-    SCOPED_TRACE(wire);
-    expect_forged_frame_aborts(wire, /*src=*/1, /*origin=*/2);  // origin = np
-  }
+  EXPECT_THROW(comm.recv<std::uint64_t>(1, 5), RankAbortedError);
 }
 
 TEST(HostileFrameTest, SpoofedSrcAborts) {
   for (const char* wire : {"shm", "tcp"}) {
     SCOPED_TRACE(wire);
     // Rank 1's ring or connection carries a frame claiming rank 0 sent it.
-    expect_forged_frame_aborts(wire, /*src=*/0, /*origin=*/1);
+    expect_forged_frame_aborts(wire, /*src=*/0);
+  }
+}
+
+/// An abort frame with the given src, delivered from rank 1's ring to
+/// rank 0 of a fresh 3-rank World.
+void deliver_abort(detail::World& world, int src) {
+  transport::FrameHeader header;
+  header.kind = static_cast<std::uint32_t>(transport::FrameKind::kAbort);
+  header.src = src;
+  header.tag = 2;  // not an origin: abort frames ignore their tag
+  const std::string cause = "rank 1 failed";
+  header.payload_bytes = cause.size();
+  std::vector<std::byte> payload(cause.size());
+  std::memcpy(payload.data(), cause.data(), cause.size());
+  transport::deliver_frame(world, /*from=*/1, /*dst=*/0, header,
+                           std::move(payload));
+}
+
+TEST(HostileFrameTest, AbortFrameFromAnotherRankIsRefused) {
+  // The ring's owner is rank 1; a frame naming rank 2 is forged, so it
+  // must not poison the World in anyone's name.
+  detail::World world(3, TransportSpec::parse("threads"));
+  EXPECT_THROW(deliver_abort(world, /*src=*/2), CheckError);
+  EXPECT_FALSE(world.aborted());
+}
+
+TEST(HostileFrameTest, AbortFrameNamesItsSenderAsOrigin) {
+  detail::World world(3, TransportSpec::parse("threads"));
+  deliver_abort(world, /*src=*/1);
+  ASSERT_TRUE(world.aborted());
+  try {
+    world.throw_aborted();
+  } catch (const RankAbortedError& e) {
+    EXPECT_EQ(e.origin_rank(), 1);
+    EXPECT_NE(std::string(e.what()).find("rank 1 failed"), std::string::npos)
+        << e.what();
   }
 }
 
@@ -471,7 +497,6 @@ TEST(HostileFrameTest, ReaderSurvivesEveryMutationOfAStream) {
   // payload, then an empty data frame: 96 + 32 = 128 bytes.
   transport::FrameHeader full;
   full.src = 1;
-  full.origin = 1;
   full.tag = 5;
   const std::vector<std::uint64_t> words{1, 2, 3, 4, 5, 6, 7, 8};
   full.payload_bytes = sizeof(std::uint64_t) * words.size();
@@ -522,7 +547,6 @@ TEST(HostileFrameTest, ReaderSurvivesEveryMutationOfAStream) {
     for (const transport::FrameHeader& h : pushed) {
       EXPECT_EQ(h.kind, 0u) << m.label;
       EXPECT_EQ(h.src, 1) << m.label;
-      EXPECT_TRUE(h.origin >= 0 && h.origin < 3) << m.label;
       EXPECT_EQ(h.generation, world.generation()) << m.label;
     }
     if (world.aborted()) {

@@ -277,9 +277,9 @@ TEST_F(IngestTest, ZeroCopyProofInMetrics) {
 
 TEST_F(IngestTest, OfflineAnalysisCopiesNoCommBytes) {
   // Next to the ingest proof above, the comm half: every message of the
-  // offline algorithm on the threads wire — the local-infinity lists, the
-  // histogram reduce, and the profile gather — moves its buffer, so the
-  // run's RankStats count no copied byte.
+  // offline algorithm on the threads wire — the local-infinity lists and
+  // the closing reduction of histograms and profiles — moves its buffer,
+  // so the run's RankStats count no copied byte.
   for (const std::uint64_t bound : {std::uint64_t{0}, std::uint64_t{128}}) {
     for (const int np : {1, 2, 4}) {
       SCOPED_TRACE("np=" + std::to_string(np) +

@@ -2,6 +2,8 @@
 
 #include <cstdint>
 #include <exception>
+#include <limits>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -9,6 +11,7 @@
 #include "../util/number_tokens.hpp"
 #include "hist/histogram.hpp"
 #include "hist/mrc.hpp"
+#include "util/check.hpp"
 #include "util/json.hpp"
 #include "util/prng.hpp"
 #include "util/types.hpp"
@@ -239,6 +242,45 @@ TEST(HistogramTest, SerializationOfEmpty) {
   const Histogram back = Histogram::from_words(h.to_words());
   EXPECT_TRUE(h == back);
   EXPECT_EQ(back.total(), 0u);
+}
+
+TEST(HistogramTest, SpareWordsOnlyReserve) {
+  Histogram h;
+  h.record(3, 2);
+  h.record(kInfiniteDistance, 1);
+  const std::vector<std::uint64_t> words = h.to_words(6);
+  EXPECT_EQ(words, h.to_words());
+  EXPECT_GE(words.capacity(), words.size() + 6);
+}
+
+TEST(HistogramTest, FromWordsRefusesMalformedWords) {
+  // The words may come from another process: every defect is a CheckError
+  // the job can report, never an abort of the process.
+  Histogram h;
+  h.record(0, 3);
+  h.record(2, 1);
+  h.record(kInfiniteDistance, 4);
+  const std::vector<std::uint64_t> words = h.to_words();
+  ASSERT_EQ(words, (std::vector<std::uint64_t>{4, 8, 3, 3, 0, 1}));
+  for (std::size_t n = 0; n < words.size(); ++n) {
+    SCOPED_TRACE("truncated to " + std::to_string(n) + " words");
+    EXPECT_THROW(Histogram::from_words(std::span(words).first(n)),
+                 CheckError);
+  }
+  std::vector<std::uint64_t> longer = words;
+  longer.push_back(0);
+  EXPECT_THROW(Histogram::from_words(longer), CheckError);
+
+  std::vector<std::uint64_t> bumped = words;
+  ++bumped[1];  // total no longer infinities + counts
+  EXPECT_THROW(Histogram::from_words(bumped), CheckError);
+
+  // Counts chosen so their sum wraps to exactly the declared total.
+  std::vector<std::uint64_t> wrapping = words;
+  wrapping[3] = std::numeric_limits<std::uint64_t>::max();
+  wrapping[5] = 2;  // 4 + 2^64 - 1 + 0 + 2 wraps to 5
+  wrapping[1] = 5;
+  EXPECT_THROW(Histogram::from_words(wrapping), CheckError);
 }
 
 TEST(HistogramTest, Log2Buckets) {

@@ -80,7 +80,7 @@ TEST(ServeChaosTest, ConcurrentTenantsWithFaultsAndQuotas) {
   core::PardaRuntime runtime;
   MrcService service(runtime);
 
-  // num_procs=2: rank 1 always sends (infinities, gather, reduce) and
+  // num_procs=2: rank 1 always sends (infinities, then the reduction) and
   // never recvs, so op=send is the reliably-firing injection point.
   const comm::FaultPlan plan = comm::FaultPlan::parse("rank=1,op=send,n=0");
   TenantConfig base;

@@ -164,7 +164,8 @@ TEST(MrcServiceTest, FaultingTenantIsQuarantinedAndIsolated) {
   core::PardaRuntime runtime;
   MrcService service(runtime);
   // With num_procs=2, rank 1 (the last rank) only ever sends — infinities
-  // left, then gather/reduce — so op=send is the op that always happens.
+  // left, then the closing reduction — so op=send is the op that always
+  // happens.
   const comm::FaultPlan plan = comm::FaultPlan::parse("rank=1,op=send,n=0");
   TenantConfig faulty = small_tenant();
   faulty.fault_plan = &plan;
